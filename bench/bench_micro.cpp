@@ -20,11 +20,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "accel/filters.hpp"
 #include "bench_util.hpp"
 #include "bitstream/generator.hpp"
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "fabric/frame_ecc.hpp"
 #include "icap/icap.hpp"
 #include "mem/ddr.hpp"
 #include "obs/export.hpp"
@@ -132,6 +135,31 @@ void BM_ConfigCrc(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_ConfigCrc);
+
+void BM_Crc32(benchmark::State& state) {
+  // One staged image's worth of bytes per iteration (the size of the
+  // staged-CRC verify in DprManager::activate).
+  std::vector<u8> data(650892);
+  SplitMix64 rng(3);
+  for (auto& b : data) b = rng.next_byte();
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(data));
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_Crc32);
+
+void BM_FrameEcc(benchmark::State& state) {
+  // One configuration frame per iteration, as ConfigMemory::write_frame
+  // computes it.
+  std::vector<u32> frame(fabric::kFrameWords);
+  SplitMix64 rng(4);
+  for (auto& w : frame) w = static_cast<u32>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fabric::compute_frame_ecc(frame));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * frame.size() * 4);
+}
+BENCHMARK(BM_FrameEcc);
 
 void BM_SplitMix64(benchmark::State& state) {
   SplitMix64 rng(1);

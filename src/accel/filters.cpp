@@ -1,7 +1,6 @@
 #include "accel/filters.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 
 #include "common/rng.hpp"
@@ -35,11 +34,53 @@ u8 px(std::span<const u8> row, int x) {
   return row[static_cast<usize>(std::clamp(x, 0, w - 1))];
 }
 
+/// Median of three: max(min(a, b), min(max(a, b), c)).
+u8 med3(u8 a, u8 b, u8 c) {
+  return std::max(std::min(a, b), std::min(std::max(a, b), c));
+}
+
+/// 3x3 median by column sorting: with each column sorted, the median of
+/// the nine is the median of (largest column minimum, median of the
+/// column medians, smallest column maximum). Pass 1 sorts every column
+/// once; pass 2 combines each window's three columns. Both passes are
+/// straight min/max over arrays, which the compiler turns into
+/// branch-free (vector) code.
+void median_row(std::span<const u8> above, std::span<const u8> cur,
+                std::span<const u8> below, std::span<u8> out) {
+  const usize w = cur.size();
+  if (w == 0) return;
+  // Sorted columns, indexed by image column + 1, with the replicate
+  // border as one extra column on each side.
+  std::vector<u8> cols(3 * (w + 2));
+  u8* lo = cols.data();
+  u8* mid = lo + (w + 2);
+  u8* hi = mid + (w + 2);
+  for (usize x = 0; x < w; ++x) {
+    const u8 a = above[x], b = cur[x], c = below[x];
+    lo[x + 1] = std::min(std::min(a, b), c);
+    mid[x + 1] = med3(a, b, c);
+    hi[x + 1] = std::max(std::max(a, b), c);
+  }
+  for (u8* col : {lo, mid, hi}) {
+    col[0] = col[1];
+    col[w + 1] = col[w];
+  }
+  for (usize x = 0; x < w; ++x) {
+    out[x] = med3(std::max(std::max(lo[x], lo[x + 1]), lo[x + 2]),
+                  med3(mid[x], mid[x + 1], mid[x + 2]),
+                  std::min(std::min(hi[x], hi[x + 1]), hi[x + 2]));
+  }
+}
+
 }  // namespace
 
 void filter_row(FilterKind kind, std::span<const u8> above,
                 std::span<const u8> cur, std::span<const u8> below,
                 std::span<u8> out) {
+  if (kind == FilterKind::kMedian) {
+    median_row(above, cur, below, out);
+    return;
+  }
   const int w = static_cast<int>(cur.size());
   for (int x = 0; x < w; ++x) {
     const u8 p00 = px(above, x - 1), p01 = px(above, x), p02 = px(above, x + 1);
@@ -52,12 +93,8 @@ void filter_row(FilterKind kind, std::span<const u8> above,
         out[static_cast<usize>(x)] = clamp255(std::abs(gx) + std::abs(gy));
         break;
       }
-      case FilterKind::kMedian: {
-        std::array<u8, 9> v{p00, p01, p02, p10, p11, p12, p20, p21, p22};
-        std::nth_element(v.begin(), v.begin() + 4, v.end());
-        out[static_cast<usize>(x)] = v[4];
-        break;
-      }
+      case FilterKind::kMedian:
+        break;  // median_row above
       case FilterKind::kGaussian: {
         const int sum = p00 + 2 * p01 + p02 + 2 * p10 + 4 * p11 + 2 * p12 +
                         p20 + 2 * p21 + p22;

@@ -6,6 +6,8 @@
 // detection words, and NOPs are the framing around them.
 #pragma once
 
+#include <array>
+
 #include "common/types.hpp"
 
 namespace rvcap::bitstream {
@@ -76,6 +78,30 @@ constexpr PacketHeader decode_packet(u32 word) {
   return h;
 }
 
+namespace detail {
+
+inline constexpr u32 kConfigCrcPoly = 0x1EDC6F41;
+
+/// T[v] = the config-CRC register after shifting the Bits-bit value v,
+/// MSB first, into a zero register.
+template <usize Bits>
+constexpr std::array<u32, (usize{1} << Bits)> config_crc_table() {
+  std::array<u32, (usize{1} << Bits)> t{};
+  for (u32 v = 0; v < t.size(); ++v) {
+    u32 c = v << (32 - Bits);
+    for (usize i = 0; i < Bits; ++i) {
+      c = (c << 1) ^ (kConfigCrcPoly & (0u - (c >> 31)));
+    }
+    t[v] = c;
+  }
+  return t;
+}
+
+inline constexpr auto kConfigCrcRegTable = config_crc_table<5>();
+inline constexpr auto kConfigCrcByteTable = config_crc_table<8>();
+
+}  // namespace detail
+
 /// Running configuration CRC over (register, word) write pairs.
 ///
 /// The 7-series device folds the 5-bit register address and 32-bit data
@@ -83,18 +109,24 @@ constexpr PacketHeader decode_packet(u32 word) {
 /// message per write, poly 0x1EDC6F41, MSB-first). Bit-exact identity
 /// with silicon is not required — only that the writer and the ICAP
 /// model agree, which tests assert.
+///
+/// The LFSR is linear, so n message bits m advance the register as
+/// crc' = (crc << n) ^ T[(crc >> (32 - n)) ^ m], with T[v] the register
+/// after shifting v into zero. update() does the 5 register bits
+/// through a 32-entry table and the data word as 4 bytes through a
+/// 256-entry one.
 class ConfigCrc {
  public:
   void reset() { crc_ = 0; }
 
   void update(u32 reg, u32 word) {
-    const u64 msg = (u64{reg & 0x1F} << 32) | word;
-    for (int i = 36; i >= 0; --i) {
-      const u32 bit = static_cast<u32>((msg >> i) & 1);
-      const u32 top = (crc_ >> 31) & 1;
-      crc_ <<= 1;
-      if (bit ^ top) crc_ ^= 0x1EDC6F41;
-    }
+    const auto& reg_t = detail::kConfigCrcRegTable;
+    const auto& byte_t = detail::kConfigCrcByteTable;
+    u32 c = (crc_ << 5) ^ reg_t[(crc_ >> 27) ^ (reg & 0x1F)];
+    c = (c << 8) ^ byte_t[(c >> 24) ^ (word >> 24)];
+    c = (c << 8) ^ byte_t[(c >> 24) ^ ((word >> 16) & 0xFF)];
+    c = (c << 8) ^ byte_t[(c >> 24) ^ ((word >> 8) & 0xFF)];
+    crc_ = (c << 8) ^ byte_t[(c >> 24) ^ (word & 0xFF)];
   }
 
   u32 value() const { return crc_; }

@@ -687,20 +687,30 @@ bool SlotScheduler::step() {
     t = best_resident(now);
     if (t == nullptr) {
       // Nothing resident either: re-try placement across the whole
-      // queue in effective-priority order before giving up.
-      TaskRecord* any = nullptr;
+      // queue in effective-priority order before giving up. A failed
+      // attempt that still changed the task's state (a restore that
+      // rolled back, or spent the last rollback and failed the task)
+      // is progress too.
+      std::vector<TaskRecord*> waiting;
       for (TaskRecord& c : tasks_) {
-        if (c.state != TaskState::kQueued &&
-            c.state != TaskState::kPreempted) {
-          continue;
-        }
-        if (any == nullptr ||
-            eff_priority(c, now) > eff_priority(*any, now)) {
-          any = &c;
+        if (c.state == TaskState::kQueued ||
+            c.state == TaskState::kPreempted) {
+          waiting.push_back(&c);
         }
       }
-      if (any == nullptr || !ensure_resident(*any, now)) return false;
-      t = any;
+      std::stable_sort(waiting.begin(), waiting.end(),
+                       [&](const TaskRecord* a, const TaskRecord* b) {
+                         return eff_priority(*a, now) > eff_priority(*b, now);
+                       });
+      for (TaskRecord* c : waiting) {
+        const TaskState before = c->state;
+        if (ensure_resident(*c, now)) {
+          t = c;
+          break;
+        }
+        if (c->state != before) return true;
+      }
+      if (t == nullptr) return false;
     }
   }
   if (t->state != TaskState::kRunning) return true;  // rollback consumed step

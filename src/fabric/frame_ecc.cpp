@@ -4,18 +4,30 @@
 
 namespace rvcap::fabric {
 
+// Bit b of word w sits at position w*32 + b + 1. For b < 31 that is
+// (w << 5) | (b + 1), so the low five syndrome bits are the parities of
+// the XOR of all words under five fixed masks, and each word adds
+// w << 5 once per set bit. Bit 31 carries into the next word's
+// position, (w + 1) << 5, and is kept apart.
 FrameEcc compute_frame_ecc(std::span<const u32> words) {
+  // kLowMask[k]: bits b < 31 whose position b + 1 has bit k set.
+  static constexpr u32 kLowMask[5] = {0x55555555u, 0x66666666u, 0x78787878u,
+                                      0x7F807F80u, 0x7FFF8000u};
   FrameEcc e;
   u32 acc = 0;
+  u32 high = 0;  // syndrome >> 5, before the low five bits are merged
   for (usize w = 0; w < words.size(); ++w) {
-    u32 v = words[w];
+    const u32 v = words[w];
+    const u32 pos = static_cast<u32>(w);
     acc ^= v;
-    const u32 base = static_cast<u32>(w) * 32 + 1;
-    while (v != 0) {
-      e.syndrome ^= base + static_cast<u32>(std::countr_zero(v));
-      v &= v - 1;  // iterate set bits only
-    }
+    if (std::popcount(v & 0x7FFFFFFFu) & 1) high ^= pos;
+    if (v >> 31) high ^= pos + 1;
   }
+  u32 low = 0;
+  for (u32 k = 0; k < 5; ++k) {
+    low |= static_cast<u32>(std::popcount(acc & kLowMask[k]) & 1) << k;
+  }
+  e.syndrome = (high << 5) ^ low;
   e.parity = (std::popcount(acc) & 1) != 0;
   return e;
 }

@@ -30,6 +30,7 @@ bool HwIcap::device_tick() {
     // Drain one word per cycle into the ICAP primitive.
     if (fifo_.can_pop() && icap_.port().can_push()) {
       icap_.port().push(*fifo_.pop());
+      ++words_written_;
       progress = true;
     }
     if (fifo_.empty()) {

@@ -14,12 +14,17 @@
 // back-pressure. Watchers include the endpoint that caused the event —
 // a self-wake is harmless (its next tick either makes progress or
 // returns false and re-sleeps).
+//
+// Storage is a fixed ring of `capacity` slots allocated once, so a
+// push or pop never allocates. front() and back() point into the ring:
+// a pointer stays valid until that element is popped (its slot can be
+// reused by a later push).
 #pragma once
 
 #include <cassert>
-#include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 #include "sim/component.hpp"
@@ -29,15 +34,15 @@ namespace rvcap::sim {
 template <typename T>
 class Fifo {
  public:
-  explicit Fifo(usize capacity) : capacity_(capacity) { assert(capacity_ > 0); }
+  explicit Fifo(usize capacity) : ring_(capacity) { assert(capacity > 0); }
 
-  bool can_push() const { return q_.size() < capacity_; }
-  bool can_pop() const { return !q_.empty(); }
-  bool empty() const { return q_.empty(); }
-  bool full() const { return q_.size() >= capacity_; }
-  usize size() const { return q_.size(); }
-  usize capacity() const { return capacity_; }
-  usize vacancy() const { return capacity_ - q_.size(); }
+  bool can_push() const { return size_ < ring_.size(); }
+  bool can_pop() const { return size_ != 0; }
+  bool empty() const { return size_ == 0; }
+  bool full() const { return size_ >= ring_.size(); }
+  usize size() const { return size_; }
+  usize capacity() const { return ring_.size(); }
+  usize vacancy() const { return ring_.size() - size_; }
 
   /// Register a component to be re-activated whenever this FIFO's
   /// state changes. Every component must watch every FIFO its tick
@@ -47,33 +52,36 @@ class Fifo {
   /// Push; returns false (and drops nothing) when full.
   bool push(T v) {
     if (full()) return false;
-    q_.push_back(std::move(v));
+    ring_[wrap(head_ + size_)] = std::move(v);
+    ++size_;
     ++pushed_;
-    if (q_.size() > hwm_) hwm_ = q_.size();
+    if (size_ > hwm_) hwm_ = size_;
     watchers_.notify();
     return true;
   }
 
   /// Peek the head without consuming; nullptr when empty.
-  const T* front() const { return q_.empty() ? nullptr : &q_.front(); }
+  const T* front() const { return empty() ? nullptr : &ring_[head_]; }
 
   /// Mutable tail access — fault models corrupt a just-pushed element
   /// in place (payload only; occupancy and counters are untouched, so
   /// no watcher notification is needed).
-  T* back() { return q_.empty() ? nullptr : &q_.back(); }
+  T* back() { return empty() ? nullptr : &ring_[wrap(head_ + size_ - 1)]; }
 
   /// Pop the head; std::nullopt when empty.
   std::optional<T> pop() {
-    if (q_.empty()) return std::nullopt;
-    T v = std::move(q_.front());
-    q_.pop_front();
+    if (empty()) return std::nullopt;
+    std::optional<T> v(std::move(ring_[head_]));
+    head_ = wrap(head_ + 1);
+    --size_;
     ++popped_;
     watchers_.notify();
     return v;
   }
 
   void clear() {
-    q_.clear();
+    head_ = 0;
+    size_ = 0;
     watchers_.notify();
   }
 
@@ -84,8 +92,12 @@ class Fifo {
   usize high_water() const { return hwm_; }
 
  private:
-  usize capacity_;
-  std::deque<T> q_;
+  /// Ring index of logical position i < 2 * capacity.
+  usize wrap(usize i) const { return i >= ring_.size() ? i - ring_.size() : i; }
+
+  std::vector<T> ring_;
+  usize head_ = 0;  // ring index of the oldest element
+  usize size_ = 0;
   WakeList watchers_;
   u64 pushed_ = 0;
   u64 popped_ = 0;

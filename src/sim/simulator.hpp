@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -130,9 +129,10 @@ class Simulator {
   /// gets exactly max_cycles, in either kernel mode. The predicate is
   /// evaluated once per cycle at the same cycle boundaries as the flat
   /// loop; the scheduled kernel never jumps time here, because pred()
-  /// may be time-dependent.
-  bool run_until(const std::function<bool()>& pred,
-                 Cycles max_cycles = kDefaultWatchdog) {
+  /// may be time-dependent. A template, so a lambda predicate inlines
+  /// into the loop instead of going through std::function every cycle.
+  template <typename Pred>
+  bool run_until(Pred&& pred, Cycles max_cycles = kDefaultWatchdog) {
     const Cycles end = now_ + max_cycles;
     while (!pred()) {
       if (now_ >= end) return false;

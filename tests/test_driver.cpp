@@ -3,6 +3,8 @@
 // Listing-1/-2 API surface details.
 #include <gtest/gtest.h>
 
+#include "accel/rm_slot.hpp"
+#include "bitstream/generator.hpp"
 #include "driver/console.hpp"
 #include "driver/hwicap_driver.hpp"
 #include "driver/rvcap_driver.hpp"
@@ -145,6 +147,27 @@ TEST(HwIcapDriverUnit, InitIcapResetsCore) {
   EXPECT_EQ(soc.cpu().load32_uncached(MemoryMap::kHwicap.base +
                                       hwicap::HwIcap::kWfv),
             soc.hwicap().write_fifo_depth());
+}
+
+TEST(HwIcapDriverUnit, WordsWrittenCountsEveryWordTheIcapReceives) {
+  SocConfig cfg;
+  cfg.with_hwicap = true;
+  ArianeSoc soc(cfg);
+  driver::HwIcapDriver drv(soc.cpu(), 16);
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc.device(), soc.rp0(), {accel::kRmIdSobel, "sobel"});
+  const Addr staging = MemoryMap::kPbitStagingBase;
+  soc.ddr().poke(staging, pbit);
+  const u64 before = soc.icap().words_consumed();
+  ASSERT_EQ(drv.init_reconfig_process({"", accel::kRmIdSobel, staging,
+                                       static_cast<u32>(pbit.size())}),
+            Status::kOk);
+  const u64 received = soc.icap().words_consumed() - before;
+  EXPECT_EQ(received, pbit.size() / 4);
+  EXPECT_EQ(soc.hwicap().words_written(), received);
+  auto& counters = soc.sim().obs().counters();
+  EXPECT_EQ(counters.counter_value(counters.counter_index("hwicap.words_written")),
+            received);
 }
 
 TEST(ReconfigModuleStruct, DefaultsAreEmpty) {

@@ -565,6 +565,54 @@ TEST(SlotRecovery, WedgedSwapBecomesDiagnosedHang) {
             w.cipher_golden(key, kDataBase, 4 * 512, 512));
 }
 
+TEST(SlotRecovery, DrainFinishesEveryTaskAfterOneExhaustsItsRollbacks) {
+  // Both slots vacant, a parked task owning each, and the best task a
+  // queued one that may not displace them. The fallback then restores a
+  // parked task whose torn capture spends its only rollback and fails
+  // it. That failure is progress: drain() must go on to run the rest
+  // instead of stopping with work still queued.
+  SlotWorld w;
+  SlotScheduler::Config cc = sched_config();
+  cc.max_rollbacks = 0;
+  w.rebuild_scheduler(cc);
+  const u64 key = 0x7E57AB1E5EEDF00DULL;
+  std::vector<SlotScheduler::TaskId> ids(3, 0);
+  for (u32 i = 0; i < 2; ++i) {
+    ASSERT_EQ(w.sched->submit(w.cipher_task(key, 8 * 512, 1,
+                                            kDataBase + u64{i} * 0x20000,
+                                            kDataBase + u64{i} * 0x20000 +
+                                                0x10000,
+                                            300 + i),
+                              &ids[i]),
+              Status::kOk);
+  }
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(w.sched->step());
+  ASSERT_EQ(w.sched->task(ids[0])->state, TaskState::kRunning);
+  ASSERT_EQ(w.sched->task(ids[1])->state, TaskState::kRunning);
+  ASSERT_EQ(w.fi.arm(sites::kSlotCaptureTorn, 1), Status::kOk);
+  ASSERT_EQ(w.sched->preempt_slot(w.sched->task(ids[0])->slot), Status::kOk);
+  ASSERT_EQ(w.sched->preempt_slot(w.sched->task(ids[1])->slot), Status::kOk);
+
+  // Equal priority; the deadline wins the tie, so the queued task is
+  // picked first but cannot take a slot a parked equal owns.
+  Task late = w.cipher_task(key, 4 * 512, 1, kDataBase + 0x40000,
+                            kDataBase + 0x50000, 302);
+  late.deadline_mtime = ~u64{0} - 1;
+  ASSERT_EQ(w.sched->submit(late, &ids[2]), Status::kOk);
+  w.sched->drain();
+
+  EXPECT_EQ(w.sched->task(ids[0])->state, TaskState::kFailed);
+  EXPECT_EQ(w.sched->task(ids[0])->status, Status::kCrcError);
+  EXPECT_EQ(w.sched->task(ids[1])->state, TaskState::kCompleted);
+  EXPECT_EQ(w.sched->task(ids[2])->state, TaskState::kCompleted);
+  EXPECT_EQ(w.sched->stats().torn_detected, 1u);
+  EXPECT_EQ(w.read_dst(kDataBase + 0x30000, 8 * 512),
+            w.cipher_golden(key, kDataBase + 0x20000, 8 * 512, 512));
+  EXPECT_EQ(w.read_dst(kDataBase + 0x50000, 4 * 512),
+            w.cipher_golden(key, kDataBase + 0x40000, 4 * 512, 512));
+  EXPECT_FALSE(w.sched->step());  // nothing left to do
+}
+
 // ---------------------------------------------------------------------
 // Oversubscription: priority-safe shedding and aging
 // ---------------------------------------------------------------------
