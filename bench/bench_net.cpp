@@ -103,8 +103,6 @@ CellResult run_cell(const Cell& cell, u64 seed,
   driver::BitstreamDelivery delivery(soc.cpu());
   delivery.set_primary(&net_src);
   if (cell.cache) delivery.attach_cache(&cache);
-  delivery.set_net_stats(&fetcher);
-  delivery.set_mailbox(soc::MemoryMap::kServiceRegs.base);
 
   // Two staging slots under three modules: the LRU thrash forces later
   // activations back through the delivery chain.

@@ -208,9 +208,7 @@ CellResult run_cell(const Cell& cell, u64 span,
   card.power_on();
   Boot b(card, nullptr, trace_path != nullptr);
   if (!b.sd_ok) return r;
-  RecoveryManager::Config rc;
-  rc.mailbox_base = soc::MemoryMap::kServiceRegs.base;
-  RecoveryManager rman(b.soc->cpu(), *b.journal, rc);
+  RecoveryManager rman(b.soc->cpu(), *b.journal);
   rman.add_slot(0, b.mgr.get(), b.svc.get());
   RecoveryManager::Report rep;
   const Status st = rman.recover(&rep);

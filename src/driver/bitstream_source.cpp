@@ -5,7 +5,6 @@
 
 #include "common/bytes.hpp"
 #include "obs/observability.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -204,7 +203,6 @@ void BitstreamDelivery::record(std::string_view image, DeliveryPath path,
   }
   ++journal_events_;
   delivery_hist_->record(cycles);
-  publish_stats();
 }
 
 std::vector<BitstreamDelivery::Record> BitstreamDelivery::journal() const {
@@ -215,26 +213,6 @@ std::vector<BitstreamDelivery::Record> BitstreamDelivery::journal() const {
     out.push_back(journal_[i % kJournalCapacity]);
   }
   return out;
-}
-
-void BitstreamDelivery::publish_stats() {
-  if (mailbox_ == 0) return;
-  using Regs = soc::ServiceRegs;
-  auto put = [this](Addr off, u64 v) {
-    cpu_.store32_uncached(mailbox_ + off, static_cast<u32>(v));
-  };
-  if (net_stats_ != nullptr) {
-    put(Regs::kNetFetchesOk, net_stats_->fetches_ok());
-    put(Regs::kNetFetchFails, net_stats_->fetches_failed());
-    put(Regs::kNetRetries, net_stats_->chunk_retries());
-    put(Regs::kNetBreakerTrips, net_stats_->breaker_trips());
-  }
-  if (cache_ != nullptr) {
-    put(Regs::kNetCacheHits, cache_->hits());
-    put(Regs::kNetCachePoisoned, cache_->poisoned());
-  }
-  put(Regs::kNetSdFallbacks, sd_fallbacks_);
-  put(Regs::kNetDeliveryFails, failures_);
 }
 
 Status BitstreamDelivery::fetch(std::string_view image, Addr dest,

@@ -16,8 +16,7 @@
 // traced) and falls through to a real source — a cache can go bad
 // under the same DDR upsets the rest of the system models, and a
 // poisoned hit must never masquerade as a fetch. Every delivery's path
-// lands in a bounded journal and, when a mailbox is configured, in the
-// soc::ServiceRegs net block.
+// lands in a bounded journal and in the net.delivery.* counters.
 #pragma once
 
 #include <map>
@@ -167,10 +166,6 @@ class BitstreamDelivery : public BitstreamSource {
   void set_primary(BitstreamSource* s) { primary_ = s; }
   void set_fallback(BitstreamSource* s) { fallback_ = s; }
   void attach_cache(BitstreamCache* c) { cache_ = c; }
-  /// soc::ServiceRegs base for the net telemetry block; 0 = disabled.
-  void set_mailbox(Addr base) { mailbox_ = base; }
-  /// Fetcher whose retry/breaker stats the mailbox mirrors (optional).
-  void set_net_stats(const net::NetFetcher* f) { net_stats_ = f; }
 
   Status fetch(std::string_view image, Addr dest, u32 capacity,
                u32* bytes_out) override;
@@ -189,15 +184,12 @@ class BitstreamDelivery : public BitstreamSource {
  private:
   void record(std::string_view image, DeliveryPath path, Status status,
               Cycles cycles);
-  void publish_stats();
   u16 image_id(std::string_view image);
 
   cpu::CpuContext& cpu_;
   BitstreamSource* primary_ = nullptr;
   BitstreamSource* fallback_ = nullptr;
   BitstreamCache* cache_ = nullptr;
-  const net::NetFetcher* net_stats_ = nullptr;
-  Addr mailbox_ = 0;
 
   std::vector<Record> journal_;
   u64 journal_events_ = 0;

@@ -6,6 +6,7 @@
 #include "common/bytes.hpp"
 #include "common/log.hpp"
 #include "driver/bitstream_source.hpp"
+#include "obs/observability.hpp"
 
 namespace rvcap::driver {
 
@@ -29,7 +30,29 @@ DprManager::DprManager(RvCapDriver& drv, fabric::ConfigMemory& cfg,
                        const Config& config)
     : drv_(drv), cfg_(cfg), rp_handle_(rp_handle), volume_(volume),
       config_(config), slot_owner_(config.num_slots),
-      slot_last_use_(config.num_slots, 0) {}
+      slot_last_use_(config.num_slots, 0) {
+  drv_.cpu_context().simulator().obs().counters().register_fields(
+      "dpr.slot" + std::to_string(config_.slot_id) + ".", stats_,
+      {{"activation_requests", &Stats::activation_requests},
+       {"reconfigurations", &Stats::reconfigurations},
+       {"already_active_hits", &Stats::already_active_hits},
+       {"staging_hits", &Stats::staging_hits},
+       {"staging_loads", &Stats::staging_loads},
+       {"evictions", &Stats::evictions},
+       {"total_reconfig_ticks", &Stats::total_reconfig_ticks},
+       {"staging_failures", &Stats::staging_failures},
+       {"staged_crc_failures", &Stats::staged_crc_failures},
+       {"dma_errors", &Stats::dma_errors},
+       {"dma_timeouts", &Stats::dma_timeouts},
+       {"dma_hangs", &Stats::dma_hangs},
+       {"config_failures", &Stats::config_failures},
+       {"scrub_failures", &Stats::scrub_failures},
+       {"recoveries", &Stats::recoveries},
+       {"fallback_reconfigs", &Stats::fallback_reconfigs},
+       {"blank_passes", &Stats::blank_passes},
+       {"retries_exhausted", &Stats::retries_exhausted},
+       {"scrub_verifies", &Stats::scrub_verifies}});
+}
 
 Status DprManager::register_module(std::string name, u32 rm_id,
                                    std::string pbit_path) {

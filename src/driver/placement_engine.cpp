@@ -7,7 +7,6 @@
 #include "bitstream/preflight.hpp"
 #include "bitstream/relocate.hpp"
 #include "common/bytes.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -19,14 +18,26 @@ PlacementEngine::PlacementEngine(RvCapDriver& drv,
   sink_ = &o.sink();
   src_ = sink_->intern("placement_engine");
   obs::CounterRegistry& c = o.counters();
-  c.register_fn("place.requests", [this] { return stats_.requests; });
-  c.register_fn("place.relocations", [this] { return stats_.relocations; });
-  c.register_fn("place.reloc_hits",
-                [this] { return stats_.reloc_cache_hits; });
-  c.register_fn("place.migrations", [this] { return stats_.migrations; });
-  c.register_fn("place.compactions", [this] { return stats_.compactions; });
-  c.register_fn("place.span_rejects",
-                [this] { return stats_.span_rejects; });
+  c.register_fields("place.", stats_,
+                    {{"requests", &Stats::requests},
+                     {"relocations", &Stats::relocations},
+                     {"reloc_hits", &Stats::reloc_cache_hits},
+                     {"reloc_failures", &Stats::reloc_failures},
+                     {"migrations", &Stats::migrations},
+                     {"compactions", &Stats::compactions},
+                     {"span_grants", &Stats::span_grants},
+                     {"span_rejects", &Stats::span_rejects}});
+  // Live state of the class slot 0's region belongs to.
+  c.register_fn("place.free_regions", [this] {
+    return alloc_.num_regions() == 0 ? 0
+                                     : alloc_.free_count(alloc_.class_of(0));
+  });
+  c.register_fn("place.frag_pct", [this] {
+    return alloc_.num_regions() == 0
+               ? 0
+               : static_cast<u64>(
+                     alloc_.fragmentation(alloc_.class_of(0)) * 100.0);
+  });
 }
 
 void PlacementEngine::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
@@ -253,70 +264,35 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   }
   ++stats_.relocations;
   trace(obs::EventKind::kPlaceRelocate, m->rm_id, m->home_region, region);
-  publish();
   return Status::kOk;
 }
 
 void PlacementEngine::note_migration(u64 task, u32 from_slot, u32 to_slot) {
   ++stats_.migrations;
   trace(obs::EventKind::kPlaceMigrate, task, from_slot, to_slot);
-  publish();
 }
 
 void PlacementEngine::note_compaction(u32 class_id, usize migrations,
                                       u32 len) {
   ++stats_.compactions;
   trace(obs::EventKind::kPlaceCompact, class_id, migrations, len);
-  publish();
 }
 
 void PlacementEngine::note_span_grant(u32 class_id, u32 base_region,
                                       u32 len) {
   ++stats_.span_grants;
   trace(obs::EventKind::kPlaceSpan, class_id, base_region, len);
-  publish();
 }
 
 void PlacementEngine::note_span_release(u32 class_id, u32 base_region,
                                         u32 len) {
   trace(obs::EventKind::kPlaceSpanFree, class_id, base_region, len);
-  publish();
 }
 
 void PlacementEngine::note_span_reject(u32 class_id) {
   ++stats_.span_rejects;
   trace(obs::EventKind::kPlaceReject, class_id,
         static_cast<u64>(Status::kNoSpace));
-  publish();
-}
-
-void PlacementEngine::publish() {
-  if (cfg_.mailbox_base == 0) return;
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  const Addr b = cfg_.mailbox_base;
-  using soc::ServiceRegs;
-  cpu.store32_uncached(b + ServiceRegs::kPlaceRequests,
-                       static_cast<u32>(stats_.requests));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceRelocations,
-                       static_cast<u32>(stats_.relocations));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceRelocHits,
-                       static_cast<u32>(stats_.reloc_cache_hits));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceMigrations,
-                       static_cast<u32>(stats_.migrations));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceCompactions,
-                       static_cast<u32>(stats_.compactions));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceSpanGrants,
-                       static_cast<u32>(stats_.span_grants));
-  cpu.store32_uncached(b + ServiceRegs::kPlaceSpanRejects,
-                       static_cast<u32>(stats_.span_rejects));
-  if (alloc_.num_regions() > 0) {
-    const u32 cls = alloc_.class_of(0);
-    cpu.store32_uncached(b + ServiceRegs::kPlaceFreeRegions,
-                         alloc_.free_count(cls));
-    cpu.store32_uncached(
-        b + ServiceRegs::kPlaceFragPct,
-        static_cast<u32>(alloc_.fragmentation(cls) * 100.0));
-  }
 }
 
 }  // namespace rvcap::driver

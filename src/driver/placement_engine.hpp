@@ -13,8 +13,8 @@
 // slot); repeat placements are verified cache hits, not re-relocations.
 //
 // The engine is also the accounting point for the placement layer:
-// kPlace* trace events, relocation/migration/compaction counters, and
-// the ServiceRegs placement mailbox.
+// kPlace* trace events and the place.* counters, which include the
+// live free-region count and fragmentation of slot 0's class.
 #pragma once
 
 #include <string>
@@ -38,7 +38,6 @@ class PlacementEngine {
     u32 reloc_slot_bytes = 1 << 20;
     u32 reloc_slots = 16;
     u32 expected_idcode = bitstream::kIdCode;  // preflight re-validation
-    Addr mailbox_base = 0;  // soc::ServiceRegs base; 0 = off
   };
 
   /// A module registered once, against its home region.
@@ -104,9 +103,6 @@ class PlacementEngine {
   void note_span_grant(u32 class_id, u32 base_region, u32 len);
   void note_span_release(u32 class_id, u32 base_region, u32 len);
   void note_span_reject(u32 class_id);
-
-  /// Mirror stats + fragmentation into the ServiceRegs placement block.
-  void publish();
 
  private:
   struct Variant {

@@ -5,7 +5,6 @@
 
 #include "bitstream/preflight.hpp"
 #include "common/log.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -15,11 +14,23 @@ ReconfigService::ReconfigService(DprManager& mgr, const Config& cfg)
   sink_ = &o.sink();
   src_ = sink_->intern("reconfig_service");
   obs::CounterRegistry& c = o.counters();
-  c.register_fn("service.queue_depth",
+  const std::string p = "service.slot" + std::to_string(cfg_.slot_id) + ".";
+  c.register_fields(p, stats_,
+                    {{"submitted", &Stats::submitted},
+                     {"accepted", &Stats::accepted},
+                     {"completed", &Stats::completed},
+                     {"failed", &Stats::failed},
+                     {"shed", &Stats::shed},
+                     {"rejected_full", &Stats::rejected_full},
+                     {"deadline_missed", &Stats::deadline_missed},
+                     {"cancelled", &Stats::cancelled},
+                     {"coalesced", &Stats::coalesced},
+                     {"quarantine_rejects", &Stats::quarantine_rejects},
+                     {"preflight_rejects", &Stats::preflight_rejects},
+                     {"hangs", &Stats::hangs},
+                     {"max_queue_depth", &Stats::max_queue_depth}});
+  c.register_fn(p + "queue_depth",
                 [this] { return static_cast<u64>(queue_depth()); });
-  c.register_fn("service.accepted", [this] { return stats_.accepted; });
-  c.register_fn("service.completed", [this] { return stats_.completed; });
-  c.register_fn("service.hangs", [this] { return stats_.hangs; });
   wait_ticks_ = c.histogram("service.wait_ticks");
   active_ticks_ = c.histogram("service.active_ticks");
 }
@@ -79,41 +90,6 @@ void ReconfigService::finish(RequestRecord& r, RequestState state,
   intent(IntentOp::kSvcDone, r);
 }
 
-void ReconfigService::publish_stats() {
-  if (cfg_.mailbox_base == 0) return;
-  cpu::CpuContext& cpu = mgr_.driver().cpu_context();
-  const Addr b = cfg_.mailbox_base;
-  using soc::ServiceRegs;
-  cpu.store32_uncached(b + ServiceRegs::kSubmitted,
-                       static_cast<u32>(stats_.submitted));
-  cpu.store32_uncached(b + ServiceRegs::kAccepted,
-                       static_cast<u32>(stats_.accepted));
-  cpu.store32_uncached(b + ServiceRegs::kCompleted,
-                       static_cast<u32>(stats_.completed));
-  cpu.store32_uncached(b + ServiceRegs::kFailed,
-                       static_cast<u32>(stats_.failed));
-  cpu.store32_uncached(b + ServiceRegs::kShed, static_cast<u32>(stats_.shed));
-  cpu.store32_uncached(b + ServiceRegs::kRejectedFull,
-                       static_cast<u32>(stats_.rejected_full));
-  cpu.store32_uncached(b + ServiceRegs::kDeadlineMissed,
-                       static_cast<u32>(stats_.deadline_missed));
-  cpu.store32_uncached(b + ServiceRegs::kCancelled,
-                       static_cast<u32>(stats_.cancelled));
-  cpu.store32_uncached(b + ServiceRegs::kCoalesced,
-                       static_cast<u32>(stats_.coalesced));
-  cpu.store32_uncached(b + ServiceRegs::kQuarantineRejects,
-                       static_cast<u32>(stats_.quarantine_rejects));
-  cpu.store32_uncached(b + ServiceRegs::kPreflightRejects,
-                       static_cast<u32>(stats_.preflight_rejects));
-  cpu.store32_uncached(b + ServiceRegs::kHangs,
-                       static_cast<u32>(stats_.hangs));
-  cpu.store32_uncached(b + ServiceRegs::kQueueDepth,
-                       static_cast<u32>(queue_depth()));
-  cpu.store32_uncached(b + ServiceRegs::kMaxQueueDepth,
-                       static_cast<u32>(stats_.max_queue_depth));
-  cpu.store32_uncached(b + ServiceRegs::kSlotId, cfg_.slot_id);
-}
-
 Status ReconfigService::preflight(const ActivationRequest& req) {
   DprManager::StagedInfo info;
   if (auto st = mgr_.staged_image(req.module, &info); !ok(st)) return st;
@@ -163,7 +139,6 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
     trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
     trace(obs::EventKind::kSvcReject, r.id,
           static_cast<u64>(Status::kQuarantined));
-    publish_stats();
     return Status::kQuarantined;
   }
 
@@ -175,7 +150,6 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
         make_record(RequestState::kDeadlineMissed, Status::kDeadlineMissed);
     trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
     trace(obs::EventKind::kSvcDeadlineMiss, r.id);
-    publish_stats();
     return Status::kDeadlineMissed;
   }
 
@@ -185,7 +159,6 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
       RequestRecord& r = make_record(RequestState::kRejected, st);
       trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
       trace(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
-      publish_stats();
       return st == Status::kRejected ? Status::kRejected : st;
     }
   }
@@ -209,7 +182,6 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
     r.merged_into = parent;
     trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
     trace(obs::EventKind::kSvcCoalesce, r.id, parent);
-    publish_stats();
     return Status::kOk;
   }
 
@@ -231,7 +203,6 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
       trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
       trace(obs::EventKind::kSvcReject, r.id,
             static_cast<u64>(Status::kRejected));
-      publish_stats();
       return Status::kRejected;
     }
     ++stats_.shed;
@@ -246,7 +217,6 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
   intent(IntentOp::kSvcPending, r);
   trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
   trace(obs::EventKind::kSvcAdmit, r.id, queue_depth());
-  publish_stats();
   return Status::kOk;
 }
 
@@ -258,7 +228,6 @@ Status ReconfigService::cancel(RequestId id) {
   ++stats_.cancelled;
   trace(obs::EventKind::kSvcCancel, r->id);
   finish(*r, RequestState::kCancelled, Status::kCancelled);
-  publish_stats();
   return Status::kOk;
 }
 
@@ -296,7 +265,6 @@ bool ReconfigService::step() {
     ++stats_.deadline_missed;
     trace(obs::EventKind::kSvcDeadlineMiss, r->id);
     finish(*r, RequestState::kDeadlineMissed, Status::kDeadlineMissed);
-    publish_stats();
     return true;
   }
 
@@ -329,7 +297,6 @@ bool ReconfigService::step() {
   } else {
     trace(obs::EventKind::kSvcFail, r->id, static_cast<u64>(s), active);
   }
-  publish_stats();
   return true;
 }
 

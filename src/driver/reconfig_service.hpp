@@ -31,8 +31,8 @@
 //    with kDeadlineMissed without touching the hardware; clients can
 //    cancel while queued.
 //
-// Telemetry is mirrored into the soc::ServiceRegs MMIO block after
-// every terminal event when a mailbox address is configured.
+// Every Stats field and the live queue depth are registered counters
+// named service.slot<N>.<field>, readable over the PerfRegs window.
 #pragma once
 
 #include <string>
@@ -59,9 +59,7 @@ class ReconfigService : public ProgressMonitor {
     // ---- watchdog ----
     u64 watchdog_interval_ticks = 50;  // CLINT ticks between probes
     u32 watchdog_stall_polls = 4;      // frozen probes => hang
-    // ---- telemetry ----
-    Addr mailbox_base = 0;  // soc::ServiceRegs base; 0 = disabled
-    u32 slot_id = 0;        // RP slot this service serves (mailbox tag)
+    u32 slot_id = 0;  // RP slot served; tags journal records + counters
   };
 
   /// A client's asynchronous activation request.
@@ -169,7 +167,6 @@ class ReconfigService : public ProgressMonitor {
   RequestRecord* find(RequestId id);
   RequestRecord* best_queued();
   void finish(RequestRecord& r, RequestState state, Status status);
-  void publish_stats();
   Status preflight(const ActivationRequest& req);
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, const RequestRecord& r);

@@ -1,9 +1,10 @@
 #include "driver/recovery_manager.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <string_view>
 
 #include "cpu/cpu.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -32,6 +33,16 @@ bool is_good_close(IntentOp op) {
          op == IntentOp::kSlotRestoreDone || op == IntentOp::kScrubReloadDone;
 }
 
+/// Registry names of the report facts recover() counts, in order.
+constexpr std::string_view kReportNames[] = {
+    "recovery.boot_epoch",    "recovery.records",
+    "recovery.torn_tail",     "recovery.corrupt",
+    "recovery.slots_clean",   "recovery.slots_interrupted",
+    "recovery.slots_unknown", "recovery.golden_reloads",
+    "recovery.quarantined",   "recovery.replayed",
+    "recovery.shed",          "recovery.ready_cycles",
+    "recovery.verified",      "recovery.precrash_failures"};
+
 }  // namespace
 
 RecoveryManager::RecoveryManager(cpu::CpuContext& cpu,
@@ -40,6 +51,11 @@ RecoveryManager::RecoveryManager(cpu::CpuContext& cpu,
   obs::Observability& o = cpu_.simulator().obs();
   sink_ = &o.sink();
   src_ = sink_->intern("recovery_manager");
+  // Registry-owned: the report outlives this manager, which a harness
+  // may destroy before the SoC.
+  for (std::string_view name : kReportNames) {
+    report_counters_.push_back(o.counters().counter(name));
+  }
 }
 
 void RecoveryManager::add_slot(u32 slot, DprManager* mgr,
@@ -315,47 +331,31 @@ Status RecoveryManager::recover(Report* out) {
   rep.ready_cycles = cpu_.now() - start;
   trace(obs::EventKind::kRecovReady, verified_slots, rep.quarantined,
         rep.ready_cycles);
-  publish(rep);
+  u64 verdicts[3] = {};  // indexed by SlotVerdict
+  for (const SlotReport& s : rep.slots) {
+    ++verdicts[static_cast<usize>(s.verdict)];
+  }
+  const u64 facts[] = {rep.boot_epoch,
+                       rep.journal.valid_records,
+                       rep.journal.torn_tail_cells,
+                       rep.journal.corrupt_records,
+                       verdicts[static_cast<usize>(SlotVerdict::kClean)],
+                       verdicts[static_cast<usize>(SlotVerdict::kInterrupted)],
+                       verdicts[static_cast<usize>(SlotVerdict::kUnknown)],
+                       rep.golden_reloads,
+                       rep.quarantined,
+                       rep.replayed_requests,
+                       rep.shed_requests,
+                       rep.ready_cycles,
+                       rep.all_verified ? 1u : 0u,
+                       rep.precrash_failures.size()};
+  static_assert(std::size(facts) == std::size(kReportNames));
+  for (usize i = 0; i < std::size(facts); ++i) {
+    report_counters_[i]->add(facts[i]);
+  }
   recovered_ = true;
   if (out != nullptr) *out = rep;
   return rep.all_verified ? Status::kOk : Status::kInternal;
-}
-
-void RecoveryManager::publish(const Report& rep) {
-  if (cfg_.mailbox_base == 0) return;
-  const Addr b = cfg_.mailbox_base;
-  using soc::ServiceRegs;
-  u32 clean = 0, interrupted = 0, unknown = 0;
-  for (const SlotReport& s : rep.slots) {
-    switch (s.verdict) {
-      case SlotVerdict::kClean: ++clean; break;
-      case SlotVerdict::kInterrupted: ++interrupted; break;
-      case SlotVerdict::kUnknown: ++unknown; break;
-    }
-  }
-  cpu_.store32_uncached(b + ServiceRegs::kRecovBootEpoch, rep.boot_epoch);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovRecords,
-                        rep.journal.valid_records);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovTornTail,
-                        rep.journal.torn_tail_cells);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovCorrupt,
-                        rep.journal.corrupt_records);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovSlotsClean, clean);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovSlotsInterrupted, interrupted);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovSlotsUnknown, unknown);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovGoldenReloads,
-                        rep.golden_reloads);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovQuarantined, rep.quarantined);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovReplayed,
-                        rep.replayed_requests);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovShed, rep.shed_requests);
-  cpu_.store32_uncached(b + ServiceRegs::kRecovReadyCycles,
-                        static_cast<u32>(rep.ready_cycles));
-  cpu_.store32_uncached(b + ServiceRegs::kRecovVerified,
-                        rep.all_verified ? 1 : 0);
-  cpu_.store32_uncached(
-      b + ServiceRegs::kRecovPrecrashFailures,
-      static_cast<u32>(rep.precrash_failures.size()));
 }
 
 }  // namespace rvcap::driver

@@ -24,8 +24,8 @@
 //      not brick the boot path forever);
 //   5. re-submit still-pending service requests whose deadline
 //      survives the outage, shed the rest, and publish the whole
-//      outcome to the ServiceRegs recovery mailbox + Recovery trace
-//      track, sealed with a kRecoveryDone record.
+//      outcome as recovery.* registry counters + Recovery trace track
+//      events, sealed with a kRecoveryDone record.
 #pragma once
 
 #include <string>
@@ -54,8 +54,6 @@ class RecoveryManager {
     /// Re-check the reloaded module name against the manager after
     /// activate() (belt-and-braces on top of the self-healing verify).
     bool verify_golden = true;
-    /// ServiceRegs base for the recovery mailbox block; 0 = disabled.
-    Addr mailbox_base = 0;
   };
 
   /// Post-replay classification of one slot.
@@ -127,7 +125,6 @@ class RecoveryManager {
   void classify_slots(std::vector<SlotReport>* out) const;
   bool crash_looping(u32 rm_id) const;
   void replay_pending(u64 crash_mtime, Report* rep);
-  void publish(const Report& rep);
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
 
   cpu::CpuContext& cpu_;
@@ -144,6 +141,7 @@ class RecoveryManager {
 
   obs::TraceSink* sink_ = nullptr;
   u16 src_ = 0;
+  std::vector<obs::Counter*> report_counters_;  // one per report fact
 };
 
 }  // namespace rvcap::driver

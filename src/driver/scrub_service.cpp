@@ -4,7 +4,6 @@
 
 #include "common/bytes.hpp"
 #include "common/units.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -20,12 +19,35 @@ ScrubService::ScrubService(RvCapDriver& drv, fabric::ConfigMemory& mem,
   sink_ = &o.sink();
   src_ = sink_->intern("scrub_service");
   obs::CounterRegistry& c = o.counters();
-  c.register_fn("scrub.passes", [this] { return stats_.passes; });
-  c.register_fn("scrub.frames", [this] { return stats_.frames_scrubbed; });
-  c.register_fn("scrub.detections", [this] { return stats_.detections; });
-  c.register_fn("scrub.rewrites", [this] { return stats_.frame_rewrites; });
-  c.register_fn("scrub.reloads", [this] { return stats_.partition_reloads; });
+  c.register_fields("scrub.", stats_,
+                    {{"passes", &Stats::passes},
+                     {"frames", &Stats::frames_scrubbed},
+                     {"detections", &Stats::detections},
+                     {"correctable", &Stats::correctable},
+                     {"uncorrectable", &Stats::uncorrectable},
+                     {"essential", &Stats::essential},
+                     {"benign", &Stats::benign},
+                     {"rewrites", &Stats::frame_rewrites},
+                     {"reloads", &Stats::partition_reloads},
+                     {"rewrite_verify_failures",
+                      &Stats::rewrite_verify_failures},
+                     {"reload_failures", &Stats::reload_failures},
+                     {"transport_errors", &Stats::transport_errors},
+                     {"yields", &Stats::yields},
+                     {"done_irqs", &Stats::done_irqs},
+                     {"error_irqs", &Stats::error_irqs},
+                     {"upsets_seen", &Stats::upsets_seen},
+                     {"upsets_detected", &Stats::upsets_detected},
+                     {"upsets_repaired", &Stats::upsets_repaired},
+                     {"upsets_self_cancelled", &Stats::upsets_self_cancelled},
+                     {"mttd_cycles_total", &Stats::mttd_cycles_total},
+                     {"mttr_cycles_total", &Stats::mttr_cycles_total},
+                     {"frames_per_sec", &Stats::last_pass_frames_per_sec}});
   c.register_fn("scrub.pending", [this] { return pending_upsets(); });
+  c.register_fn("scrub.mean_mttd_cycles",
+                [this] { return static_cast<u64>(mean_mttd_cycles()); });
+  c.register_fn("scrub.mean_mttr_cycles",
+                [this] { return static_cast<u64>(mean_mttr_cycles()); });
   mttd_cycles_ = c.histogram("scrub.mttd_cycles");
   mttr_cycles_ = c.histogram("scrub.mttr_cycles");
 }
@@ -361,7 +383,6 @@ Status ScrubService::step() {
       break;
     }
   }
-  publish_stats();
   return result;
 }
 
@@ -374,30 +395,6 @@ Status ScrubService::scrub_pass() {
     if (++guard > 1'000'000) return Status::kTimeout;
   }
   return Status::kOk;
-}
-
-void ScrubService::publish_stats() {
-  if (cfg_.mailbox_base == 0) return;
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  const Addr b = cfg_.mailbox_base;
-  using R = soc::ServiceRegs;
-  const auto w32 = [&](Addr off, u64 v) {
-    cpu.store32_uncached(b + off, static_cast<u32>(v));
-  };
-  w32(R::kScrubPasses, stats_.passes);
-  w32(R::kScrubFrames, stats_.frames_scrubbed);
-  w32(R::kScrubDetections, stats_.detections);
-  w32(R::kScrubCorrectable, stats_.correctable);
-  w32(R::kScrubUncorrectable, stats_.uncorrectable);
-  w32(R::kScrubEssential, stats_.essential);
-  w32(R::kScrubBenign, stats_.benign);
-  w32(R::kScrubRewrites, stats_.frame_rewrites);
-  w32(R::kScrubReloads, stats_.partition_reloads);
-  w32(R::kScrubYields, stats_.yields);
-  w32(R::kScrubPending, pending_.size());
-  w32(R::kScrubMeanMttd, static_cast<u64>(mean_mttd_cycles()));
-  w32(R::kScrubMeanMttr, static_cast<u64>(mean_mttr_cycles()));
-  w32(R::kScrubFramesPerSec, stats_.last_pass_frames_per_sec);
 }
 
 }  // namespace rvcap::driver

@@ -30,9 +30,10 @@
 // the supervisor lowers via ack_irqs().
 //
 // MTTD/MTTR accounting rides the ConfigMemory upset-observer feed
-// (ground-truth injection times), and every counter is mirrored into
-// the soc::ServiceRegs MMIO block after each pass, so an external
-// supervisor can watch configuration-memory health over the bus.
+// (ground-truth injection times). Every Stats field, the pending-upset
+// count and the mean MTTD/MTTR are registered scrub.* counters, so an
+// external supervisor can watch configuration-memory health over the
+// PerfRegs window.
 #pragma once
 
 #include <string>
@@ -59,7 +60,6 @@ class ScrubService {
     DmaMode mode = DmaMode::kInterrupt;
     bool verify_rewrite = true; // re-read a rewritten frame before
                                 // counting the repair
-    Addr mailbox_base = 0;      // soc::ServiceRegs base; 0 = disabled
   };
 
   /// A partition under scrub. `module` names the DprManager module to
@@ -194,7 +194,6 @@ class ScrubService {
   void resolve_repaired(u32 far, u64 t);
   void resolve_partition(usize handle, u64 t);
   void resolve_clean(u32 far, u64 t);
-  void publish_stats();
 
   RvCapDriver& drv_;
   fabric::ConfigMemory& mem_;

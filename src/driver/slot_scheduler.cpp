@@ -8,7 +8,6 @@
 #include "common/bytes.hpp"
 #include "common/log.hpp"
 #include "driver/placement_engine.hpp"
-#include "soc/service_regs.hpp"
 
 namespace rvcap::driver {
 
@@ -19,10 +18,24 @@ SlotScheduler::SlotScheduler(RvCapDriver& drv, const Config& cfg)
   sink_ = &o.sink();
   src_ = sink_->intern("slot_scheduler");
   obs::CounterRegistry& c = o.counters();
-  c.register_fn("slots.completed", [this] { return stats_.completed; });
-  c.register_fn("slots.preemptions", [this] { return stats_.preemptions; });
-  c.register_fn("slots.rollbacks", [this] { return stats_.rollbacks; });
-  c.register_fn("slots.swap_hangs", [this] { return stats_.swap_hangs; });
+  c.register_fields("slots.", stats_,
+                    {{"submitted", &Stats::submitted},
+                     {"completed", &Stats::completed},
+                     {"failed", &Stats::failed},
+                     {"sheds", &Stats::sheds},
+                     {"deadline_misses", &Stats::deadline_misses},
+                     {"late_completions", &Stats::late_completions},
+                     {"chunks", &Stats::chunks},
+                     {"preemptions", &Stats::preemptions},
+                     {"captures", &Stats::captures},
+                     {"restores", &Stats::restores},
+                     {"rollbacks", &Stats::rollbacks},
+                     {"torn_detected", &Stats::torn_detected},
+                     {"stale_detected", &Stats::stale_detected},
+                     {"poisoned_detected", &Stats::poisoned_detected},
+                     {"swap_hangs", &Stats::swap_hangs}});
+  c.register_fn("slots.queue_depth",
+                [this] { return static_cast<u64>(queue_depth()); });
 }
 
 void SlotScheduler::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
@@ -159,11 +172,7 @@ Status SlotScheduler::submit(const HwTask& task, TaskId* id) {
   if (!known) return Status::kNotFound;
   if (task.total_bytes == 0) return Status::kInvalidArgument;
 
-  usize queued = 0;
-  for (const TaskRecord& t : tasks_) {
-    if (t.state == TaskState::kQueued) ++queued;
-  }
-  if (queued >= cfg_.queue_capacity) {
+  if (queue_depth() >= cfg_.queue_capacity) {
     // Priority-safe shedding: evict the lowest-effective-priority
     // queued entry only when the arrival strictly outranks it.
     TaskRecord* victim = nullptr;
@@ -715,7 +724,6 @@ bool SlotScheduler::step() {
   }
   if (t->state != TaskState::kRunning) return true;  // rollback consumed step
   run_chunk(*t);
-  publish();
   return true;
 }
 
@@ -859,43 +867,6 @@ bool SlotScheduler::on_poll(const TransferProgress& p) {
   log_warn("slot_scheduler: watchdog hang, beats frozen at ", p.beats, " of ",
            wd_expected_beats_);
   return false;
-}
-
-void SlotScheduler::publish() {
-  if (cfg_.mailbox_base == 0) return;
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  const Addr b = cfg_.mailbox_base;
-  using soc::ServiceRegs;
-  cpu.store32_uncached(b + ServiceRegs::kSlotTasksSubmitted,
-                       static_cast<u32>(stats_.submitted));
-  cpu.store32_uncached(b + ServiceRegs::kSlotTasksCompleted,
-                       static_cast<u32>(stats_.completed));
-  cpu.store32_uncached(b + ServiceRegs::kSlotPreemptions,
-                       static_cast<u32>(stats_.preemptions));
-  cpu.store32_uncached(b + ServiceRegs::kSlotCaptures,
-                       static_cast<u32>(stats_.captures));
-  cpu.store32_uncached(b + ServiceRegs::kSlotRestores,
-                       static_cast<u32>(stats_.restores));
-  cpu.store32_uncached(b + ServiceRegs::kSlotRollbacks,
-                       static_cast<u32>(stats_.rollbacks));
-  cpu.store32_uncached(b + ServiceRegs::kSlotSheds,
-                       static_cast<u32>(stats_.sheds));
-  cpu.store32_uncached(b + ServiceRegs::kSlotSwapHangs,
-                       static_cast<u32>(stats_.swap_hangs));
-  cpu.store32_uncached(b + ServiceRegs::kSlotDeadlineMisses,
-                       static_cast<u32>(stats_.deadline_misses));
-  u32 depth = 0;
-  for (const TaskRecord& t : tasks_) {
-    if (t.state == TaskState::kQueued) ++depth;
-  }
-  cpu.store32_uncached(b + ServiceRegs::kSlotQueueDepth, depth);
-  const u64 n = journal_events_;
-  if (n > 0) {
-    cpu.store32_uncached(
-        b + ServiceRegs::kSlotLastEvent,
-        static_cast<u32>(journal_[(n - 1) % kJournalCapacity].kind));
-  }
-  if (engine_ != nullptr) engine_->publish();
 }
 
 }  // namespace rvcap::driver

@@ -35,6 +35,7 @@
 // an engine the scheduler behaves exactly as before.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <span>
 #include <string>
@@ -87,8 +88,6 @@ class SlotScheduler : public ProgressMonitor {
     // ---- watchdog (swap-transfer fence) ----
     u64 watchdog_interval_ticks = 50;
     u32 watchdog_stall_polls = 4;
-    // ---- telemetry ----
-    Addr mailbox_base = 0;          // soc::ServiceRegs base; 0 = off
   };
 
   /// A streaming hardware task: activate `module`, then push
@@ -251,6 +250,12 @@ class SlotScheduler : public ProgressMonitor {
   std::vector<SwapEvent> journal() const;
   u64 journal_events() const { return journal_events_; }
   const Stats& stats() const { return stats_; }
+  /// Tasks admitted and waiting for their first placement.
+  usize queue_depth() const {
+    return static_cast<usize>(std::count_if(
+        tasks_.begin(), tasks_.end(),
+        [](const TaskRecord& t) { return t.state == TaskState::kQueued; }));
+  }
 
   // ---- ProgressMonitor (installed around swap transfers) ----
   u64 poll_interval_cycles() const override {
@@ -296,7 +301,6 @@ class SlotScheduler : public ProgressMonitor {
   void journal_event(SwapEvent::Kind kind, u32 slot, const TaskRecord& t,
                      Status status);
   void settle();
-  void publish();
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, u32 slot, u32 rm_id, u32 arg0 = 0);
 

@@ -5,10 +5,15 @@
 //
 //   * counter(name)/histogram(name): the registry owns the storage and
 //     hands back a stable pointer the instrumented code mutates inline.
-//   * register_fn(name, fn): zero-overhead export of a counter a
+//   * register_fn(name, fn): zero-overhead export of a value a
 //     component already maintains (e.g. Icap::words()) — the sampled
 //     getter is only evaluated at snapshot/PerfRegs-read time, so the
-//     hot path is untouched.
+//     hot path is untouched. register_fields() does this for a whole
+//     Stats struct.
+//
+// Owned counters only grow. A sampled entry reads whatever its getter
+// returns, so it may also be a gauge (a queue depth, a mean) that
+// falls as well as rises.
 //
 // Registration order is deterministic (SoC construction order), which
 // gives every counter a stable index — the contract the PerfRegs MMIO
@@ -19,14 +24,16 @@
 #include <bit>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/types.hpp"
 
 namespace rvcap::obs {
 
-/// Monotonic event/volume counter.
+/// Registry-owned event/volume counter; only ever grows.
 class Counter {
  public:
   void add(u64 n = 1) { value_ += n; }
@@ -117,7 +124,8 @@ class CounterRegistry {
     return &entries_.back().owned;
   }
 
-  /// Export an externally maintained value as a sampled counter.
+  /// Export an externally maintained value as a sampled counter. A
+  /// name already present is rebound to `fn`, not added again.
   void register_fn(std::string_view name, std::function<u64()> fn) {
     for (Entry& e : entries_) {
       if (e.name == name) {
@@ -126,6 +134,18 @@ class CounterRegistry {
       }
     }
     entries_.push_back(Entry{std::string(name), {}, std::move(fn)});
+  }
+
+  /// Export u64 fields of a Stats struct as sampled counters named
+  /// `prefix` + field name. `s` must outlive every later read.
+  template <class S>
+  void register_fields(
+      std::string_view prefix, const S& s,
+      std::initializer_list<std::pair<std::string_view, u64 S::*>> fields) {
+    for (const auto& [name, field] : fields) {
+      register_fn(std::string(prefix).append(name),
+                  [&s, field] { return s.*field; });
+    }
   }
 
   /// Find-or-create a named histogram.

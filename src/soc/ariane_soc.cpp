@@ -23,7 +23,6 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
       clint_("clint"),
       plic_("plic", IrqMap::kNumSources),
       uart_("uart"),
-      service_regs_("service_regs"),
       perf_regs_("perf_regs"),
       owned_sd_(cfg.external_sd != nullptr
                     ? nullptr
@@ -47,7 +46,6 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   periph_bus_.add_device(MemoryMap::kPlic, &plic_.port());
   periph_bus_.add_device(MemoryMap::kUart, &uart_.port());
   periph_bus_.add_device(MemoryMap::kSpi, &spi_.port());
-  periph_bus_.add_device(MemoryMap::kServiceRegs, &service_regs_.port());
   perf_regs_.bind(&sim_.obs().counters());
   periph_bus_.add_device(MemoryMap::kPerfRegs, &perf_regs_.port());
   main_xbar_.add_subordinate(MemoryMap::kPeripherals,
@@ -178,7 +176,6 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   sim_.add(&clint_);
   sim_.add(&plic_);
   sim_.add(&uart_);
-  sim_.add(&service_regs_);
   sim_.add(&perf_regs_);
   sim_.add(&spi_);
   sim_.add(&boot_);

@@ -35,7 +35,6 @@
 #include "sim/simulator.hpp"
 #include "soc/memory_map.hpp"
 #include "soc/perf_regs.hpp"
-#include "soc/service_regs.hpp"
 #include "soc/uart.hpp"
 #include "storage/sd_card.hpp"
 #include "storage/spi.hpp"
@@ -94,7 +93,6 @@ class ArianeSoc {
   irq::Clint& clint() { return clint_; }
   irq::Plic& plic() { return plic_; }
   Uart& uart() { return uart_; }
-  ServiceRegs& service_regs() { return service_regs_; }
   PerfRegs& perf_regs() { return perf_regs_; }
 
   /// The case-study partition (RP0) and its tracking handle.
@@ -164,7 +162,6 @@ class ArianeSoc {
   irq::Clint clint_;
   irq::Plic plic_;
   Uart uart_;
-  ServiceRegs service_regs_;
   PerfRegs perf_regs_;
   std::unique_ptr<storage::SdCard> owned_sd_;  // absent for external_sd
   storage::SdCard& sd_;

@@ -14,8 +14,6 @@ struct MemoryMap {
   static constexpr axi::AddrRange kPlic{0x0C00'0000, 0x0400'0000};
   static constexpr axi::AddrRange kUart{0x1000'0000, 0x1000};
   static constexpr axi::AddrRange kSpi{0x2000'0000, 0x1000};
-  /// Reconfiguration-service telemetry register file.
-  static constexpr axi::AddrRange kServiceRegs{0x2100'0000, 0x1000};
   /// Performance-counter window (obs::CounterRegistry via MMIO).
   static constexpr axi::AddrRange kPerfRegs{0x2200'0000, 0x1000};
   /// AXI_HWICAP window (vendor-controller deployment, §III-C).

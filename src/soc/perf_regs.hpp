@@ -1,9 +1,10 @@
 // Performance-counter window registers (DESIGN.md §11).
 //
-// An AXI4-Lite register file next to ServiceRegs exposing the
-// simulator's CounterRegistry to driver-side code, the way firmware on
-// the real Genesys2 would read a hardware performance monitor: write
-// an index into SELECT, then read the latched 64-bit value through
+// An AXI4-Lite register file on the peripheral bus exposing the
+// simulator's CounterRegistry to driver-side code; it is the SoC's only
+// MMIO telemetry path. Firmware reads it the way it would read a
+// hardware performance monitor on the real Genesys2: write an index
+// into SELECT, then read the latched 64-bit value through
 // VALUE_LO/VALUE_HI. The select wraps modulo the registered counter
 // count, so firmware can scan the whole window with a free-running
 // index and COUNT tells it where the window ends.

@@ -24,8 +24,7 @@
 #include "net/net_fetcher.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
-#include "soc/memory_map.hpp"
-#include "soc/service_regs.hpp"
+#include "testutil.hpp"
 #include "storage/fat32.hpp"
 #include "storage/sd_card.hpp"
 
@@ -42,8 +41,6 @@ using net::NetFetcher;
 using sim::FaultInjector;
 using sim::Simulator;
 using soc::ArianeSoc;
-using soc::MemoryMap;
-using soc::ServiceRegs;
 using soc::SocConfig;
 namespace sites = sim::fault_sites;
 
@@ -422,7 +419,6 @@ TEST(BitstreamDelivery, NetFetchesArePromotedToCacheHits) {
   BitstreamDelivery delivery(w.soc.cpu());
   delivery.set_primary(&net_src);
   delivery.attach_cache(&cache);
-  delivery.set_net_stats(&w.fetcher);
 
   u32 bytes = 0;
   ASSERT_EQ(delivery.fetch("sobel.pbit", kDest, 1 << 20, &bytes),
@@ -472,8 +468,6 @@ TEST(BitstreamDelivery, LinkOutageFallsBackToSdAndJournalsIt) {
   BitstreamDelivery delivery(w.soc.cpu());
   delivery.set_primary(&net_src);
   delivery.set_fallback(&sd_src);
-  delivery.set_net_stats(&w.fetcher);
-  delivery.set_mailbox(MemoryMap::kServiceRegs.base);
 
   w.soc.net_link().set_down(true);
   u32 bytes = 0;
@@ -489,14 +483,12 @@ TEST(BitstreamDelivery, LinkOutageFallsBackToSdAndJournalsIt) {
   EXPECT_EQ(journal[0].path, DeliveryPath::kSdFallback);
   EXPECT_EQ(journal[0].status, Status::kOk);
 
-  // The degradation is visible to software through the ServiceRegs
-  // net telemetry block.
-  auto reg = [&](Addr off) {
-    return w.soc.cpu().load32_uncached(MemoryMap::kServiceRegs.base + off);
-  };
-  EXPECT_EQ(reg(ServiceRegs::kNetSdFallbacks), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kNetDeliveryFails), 0u);
-  EXPECT_EQ(reg(ServiceRegs::kNetFetchFails), 1u);
+  // The degradation is visible to software through the PerfRegs
+  // window.
+  driver::RvCapDriver drv(w.soc.cpu(), w.soc.plic());
+  EXPECT_EQ(test::perf_counter(drv, "net.delivery.sd_fallbacks"), 1u);
+  EXPECT_EQ(test::perf_counter(drv, "net.delivery.failures"), 0u);
+  EXPECT_EQ(test::perf_counter(drv, "net.fetch.fail"), 1u);
 }
 
 TEST(BitstreamDelivery, TotalOutageWithoutFallbackFailsCleanly) {
@@ -505,8 +497,6 @@ TEST(BitstreamDelivery, TotalOutageWithoutFallbackFailsCleanly) {
   NetBitstreamSource net_src(w.fetcher);
   BitstreamDelivery delivery(w.soc.cpu());
   delivery.set_primary(&net_src);
-  delivery.set_net_stats(&w.fetcher);
-  delivery.set_mailbox(MemoryMap::kServiceRegs.base);
 
   w.soc.net_link().set_down(true);
   u32 bytes = 0;
@@ -517,9 +507,8 @@ TEST(BitstreamDelivery, TotalOutageWithoutFallbackFailsCleanly) {
   ASSERT_EQ(journal.size(), 1u);
   EXPECT_EQ(journal[0].path, DeliveryPath::kFailed);
   EXPECT_EQ(journal[0].status, Status::kTimeout);
-  EXPECT_EQ(w.soc.cpu().load32_uncached(MemoryMap::kServiceRegs.base +
-                                        ServiceRegs::kNetDeliveryFails),
-            1u);
+  driver::RvCapDriver drv(w.soc.cpu(), w.soc.plic());
+  EXPECT_EQ(test::perf_counter(drv, "net.delivery.failures"), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -542,7 +531,6 @@ struct RemoteWorld {
     mgr.set_fault_injector(&fi);
     delivery.set_primary(&net_src);
     delivery.attach_cache(&cache);
-    delivery.set_net_stats(&fetcher);
     mgr.attach_source(&delivery);
     publish("sobel.pbit", accel::kRmIdSobel);
     publish("median.pbit", accel::kRmIdMedian);

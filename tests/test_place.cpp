@@ -21,8 +21,8 @@
 //    slot of the class, and the (source digest, target region) variant
 //    cache serves a second engine without re-relocating;
 //  * equivalence — the relocating workload is kFlat/kScheduled
-//    bit-identical, and the ServiceRegs placement mailbox publishes
-//    the layer's counters.
+//    bit-identical, and the layer's place.* counters read back over
+//    the PerfRegs window.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -46,8 +46,7 @@
 #include "fabric/placement.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
-#include "soc/memory_map.hpp"
-#include "soc/service_regs.hpp"
+#include "testutil.hpp"
 
 namespace rvcap {
 namespace {
@@ -63,7 +62,6 @@ using fabric::FabricAllocator;
 using fabric::RegionState;
 using sim::FaultInjector;
 using soc::ArianeSoc;
-using soc::MemoryMap;
 using soc::SocConfig;
 
 using Task = SlotScheduler::HwTask;
@@ -104,8 +102,7 @@ PlacementEngine::Config engine_config() {
 
 struct PlaceWorld {
   explicit PlaceWorld(u32 num_slots = 3,
-                      sim::Simulator::Mode mode = sim::Simulator::Mode::kScheduled,
-                      Addr mailbox = 0)
+                      sim::Simulator::Mode mode = sim::Simulator::Mode::kScheduled)
       : soc(make_config(num_slots, mode)), drv(soc.cpu(), soc.plic()),
         fi(0x5EED) {
     soc.attach_fault_injector(&fi);
@@ -120,14 +117,11 @@ struct PlaceWorld {
       sc.slot_id = s;
       svcs.push_back(std::make_unique<ReconfigService>(*mgrs[s], sc));
     }
-    PlacementEngine::Config ec = engine_config();
-    ec.mailbox_base = mailbox;
-    engine = std::make_unique<PlacementEngine>(drv, soc.allocator(), ec);
+    engine = std::make_unique<PlacementEngine>(drv, soc.allocator(),
+                                               engine_config());
     stage("cipher", accel::kRmIdCipher);
     stage("sobel", accel::kRmIdSobel);
-    SlotScheduler::Config cc = sched_config();
-    cc.mailbox_base = mailbox;
-    rebuild_scheduler(cc);
+    rebuild_scheduler(sched_config());
   }
 
   static SocConfig make_config(u32 num_slots, sim::Simulator::Mode mode) {
@@ -707,7 +701,7 @@ TEST(PlaceDelivery, OneFetchServesEverySlotAndTheVariantCacheIsShared) {
 }
 
 // ---------------------------------------------------------------------
-// Kernel equivalence and the placement mailbox
+// Kernel equivalence and placement telemetry
 // ---------------------------------------------------------------------
 
 TEST(PlaceKernelEquivalence, RelocatingWorkloadMatchesAcrossKernels) {
@@ -750,8 +744,7 @@ TEST(PlaceKernelEquivalence, RelocatingWorkloadMatchesAcrossKernels) {
 }
 
 TEST(PlaceMailbox, PublishesPlacementCountersAndFragmentation) {
-  PlaceWorld w(3, sim::Simulator::Mode::kScheduled,
-               MemoryMap::kServiceRegs.base);
+  PlaceWorld w(3);
   SlotScheduler::TaskId ids[3] = {};
   for (u32 i = 0; i < 3; ++i) {
     ASSERT_EQ(w.sched->submit(
@@ -761,18 +754,16 @@ TEST(PlaceMailbox, PublishesPlacementCountersAndFragmentation) {
               Status::kOk);
   }
   w.sched->drain();
-  cpu::CpuContext& cpu = w.drv.cpu_context();
-  const Addr b = MemoryMap::kServiceRegs.base;
-  using soc::ServiceRegs;
-  EXPECT_GE(cpu.load32_uncached(b + ServiceRegs::kPlaceRequests), 3u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kPlaceRelocations), 2u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kPlaceMigrations), 0u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kPlaceSpanRejects), 0u);
+  auto reg = [&](const char* name) { return test::perf_counter(w.drv, name); };
+  EXPECT_GE(reg("place.requests"), 3u);
+  EXPECT_EQ(reg("place.relocations"), 2u);
+  EXPECT_EQ(reg("place.migrations"), 0u);
+  EXPECT_EQ(reg("place.span_rejects"), 0u);
   // All tasks done: every region free. The 3-slot class is rows
   // {0, 1} + rp0's row — largest adjacent run 2 of 3 free, so the
   // published fragmentation is (1 - 2/3) * 100 = 33.
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kPlaceFreeRegions), 3u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kPlaceFragPct), 33u);
+  EXPECT_EQ(reg("place.free_regions"), 3u);
+  EXPECT_EQ(reg("place.frag_pct"), 33u);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 // intent journal (torn-tail truncation, corrupt-record skipping, ring
 // wrap), the torn-sector SD power model, the cold-boot
 // RecoveryManager (classification, golden reload, crash-loop
-// quarantine, pending-request replay/shed, recovery mailbox) and the
+// quarantine, pending-request replay/shed, recovery counters) and the
 // new fault sites.
 #include <gtest/gtest.h>
 
@@ -30,6 +30,7 @@
 #include "soc/ariane_soc.hpp"
 #include "storage/fat32.hpp"
 #include "storage/sd_card.hpp"
+#include "testutil.hpp"
 
 namespace rvcap {
 namespace {
@@ -41,7 +42,6 @@ using driver::ReconfigService;
 using driver::RecoveryJournal;
 using driver::RecoveryManager;
 using soc::ArianeSoc;
-using soc::MemoryMap;
 using soc::SocConfig;
 namespace sites = sim::fault_sites;
 
@@ -406,9 +406,7 @@ RecoveredState recover_boot(storage::SdCard& card,
   card.power_on();
   Boot b(card, nullptr, mode);
   EXPECT_TRUE(b.sd_ok);
-  RecoveryManager::Config rc;
-  rc.mailbox_base = MemoryMap::kServiceRegs.base;
-  RecoveryManager rman(b.soc->cpu(), *b.journal, rc);
+  RecoveryManager rman(b.soc->cpu(), *b.journal);
   rman.add_slot(0, b.mgr.get(), b.svc.get());
   RecoveredState out;
   out.status = rman.recover(&out.report);
@@ -725,20 +723,15 @@ TEST_F(PolicyFixture, MailboxPublishesRecoveryOutcome) {
   rig.card.power_on();
   Boot b(rig.card, nullptr, sim::Simulator::Mode::kScheduled);
   ASSERT_TRUE(b.sd_ok);
-  RecoveryManager::Config rc;
-  rc.mailbox_base = MemoryMap::kServiceRegs.base;
-  RecoveryManager rman(b.soc->cpu(), *b.journal, rc);
+  RecoveryManager rman(b.soc->cpu(), *b.journal);
   rman.add_slot(0, b.mgr.get(), b.svc.get());
   ASSERT_EQ(rman.recover(), Status::kOk);
-  cpu::CpuContext& cpu = b.soc->cpu();
-  const Addr base = MemoryMap::kServiceRegs.base;
-  using soc::ServiceRegs;
-  EXPECT_EQ(cpu.load32_uncached(base + ServiceRegs::kRecovBootEpoch), 1u);
-  EXPECT_EQ(cpu.load32_uncached(base + ServiceRegs::kRecovSlotsInterrupted),
-            1u);
-  EXPECT_EQ(cpu.load32_uncached(base + ServiceRegs::kRecovGoldenReloads), 1u);
-  EXPECT_EQ(cpu.load32_uncached(base + ServiceRegs::kRecovVerified), 1u);
-  EXPECT_GT(cpu.load32_uncached(base + ServiceRegs::kRecovReadyCycles), 0u);
+  auto reg = [&](const char* name) { return test::perf_counter(*b.drv, name); };
+  EXPECT_EQ(reg("recovery.boot_epoch"), 1u);
+  EXPECT_EQ(reg("recovery.slots_interrupted"), 1u);
+  EXPECT_EQ(reg("recovery.golden_reloads"), 1u);
+  EXPECT_EQ(reg("recovery.verified"), 1u);
+  EXPECT_GT(reg("recovery.ready_cycles"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -767,7 +760,8 @@ TEST(RecoveryIntegration, FailureJournalMirrorsIntoPersistentJournal) {
   EXPECT_EQ(notes, b.mgr->journal_events());
 }
 
-// Recovery trace track carries the whole story.
+// Recovery trace track carries the whole story; the registry counters
+// carry the outcome in every build, RVCAP_NO_TRACE included.
 TEST(RecoveryIntegration, RecoveryTrackTracesEmitted) {
   RecoveryRig rig;
   {
@@ -788,6 +782,16 @@ TEST(RecoveryIntegration, RecoveryTrackTracesEmitted) {
   rman.add_slot(0, b.mgr.get(), b.svc.get());
   ASSERT_EQ(rman.recover(), Status::kOk);
 
+  // The power failed after the request committed, so the slot reboots
+  // clean and is golden-reloaded with its committed module.
+  auto reg = [&](const char* name) { return test::perf_counter(*b.drv, name); };
+  EXPECT_GT(reg("recovery.records"), 0u);
+  EXPECT_EQ(reg("recovery.slots_clean"), 1u);
+  EXPECT_EQ(reg("recovery.slots_interrupted"), 0u);
+  EXPECT_EQ(reg("recovery.golden_reloads"), 1u);
+  EXPECT_EQ(reg("recovery.verified"), 1u);
+
+  if (!obs::trace_compiled_in()) return;
   std::set<obs::EventKind> kinds;
   for (const obs::TraceEvent& e : b.soc->sim().obs().sink().events()) {
     if (obs::event_track(e.kind) == obs::Track::kRecovery) kinds.insert(e.kind);

@@ -5,7 +5,7 @@
 // Layers covered bottom-up: SECDED syndrome math and the essential-bits
 // mask (pure functions), ConfigMemory upset bookkeeping (observer hook,
 // in-place repair exception), single-frame rewrite and full-reload
-// escalation through the real driver/ICAP path, IRQ + ServiceRegs
+// escalation through the real driver/ICAP path, IRQ + PerfRegs
 // telemetry, and the closed-loop acceptance demo — a Poisson upset
 // process corrupting a streaming RM while the scrub service repairs it,
 // ending bit-exact.
@@ -32,7 +32,6 @@
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
 #include "soc/memory_map.hpp"
-#include "soc/service_regs.hpp"
 #include "testutil.hpp"
 
 namespace rvcap {
@@ -267,7 +266,7 @@ struct ScrubWorld {
                  driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
         fi(seed),
         mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr),
-        svc(mgr, svc_config()),
+        svc(mgr),
         scrub(drv, soc.config_memory(), svc, scrub_config()) {
     soc.attach_fault_injector(&fi);
     mgr.set_fault_injector(&fi);
@@ -289,18 +288,11 @@ struct ScrubWorld {
     return cfg;
   }
 
-  static ReconfigService::Config svc_config() {
-    ReconfigService::Config cfg;
-    cfg.mailbox_base = MemoryMap::kServiceRegs.base;
-    return cfg;
-  }
-
   static ScrubService::Config scrub_config() {
     ScrubService::Config cfg;
     cfg.cmd_staging = 0x8C00'0000;
     cfg.rb_buffer = 0x8D00'0000;
     cfg.frames_per_slice = 128;
-    cfg.mailbox_base = MemoryMap::kServiceRegs.base;
     return cfg;
   }
 
@@ -502,25 +494,22 @@ TEST_F(ScrubFixture, YieldsToForegroundRequestsMidPass) {
   EXPECT_EQ(mgr.active_module(), "median");
 }
 
-TEST_F(ScrubFixture, TelemetryVisibleThroughServiceRegs) {
+TEST_F(ScrubFixture, TelemetryVisibleThroughPerfRegs) {
   activate("sobel");
   ASSERT_TRUE(mem().inject_upset(rp_addrs()[7], 3, 3));
   ASSERT_EQ(scrub.scrub_pass(), Status::kOk);
 
-  auto reg = [&](Addr off) {
-    return soc.cpu().load32_uncached(MemoryMap::kServiceRegs.base + off);
-  };
-  using R = soc::ServiceRegs;
-  EXPECT_EQ(reg(R::kScrubPasses), 1u);
-  EXPECT_EQ(reg(R::kScrubFrames), rp_addrs().size());
-  EXPECT_EQ(reg(R::kScrubDetections), 1u);
-  EXPECT_EQ(reg(R::kScrubCorrectable), 1u);
-  EXPECT_EQ(reg(R::kScrubRewrites), 1u);
-  EXPECT_EQ(reg(R::kScrubReloads), 0u);
-  EXPECT_EQ(reg(R::kScrubPending), 0u);
-  EXPECT_GT(reg(R::kScrubMeanMttd), 0u);
-  EXPECT_GE(reg(R::kScrubMeanMttr), reg(R::kScrubMeanMttd));
-  EXPECT_GT(reg(R::kScrubFramesPerSec), 0u);
+  auto reg = [&](const char* name) { return test::perf_counter(drv, name); };
+  EXPECT_EQ(reg("scrub.passes"), 1u);
+  EXPECT_EQ(reg("scrub.frames"), rp_addrs().size());
+  EXPECT_EQ(reg("scrub.detections"), 1u);
+  EXPECT_EQ(reg("scrub.correctable"), 1u);
+  EXPECT_EQ(reg("scrub.rewrites"), 1u);
+  EXPECT_EQ(reg("scrub.reloads"), 0u);
+  EXPECT_EQ(reg("scrub.pending"), 0u);
+  EXPECT_GT(reg("scrub.mean_mttd_cycles"), 0u);
+  EXPECT_GE(reg("scrub.mean_mttr_cycles"), reg("scrub.mean_mttd_cycles"));
+  EXPECT_GT(reg("scrub.frames_per_sec"), 0u);
 }
 
 TEST_F(ScrubFixture, EssentialUpsetCorruptsStreamUntilRepaired) {
@@ -650,10 +639,7 @@ TEST(ScrubDemo, ContinuousUpsetsRepairedUnderLiveTraffic) {
   EXPECT_TRUE(o.final_image_exact);
 
   // MTTD/MTTR remain observable over the bus after the run.
-  using R = soc::ServiceRegs;
-  EXPECT_GT(w.soc.cpu().load32_uncached(MemoryMap::kServiceRegs.base +
-                                        R::kScrubMeanMttd),
-            0u);
+  EXPECT_GT(test::perf_counter(w.drv, "scrub.mean_mttd_cycles"), 0u);
 }
 
 TEST(ScrubDemo, SameSeedReplaysIdenticalUpsetAndRepairHistory) {

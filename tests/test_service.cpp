@@ -28,8 +28,6 @@
 #include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
-#include "soc/memory_map.hpp"
-#include "soc/service_regs.hpp"
 #include "testutil.hpp"
 
 namespace rvcap {
@@ -557,30 +555,28 @@ TEST(ServiceStress, DifferentSeedsDiverge) {
 }
 
 // ---------------------------------------------------------------------
-// Telemetry mailbox
+// Telemetry over the PerfRegs window
 // ---------------------------------------------------------------------
 
 TEST_F(ServiceFixture, MailboxMirrorsCounters) {
-  ReconfigService::Config cfg;
-  cfg.mailbox_base = soc::MemoryMap::kServiceRegs.base;
-  ReconfigService svc(mgr, cfg);
+  ReconfigService svc(mgr);
 
   ASSERT_EQ(svc.submit(Req{"sobel", 1}), Status::kOk);
   ASSERT_EQ(svc.submit(Req{"sobel", 2}), Status::kOk);  // coalesces
   EXPECT_EQ(svc.drain(), 1u);
 
-  auto reg = [&](Addr off) {
-    return soc.cpu().load32_uncached(cfg.mailbox_base + off);
+  // Firmware reads the service's counters by name through PerfRegs.
+  auto reg = [&](const char* field) {
+    return test::perf_counter(drv, std::string("service.slot0.") + field);
   };
-  using soc::ServiceRegs;
-  EXPECT_EQ(reg(ServiceRegs::kSubmitted), 2u);
-  EXPECT_EQ(reg(ServiceRegs::kAccepted), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kCompleted), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kCoalesced), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kQueueDepth), 0u);
-  EXPECT_EQ(reg(ServiceRegs::kMaxQueueDepth), 1u);
-  EXPECT_EQ(reg(ServiceRegs::kFailed), 0u);
-  EXPECT_EQ(reg(ServiceRegs::kHangs), 0u);
+  EXPECT_EQ(reg("submitted"), 2u);
+  EXPECT_EQ(reg("accepted"), 1u);
+  EXPECT_EQ(reg("completed"), 1u);
+  EXPECT_EQ(reg("coalesced"), 1u);
+  EXPECT_EQ(reg("queue_depth"), 0u);
+  EXPECT_EQ(reg("max_queue_depth"), 1u);
+  EXPECT_EQ(reg("failed"), 0u);
+  EXPECT_EQ(reg("hangs"), 0u);
 }
 
 }  // namespace

@@ -34,8 +34,7 @@
 #include "fabric/frame_ecc.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
-#include "soc/memory_map.hpp"
-#include "soc/service_regs.hpp"
+#include "testutil.hpp"
 
 namespace rvcap {
 namespace {
@@ -46,7 +45,6 @@ using driver::ReconfigService;
 using driver::SlotScheduler;
 using sim::FaultInjector;
 using soc::ArianeSoc;
-using soc::MemoryMap;
 using soc::SocConfig;
 namespace sites = sim::fault_sites;
 
@@ -703,7 +701,7 @@ TEST(SlotOversubscription, AgingLetsAStarvedTaskPreempt) {
 }
 
 // ---------------------------------------------------------------------
-// Journal slot-id attribution and mailbox telemetry
+// Journal slot-id attribution and per-slot telemetry
 // ---------------------------------------------------------------------
 
 TEST(SlotJournal, ManagerJournalCarriesTheSlotId) {
@@ -739,30 +737,41 @@ TEST(SlotJournal, ManagerJournalCarriesTheSlotId) {
 
 TEST(SlotJournal, MailboxPublishesSlotIdAndSwapCounters) {
   SlotWorld w;
-  // Rebuild slot 1's service and the scheduler with the mailbox on.
-  ReconfigService::Config sc;
-  sc.slot_id = 1;
-  sc.mailbox_base = MemoryMap::kServiceRegs.base;
-  w.svcs[1] = std::make_unique<ReconfigService>(*w.mgrs[1], sc);
-  SlotScheduler::Config cc = sched_config();
-  cc.mailbox_base = MemoryMap::kServiceRegs.base;
-  w.rebuild_scheduler(cc);
-
   PreemptScenario scn;
   scn.run(w);
   scn.expect_all_golden(w);
 
-  cpu::CpuContext& cpu = w.drv.cpu_context();
-  const Addr b = MemoryMap::kServiceRegs.base;
-  using soc::ServiceRegs;
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotId), 1u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotTasksSubmitted), 3u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotTasksCompleted), 3u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotPreemptions), 1u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotCaptures), 1u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotRestores), 1u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotRollbacks), 0u);
-  EXPECT_EQ(cpu.load32_uncached(b + ServiceRegs::kSlotQueueDepth), 0u);
+  auto reg = [&](const char* name) { return test::perf_counter(w.drv, name); };
+  // Slot 1's service reports under its own slot id.
+  EXPECT_GT(reg("service.slot1.completed"), 0u);
+  EXPECT_EQ(reg("service.slot1.completed"), w.svcs[1]->stats().completed);
+  EXPECT_EQ(reg("slots.submitted"), 3u);
+  EXPECT_EQ(reg("slots.completed"), 3u);
+  EXPECT_EQ(reg("slots.preemptions"), 1u);
+  EXPECT_EQ(reg("slots.captures"), 1u);
+  EXPECT_EQ(reg("slots.restores"), 1u);
+  EXPECT_EQ(reg("slots.rollbacks"), 0u);
+  EXPECT_EQ(reg("slots.queue_depth"), 0u);
+}
+
+// One service and one manager per slot: their counters carry the slot
+// id, so serving slot 0 leaves slot 1's counters untouched instead of
+// the last-registered slot shadowing the others.
+TEST(SlotTelemetry, PerSlotServiceCountersDoNotCollide) {
+  SlotWorld w;
+  ReconfigService::ActivationRequest req;
+  req.module = "cipher";
+  req.priority = 1;
+  ASSERT_EQ(w.svcs[0]->submit(req), Status::kOk);
+  EXPECT_EQ(w.svcs[0]->drain(), 1u);
+
+  auto reg = [&](const char* name) { return test::perf_counter(w.drv, name); };
+  EXPECT_EQ(reg("service.slot0.accepted"), 1u);
+  EXPECT_EQ(reg("service.slot0.completed"), 1u);
+  EXPECT_EQ(reg("service.slot1.accepted"), 0u);
+  EXPECT_EQ(reg("service.slot1.completed"), 0u);
+  EXPECT_EQ(reg("dpr.slot0.reconfigurations"), 1u);
+  EXPECT_EQ(reg("dpr.slot1.reconfigurations"), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Shared test helpers: a bus-functional manager for driving AxiPort /
 // AxiLitePort links cycle-accurately from tests, a scriptable register
-// device, and assertion helpers over the obs:: trace stream.
+// device, assertion helpers over the obs:: trace stream, and a
+// firmware-style counter read through the PerfRegs window.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 
 #include "axi/lite_slave.hpp"
 #include "axi/types.hpp"
+#include "driver/rvcap_driver.hpp"
+#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
@@ -163,6 +166,20 @@ inline void expect_ordered(const obs::TraceSink& sink, obs::EventKind before,
     }
     ++idx;
   }
+}
+
+// ---- telemetry over the bus (PerfRegs window) ----
+
+/// Read a registered counter the way firmware does: select its index
+/// in the PerfRegs window, then read the latched value. Fails the test
+/// when no counter carries `name`.
+inline u64 perf_counter(driver::RvCapDriver& drv, std::string_view name) {
+  const obs::CounterRegistry& reg =
+      drv.cpu_context().simulator().obs().counters();
+  const usize idx = reg.counter_index(name);
+  EXPECT_LT(idx, reg.counter_count()) << "no counter named " << name;
+  drv.perf_select(static_cast<u32>(idx));
+  return drv.perf_read();
 }
 
 }  // namespace rvcap::test
