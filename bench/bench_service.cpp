@@ -97,8 +97,6 @@ CellResult run_cell(u32 burst_size, u32 bursts, double fault_rate, u64 seed) {
 
   ReconfigService::Config cfg;
   cfg.queue_capacity = 4;
-  cfg.watchdog_interval_ticks = 50;
-  cfg.watchdog_stall_polls = 4;
   ReconfigService svc(mgr, cfg);
 
   SplitMix64 rng(seed ^ 0x5EED'F00D);

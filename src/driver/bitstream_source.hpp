@@ -26,6 +26,7 @@
 
 #include "common/status.hpp"
 #include "cpu/cpu.hpp"
+#include "driver/primitives.hpp"
 #include "net/net_fetcher.hpp"
 #include "obs/counters.hpp"
 #include "storage/fat32.hpp"
@@ -123,7 +124,6 @@ class BitstreamCache {
   };
 
   Entry* find(std::string_view image);
-  u32 ddr_crc(Addr addr, u32 bytes);
   void ddr_copy(Addr src, Addr dst, u32 bytes);
   Addr slot_addr(usize i) const {
     return cfg_.base + u64{static_cast<u32>(i)} * cfg_.slot_bytes;
@@ -172,8 +172,8 @@ class BitstreamDelivery : public BitstreamSource {
   bool has_image(std::string_view image) const override;
   std::string_view source_name() const override { return "delivery"; }
 
-  std::vector<Record> journal() const;
-  u64 journal_events() const { return journal_events_; }
+  std::vector<Record> journal() const { return journal_.journal(); }
+  u64 journal_events() const { return journal_.journal_events(); }
 
   u64 deliveries_ok() const { return ok_; }
   u64 cache_hits() const { return cache_hits_; }
@@ -191,8 +191,7 @@ class BitstreamDelivery : public BitstreamSource {
   BitstreamSource* fallback_ = nullptr;
   BitstreamCache* cache_ = nullptr;
 
-  std::vector<Record> journal_;
-  u64 journal_events_ = 0;
+  BoundedLog<Record, kJournalCapacity> journal_;
   std::map<std::string, u16, std::less<>> image_ids_;
 
   obs::TraceSink* sink_ = nullptr;

@@ -1,9 +1,6 @@
 #include "driver/dpr_manager.hpp"
 
-#include <algorithm>
-
 #include "bitstream/generator.hpp"
-#include "common/bytes.hpp"
 #include "common/log.hpp"
 #include "driver/bitstream_source.hpp"
 #include "obs/observability.hpp"
@@ -78,7 +75,7 @@ Status DprManager::register_staged(std::string name, u32 rm_id, Addr addr,
   m.rm_id = rm_id;
   m.staged_addr = addr;
   m.pbit_size = bytes;
-  m.crc32 = staged_image_crc(addr, bytes);
+  m.crc32 = ddr_crc(drv_.cpu_context(), addr, bytes);
   m.pinned = true;
   modules_.push_back(std::move(m));
   return Status::kOk;
@@ -121,23 +118,6 @@ void DprManager::unstage(Module& m) {
   if (!m.slot.has_value()) return;
   slot_owner_[*m.slot].reset();
   m.slot.reset();
-}
-
-u32 DprManager::staged_image_crc(Addr addr, u32 bytes) {
-  // Software CRC over the DDR image: cached burst reads plus roughly
-  // one ALU bundle per word, so the check has a realistic cost.
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  std::vector<u8> chunk(4096);
-  u32 crc = 0;
-  u32 done = 0;
-  while (done < bytes) {
-    const u32 n = std::min<u32>(static_cast<u32>(chunk.size()), bytes - done);
-    cpu.read_buffer(addr + done, std::span(chunk).first(n));
-    crc = crc32(std::span<const u8>(chunk).first(n), crc);
-    cpu.spend_instructions(n / 4);
-    done += n;
-  }
-  return crc;
 }
 
 u32 DprManager::claim_slot(Module& m) {
@@ -196,7 +176,7 @@ Status DprManager::ensure_staged(Module& m) {
     }
     m.staged_addr = addr;
     m.pbit_size = bytes;
-    m.crc32 = staged_image_crc(addr, bytes);
+    m.crc32 = ddr_crc(drv_.cpu_context(), addr, bytes);
     ++stats_.staging_loads;
     stage_bitflip_hook(m);
     return Status::kOk;
@@ -245,14 +225,8 @@ void DprManager::intent(IntentOp op, u32 rm_id, u8 flags, u32 arg0) {
 
 void DprManager::record(FailStage stage, Status status, u32 rm_id,
                         u32 attempt) {
-  JournalEntry& e = journal_[journal_events_ % kJournalCapacity];
-  e.mtime = drv_.mtime();
-  e.stage = stage;
-  e.status = status;
-  e.rm_id = rm_id;
-  e.attempt = attempt;
-  e.slot = config_.slot_id;
-  ++journal_events_;
+  journal_.push({drv_.mtime(), stage, status, rm_id, attempt,
+                 config_.slot_id});
   // Mirror the volatile ring's tail into the persistent journal so a
   // post-reboot diagnosis sees the pre-crash failure history. The
   // packed arg0 round-trips through RecoveryManager::decode_failure.
@@ -260,16 +234,6 @@ void DprManager::record(FailStage stage, Status status, u32 rm_id,
          static_cast<u8>(stage),
          (static_cast<u32>(stage) << 24) |
              (static_cast<u32>(status) << 16) | (attempt & 0xFFFF));
-}
-
-std::vector<DprManager::JournalEntry> DprManager::journal() const {
-  std::vector<JournalEntry> out;
-  const u64 n = std::min<u64>(journal_events_, kJournalCapacity);
-  out.reserve(n);
-  for (u64 i = journal_events_ - n; i < journal_events_; ++i) {
-    out.push_back(journal_[i % kJournalCapacity]);
-  }
-  return out;
 }
 
 Status DprManager::blank_partition(DmaMode mode, u32 attempt) {
@@ -293,10 +257,10 @@ Status DprManager::blank_partition(DmaMode mode, u32 attempt) {
 
 void DprManager::recover_datapath(DmaMode mode, u32 attempt) {
   // Recovery state machine: DMA reset + settle + datapath abort, then
-  // (policy permitting) overwrite the partially-written partition with
-  // a blank configuration. The RP stays decoupled throughout.
+  // overwrite the partially-written partition with a blank
+  // configuration. The RP stays decoupled throughout.
   drv_.cleanup_after_failure();
-  if (policy_.blank_on_failure) blank_partition(mode, attempt);
+  blank_partition(mode, attempt);
 }
 
 Status DprManager::activate(std::string_view name, DmaMode mode,
@@ -325,8 +289,7 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
   drv_.decouple_accel(true);
   Status last = Status::kInternal;
   bool failed_once = false;
-  const u32 attempts = std::max<u32>(1, policy_.max_attempts);
-  for (u32 attempt = 1; attempt <= attempts; ++attempt) {
+  for (u32 attempt = 1; attempt <= kMaxAttempts; ++attempt) {
     if (auto s = ensure_staged(*m); !ok(s)) {
       last = s;
       ++stats_.staging_failures;
@@ -335,8 +298,8 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
       continue;
     }
 
-    if (policy_.verify_staged_crc &&
-        staged_image_crc(m->staged_addr, m->pbit_size) != m->crc32) {
+    if (ddr_crc(drv_.cpu_context(), m->staged_addr, m->pbit_size) !=
+        m->crc32) {
       last = Status::kCrcError;
       ++stats_.staged_crc_failures;
       failed_once = true;
@@ -432,7 +395,7 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
   // Retry budget spent. The RP is left decoupled over a blanked
   // partition — never coupled to a partial or corrupt configuration.
   ++stats_.retries_exhausted;
-  record(FailStage::kExhausted, last, m->rm_id, attempts);
+  record(FailStage::kExhausted, last, m->rm_id, kMaxAttempts);
   intent(IntentOp::kReconfigAbort, m->rm_id, 0,
          static_cast<u32>(last));
   return last;

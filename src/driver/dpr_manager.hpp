@@ -16,12 +16,12 @@
 // partition. Every event lands in a fixed-size failure journal.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "driver/hwicap_driver.hpp"
+#include "driver/primitives.hpp"
 #include "driver/recovery_journal.hpp"
 #include "driver/rvcap_driver.hpp"
 #include "driver/scrubber.hpp"
@@ -59,15 +59,15 @@ class DprManager {
     u32 slot_id = 0;
   };
 
-  /// Knobs of the self-healing activation flow.
+  /// Knobs of the self-healing activation flow. Every attempt CRCs
+  /// the staged DDR image before the ICAP, and every failed attempt
+  /// blanks the partition.
   struct RecoveryPolicy {
-    u32 max_attempts = 3;          // total tries per activate() call
-    bool verify_staged_crc = true; // CRC the DDR image before the ICAP
     bool hwicap_fallback = true;   // degrade to AXI_HWICAP when attached
     u32 fallback_after_failures = 2;  // consecutive DMA-path failures
     bool scrub_after_recovery = true; // readback-verify before recouple
-    bool blank_on_failure = true;  // blank the partition after a failure
   };
+  static constexpr u32 kMaxAttempts = 3;  // total tries per activate()
 
   /// One failure-journal record; the journal is a fixed ring of the
   /// most recent kJournalCapacity events.
@@ -200,8 +200,8 @@ class DprManager {
   std::string module_for_rm(u32 rm_id) const;
 
   /// Journal entries, oldest first (at most kJournalCapacity retained).
-  std::vector<JournalEntry> journal() const;
-  u64 journal_events() const { return journal_events_; }
+  std::vector<JournalEntry> journal() const { return journal_.journal(); }
+  u64 journal_events() const { return journal_.journal_events(); }
 
   const Stats& stats() const { return stats_; }
   double total_reconfig_us() const {
@@ -228,7 +228,6 @@ class DprManager {
   void stage_bitflip_hook(const Module& m);
   u32 pick_victim_slot();
   void unstage(Module& m);
-  u32 staged_image_crc(Addr addr, u32 bytes);
   /// Scratch DDR just past the slot cache, used for blank bitstreams.
   Addr scratch_addr() const {
     return config_.staging_base +
@@ -256,8 +255,7 @@ class DprManager {
   std::vector<u64> slot_last_use_;
   u64 use_clock_ = 0;
   u32 consecutive_dma_failures_ = 0;
-  std::array<JournalEntry, kJournalCapacity> journal_{};
-  u64 journal_events_ = 0;
+  BoundedLog<JournalEntry, kJournalCapacity> journal_;
   Stats stats_;
 };
 

@@ -49,7 +49,6 @@ Status HwIcapDriver::reconfigure_RP(Addr data, u32 pbit_size) {
   cpu_.spend_call_overhead();
   const u32 total_words = pbit_size / 4;
   u32 done_words = 0;
-  if (monitor_ != nullptr) monitor_->on_start(total_words);
 
   // Cached staging chunk the words are loaded through (the bitstream
   // data itself streams through the D$; the keyhole stores dominate).
@@ -70,15 +69,6 @@ Status HwIcapDriver::reconfigure_RP(Addr data, u32 pbit_size) {
   };
 
   while (done_words < total_words) {
-    // Keyhole progress probe: words written so far stand in for the
-    // DMA path's beat counter (one probe per FIFO-sized flush).
-    if (monitor_ != nullptr) {
-      TransferProgress p;
-      p.beats = done_words;
-      p.status = cpu_.load32_uncached(base_ + HwIcap::kSr);
-      p.mtime = timer_.read_mtime();
-      if (!monitor_->on_poll(p)) return Status::kHang;
-    }
     // read_fifo_vac(): how many words fit before the next flush.
     u32 vacancy = read_fifo_vacancy();
     u32 n = std::min(vacancy, total_words - done_words);

@@ -7,7 +7,6 @@
 #include <span>
 
 #include "cpu/cpu.hpp"
-#include "driver/progress.hpp"
 #include "driver/reconfig_module.hpp"
 #include "driver/timer.hpp"
 #include "fabric/geometry.hpp"
@@ -78,11 +77,6 @@ class HwIcapDriver {
 
   const Timing& last_timing() const { return timing_; }
 
-  /// Install a ProgressMonitor observing the keyhole transfer loop
-  /// (progress counter = words written so far); nullptr detaches.
-  void set_progress_monitor(ProgressMonitor* m) { monitor_ = m; }
-  ProgressMonitor* progress_monitor() const { return monitor_; }
-
  private:
   u32 read_fifo_vacancy();
   Status icap_done(u32 flushed_words);  // poll SR until the flush completes
@@ -94,7 +88,6 @@ class HwIcapDriver {
   TimerDriver timer_;
   Timing timing_;
   Timeouts timeouts_;
-  ProgressMonitor* monitor_ = nullptr;
 };
 
 }  // namespace rvcap::driver

@@ -21,7 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bitstream/packets.hpp"
 #include "driver/bitstream_source.hpp"
 #include "driver/dpr_manager.hpp"
 #include "fabric/placement.hpp"
@@ -37,7 +36,6 @@ class PlacementEngine {
     Addr reloc_arena = 0;
     u32 reloc_slot_bytes = 1 << 20;
     u32 reloc_slots = 16;
-    u32 expected_idcode = bitstream::kIdCode;  // preflight re-validation
   };
 
   /// A module registered once, against its home region.
@@ -118,7 +116,6 @@ class PlacementEngine {
   Status ensure_source(ModuleSpec& m);
   Status claim_arena_slot(Addr* addr);
   std::string variant_key(const ModuleSpec& m, u32 region) const;
-  u32 ddr_crc(Addr addr, u32 bytes);
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
 
   RvCapDriver& drv_;

@@ -1,0 +1,101 @@
+// Primitives shared by the driver stacks: the timed DDR checksum, the
+// stall watchdog that fences RV-CAP DMA waits, and the bounded event
+// log behind every driver journal.
+#pragma once
+
+#include <functional>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "common/types.hpp"
+#include "common/units.hpp"
+
+namespace rvcap::cpu {
+class CpuContext;
+}
+
+namespace rvcap::driver {
+
+/// CRC-32 of `bytes` of DDR at `addr`, computed in software on the
+/// core: 4 KiB cached burst reads plus roughly one ALU bundle per word,
+/// so every verify has a realistic simulated cost.
+u32 ddr_crc(cpu::CpuContext& cpu, Addr addr, u32 bytes);
+
+/// Register snapshot of an in-flight MM2S transfer, taken mid-wait.
+struct TransferProgress {
+  u64 mtime = 0;      // CLINT timestamp of the snapshot
+  u32 beats = 0;      // MM2S beat counter
+  u32 status = 0;     // MM2S status register
+  u32 rp_status = 0;  // RP-control status bits
+};
+
+/// Frozen-progress hang detector. A wedged engine and a slow engine
+/// look identical to a timeout: both just have not finished yet. While
+/// installed on an RvCapDriver, every MM2S wait calls start() and then
+/// poll() each kPollIntervalCycles; a beat counter frozen across
+/// kStallPolls consecutive polls is a hang — poll() returns false and
+/// the wait returns Status::kHang long before the size-derived timeout.
+class StallWatchdog {
+ public:
+  static constexpr u64 kPollIntervalTicks = 50;  // CLINT ticks per poll
+  static constexpr u64 kPollIntervalCycles =
+      kPollIntervalTicks * kCyclesPerClintTick;
+  static constexpr u32 kStallPolls = 4;  // frozen polls => hang
+
+  /// Runs once per trip with the last snapshot, the expected beats and
+  /// the consecutive frozen polls observed.
+  using TripHook = std::function<void(const TransferProgress&,
+                                      u64 expected_beats, u32 stalled_polls)>;
+
+  /// `owner` prefixes the trip warning; it must outlive the watchdog.
+  explicit StallWatchdog(std::string_view owner, TripHook on_trip = {})
+      : owner_(owner), on_trip_(std::move(on_trip)) {}
+
+  /// A new transfer of `expected_beats` beats begins; resets tracking.
+  void start(u64 expected_beats);
+  /// Mid-wait snapshot. False when the transfer is declared hung.
+  bool poll(const TransferProgress& p);
+
+ private:
+  std::string_view owner_;
+  TripHook on_trip_;
+  u64 expected_beats_ = 0;
+  u32 last_beats_ = 0;
+  u32 stalled_polls_ = 0;
+};
+
+/// Fixed-capacity event log: retains the newest Capacity entries and
+/// counts every push, so journal_events() == journal().size() tells a
+/// complete history from a wrapped one.
+template <typename T, usize Capacity>
+class BoundedLog {
+ public:
+  static constexpr usize kCapacity = Capacity;
+
+  void push(T e) {
+    if (ring_.size() < Capacity) {
+      ring_.push_back(std::move(e));
+    } else {
+      ring_[events_ % Capacity] = std::move(e);
+    }
+    ++events_;
+  }
+
+  /// Retained entries, oldest first.
+  std::vector<T> journal() const {
+    std::vector<T> out;
+    out.reserve(ring_.size());
+    for (u64 i = events_ - ring_.size(); i < events_; ++i) {
+      out.push_back(ring_[i % Capacity]);
+    }
+    return out;
+  }
+  u64 journal_events() const { return events_; }
+
+ private:
+  std::vector<T> ring_;
+  u64 events_ = 0;
+};
+
+}  // namespace rvcap::driver

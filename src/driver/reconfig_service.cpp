@@ -9,7 +9,12 @@
 namespace rvcap::driver {
 
 ReconfigService::ReconfigService(DprManager& mgr, const Config& cfg)
-    : mgr_(mgr), cfg_(cfg) {
+    : mgr_(mgr), cfg_(cfg),
+      watchdog_("reconfig_service",
+                [this](const TransferProgress& p, u64 expected_beats,
+                       u32 stalled_polls) {
+                  on_hang(p, expected_beats, stalled_polls);
+                }) {
   obs::Observability& o = mgr_.driver().cpu_context().simulator().obs();
   sink_ = &o.sink();
   src_ = sink_->intern("reconfig_service");
@@ -38,11 +43,6 @@ ReconfigService::ReconfigService(DprManager& mgr, const Config& cfg)
 void ReconfigService::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
   RVCAP_TRACE(sink_, kind, src_, mgr_.driver().cpu_context().now(), a0, a1,
               a2);
-}
-
-ReconfigService::RequestRecord* ReconfigService::find(RequestId id) {
-  if (id == 0 || id > records_.size()) return nullptr;
-  return &records_[id - 1];
 }
 
 const ReconfigService::RequestRecord* ReconfigService::record(
@@ -154,13 +154,11 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
   }
 
   // Pre-flight parse of the staged image (stages it on a miss).
-  if (cfg_.preflight) {
-    if (auto st = preflight(req); !ok(st)) {
-      RequestRecord& r = make_record(RequestState::kRejected, st);
-      trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-      trace(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
-      return st == Status::kRejected ? Status::kRejected : st;
-    }
+  if (auto st = preflight(req); !ok(st)) {
+    RequestRecord& r = make_record(RequestState::kRejected, st);
+    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
+    return st == Status::kRejected ? Status::kRejected : st;
   }
 
   // Coalesce with a queued request for the same module: the survivor
@@ -275,12 +273,13 @@ bool ReconfigService::step() {
   if (wait_ticks_ != nullptr) wait_ticks_->record(wait);
   trace(obs::EventKind::kSvcDispatch, r->id, wait);
 
-  // The service doubles as the transfer watchdog for the dispatch.
+  // The service's watchdog fences the dispatch's DMA transfers.
   RvCapDriver& drv = mgr_.driver();
-  ProgressMonitor* const prev = drv.progress_monitor();
-  drv.set_progress_monitor(this);
-  const Status s = mgr_.activate(r->req.module, cfg_.mode, r->req.force);
-  drv.set_progress_monitor(prev);
+  StallWatchdog* const prev = drv.watchdog();
+  drv.set_watchdog(&watchdog_);
+  const Status s =
+      mgr_.activate(r->req.module, DmaMode::kInterrupt, r->req.force);
+  drv.set_watchdog(prev);
   active_ = 0;
 
   if (ok(s)) {
@@ -306,41 +305,22 @@ usize ReconfigService::drain() {
   return n;
 }
 
-void ReconfigService::on_start(u64 expected_beats) {
-  wd_expected_beats_ = expected_beats;
-  wd_last_beats_ = 0;
-  wd_stalled_polls_ = 0;
-  wd_tripped_ = false;
-}
-
-bool ReconfigService::on_poll(const TransferProgress& p) {
-  if (p.beats != wd_last_beats_) {
-    // Progress (or a new job's counter reset): the engine is alive.
-    wd_last_beats_ = p.beats;
-    wd_stalled_polls_ = 0;
-    return true;
-  }
-  if (++wd_stalled_polls_ < cfg_.watchdog_stall_polls) return true;
-
-  // Counter frozen across N probes: declare the transfer wedged and
-  // abort the wait. The driver returns kHang; the DprManager's recovery
-  // state machine takes it from there (cleanup, blank, retry/fallback).
+void ReconfigService::on_hang(const TransferProgress& p, u64 expected_beats,
+                              u32 stalled_polls) {
+  // The watchdog declared the transfer wedged and aborts the wait; the
+  // driver returns kHang and the DprManager's recovery state machine
+  // takes it from there (cleanup, blank, retry/fallback).
   ++stats_.hangs;
-  wd_tripped_ = true;
   HangDiagnosis d;
   d.mtime = p.mtime;
   d.request = active_;
   d.snapshot = p;
-  d.expected_beats = wd_expected_beats_;
-  d.outstanding_beats =
-      wd_expected_beats_ > p.beats ? wd_expected_beats_ - p.beats : 0;
-  d.polls_without_progress = wd_stalled_polls_;
-  hangs_.push_back(d);
+  d.expected_beats = expected_beats;
+  d.outstanding_beats = expected_beats > p.beats ? expected_beats - p.beats : 0;
+  d.polls_without_progress = stalled_polls;
+  hangs_.push(d);
   trace(obs::EventKind::kSvcHang, active_, d.outstanding_beats,
         d.polls_without_progress);
-  log_warn("reconfig_service: watchdog hang, beats frozen at ", p.beats,
-           " of ", wd_expected_beats_);
-  return false;
 }
 
 }  // namespace rvcap::driver

@@ -14,14 +14,15 @@
 //    word is written, and the module lands on a quarantine list so a
 //    repeat submission fails fast without re-staging.
 //
-//  * Watchdog hang detection — the service installs itself as the
-//    drivers' ProgressMonitor: during a transfer it probes the engine's
-//    progress counter on a CLINT-paced interval, and a counter frozen
-//    across N consecutive probes is declared a hang (distinct from a
-//    bounded-iteration timeout, which a slow-but-moving transfer also
-//    hits). The last register snapshot is recorded as a HangDiagnosis
-//    and the wait aborts with Status::kHang, which flows into the
-//    DprManager's recovery state machine (cleanup, blank, retry).
+//  * Watchdog hang detection — the service installs its StallWatchdog
+//    on the RV-CAP driver: during a DMA transfer the watchdog probes the
+//    engine's progress counter on a CLINT-paced interval, and a counter
+//    frozen across kStallPolls consecutive probes is declared a hang
+//    (distinct from a bounded-iteration timeout, which a slow-but-moving
+//    transfer also hits). The last register snapshot is recorded as a
+//    HangDiagnosis and the wait aborts with Status::kHang, which flows
+//    into the DprManager's recovery state machine (cleanup, blank,
+//    retry). The HWICAP fallback is bounded by its iteration timeout.
 //
 //  * Graceful degradation — at saturation the lowest-priority queued
 //    request is shed with Status::kRejected rather than blocking the
@@ -39,26 +40,19 @@
 #include <vector>
 
 #include "bitstream/packets.hpp"
-#include "common/units.hpp"
 #include "driver/dpr_manager.hpp"
-#include "driver/progress.hpp"
+#include "driver/primitives.hpp"
 #include "obs/observability.hpp"
 
 namespace rvcap::driver {
 
-class ReconfigService : public ProgressMonitor {
+class ReconfigService {
  public:
   using RequestId = u64;
 
   struct Config {
     usize queue_capacity = 8;
-    DmaMode mode = DmaMode::kInterrupt;
-    // ---- admission ----
-    bool preflight = true;
-    u32 expected_idcode = bitstream::kIdCode;
-    // ---- watchdog ----
-    u64 watchdog_interval_ticks = 50;  // CLINT ticks between probes
-    u32 watchdog_stall_polls = 4;      // frozen probes => hang
+    u32 expected_idcode = bitstream::kIdCode;  // admission preflight
     u32 slot_id = 0;  // RP slot served; tags journal records + counters
   };
 
@@ -105,6 +99,7 @@ class ReconfigService : public ProgressMonitor {
     u64 outstanding_beats = 0;  // expected - last observed progress
     u32 polls_without_progress = 0;
   };
+  static constexpr usize kHangLogCapacity = 32;
 
   struct Stats {
     u64 submitted = 0;
@@ -125,6 +120,9 @@ class ReconfigService : public ProgressMonitor {
   ReconfigService(DprManager& mgr, const Config& cfg);
   explicit ReconfigService(DprManager& mgr)
       : ReconfigService(mgr, Config{}) {}
+  // Pinned in memory: the watchdog's trip hook captures `this`.
+  ReconfigService(const ReconfigService&) = delete;
+  ReconfigService& operator=(const ReconfigService&) = delete;
 
   /// Admission control. On kOk the request is queued and *id names it.
   /// Rejections: kNotFound (unknown module), kQuarantined (failed
@@ -147,7 +145,9 @@ class ReconfigService : public ProgressMonitor {
 
   const RequestRecord* record(RequestId id) const;
   const std::vector<RequestRecord>& history() const { return records_; }
-  const std::vector<HangDiagnosis>& hang_log() const { return hangs_; }
+  /// Hang diagnoses, oldest first (at most kHangLogCapacity retained;
+  /// stats().hangs counts them all).
+  std::vector<HangDiagnosis> hang_log() const { return hangs_.journal(); }
   const Stats& stats() const { return stats_; }
 
   /// Persistent intent journal: admitted requests append kSvcPending
@@ -156,36 +156,28 @@ class ReconfigService : public ProgressMonitor {
   /// still-pending work or shed it by deadline. nullptr detaches.
   void attach_intent_journal(RecoveryJournal* j) { intent_ = j; }
 
-  // ---- ProgressMonitor (installed on the drivers during dispatch) ----
-  u64 poll_interval_cycles() const override {
-    return cfg_.watchdog_interval_ticks * kCyclesPerClintTick;
-  }
-  void on_start(u64 expected_beats) override;
-  bool on_poll(const TransferProgress& p) override;
-
  private:
-  RequestRecord* find(RequestId id);
+  RequestRecord* find(RequestId id) {
+    return const_cast<RequestRecord*>(record(id));
+  }
   RequestRecord* best_queued();
   void finish(RequestRecord& r, RequestState state, Status status);
   Status preflight(const ActivationRequest& req);
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, const RequestRecord& r);
+  void on_hang(const TransferProgress& p, u64 expected_beats,
+               u32 stalled_polls);
 
   DprManager& mgr_;
   Config cfg_;
   RecoveryJournal* intent_ = nullptr;
   std::vector<RequestRecord> records_;   // append-only; queue lives here
   std::vector<std::string> quarantine_;
-  std::vector<HangDiagnosis> hangs_;
+  BoundedLog<HangDiagnosis, kHangLogCapacity> hangs_;
   Stats stats_;
   RequestId next_id_ = 1;
   RequestId active_ = 0;  // request currently dispatched (0 = none)
-
-  // Watchdog state for the in-flight transfer.
-  u64 wd_expected_beats_ = 0;
-  u32 wd_last_beats_ = 0;
-  u32 wd_stalled_polls_ = 0;
-  bool wd_tripped_ = false;
+  StallWatchdog watchdog_;
 
   // Observability (bound to the CPU's simulator at construction).
   obs::TraceSink* sink_ = nullptr;

@@ -148,15 +148,15 @@ TransferProgress RvCapDriver::probe_mm2s() {
 }
 
 Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
-  if (monitor_ != nullptr) monitor_->on_start((bytes + 7) / 8);
+  if (watchdog_ != nullptr) watchdog_->start((bytes + 7) / 8);
   if (mode == DmaMode::kInterrupt) {
     u64 budget = timeouts_.irq_bound(bytes);
     while (true) {
-      // With a monitor installed, sleep in watchdog-interval slices and
+      // With a watchdog installed, sleep in watchdog-interval slices and
       // probe progress between them; otherwise one WFI for the bound.
       const u64 slice =
-          monitor_ != nullptr
-              ? std::min<u64>(budget, monitor_->poll_interval_cycles())
+          watchdog_ != nullptr
+              ? std::min<u64>(budget, StallWatchdog::kPollIntervalCycles)
               : budget;
       const u32 src = cpu_.wait_for_irq(
           plic_, plic_base_ + irq::Plic::kClaimComplete, slice);
@@ -170,7 +170,7 @@ Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
         return Status::kOk;
       }
       budget -= slice;
-      if (monitor_ != nullptr && !monitor_->on_poll(probe_mm2s())) {
+      if (watchdog_ != nullptr && !watchdog_->poll(probe_mm2s())) {
         return Status::kHang;
       }
       if (budget == 0) return Status::kTimeout;
@@ -178,8 +178,7 @@ Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
   }
   // Blocking: poll the status register's IOC bit.
   const u32 bound = timeouts_.mm2s_bound(bytes);
-  Cycles next_probe =
-      monitor_ != nullptr ? cpu_.now() + monitor_->poll_interval_cycles() : 0;
+  Cycles next_probe = cpu_.now() + StallWatchdog::kPollIntervalCycles;
   for (u32 i = 0; i < bound; ++i) {
     const u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kMm2sSr);
     if (sr & AxiDma::kSrErrMask) {
@@ -190,9 +189,9 @@ Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
       cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSr, AxiDma::kSrIocIrq);
       return Status::kOk;
     }
-    if (monitor_ != nullptr && cpu_.now() >= next_probe) {
-      if (!monitor_->on_poll(probe_mm2s())) return Status::kHang;
-      next_probe = cpu_.now() + monitor_->poll_interval_cycles();
+    if (watchdog_ != nullptr && cpu_.now() >= next_probe) {
+      if (!watchdog_->poll(probe_mm2s())) return Status::kHang;
+      next_probe = cpu_.now() + StallWatchdog::kPollIntervalCycles;
     }
   }
   return Status::kTimeout;

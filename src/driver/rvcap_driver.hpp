@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "cpu/cpu.hpp"
-#include "driver/progress.hpp"
+#include "driver/primitives.hpp"
 #include "driver/reconfig_module.hpp"
 #include "driver/timer.hpp"
 #include "fabric/geometry.hpp"
@@ -168,11 +168,11 @@ class RvCapDriver {
   /// plus the mtime dance — cheap enough to poll from a watchdog.
   TransferProgress probe_mm2s();
 
-  /// Install a ProgressMonitor observing (and possibly aborting) every
-  /// MM2S wait; nullptr detaches. The monitor is called from inside
-  /// wait loops, so it must not start transfers itself.
-  void set_progress_monitor(ProgressMonitor* m) { monitor_ = m; }
-  ProgressMonitor* progress_monitor() const { return monitor_; }
+  /// Install a StallWatchdog fencing (and possibly aborting) every
+  /// MM2S wait; nullptr detaches. Its trip hook runs inside the wait
+  /// loop, so it must not start transfers itself.
+  void set_watchdog(StallWatchdog* w) { watchdog_ = w; }
+  StallWatchdog* watchdog() const { return watchdog_; }
 
   /// Write an RM control register through the RP control interface.
   void rm_reg_write(u32 index, u32 value);
@@ -218,7 +218,7 @@ class RvCapDriver {
   TimerDriver timer_;
   Timing timing_;
   Timeouts timeouts_;
-  ProgressMonitor* monitor_ = nullptr;
+  StallWatchdog* watchdog_ = nullptr;
 };
 
 }  // namespace rvcap::driver

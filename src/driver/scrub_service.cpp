@@ -103,14 +103,32 @@ u64 ScrubService::max_pending_age(u64 now_cycles) const {
   return age;
 }
 
+void ScrubService::note_detected(PendingUpset& p, u64 t) {
+  p.detected_at = t;
+  ++stats_.upsets_detected;
+  stats_.mttd_cycles_total += t - p.injected_at;
+  if (mttd_cycles_ != nullptr) mttd_cycles_->record(t - p.injected_at);
+}
+
 void ScrubService::mark_detected(u32 far, u64 t) {
   for (PendingUpset& p : pending_) {
-    if (p.far == far && p.detected_at == 0) {
-      p.detected_at = t;
-      ++stats_.upsets_detected;
-      stats_.mttd_cycles_total += t - p.injected_at;
-      if (mttd_cycles_ != nullptr) mttd_cycles_->record(t - p.injected_at);
+    if (p.far == far && p.detected_at == 0) note_detected(p, t);
+  }
+}
+
+void ScrubService::resolve_if(
+    const std::function<bool(const PendingUpset&)>& repaired, u64 t) {
+  auto it = pending_.begin();
+  while (it != pending_.end()) {
+    if (!repaired(*it)) {
+      ++it;
+      continue;
     }
+    if (it->detected_at == 0) note_detected(*it, t);
+    ++stats_.upsets_repaired;
+    stats_.mttr_cycles_total += t - it->injected_at;
+    if (mttr_cycles_ != nullptr) mttr_cycles_->record(t - it->injected_at);
+    it = pending_.erase(it);
   }
 }
 
@@ -119,46 +137,18 @@ void ScrubService::resolve_repaired(u32 far, u64 t) {
   // repaired — one landing between the verify read and now stays
   // pending for the next pass.
   if (mem_.outstanding_flips(FrameAddr::decode(far)) != 0) return;
-  auto it = pending_.begin();
-  while (it != pending_.end()) {
-    if (it->far != far) {
-      ++it;
-      continue;
-    }
-    if (it->detected_at == 0) {
-      it->detected_at = t;
-      ++stats_.upsets_detected;
-      stats_.mttd_cycles_total += t - it->injected_at;
-      if (mttd_cycles_ != nullptr) mttd_cycles_->record(t - it->injected_at);
-    }
-    ++stats_.upsets_repaired;
-    stats_.mttr_cycles_total += t - it->injected_at;
-    if (mttr_cycles_ != nullptr) mttr_cycles_->record(t - it->injected_at);
-    it = pending_.erase(it);
-  }
+  resolve_if([far](const PendingUpset& p) { return p.far == far; }, t);
 }
 
 void ScrubService::resolve_partition(usize handle, u64 t) {
   const fabric::Partition& part = mem_.partition(handle);
-  const fabric::DeviceGeometry& dev = mem_.device();
-  auto it = pending_.begin();
-  while (it != pending_.end()) {
-    const FrameAddr fa = FrameAddr::decode(it->far);
-    if (!part.contains(dev, fa) || mem_.outstanding_flips(fa) != 0) {
-      ++it;
-      continue;
-    }
-    if (it->detected_at == 0) {
-      it->detected_at = t;
-      ++stats_.upsets_detected;
-      stats_.mttd_cycles_total += t - it->injected_at;
-      if (mttd_cycles_ != nullptr) mttd_cycles_->record(t - it->injected_at);
-    }
-    ++stats_.upsets_repaired;
-    stats_.mttr_cycles_total += t - it->injected_at;
-    if (mttr_cycles_ != nullptr) mttr_cycles_->record(t - it->injected_at);
-    it = pending_.erase(it);
-  }
+  resolve_if(
+      [&](const PendingUpset& p) {
+        const FrameAddr fa = FrameAddr::decode(p.far);
+        return part.contains(mem_.device(), fa) &&
+               mem_.outstanding_flips(fa) == 0;
+      },
+      t);
 }
 
 void ScrubService::resolve_clean(u32 far, u64 /*t*/) {
@@ -179,9 +169,9 @@ void ScrubService::resolve_clean(u32 far, u64 /*t*/) {
 
 void ScrubService::record(u64 at, const FrameAddr& fa, EccClass cls,
                           Action action, u32 word, u32 bit, bool essential) {
-  journal_.push_back({at, fa.encode(), static_cast<u8>(cls),
-                      static_cast<u8>(action), static_cast<u16>(word),
-                      static_cast<u8>(bit), essential});
+  journal_.push({at, fa.encode(), static_cast<u8>(cls),
+                 static_cast<u8>(action), static_cast<u16>(word),
+                 static_cast<u8>(bit), essential});
 }
 
 void ScrubService::raise_done() {
@@ -205,7 +195,7 @@ void ScrubService::yield_to_queue() {
 
 Status ScrubService::read_frame(const FrameAddr& fa, std::vector<u32>* out) {
   if (auto st = drv_.readback(fa, kFrameWords, cfg_.cmd_staging,
-                              cfg_.rb_buffer, cfg_.mode);
+                              cfg_.rb_buffer);
       !ok(st)) {
     return st;
   }
@@ -229,7 +219,6 @@ Status ScrubService::escalate_reload(const Watch& w) {
   intent(IntentOp::kScrubReload, w);
   ReconfigService::ActivationRequest req;
   req.module = w.module;
-  req.priority = cfg_.reload_priority;
   req.client_id = kClientId;
   // The partition may still track as loaded (SEUs bypass the
   // activation trackers) — force the rewrite anyway.
@@ -299,8 +288,9 @@ Status ScrubService::scrub_frame(const Watch& w) {
     // restart the partition's configuration pass, so escalate instead.
     if (cur_frame_ != 0) {
       words[d.word] ^= 1u << d.bit;
-      Status st = drv_.write_frame(fa, words, cfg_.cmd_staging, cfg_.mode);
-      if (ok(st) && cfg_.verify_rewrite) {
+      // Re-read the rewritten frame before counting the repair.
+      Status st = drv_.write_frame(fa, words, cfg_.cmd_staging);
+      if (ok(st)) {
         std::vector<u32> check;
         st = read_frame(fa, &check);
         if (ok(st) &&

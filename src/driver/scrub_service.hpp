@@ -36,6 +36,7 @@
 // PerfRegs window.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,10 +57,6 @@ class ScrubService {
     Addr cmd_staging = 0;       // scratch DDR for command sequences
     Addr rb_buffer = 0;         // DDR buffer readbacks land in
     u32 frames_per_slice = 8;   // duty cycle: frames scrubbed per step()
-    u32 reload_priority = 0;    // priority of escalated reload requests
-    DmaMode mode = DmaMode::kInterrupt;
-    bool verify_rewrite = true; // re-read a rewritten frame before
-                                // counting the repair
   };
 
   /// A partition under scrub. `module` names the DprManager module to
@@ -78,7 +75,8 @@ class ScrubService {
   };
 
   /// Repair journal — one entry per non-clean frame verdict, in scrub
-  /// order. Plain data so dual-kernel equivalence can compare runs.
+  /// order; a ring of the most recent kJournalCapacity verdicts. Plain
+  /// data so dual-kernel equivalence can compare runs.
   struct JournalEntry {
     u64 at = 0;   // core cycles
     u32 far = 0;  // FrameAddr::encode()
@@ -90,6 +88,7 @@ class ScrubService {
 
     bool operator==(const JournalEntry&) const = default;
   };
+  static constexpr usize kJournalCapacity = 256;
 
   struct Stats {
     u64 passes = 0;            // completed partition traversals
@@ -143,7 +142,9 @@ class ScrubService {
   Status scrub_pass();
 
   const Stats& stats() const { return stats_; }
-  const std::vector<JournalEntry>& journal() const { return journal_; }
+  /// Journal entries, oldest first (at most kJournalCapacity retained).
+  std::vector<JournalEntry> journal() const { return journal_.journal(); }
+  u64 journal_events() const { return journal_.journal_events(); }
 
   /// Persistent intent journal: reload escalations append kScrubReload
   /// before touching the ReconfigService and kScrubReloadDone once the
@@ -190,7 +191,11 @@ class ScrubService {
               Action action, u32 word, u32 bit, bool essential);
   void intent(IntentOp op, const Watch& w);
   void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
+  void note_detected(PendingUpset& p, u64 t);
   void mark_detected(u32 far, u64 t);
+  /// Close every pending upset `repaired` accepts as repaired at `t`.
+  void resolve_if(const std::function<bool(const PendingUpset&)>& repaired,
+                  u64 t);
   void resolve_repaired(u32 far, u64 t);
   void resolve_partition(usize handle, u64 t);
   void resolve_clean(u32 far, u64 t);
@@ -203,7 +208,7 @@ class ScrubService {
   std::vector<Watch> watches_;
   std::vector<std::vector<fabric::FrameAddr>> addrs_;  // per watch
   std::vector<PendingUpset> pending_;
-  std::vector<JournalEntry> journal_;
+  BoundedLog<JournalEntry, kJournalCapacity> journal_;
   Stats stats_;
   irq::IrqLine irq_done_;
   irq::IrqLine irq_error_;

@@ -6,7 +6,6 @@
 
 #include "bitstream/generator.hpp"
 #include "common/bytes.hpp"
-#include "common/log.hpp"
 #include "driver/placement_engine.hpp"
 
 namespace rvcap::driver {
@@ -54,36 +53,14 @@ u32 SlotScheduler::add_slot(const SlotBinding& b) {
   return b.slot_id;
 }
 
-SlotScheduler::TaskRecord* SlotScheduler::find(TaskId id) {
-  if (id == 0 || id > tasks_.size()) return nullptr;
-  return &tasks_[id - 1];
-}
-
 const SlotScheduler::TaskRecord* SlotScheduler::task(TaskId id) const {
   if (id == 0 || id > tasks_.size()) return nullptr;
   return &tasks_[id - 1];
 }
 
-std::vector<SlotScheduler::SwapEvent> SlotScheduler::journal() const {
-  std::vector<SwapEvent> out;
-  const u64 n = std::min<u64>(journal_events_, kJournalCapacity);
-  out.reserve(n);
-  for (u64 i = journal_events_ - n; i < journal_events_; ++i) {
-    out.push_back(journal_[i % kJournalCapacity]);
-  }
-  return out;
-}
-
 void SlotScheduler::journal_event(SwapEvent::Kind kind, u32 slot,
                                   const TaskRecord& t, Status status) {
-  SwapEvent& e = journal_[journal_events_ % kJournalCapacity];
-  e.mtime = drv_.mtime();
-  e.slot = slot;
-  e.kind = kind;
-  e.task = t.id;
-  e.rm_id = t.task.rm_id;
-  e.status = status;
-  ++journal_events_;
+  journal_.push({drv_.mtime(), slot, kind, t.id, t.task.rm_id, status});
 }
 
 void SlotScheduler::intent(IntentOp op, u32 slot, u32 rm_id, u32 arg0) {
@@ -137,19 +114,7 @@ void SlotScheduler::release_area(TaskRecord& t) {
 }
 
 u32 SlotScheduler::image_crc(Addr addr, u32 words, std::span<const u8> blob) {
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  std::vector<u8> chunk(4096);
-  u32 crc = 0;
-  u32 done = 0;
-  const u32 bytes = words * 4;
-  while (done < bytes) {
-    const u32 n = std::min<u32>(static_cast<u32>(chunk.size()), bytes - done);
-    cpu.read_buffer(addr + done, std::span(chunk).first(n));
-    crc = crc32(std::span<const u8>(chunk).first(n), crc);
-    cpu.spend_instructions(n / 4);
-    done += n;
-  }
-  return crc32(blob, crc);
+  return crc32(blob, ddr_crc(drv_.cpu_context(), addr, words * 4));
 }
 
 void SlotScheduler::settle() {
@@ -290,25 +255,19 @@ Status SlotScheduler::capture(TaskRecord& victim) {
   // is held decoupled (GCAPTURE quiesces the region); the incoming
   // task's activation re-isolates it anyway.
   intent(IntentOp::kSlotCapture, s, victim.task.rm_id, victim.id);
+  // The readback completes on S2MM, which the stall watchdog does not
+  // fence: a stalled capture ends in its size-derived timeout.
   drv_.bind_slot(s);
-  ProgressMonitor* const prev = drv_.progress_monitor();
-  drv_.set_progress_monitor(this);
   u32 words = 0;
   const Status st = drv_.readback_partition(
       b.manager->device(), b.manager->partition(), b.cmd_staging, addr,
-      &words, cfg_.mode, /*hold_decoupled=*/true);
-  drv_.set_progress_monitor(prev);
+      &words, DmaMode::kInterrupt, /*hold_decoupled=*/true);
   if (!ok(st)) {
     // Capture failed before any state changed: the victim stays
     // resident and coupled; the preemption attempt is abandoned.
     area_used_[area] = false;
     drv_.cleanup_after_failure();
     drv_.decouple_accel(false);
-    if (st == Status::kHang) {
-      ++stats_.swap_hangs;
-      trace(obs::EventKind::kSlotSwapHang, victim.id, s);
-      journal_event(SwapEvent::Kind::kSwapHang, s, victim, st);
-    }
     return st;
   }
 
@@ -479,11 +438,11 @@ void SlotScheduler::restore(TaskRecord& t) {
   drv_.bind_slot(s);
   ReconfigModule rm{"<restore>", t.task.rm_id, cfg_.restore_staging,
                     static_cast<u32>(pbit.size())};
-  ProgressMonitor* const prev = drv_.progress_monitor();
-  drv_.set_progress_monitor(this);
-  const Status st =
-      drv_.init_reconfig_process(rm, cfg_.mode, /*hold_decoupled=*/true);
-  drv_.set_progress_monitor(prev);
+  StallWatchdog* const prev = drv_.watchdog();
+  drv_.set_watchdog(&watchdog_);
+  const Status st = drv_.init_reconfig_process(rm, DmaMode::kInterrupt,
+                                               /*hold_decoupled=*/true);
+  drv_.set_watchdog(prev);
   if (!ok(st)) {
     drv_.cleanup_after_failure();
     if (st == Status::kHang) {
@@ -659,7 +618,7 @@ void SlotScheduler::run_chunk(TaskRecord& t) {
   const u32 chunk = std::min(chunk_cfg, t.task.total_bytes - t.bytes_done);
   const Status st = drv_.run_accelerator(t.task.src + t.bytes_done, chunk,
                                          t.task.dst + t.bytes_done, chunk,
-                                         cfg_.mode);
+                                         DmaMode::kInterrupt);
   if (!ok(st)) {
     // A failed stream leaves the module state unknown: roll back to a
     // golden reload and restart rather than resume over garbage.
@@ -849,24 +808,6 @@ Status SlotScheduler::preempt_slot(u32 slot) {
     return Status::kNotFound;
   }
   return capture(*t);
-}
-
-void SlotScheduler::on_start(u64 expected_beats) {
-  wd_expected_beats_ = expected_beats;
-  wd_last_beats_ = 0;
-  wd_stalled_polls_ = 0;
-}
-
-bool SlotScheduler::on_poll(const TransferProgress& p) {
-  if (p.beats != wd_last_beats_) {
-    wd_last_beats_ = p.beats;
-    wd_stalled_polls_ = 0;
-    return true;
-  }
-  if (++wd_stalled_polls_ < cfg_.watchdog_stall_polls) return true;
-  log_warn("slot_scheduler: watchdog hang, beats frozen at ", p.beats, " of ",
-           wd_expected_beats_);
-  return false;
 }
 
 }  // namespace rvcap::driver

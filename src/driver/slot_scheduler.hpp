@@ -18,7 +18,7 @@
 // transfer — rolls the task back to a full reload from its golden
 // staged bitstream and restarts it from byte 0. Degraded throughput,
 // never corrupted output. A wedged swap transfer is fenced by the
-// progress-monitor watchdog and becomes a diagnosed kHang (the slot's
+// stall watchdog and becomes a diagnosed kHang (the slot's
 // DprManager recovery machine then retries), not silent corruption.
 // Oversubscription sheds priority-safely: only a strictly
 // lower-effective-priority entry is evicted, and queued tasks age
@@ -36,7 +36,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,7 +47,7 @@ namespace rvcap::driver {
 
 class PlacementEngine;
 
-class SlotScheduler : public ProgressMonitor {
+class SlotScheduler {
  public:
   using TaskId = u64;
   static constexpr u32 kNoSlot = ~u32{0};
@@ -74,7 +73,6 @@ class SlotScheduler : public ProgressMonitor {
   struct Config {
     usize queue_capacity = 8;
     u32 default_chunk_bytes = 4096;
-    DmaMode mode = DmaMode::kInterrupt;
     /// Anti-priority-inversion aging: a waiting task gains +1 effective
     /// priority per quantum of CLINT time since its last progress.
     u64 aging_quantum_mtime = 20'000;
@@ -85,9 +83,6 @@ class SlotScheduler : public ProgressMonitor {
     u32 capture_area_bytes = 1 << 20;
     u32 capture_areas = 8;
     Addr restore_staging = 0;       // rebuilt-restore-bitstream staging
-    // ---- watchdog (swap-transfer fence) ----
-    u64 watchdog_interval_ticks = 50;
-    u32 watchdog_stall_polls = 4;
   };
 
   /// A streaming hardware task: activate `module`, then push
@@ -247,8 +242,8 @@ class SlotScheduler : public ProgressMonitor {
   const std::vector<TaskRecord>& tasks() const { return tasks_; }
 
   /// Journal entries, oldest first (at most kJournalCapacity retained).
-  std::vector<SwapEvent> journal() const;
-  u64 journal_events() const { return journal_events_; }
+  std::vector<SwapEvent> journal() const { return journal_.journal(); }
+  u64 journal_events() const { return journal_.journal_events(); }
   const Stats& stats() const { return stats_; }
   /// Tasks admitted and waiting for their first placement.
   usize queue_depth() const {
@@ -257,15 +252,8 @@ class SlotScheduler : public ProgressMonitor {
         [](const TaskRecord& t) { return t.state == TaskState::kQueued; }));
   }
 
-  // ---- ProgressMonitor (installed around swap transfers) ----
-  u64 poll_interval_cycles() const override {
-    return cfg_.watchdog_interval_ticks * kCyclesPerClintTick;
-  }
-  void on_start(u64 expected_beats) override;
-  bool on_poll(const TransferProgress& p) override;
-
  private:
-  TaskRecord* find(TaskId id);
+  TaskRecord* find(TaskId id) { return const_cast<TaskRecord*>(task(id)); }
   u64 eff_priority(const TaskRecord& t, u64 now) const;
   TaskRecord* pick_best(u64 now);
   TaskRecord* best_resident(u64 now);
@@ -313,14 +301,9 @@ class SlotScheduler : public ProgressMonitor {
   std::vector<TaskId> resident_;      // 0 = vacant
   std::vector<bool> area_used_;
   std::vector<TaskRecord> tasks_;     // append-only; id = index + 1
-  std::array<SwapEvent, kJournalCapacity> journal_{};
-  u64 journal_events_ = 0;
+  BoundedLog<SwapEvent, kJournalCapacity> journal_;
   Stats stats_;
-
-  // Watchdog state for the in-flight swap transfer.
-  u64 wd_expected_beats_ = 0;
-  u32 wd_last_beats_ = 0;
-  u32 wd_stalled_polls_ = 0;
+  StallWatchdog watchdog_{"slot_scheduler"};  // swap-transfer fence
 
   // Observability.
   obs::TraceSink* sink_ = nullptr;

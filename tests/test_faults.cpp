@@ -379,8 +379,44 @@ TEST_F(FaultRecoveryFixture, CorruptPinnedImageNeverCouples) {
   EXPECT_EQ(mgr.activate("sobel"), Status::kCrcError);
   EXPECT_TRUE(decoupled());
   EXPECT_FALSE(soc.config_memory().partition_state(soc.rp0_handle()).loaded);
-  EXPECT_EQ(mgr.stats().staged_crc_failures, mgr.policy().max_attempts);
+  EXPECT_EQ(mgr.stats().staged_crc_failures, DprManager::kMaxAttempts);
   EXPECT_EQ(mgr.stats().reconfigurations, 0u);
+}
+
+TEST_F(FaultRecoveryFixture, JournalKeepsNewestEventsPastCapacity) {
+  // Each exhausted activation of a corrupt pinned image journals one
+  // kStagedCrc per attempt plus kExhausted: 4 events a call, so nine
+  // calls push 36 events through the 32-entry ring.
+  u8 byte = 0;
+  soc.ddr().peek(0x8A00'0100, std::span(&byte, 1));
+  byte ^= 0xFF;
+  soc.ddr().poke(0x8A00'0100, std::span<const u8>(&byte, 1));
+  constexpr u32 kPerCall = DprManager::kMaxAttempts + 1;
+  constexpr u32 kCalls = 9;
+  std::vector<u64> call_start;
+  for (u32 c = 0; c < kCalls; ++c) {
+    call_start.push_back(drv.mtime());
+    EXPECT_EQ(mgr.activate("sobel"), Status::kCrcError);
+  }
+  static_assert(kPerCall * kCalls > DprManager::kJournalCapacity);
+
+  EXPECT_EQ(mgr.journal_events(), u64{kPerCall} * kCalls);
+  const auto j = mgr.journal();
+  ASSERT_EQ(j.size(), DprManager::kJournalCapacity);
+  // The newest 32 events, oldest first: the first call's four events
+  // are the ones overwritten, so the ring starts at the second call.
+  EXPECT_GE(j.front().mtime, call_start[1]);
+  EXPECT_LT(j.front().mtime, call_start[2]);
+  for (usize i = 0; i < j.size(); ++i) {
+    const bool last = i % kPerCall == kPerCall - 1;
+    EXPECT_EQ(j[i].stage, last ? FailStage::kExhausted : FailStage::kStagedCrc)
+        << i;
+    EXPECT_EQ(j[i].attempt, last ? DprManager::kMaxAttempts : i % kPerCall + 1)
+        << i;
+    if (i > 0) {
+      EXPECT_GE(j[i].mtime, j[i - 1].mtime) << i;
+    }
+  }
 }
 
 TEST_F(FaultRecoveryFixture, ActivationFailureKeepsPreviousModuleOut) {

@@ -264,6 +264,7 @@ struct SeuOutcome {
   Cycles final_cycle = 0;
   std::vector<fabric::SeuProcess::Event> events;
   std::vector<driver::ScrubService::JournalEntry> journal;
+  u64 journal_events = 0;
   u64 landed = 0;
   u64 detections = 0;
   u64 rewrites = 0;
@@ -329,6 +330,7 @@ SeuOutcome run_seu(Simulator::Mode mode) {
   o.final_cycle = soc.sim().now();
   o.events = seu.log();
   o.journal = scrub.journal();
+  o.journal_events = scrub.journal_events();
   o.landed = seu.landed();
   o.detections = scrub.stats().detections;
   o.rewrites = scrub.stats().frame_rewrites;
@@ -364,7 +366,10 @@ TEST(KernelEquivalence, SeuScrubRepairHistoryIdentical) {
   }
 
   // Detection and repair history, including the cycle stamps feeding
-  // MTTD/MTTR, must match entry for entry.
+  // MTTD/MTTR, must match entry for entry — and be complete: a wrapped
+  // journal would compare only its newest entries.
+  EXPECT_EQ(flat.journal_events, flat.journal.size());
+  EXPECT_EQ(sched.journal_events, sched.journal.size());
   ASSERT_EQ(flat.journal.size(), sched.journal.size());
   for (usize i = 0; i < flat.journal.size(); ++i) {
     EXPECT_TRUE(flat.journal[i] == sched.journal[i]) << "entry " << i;

@@ -403,7 +403,7 @@ TEST_F(ScrubFixture, SingleBitUpsetRepairedByOneFrameRewrite) {
 
   // Journal records the rewrite with the exact localized coordinates.
   ASSERT_EQ(scrub.journal().size(), 1u);
-  const auto& j = scrub.journal().front();
+  const auto j = scrub.journal().front();
   EXPECT_EQ(j.far, rp_addrs()[7].encode());
   EXPECT_EQ(j.cls, static_cast<u8>(EccClass::kCorrectable));
   EXPECT_EQ(j.action, static_cast<u8>(ScrubService::Action::kRewrite));
@@ -477,6 +477,34 @@ TEST_F(ScrubFixture, BaseFrameDamageEscalatesEvenWhenCorrectable) {
   EXPECT_EQ(st.partition_reloads, 1u);
   EXPECT_EQ(scrub.pending_upsets(), 0u);
   EXPECT_TRUE(mem().partition_state(soc.rp0_handle()).loaded);
+}
+
+TEST_F(ScrubFixture, JournalKeepsNewestVerdictsPastCapacity) {
+  // One single-bit upset in each of frames 1..N (the base frame would
+  // escalate to a reload): N verified rewrites, four more than the
+  // journal retains.
+  activate("sobel");
+  constexpr usize kExtra = 4;
+  constexpr usize kUpsets = ScrubService::kJournalCapacity + kExtra;
+  const auto addrs = rp_addrs();
+  ASSERT_GT(addrs.size(), kUpsets);
+  for (usize f = 1; f <= kUpsets; ++f) {
+    ASSERT_TRUE(mem().inject_upset(addrs[f], 3, 3));
+  }
+  while (scrub.stats().frames_scrubbed <= kUpsets) {
+    ASSERT_EQ(scrub.step(), Status::kOk);
+  }
+  ASSERT_EQ(scrub.stats().frame_rewrites, kUpsets);
+
+  EXPECT_EQ(scrub.journal_events(), kUpsets);
+  const auto j = scrub.journal();
+  ASSERT_EQ(j.size(), ScrubService::kJournalCapacity);
+  // Oldest first, starting right after the kExtra overwritten verdicts.
+  for (usize i = 0; i < j.size(); ++i) {
+    EXPECT_EQ(j[i].far, addrs[1 + kExtra + i].encode()) << i;
+    EXPECT_EQ(j[i].action, static_cast<u8>(ScrubService::Action::kRewrite))
+        << i;
+  }
 }
 
 TEST_F(ScrubFixture, YieldsToForegroundRequestsMidPass) {
@@ -562,6 +590,7 @@ struct DemoOutcome {
   Cycles final_cycle = 0;
   std::vector<SeuProcess::Event> events;
   std::vector<ScrubService::JournalEntry> journal;
+  u64 journal_events = 0;
   bool final_image_exact = false;
 };
 
@@ -620,6 +649,7 @@ DemoOutcome run_demo(ScrubWorld& w, u32 upset_budget) {
   out.final_cycle = w.soc.sim().now();
   out.events = seu.log();
   out.journal = w.scrub.journal();
+  out.journal_events = w.scrub.journal_events();
   return out;
 }
 
@@ -657,6 +687,9 @@ TEST(ScrubDemo, SameSeedReplaysIdenticalUpsetAndRepairHistory) {
     EXPECT_EQ(a.events[i].bit, b.events[i].bit) << i;
     EXPECT_EQ(a.events[i].landed, b.events[i].landed) << i;
   }
+  // Complete histories: a wrapped journal would compare only its tail.
+  EXPECT_EQ(a.journal_events, a.journal.size());
+  EXPECT_EQ(b.journal_events, b.journal.size());
   ASSERT_EQ(a.journal.size(), b.journal.size());
   for (usize i = 0; i < a.journal.size(); ++i) {
     EXPECT_TRUE(a.journal[i] == b.journal[i]) << i;

@@ -37,6 +37,7 @@ using driver::DmaMode;
 using driver::DprManager;
 using driver::FailStage;
 using driver::ReconfigService;
+using driver::StallWatchdog;
 using sim::FaultInjector;
 using soc::ArianeSoc;
 using soc::SocConfig;
@@ -324,8 +325,6 @@ TEST_F(ServiceFixture, GarbageImageRejected) {
 
 TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
   ReconfigService::Config cfg;
-  cfg.watchdog_interval_ticks = 50;
-  cfg.watchdog_stall_polls = 4;
   ReconfigService svc(mgr, cfg);
   // Hung attempt + recovery (blank + retry) + a second full
   // reconfiguration emit ~1.3M events; retain them all so the early
@@ -347,9 +346,9 @@ TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
 
   // Diagnosis carries the last register snapshot of the wedged engine.
   ASSERT_EQ(svc.hang_log().size(), 1u);
-  const auto& d = svc.hang_log().front();
+  const auto d = svc.hang_log().front();
   EXPECT_EQ(d.request, hung);
-  EXPECT_EQ(d.polls_without_progress, cfg.watchdog_stall_polls);
+  EXPECT_EQ(d.polls_without_progress, StallWatchdog::kStallPolls);
   EXPECT_GT(d.expected_beats, 0u);
   EXPECT_LT(d.snapshot.beats, d.expected_beats);
   EXPECT_EQ(d.outstanding_beats, d.expected_beats - d.snapshot.beats);
@@ -376,7 +375,7 @@ TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
     ASSERT_NE(hang, nullptr);
     EXPECT_EQ(hang->a0, hung);
     EXPECT_EQ(hang->a1, d.outstanding_beats);
-    EXPECT_EQ(hang->a2, cfg.watchdog_stall_polls);
+    EXPECT_EQ(hang->a2, StallWatchdog::kStallPolls);
     EXPECT_EQ(test::count_events(sink, obs::EventKind::kSvcAdmit), 2u);
     EXPECT_EQ(test::count_events(sink, obs::EventKind::kSvcComplete), 2u);
     test::expect_ordered(sink, obs::EventKind::kSvcAdmit,
@@ -390,8 +389,6 @@ TEST_F(ServiceFixture, WatchdogFiresWellBeforeIterationTimeout) {
   // The point of progress probes: detection latency is bounded by
   // interval * polls, not by the multi-million-cycle iteration budget.
   ReconfigService::Config cfg;
-  cfg.watchdog_interval_ticks = 50;
-  cfg.watchdog_stall_polls = 4;
   ReconfigService svc(mgr, cfg);
 
   fi.arm(sites::kDmaMm2sStall, /*count=*/1);
@@ -403,6 +400,81 @@ TEST_F(ServiceFixture, WatchdogFiresWellBeforeIterationTimeout) {
   // Generous bound: a couple of orders of magnitude under the default
   // 4M-cycle (200k-tick) interrupt-wait budget.
   EXPECT_LT(detect_ticks, 20'000u);
+}
+
+TEST(StallWatchdogUnit, TripsOnTheStallPollsThFrozenPoll) {
+  u32 trips = 0;
+  StallWatchdog wd("test", [&](const driver::TransferProgress& p,
+                               u64 expected_beats, u32 stalled_polls) {
+    ++trips;
+    EXPECT_EQ(p.beats, 7u);
+    EXPECT_EQ(expected_beats, 100u);
+    EXPECT_EQ(stalled_polls, StallWatchdog::kStallPolls);
+  });
+  wd.start(100);
+  driver::TransferProgress p;
+  p.beats = 7;
+  EXPECT_TRUE(wd.poll(p));  // 0 -> 7: progress
+  // One frozen poll fewer than the constant: the wait continues.
+  for (u32 i = 1; i < StallWatchdog::kStallPolls; ++i) {
+    EXPECT_TRUE(wd.poll(p)) << i;
+  }
+  EXPECT_EQ(trips, 0u);
+  // The next frozen poll trips it, and the hook runs exactly once.
+  EXPECT_FALSE(wd.poll(p));
+  EXPECT_EQ(trips, 1u);
+}
+
+TEST(StallWatchdogUnit, ProgressAndNewTransferResetTheStallCount) {
+  StallWatchdog wd("test");
+  driver::TransferProgress p;
+  const auto frozen_polls_survive = [&] {
+    for (u32 i = 1; i < StallWatchdog::kStallPolls; ++i) {
+      if (!wd.poll(p)) return false;
+    }
+    return true;
+  };
+  wd.start(100);
+  ASSERT_TRUE(frozen_polls_survive());
+  // A moving counter resets the stall count...
+  p.beats = 1;
+  EXPECT_TRUE(wd.poll(p));
+  ASSERT_TRUE(frozen_polls_survive());
+  // ...and so does starting a new transfer, even with the counter
+  // still frozen at the same value.
+  wd.start(100);
+  p.beats = 0;
+  ASSERT_TRUE(frozen_polls_survive());
+  EXPECT_FALSE(wd.poll(p));
+}
+
+TEST_F(ServiceFixture, OneHangDiagnosisPerWatchdogTrip) {
+  // Two wedged transfers: the first activation attempt and the blanking
+  // pass of its recovery. Each trip is one diagnosis, one kHang in the
+  // manager's journal and one kSvcHang trace event.
+  ReconfigService svc(mgr);
+  soc.sim().obs().sink().set_capacity(usize{1} << 21);
+  soc.sim().obs().sink().set_enabled(true);
+  fi.arm(sites::kDmaMm2sStall, /*count=*/2);
+  ASSERT_EQ(svc.submit(Req{"sobel", 1}), Status::kOk);
+  EXPECT_EQ(svc.drain(), 1u);
+
+  const auto hangs = svc.hang_log();
+  EXPECT_EQ(hangs.size(), 2u);
+  EXPECT_EQ(svc.stats().hangs, hangs.size());
+  usize journaled = 0;
+  for (const auto& e : mgr.journal()) {
+    if (e.status == Status::kHang) ++journaled;
+  }
+  EXPECT_EQ(journaled, hangs.size());
+  for (const auto& d : hangs) {
+    EXPECT_EQ(d.polls_without_progress, StallWatchdog::kStallPolls);
+  }
+  if (obs::trace_compiled_in()) {
+    EXPECT_EQ(test::count_events(soc.sim().obs().sink(),
+                                 obs::EventKind::kSvcHang),
+              hangs.size());
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -436,8 +508,6 @@ StressOutcome run_stress(ServiceWorld& w, u64 seed) {
 
   ReconfigService::Config cfg;
   cfg.queue_capacity = 4;
-  cfg.watchdog_interval_ticks = 50;
-  cfg.watchdog_stall_polls = 4;
   ReconfigService svc(w.mgr, cfg);
 
   const char* modules[] = {"sobel", "median", "gauss"};
