@@ -317,7 +317,8 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
                      m->crc32};
     Status s;
     if (use_fallback) {
-      s = fallback_->init_reconfig_process(rm, /*hold_decoupled=*/true);
+      s = fallback_->init_reconfig_process(rm, /*hold_decoupled=*/true,
+                                           config_.slot_id);
     } else {
       s = drv_.init_reconfig_process(rm, mode, /*hold_decoupled=*/true);
     }

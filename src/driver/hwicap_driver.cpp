@@ -4,6 +4,7 @@
 
 #include "bitstream/readback.hpp"
 #include "common/bytes.hpp"
+#include "driver/rvcap_driver.hpp"
 #include "hwicap/hwicap.hpp"
 #include "rvcap/rp_control.hpp"
 
@@ -11,6 +12,17 @@ namespace rvcap::driver {
 
 using hwicap::HwIcap;
 using rvcap_ctrl::RpControl;
+
+namespace {
+
+// Poll bounds. The ICAPE consumes roughly a word per cycle while each
+// poll iteration costs an uncached-read round trip, so floor + words x
+// slack bounds any healthy flush with orders-of-magnitude margin.
+constexpr u64 kDoneItersFloor = 5'000;  // CR latency + tiny flushes
+constexpr u64 kDoneItersPerWord = 16;
+constexpr u32 kRfoPollIters = 100'000;  // read-FIFO-occupancy poll
+
+}  // namespace
 
 HwIcapDriver::HwIcapDriver(cpu::CpuContext& cpu, u32 unroll_factor,
                            Addr hwicap_base, Addr rp_base, Addr clint_base)
@@ -24,11 +36,8 @@ Status HwIcapDriver::init_icap() {
   return Status::kOk;
 }
 
-void HwIcapDriver::decouple_accel(bool decouple) {
-  const u32 cur = cpu_.load32_uncached(rp_base_ + RpControl::kControl);
-  const u32 next = decouple ? (cur | RpControl::kCtlDecouple)
-                            : (cur & ~RpControl::kCtlDecouple);
-  cpu_.store32_uncached(rp_base_ + RpControl::kControl, next);
+void HwIcapDriver::decouple_accel(bool decouple, u32 slot) {
+  write_rp_control(cpu_, rp_base_, slot, RpControl::kCtlDecouple, decouple);
 }
 
 u32 HwIcapDriver::read_fifo_vacancy() {
@@ -36,8 +45,8 @@ u32 HwIcapDriver::read_fifo_vacancy() {
 }
 
 Status HwIcapDriver::icap_done(u32 flushed_words) {
-  const u32 bound = timeouts_.done_bound(flushed_words);
-  for (u32 i = 0; i < bound; ++i) {
+  const u64 bound = kDoneItersFloor + u64{flushed_words} * kDoneItersPerWord;
+  for (u64 i = 0; i < bound; ++i) {
     if (cpu_.load32_uncached(base_ + HwIcap::kSr) & HwIcap::kSrDone) {
       return Status::kOk;
     }
@@ -121,7 +130,7 @@ Status HwIcapDriver::readback(const fabric::FrameAddr& start,
     for (u32 i = 0; i < chunk; ++i) {
       cpu_.spend_loop_overhead();
       bool ready = false;
-      for (u32 poll = 0; poll < timeouts_.rfo_poll_iters; ++poll) {
+      for (u32 poll = 0; poll < kRfoPollIters; ++poll) {
         if (cpu_.load32_uncached(base_ + HwIcap::kRfo) != 0) {
           ready = true;
           break;
@@ -143,12 +152,12 @@ Status HwIcapDriver::readback(const fabric::FrameAddr& start,
 }
 
 Status HwIcapDriver::init_reconfig_process(const ReconfigModule& m,
-                                           bool hold_decoupled) {
+                                           bool hold_decoupled, u32 slot) {
   const u64 t0 = timer_.read_mtime();
-  decouple_accel(true);
+  decouple_accel(true, slot);
   init_icap();
   const Status st = reconfigure_RP(m.start_address, m.pbit_size);
-  if (!hold_decoupled) decouple_accel(false);
+  if (!hold_decoupled) decouple_accel(false, slot);
   const u64 t1 = timer_.read_mtime();
   timing_.reconfig_ticks = t1 - t0;
   return st;

@@ -21,29 +21,6 @@ class HwIcapDriver {
     double reconfig_us() const { return TimerDriver::ticks_to_us(reconfig_ticks); }
   };
 
-  /// Poll bounds for the driver's blocking loops. done_poll_iters
-  /// defaults to 0 = "derive from the number of words just flushed":
-  /// the ICAPE consumes roughly a word per cycle while each poll
-  /// iteration costs an uncached-read round trip, so floor + words x
-  /// slack bounds any healthy flush with orders-of-magnitude margin.
-  /// A non-zero field overrides the derivation (tests shrink it).
-  struct Timeouts {
-    u32 done_poll_iters = 0;       // SR.Done poll after a CR write
-    u32 rfo_poll_iters = 100'000;  // read-FIFO-occupancy poll
-
-    u32 done_iters_floor = 5'000;  // covers CR latency + tiny flushes
-    u32 done_iters_per_word = 16;
-
-    u32 done_bound(u32 words) const {
-      if (done_poll_iters != 0) return done_poll_iters;
-      const u64 v = u64{done_iters_floor} + u64{words} * done_iters_per_word;
-      return v > 0xFFFF'FFFFull ? 0xFFFF'FFFFu : static_cast<u32>(v);
-    }
-  };
-
-  void set_timeouts(const Timeouts& t) { timeouts_ = t; }
-  const Timeouts& timeouts() const { return timeouts_; }
-
   HwIcapDriver(cpu::CpuContext& cpu, u32 unroll_factor = 16,
                Addr hwicap_base = soc::MemoryMap::kHwicap.base,
                Addr rp_base = soc::MemoryMap::kRpCtrl.base,
@@ -60,14 +37,15 @@ class HwIcapDriver {
   /// Full Listing-2 flow: decouple -> init -> transfer -> recouple,
   /// measured as the paper does ("from decoupling the RP till it is
   /// coupled again"). `hold_decoupled` skips the final recouple for the
-  /// verified-activation recovery flow.
+  /// verified-activation recovery flow. `slot` picks the RP-control
+  /// window the decouple steps write (the partition `m` targets).
   Status init_reconfig_process(const ReconfigModule& m,
-                               bool hold_decoupled = false);
+                               bool hold_decoupled = false, u32 slot = 0);
 
   /// Keyhole transfer only (the fill/flush loop).
   Status reconfigure_RP(Addr data, u32 pbit_size);
 
-  void decouple_accel(bool decouple);
+  void decouple_accel(bool decouple, u32 slot = 0);
 
   /// Configuration readback through the core's read FIFO: write the
   /// command sequence into the keyhole, set SZ, trigger CR.Read, then
@@ -87,7 +65,6 @@ class HwIcapDriver {
   Addr rp_base_;
   TimerDriver timer_;
   Timing timing_;
-  Timeouts timeouts_;
 };
 
 }  // namespace rvcap::driver

@@ -15,6 +15,44 @@ namespace rvcap::driver {
 using rvcap_ctrl::AxiDma;
 using rvcap_ctrl::RpControl;
 
+namespace {
+
+// Size-derived wait bounds (beats = 64-bit bus beats). Each blocking
+// poll iteration costs a full uncached-read round trip — many core
+// cycles — while the engine moves about a beat per cycle, so even a
+// few iterations per beat is generous.
+constexpr u64 kPollItersFloor = 20'000;  // setup, DDR warmup
+constexpr u64 kMm2sItersPerBeat = 8;
+constexpr u64 kS2mmItersPerBeat = 64;  // readback trickles out of FDRO
+constexpr u64 kIrqCyclesFloor = 4'000'000;
+constexpr u64 kIrqCyclesPerBeat = 512;
+constexpr u32 kDrainPollIters = 4'000'000;  // decompressor drain poll
+
+u64 beats(u64 bytes) { return (bytes + 7) / 8; }
+
+u32 poll_bound(u64 bytes, u64 iters_per_beat) {
+  const u64 v = kPollItersFloor + beats(bytes) * iters_per_beat;
+  return v > 0xFFFF'FFFFull ? 0xFFFF'FFFFu : static_cast<u32>(v);
+}
+
+// MM2S CR of a configuration transfer: run, plus the completion and
+// error interrupts in interrupt mode.
+u32 config_cr(DmaMode mode) {
+  return mode == DmaMode::kInterrupt
+             ? AxiDma::kCrRunStop | AxiDma::kCrIocIrqEn | AxiDma::kCrErrIrqEn
+             : AxiDma::kCrRunStop;
+}
+
+}  // namespace
+
+void write_rp_control(cpu::CpuContext& cpu, Addr rp_base, u32 slot, u32 bit,
+                      bool set) {
+  const Addr ctl = rp_base + u64{slot} * RpControl::kSlotStride +
+                   RpControl::kControl;
+  const u32 cur = cpu.load32_uncached(ctl);
+  cpu.store32_uncached(ctl, set ? (cur | bit) : (cur & ~bit));
+}
+
 RvCapDriver::RvCapDriver(cpu::CpuContext& cpu, irq::Plic& plic,
                          Addr dma_base, Addr rp_base, Addr plic_base,
                          Addr clint_base, Addr perf_base)
@@ -58,17 +96,13 @@ Status RvCapDriver::init_RModules(std::span<ReconfigModule> modules,
 }
 
 void RvCapDriver::decouple_accel(bool decouple) {
-  const u32 cur = cpu_.load32_uncached(rp_addr(RpControl::kControl));
-  const u32 next = decouple ? (cur | RpControl::kCtlDecouple)
-                            : (cur & ~RpControl::kCtlDecouple);
-  cpu_.store32_uncached(rp_addr(RpControl::kControl), next);
+  write_rp_control(cpu_, rp_base_, bound_slot_, RpControl::kCtlDecouple,
+                   decouple);
 }
 
 void RvCapDriver::select_ICAP(bool select) {
-  const u32 cur = cpu_.load32_uncached(rp_addr(RpControl::kControl));
-  const u32 next = select ? (cur | RpControl::kCtlSelectIcap)
-                          : (cur & ~RpControl::kCtlSelectIcap);
-  cpu_.store32_uncached(rp_addr(RpControl::kControl), next);
+  write_rp_control(cpu_, rp_base_, bound_slot_, RpControl::kCtlSelectIcap,
+                   select);
 }
 
 void RvCapDriver::select_rm_slot(u32 slot) {
@@ -80,10 +114,8 @@ u32 RvCapDriver::selected_rm_slot() {
 }
 
 void RvCapDriver::select_decompress(bool enable) {
-  const u32 cur = cpu_.load32_uncached(rp_addr(RpControl::kControl));
-  const u32 next = enable ? (cur | RpControl::kCtlDecompress)
-                          : (cur & ~RpControl::kCtlDecompress);
-  cpu_.store32_uncached(rp_addr(RpControl::kControl), next);
+  write_rp_control(cpu_, rp_base_, bound_slot_, RpControl::kCtlDecompress,
+                   enable);
 }
 
 Status RvCapDriver::init_reconfig_process_compressed(const ReconfigModule& m,
@@ -102,7 +134,7 @@ Status RvCapDriver::init_reconfig_process_compressed(const ReconfigModule& m,
   // before touching any route (the kStDraining status bit).
   if (ok(st)) {
     bool drained = false;
-    for (u32 i = 0; i < timeouts_.drain_poll_iters; ++i) {
+    for (u32 i = 0; i < kDrainPollIters; ++i) {
       if (!(cpu_.load32_uncached(rp_addr(RpControl::kStatus)) &
             RpControl::kStDraining)) {
         drained = true;
@@ -125,17 +157,27 @@ Status RvCapDriver::init_reconfig_process_compressed(const ReconfigModule& m,
 }
 
 Status RvCapDriver::reconfigure_RP(Addr data, u32 pbit_size, DmaMode mode) {
-  // dma_start(): set the CR run bit (+ irq enable for non-blocking).
-  u32 cr = AxiDma::kCrRunStop;
-  if (mode == DmaMode::kInterrupt) cr |= AxiDma::kCrIocIrqEn;
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sCr, cr);
-  // dma_write_stream(): source address + length kick off the read.
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSa,
-                        static_cast<u32>(data));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSaMsb,
-                        static_cast<u32>(data >> 32));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sLength, pbit_size);
+  arm_mm2s(data, config_cr(mode));
+  start_mm2s(pbit_size);
   return wait_mm2s_done(mode, pbit_size);
+}
+
+void RvCapDriver::arm_mm2s(Addr src, u32 cr) {
+  // dma_start(): the CR run bit (+ irq enables), then the source.
+  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sCr, cr);
+  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSa, static_cast<u32>(src));
+  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSaMsb,
+                        static_cast<u32>(src >> 32));
+}
+
+void RvCapDriver::start_mm2s(u32 bytes) {
+  // dma_write_stream(): the LENGTH write kicks off the read.
+  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sLength, bytes);
+}
+
+u64 RvCapDriver::irq_bound(u64 bytes) const {
+  if (timeouts_.irq_wait_cycles != 0) return timeouts_.irq_wait_cycles;
+  return kIrqCyclesFloor + beats(bytes) * kIrqCyclesPerBeat;
 }
 
 TransferProgress RvCapDriver::probe_mm2s() {
@@ -148,9 +190,9 @@ TransferProgress RvCapDriver::probe_mm2s() {
 }
 
 Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
-  if (watchdog_ != nullptr) watchdog_->start((bytes + 7) / 8);
+  if (watchdog_ != nullptr) watchdog_->start(beats(bytes));
   if (mode == DmaMode::kInterrupt) {
-    u64 budget = timeouts_.irq_bound(bytes);
+    u64 budget = irq_bound(bytes);
     while (true) {
       // With a watchdog installed, sleep in watchdog-interval slices and
       // probe progress between them; otherwise one WFI for the bound.
@@ -177,7 +219,7 @@ Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
     }
   }
   // Blocking: poll the status register's IOC bit.
-  const u32 bound = timeouts_.mm2s_bound(bytes);
+  const u32 bound = poll_bound(bytes, kMm2sItersPerBeat);
   Cycles next_probe = cpu_.now() + StallWatchdog::kPollIntervalCycles;
   for (u32 i = 0; i < bound; ++i) {
     const u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kMm2sSr);
@@ -206,17 +248,11 @@ Status RvCapDriver::init_reconfig_process(const ReconfigModule& m,
   cpu_.spend_instructions(kDecisionInstructions);  // RM-table lookup etc.
   decouple_accel(true);
   select_ICAP(true);
-  u32 cr = AxiDma::kCrRunStop;
-  if (mode == DmaMode::kInterrupt) cr |= AxiDma::kCrIocIrqEn | AxiDma::kCrErrIrqEn;
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sCr, cr);
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSa,
-                        static_cast<u32>(m.start_address));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSaMsb,
-                        static_cast<u32>(m.start_address >> 32));
+  arm_mm2s(m.start_address, config_cr(mode));
   const u64 t1 = timer_.read_mtime();
 
   // ---- reconfiguration phase (T_r): transfer begins at LENGTH write.
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sLength, m.pbit_size);
+  start_mm2s(m.pbit_size);
   const Status st = wait_mm2s_done(mode, m.pbit_size);
   const u64 t2 = timer_.read_mtime();
 
@@ -237,9 +273,8 @@ void RvCapDriver::dma_reset() {
 }
 
 void RvCapDriver::icap_abort() {
-  const u32 cur = cpu_.load32_uncached(rp_addr(RpControl::kControl));
-  cpu_.store32_uncached(rp_addr(RpControl::kControl),
-                        cur | RpControl::kCtlIcapAbort);
+  write_rp_control(cpu_, rp_base_, bound_slot_, RpControl::kCtlIcapAbort,
+                   true);
 }
 
 void RvCapDriver::cleanup_after_failure() {
@@ -260,7 +295,12 @@ Status RvCapDriver::run_accelerator(Addr src, u32 in_bytes, Addr dst,
   // Acceleration mode: coupled RP, stream switch toward the RM.
   select_ICAP(false);
   decouple_accel(false);
-  // S2MM first so the write channel is ready for the RM output.
+  return stream_job(src, in_bytes, dst, out_bytes, mode);
+}
+
+Status RvCapDriver::stream_job(Addr src, u32 in_bytes, Addr dst,
+                               u32 out_bytes, DmaMode mode) {
+  // S2MM first so the write channel is ready for the returning stream.
   u32 cr = AxiDma::kCrRunStop;
   if (mode == DmaMode::kInterrupt) cr |= AxiDma::kCrIocIrqEn;
   cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmCr, cr);
@@ -268,41 +308,13 @@ Status RvCapDriver::run_accelerator(Addr src, u32 in_bytes, Addr dst,
   cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmDaMsb,
                         static_cast<u32>(dst >> 32));
   cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmLength, out_bytes);
-  // MM2S feeds the RM.
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sCr, AxiDma::kCrRunStop);
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSa, static_cast<u32>(src));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSaMsb,
-                        static_cast<u32>(src >> 32));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sLength, in_bytes);
-
-  // Completion = S2MM wrote the full output image.
-  if (mode == DmaMode::kInterrupt) {
-    while (true) {
-      const u32 src_id = cpu_.wait_for_irq(
-          plic_, plic_base_ + irq::Plic::kClaimComplete);
-      if (src_id == 0) return Status::kTimeout;
-      if (src_id == soc::IrqMap::kDmaS2mm) {
-        cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmSr,
-                              AxiDma::kSrIocIrq);
-        cpu_.complete_irq(plic_base_ + irq::Plic::kClaimComplete, src_id);
-        break;
-      }
-      cpu_.complete_irq(plic_base_ + irq::Plic::kClaimComplete, src_id);
-    }
-  } else {
-    const u32 bound = timeouts_.s2mm_bound(out_bytes);
-    for (u32 i = 0; i < bound; ++i) {
-      const u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kS2mmSr);
-      if (sr & AxiDma::kSrIocIrq) {
-        cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmSr,
-                              AxiDma::kSrIocIrq);
-        break;
-      }
-    }
-  }
+  // MM2S feeds the stream; completion is signalled by S2MM alone.
+  arm_mm2s(src, AxiDma::kCrRunStop);
+  start_mm2s(in_bytes);
+  const Status st = wait_s2mm_done(mode, out_bytes);
   // Clear the MM2S completion flag as well.
   cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSr, AxiDma::kSrIocIrq);
-  return Status::kOk;
+  return st;
 }
 
 Status RvCapDriver::wait_s2mm_done(DmaMode mode, u64 bytes) {
@@ -310,7 +322,7 @@ Status RvCapDriver::wait_s2mm_done(DmaMode mode, u64 bytes) {
     while (true) {
       const u32 src = cpu_.wait_for_irq(plic_, plic_base_ +
                                                   irq::Plic::kClaimComplete,
-                                        timeouts_.irq_bound(bytes));
+                                        irq_bound(bytes));
       if (src == 0) return Status::kTimeout;
       const bool s2mm = (src == soc::IrqMap::kDmaS2mm);
       if (s2mm) {
@@ -321,7 +333,7 @@ Status RvCapDriver::wait_s2mm_done(DmaMode mode, u64 bytes) {
       if (s2mm) return Status::kOk;
     }
   }
-  const u32 bound = timeouts_.s2mm_bound(bytes);
+  const u32 bound = poll_bound(bytes, kS2mmItersPerBeat);
   for (u32 i = 0; i < bound; ++i) {
     const u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kS2mmSr);
     if (sr & AxiDma::kSrIocIrq) {
@@ -345,25 +357,10 @@ Status RvCapDriver::readback(const fabric::FrameAddr& start, u32 words,
   decouple_accel(true);
   select_ICAP(true);
 
-  // S2MM first: capture `words` FDRO words.
-  u32 cr = AxiDma::kCrRunStop;
-  if (mode == DmaMode::kInterrupt) cr |= AxiDma::kCrIocIrqEn;
-  cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmCr, cr);
-  cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmDa, static_cast<u32>(dst));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmDaMsb,
-                        static_cast<u32>(dst >> 32));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmLength, words * 4);
-  // MM2S streams the command sequence into the port.
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sCr, AxiDma::kCrRunStop);
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSa,
-                        static_cast<u32>(cmd_staging));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSaMsb,
-                        static_cast<u32>(cmd_staging >> 32));
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sLength,
-                        static_cast<u32>(cmd.size()));
-
-  const Status st = wait_s2mm_done(mode, u64{words} * 4);
-  cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSr, AxiDma::kSrIocIrq);
+  // Capture `words` FDRO words while MM2S streams the command sequence
+  // into the port.
+  const Status st = stream_job(cmd_staging, static_cast<u32>(cmd.size()), dst,
+                               words * 4, mode);
   select_ICAP(false);
   if (!hold_decoupled) decouple_accel(false);
   return st;

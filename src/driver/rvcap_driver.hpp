@@ -18,6 +18,13 @@
 
 namespace rvcap::driver {
 
+/// Set or clear `bit` of slot `slot`'s RP-control register behind
+/// `rp_base` with one uncached load and one store. Every routing step
+/// of both drivers (decouple, select_ICAP, decompress, abort) is this
+/// read-modify-write.
+void write_rp_control(cpu::CpuContext& cpu, Addr rp_base, u32 slot, u32 bit,
+                      bool set);
+
 class RvCapDriver {
  public:
   struct Timing {
@@ -27,47 +34,13 @@ class RvCapDriver {
     double reconfig_us() const { return TimerDriver::ticks_to_us(reconfig_ticks); }
   };
 
-  /// Poll/wait bounds for every blocking loop in the driver. The
-  /// per-transfer bounds default to 0 = "derive from the transfer
-  /// size": expected beats x a slack factor plus a fixed floor, so a
-  /// 4 KiB blanking pass times out orders of magnitude sooner than a
-  /// 650 KiB RM image instead of sharing one multi-million-iteration
-  /// ceiling. A non-zero field overrides the derivation (tests shrink
-  /// them so timeout paths complete in milliseconds).
+  /// Every poll and WFI bound is derived from the transfer size:
+  /// expected beats x a slack factor plus a fixed floor, so a 4 KiB
+  /// blanking pass times out orders of magnitude sooner than a 650 KiB
+  /// RM image. A non-zero `irq_wait_cycles` replaces the derived WFI
+  /// bound (tests shrink it so timeout paths complete in milliseconds).
   struct Timeouts {
-    u32 mm2s_poll_iters = 0;           // MM2S completion poll (blocking)
-    u32 s2mm_poll_iters = 0;           // S2MM completion poll (blocking)
-    u32 drain_poll_iters = 4'000'000;  // decompressor drain poll
-    u64 irq_wait_cycles = 0;           // WFI bound (interrupt mode)
-
-    // Size-derivation slack model (beats = 64-bit bus beats). Each
-    // blocking poll iteration costs a full uncached-read round trip —
-    // many core cycles — while the engine moves about a beat per
-    // cycle, so even a few iterations per beat is generous.
-    u32 poll_iters_floor = 20'000;     // MM2S floor (setup, DDR warmup)
-    u32 mm2s_iters_per_beat = 8;
-    u32 s2mm_iters_per_beat = 64;      // readback trickles out of FDRO
-    u64 irq_cycles_floor = 4'000'000;  // WFI floor (interrupt mode)
-    u64 irq_cycles_per_beat = 512;
-
-    u32 mm2s_bound(u64 bytes) const {
-      if (mm2s_poll_iters != 0) return mm2s_poll_iters;
-      return saturate32(poll_iters_floor + beats(bytes) * mm2s_iters_per_beat);
-    }
-    u32 s2mm_bound(u64 bytes) const {
-      if (s2mm_poll_iters != 0) return s2mm_poll_iters;
-      return saturate32(poll_iters_floor + beats(bytes) * s2mm_iters_per_beat);
-    }
-    u64 irq_bound(u64 bytes) const {
-      if (irq_wait_cycles != 0) return irq_wait_cycles;
-      return irq_cycles_floor + beats(bytes) * irq_cycles_per_beat;
-    }
-
-   private:
-    static u64 beats(u64 bytes) { return (bytes + 7) / 8; }
-    static u32 saturate32(u64 v) {
-      return v > 0xFFFF'FFFFull ? 0xFFFF'FFFFu : static_cast<u32>(v);
-    }
+    u64 irq_wait_cycles = 0;
   };
 
   void set_timeouts(const Timeouts& t) { timeouts_ = t; }
@@ -202,8 +175,19 @@ class RvCapDriver {
   static constexpr u64 kDecisionInstructions = 1350;
 
  private:
+  /// The MM2S job, split where the transfer starts: arm_mm2s() writes
+  /// CR and the source address, start_mm2s() writes LENGTH, which kicks
+  /// off the read (init_reconfig_process reads the CLINT in between).
+  void arm_mm2s(Addr src, u32 cr);
+  void start_mm2s(u32 bytes);
+  /// Stream `in_bytes` from `src` out through MM2S and capture
+  /// `out_bytes` at `dst` through S2MM; completes on the S2MM side.
+  Status stream_job(Addr src, u32 in_bytes, Addr dst, u32 out_bytes,
+                    DmaMode mode);
   Status wait_mm2s_done(DmaMode mode, u64 bytes);
   Status wait_s2mm_done(DmaMode mode, u64 bytes);
+  /// WFI bound for a transfer of `bytes` (interrupt mode).
+  u64 irq_bound(u64 bytes) const;
   /// RP-control register address within the bound slot's window.
   Addr rp_addr(Addr off) const { return rp_base_ + slot_offset_ + off; }
 

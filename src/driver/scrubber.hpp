@@ -55,7 +55,6 @@ class Scrubber {
                           DmaMode mode = DmaMode::kInterrupt);
 
   const Stats& stats() const { return stats_; }
-  bool has_snapshot() const { return has_golden_; }
 
   /// When set, readbacks leave the RP decoupled afterwards — used by
   /// the recovery flow, which scrub-verifies a freshly loaded partition

@@ -27,21 +27,11 @@ class SpiSdDriver {
   bool initialized() const { return initialized_; }
 
   /// Single-block read with bounded retry: transient token timeouts and
-  /// CRC mismatches are re-issued up to `read_retries()` times before
-  /// the error escapes to the caller.
+  /// CRC mismatches are re-issued up to twice (tight re-issue loop, no
+  /// backoff) before the error escapes to the caller.
   Status read_block(u32 lba, std::span<u8> buf);
   Status write_block(u32 lba, std::span<const u8> buf);
 
-  /// Extra attempts after a failed read (0 = fail fast).
-  void set_read_retries(u32 n) { retry_policy_.max_attempts = n + 1; }
-  u32 read_retries() const {
-    return retry_policy_.max_attempts > 0 ? retry_policy_.max_attempts - 1
-                                          : 0;
-  }
-  /// Full control over the shared retry discipline (common/retry.hpp);
-  /// the default keeps the classic tight re-issue loop (no backoff).
-  void set_retry_policy(const RetryPolicy& p) { retry_policy_ = p; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
   /// Reads that only succeeded after at least one retry.
   u64 reads_recovered() const { return reads_recovered_; }
 

@@ -44,9 +44,7 @@ void SeuProcess::fire() {
   ev.word = static_cast<u32>(fi_.value(sites::kSeuUpset, kFrameWords));
   ev.bit = static_cast<u32>(fi_.value(sites::kSeuUpset, 32));
   const bool enabled = fi_.should_fire(sites::kSeuUpset);
-  if (enabled &&
-      (!cfg_.only_loaded ||
-       mem_.partition_state(cfg_.targets[ti]).loaded)) {
+  if (enabled && mem_.partition_state(cfg_.targets[ti]).loaded) {
     for (u32 i = 0; i < cfg_.burst; ++i) {
       const u32 pos = ev.word * 32 + ev.bit + i;
       if (pos >= kFrameWords * 32) break;

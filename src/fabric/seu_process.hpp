@@ -38,7 +38,6 @@ class SeuProcess : public sim::Component {
     u64 mean_cycles = 200'000;   // mean exponential inter-arrival
     u32 burst = 1;               // adjacent bits per event (>1 = MBU)
     std::vector<usize> targets;  // partition handles (region mask)
-    bool only_loaded = true;     // suppress events on unloaded targets
   };
 
   /// One scheduled upset event (landed or suppressed).

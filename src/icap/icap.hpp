@@ -43,8 +43,6 @@ class Icap : public sim::Component {
   u64 frames_committed() const { return frames_committed_; }
   u64 words_read_back() const { return words_read_back_; }
   bool readback_active() const { return read_words_left_ > 0; }
-  /// Cycle of the most recent DESYNC (end of a configuration pass).
-  Cycles last_desync_cycle() const { return last_desync_; }
   u64 desync_count() const { return desyncs_; }
 
   /// Clear sticky error flags (driver-visible reset).

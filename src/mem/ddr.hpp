@@ -32,9 +32,9 @@ class DdrController : public sim::Component {
  public:
   struct Config {
     u32 read_latency = 16;   // cycles from AR accept to first R beat
-    u32 write_latency = 10;  // cycles from last W beat to B response
     u64 size_bytes = 1ULL << 30;
   };
+  static constexpr u32 kWriteLatency = 10;  // last W beat to B response
 
   DdrController(std::string name, const Config& cfg);
   explicit DdrController(std::string name)

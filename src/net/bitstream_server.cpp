@@ -78,7 +78,7 @@ bool BitstreamServer::tick() {
     ++served_;
   }
   pending_ = true;
-  ready_at_ = sim_now() + cfg_.service_cycles;
+  ready_at_ = sim_now() + kServiceCycles;
   wake_at(ready_at_);
   return true;
 }

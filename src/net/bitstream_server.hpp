@@ -25,8 +25,8 @@ class BitstreamServer : public sim::Component {
  public:
   struct Config {
     u32 chunk_bytes = 1024;     // protocol chunk size
-    Cycles service_cycles = 200;  // per-request lookup/chunk cost
   };
+  static constexpr Cycles kServiceCycles = 200;  // per-request lookup cost
 
   BitstreamServer(std::string name, NetLink& link, Config cfg);
 

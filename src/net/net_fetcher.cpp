@@ -97,7 +97,7 @@ Status NetFetcher::wait_response(std::string_view image, u32 chunk,
 
 Status NetFetcher::fetch_chunk(std::string_view image, u32 chunk, Addr dest,
                                u32 capacity, Partial* p) {
-  RetrySchedule sched(cfg_.retry, cfg_.retry_seed ^ retry_streams_++);
+  RetrySchedule sched(cfg_.retry, kRetrySeed ^ retry_streams_++);
   const Cycles c0 = cpu_.now();
   Status last = Status::kTimeout;
   while (sched.next()) {

@@ -42,10 +42,10 @@ class NetFetcher {
         /*backoff_cap=*/32'000,
         /*jitter_permille=*/250,
     };
-    u64 retry_seed = 0x5eed;     // jitter stream seed
     u32 breaker_threshold = 3;   // consecutive failures to open
     Cycles breaker_cooldown = 500'000;  // open -> half-open delay
   };
+  static constexpr u64 kRetrySeed = 0x5eed;  // jitter stream seed
 
   NetFetcher(cpu::CpuContext& cpu, NetLink& link, Config cfg);
 

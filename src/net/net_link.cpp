@@ -73,7 +73,7 @@ bool NetLink::accept_one(Direction& d) {
       std::max(sim_now(), d.last_depart) +
       static_cast<Cycles>(f.wire_bytes()) * cfg_.cycles_per_byte;
   d.last_depart = depart;
-  Cycles deliver_at = depart + cfg_.latency_cycles;
+  Cycles deliver_at = depart + kLatencyCycles;
 
   // Fault sites, fixed query order so the damage schedule depends only
   // on the seed and the sequence of accepted frames.
@@ -109,7 +109,7 @@ bool NetLink::accept_one(Direction& d) {
       for (const InFlight& e : d.flight) {
         latest = std::max(latest, e.deliver_at);
       }
-      deliver_at = latest + cfg_.latency_cycles;
+      deliver_at = latest + kLatencyCycles;
     }
   }
 

@@ -55,9 +55,9 @@ class NetLink : public sim::Component {
  public:
   struct Config {
     u64 cycles_per_byte = 1;   // serialization rate (~100 MB/s at 1)
-    Cycles latency_cycles = 500;  // propagation + switching delay
     usize queue_capacity = 8;  // per-endpoint fifo depth
   };
+  static constexpr Cycles kLatencyCycles = 500;  // propagation + switching
 
   NetLink(std::string name, Config cfg);
 
@@ -76,7 +76,6 @@ class NetLink : public sim::Component {
     down_ = down;
     wake();
   }
-  bool is_down() const { return down_; }
 
   bool tick() override;
   bool busy() const override {

@@ -37,8 +37,6 @@ namespace rvcap::obs {
 class Counter {
  public:
   void add(u64 n = 1) { value_ += n; }
-  /// High-water-mark style update (still monotonic).
-  void note_max(u64 v) { value_ = std::max(value_, v); }
   u64 value() const { return value_; }
 
  private:

@@ -85,10 +85,6 @@ class RpControl : public axi::AxiLiteSlave {
     slots_[slot].rm = rm;
     slots_[slot].rm_id = rm_id;
   }
-  void detach_rm(u32 slot = 0) {
-    slots_[slot].rm = nullptr;
-    slots_[slot].rm_id = 0;
-  }
 
   bool decoupled(u32 slot = 0) const { return slots_[slot].decouple; }
   bool icap_selected() const { return select_icap_; }

@@ -182,17 +182,10 @@ class Simulator {
     return true;
   }
 
-  usize component_count() const { return components_.size(); }
-
   SimStats stats() const {
     SimStats s = stats_;
     s.wakeups = hooks_.wakeups;
     return s;
-  }
-
-  void reset_stats() {
-    stats_ = SimStats{};
-    hooks_.wakeups = 0;
   }
 
   static constexpr Cycles kDefaultWatchdog = 500'000'000;

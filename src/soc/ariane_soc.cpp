@@ -28,7 +28,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
                     ? nullptr
                     : std::make_unique<storage::SdCard>(cfg.sd_blocks)),
       sd_(cfg.external_sd != nullptr ? *cfg.external_sd : *owned_sd_),
-      spi_("spi", sd_, cfg.spi_clock_divider),
+      spi_("spi", sd_),
       cpu_(sim_, cfg.timing),
       main_xbar_("main_xbar"),
       periph_conv_("periph.widthconv"),

@@ -63,7 +63,6 @@ struct SocConfig {
   net::NetLink::Config net_link{};
   net::BitstreamServer::Config net_server{};
   u32 hwicap_fifo_depth = 1024;  // paper resizes the vendor 64 -> 1024
-  u32 spi_clock_divider = 4;     // 25 MHz SD SPI clock
   u32 sd_blocks = 131072;        // 64 MiB card
   /// When set, the SoC wires its SPI controller to this externally
   /// owned card instead of constructing one — the power-loss reboot
@@ -120,13 +119,10 @@ class ArianeSoc {
 
   rvcap_ctrl::RvCapController& rvcap() { return *rvcap_; }
   hwicap::HwIcap& hwicap() { return *hwicap_; }
-  bool has_rvcap() const { return rvcap_ != nullptr; }
-  bool has_hwicap() const { return hwicap_ != nullptr; }
 
   /// Networked bitstream delivery plant (with_net deployments).
   net::NetLink& net_link() { return *net_link_; }
   net::BitstreamServer& net_server() { return *net_server_; }
-  bool has_net() const { return net_link_ != nullptr; }
 
   /// Register an additional reconfigurable partition (reconfig-only:
   /// no stream plumbing); returns its ConfigMemory handle.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "bitstream/generator.hpp"
 #include "driver/dpr_manager.hpp"
@@ -352,6 +353,63 @@ TEST_F(FaultRecoveryFixture, FallsBackToHwicapAfterRepeatedDmaFailures) {
   EXPECT_FALSE(decoupled());
   EXPECT_EQ(mgr.stats().fallback_reconfigs, 1u);
   EXPECT_GE(mgr.stats().dma_errors, 1u);
+}
+
+// Regression: reconfigure_RP (behind write_frame) armed only the MM2S
+// completion interrupt, so an SLVERR in interrupt mode raised no IRQ
+// and surfaced as kTimeout once the whole WFI bound had run out.
+TEST_F(FaultRecoveryFixture, WriteFrameSlvErrRaisesErrorInterrupt) {
+  fi.arm(sites::kDmaMm2sSlvErr, /*count=*/1);
+  const auto& col = soc.rp0().columns().front();
+  const std::vector<u32> frame(fabric::kFrameWords, 0);
+  const Cycles c0 = soc.sim().now();
+  EXPECT_EQ(drv.write_frame({col.row, col.column, 0}, frame, 0x8E00'0000,
+                            DmaMode::kInterrupt),
+            Status::kIoError);
+  EXPECT_LT(soc.sim().now() - c0, 100'000u);
+}
+
+// Regression: run_accelerator fell out of its blocking S2MM poll when
+// the bound ran out and reported kOk for a job that never completed.
+TEST_F(FaultRecoveryFixture, BlockingAcceleratorRunWithoutModuleTimesOut) {
+  ASSERT_FALSE(soc.config_memory().partition_state(soc.rp0_handle()).loaded);
+  EXPECT_EQ(drv.run_accelerator(0x8E00'0000, 64, 0x8E10'0000, 64,
+                                DmaMode::kBlocking),
+            Status::kTimeout);
+}
+
+// Regression: the HWICAP fallback decoupled slot 0's RP-control window
+// whatever slot the manager served, and the verified-activation flow
+// (hold_decoupled) never recoupled it.
+TEST(HwicapFallbackSlots, SlotOneFallbackLeavesSlotZeroCoupled) {
+  SocConfig cfg;
+  cfg.with_hwicap = true;
+  cfg.num_slots = 2;
+  ArianeSoc soc(cfg);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  driver::HwIcapDriver hwicap_drv(soc.cpu());
+  DprManager::Config mc;
+  mc.slot_id = 1;
+  DprManager mgr(drv, soc.config_memory(), soc.slot_handle(1), nullptr, mc);
+  mgr.attach_fallback(&hwicap_drv);
+  DprManager::RecoveryPolicy p;
+  p.fallback_after_failures = 0;  // every transfer takes the fallback
+  mgr.set_policy(p);
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc.device(), soc.slot_partition(1), {accel::kRmIdSobel, "sobel"});
+  soc.ddr().poke(0x8A00'0000, pbit);
+  ASSERT_EQ(mgr.register_staged("sobel", accel::kRmIdSobel, 0x8A00'0000,
+                                static_cast<u32>(pbit.size())),
+            Status::kOk);
+
+  ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
+  EXPECT_EQ(mgr.stats().fallback_reconfigs, 1u);
+  const auto& rpc = soc.rvcap().rp_control();
+  EXPECT_FALSE(rpc.decoupled(0));
+  EXPECT_FALSE(rpc.decoupled(1));
+  const auto slot1 = soc.config_memory().partition_state(soc.slot_handle(1));
+  EXPECT_TRUE(slot1.loaded);
+  EXPECT_EQ(slot1.rm_id, accel::kRmIdSobel);
 }
 
 TEST_F(FaultRecoveryFixture, ExhaustedRetriesLeaveRpDecoupled) {
