@@ -36,7 +36,7 @@ SweepResult run_sweep(std::string_view site, double probability, u64 seed,
                          nullptr);
   soc.attach_fault_injector(&fi);
   mgr.set_fault_injector(&fi);
-  mgr.attach_scrubber(&scrubber, &soc.rp0());
+  mgr.attach_scrubber(&scrubber);
 
   // A wedged DMA must time out in bounded simulated time.
   auto t = drv.timeouts();

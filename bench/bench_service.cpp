@@ -60,7 +60,7 @@ CellResult run_cell(u32 burst_size, u32 bursts, double fault_rate, u64 seed) {
                          nullptr);
   soc.attach_fault_injector(&fi);
   mgr.set_fault_injector(&fi);
-  mgr.attach_scrubber(&scrubber, &soc.rp0());
+  mgr.attach_scrubber(&scrubber);
   // Bounded runs: skip the slow post-recovery readback scrub.
   driver::DprManager::RecoveryPolicy pol;
   pol.scrub_after_recovery = false;

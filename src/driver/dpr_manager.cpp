@@ -360,11 +360,11 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
     // those run precisely because the DMA path is known-bad, and a
     // readback over it would wedge the recovery it is meant to verify.
     if (failed_once && !use_fallback && policy_.scrub_after_recovery &&
-        scrubber_ != nullptr && scrub_part_ != nullptr) {
+        scrubber_ != nullptr) {
       ++stats_.scrub_verifies;
       scrubber_->set_hold_decoupled(true);
-      Status ss = scrubber_->snapshot(*scrub_part_);
-      if (ok(ss)) ss = scrubber_->scrub(*scrub_part_);
+      Status ss = scrubber_->snapshot(partition());
+      if (ok(ss)) ss = scrubber_->scrub(partition());
       scrubber_->set_hold_decoupled(false);
       if (!ok(ss)) {
         last = ss;

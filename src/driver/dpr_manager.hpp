@@ -53,7 +53,7 @@ class DprManager {
     Addr staging_base = soc::MemoryMap::kPbitStagingBase;
     u32 slot_bytes = 1 << 20;  // one staging slot per module, 1 MiB
     u32 num_slots = 4;
-    /// RP slot this manager serves (0 = the legacy single slot). Every
+    /// RP slot this manager serves (0 = the case-study RP). Every
     /// driver access is bound to this slot's RP-control window, and
     /// journal entries carry it so multi-slot failures attribute.
     u32 slot_id = 0;
@@ -171,12 +171,8 @@ class DprManager {
   /// Degraded-mode transfer path used after repeated DMA failures.
   void attach_fallback(HwIcapDriver* hwicap) { fallback_ = hwicap; }
 
-  /// Post-recovery verification service. `part` must outlive the
-  /// manager; it is the partition behind `rp_handle`.
-  void attach_scrubber(Scrubber* scrubber, const fabric::Partition* part) {
-    scrubber_ = scrubber;
-    scrub_part_ = part;
-  }
+  /// Post-recovery verification service; it reads back partition().
+  void attach_scrubber(Scrubber* scrubber) { scrubber_ = scrubber; }
 
   /// Staging-path fault hook (sim::fault_sites::kStageBitFlip).
   void set_fault_injector(sim::FaultInjector* fi) { fault_ = fi; }
@@ -246,7 +242,6 @@ class DprManager {
   RecoveryPolicy policy_;
   HwIcapDriver* fallback_ = nullptr;
   Scrubber* scrubber_ = nullptr;
-  const fabric::Partition* scrub_part_ = nullptr;
   sim::FaultInjector* fault_ = nullptr;
   BitstreamSource* source_ = nullptr;
   RecoveryJournal* intent_ = nullptr;

@@ -75,8 +75,8 @@ class RvCapDriver {
 
   // ---- multi-slot addressing ----
   /// Aim every RP-control access (decouple, status probes, RM
-  /// registers) at slot `slot`'s register window. Slot 0 is the legacy
-  /// single-RP window; the binding persists until the next bind_slot().
+  /// registers) at slot `slot`'s register window (slot 0 by default);
+  /// the binding persists until the next bind_slot().
   void bind_slot(u32 slot) {
     bound_slot_ = slot;
     slot_offset_ = u64{slot} * rvcap_ctrl::RpControl::kSlotStride;

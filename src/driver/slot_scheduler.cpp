@@ -513,6 +513,17 @@ Status SlotScheduler::prepare_slot(TaskRecord& t, u32 slot) {
                                     info.bytes);
 }
 
+bool SlotScheduler::parked_owner(u32 slot, const TaskRecord& t,
+                                 u64 now) const {
+  for (const TaskRecord& p : tasks_) {
+    if (p.id != t.id && p.state == TaskState::kPreempted && p.slot == slot &&
+        eff_priority(p, now) >= eff_priority(t, now)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool SlotScheduler::ensure_resident(TaskRecord& t, u64 now) {
   if (t.state == TaskState::kRunning && t.slot != kNoSlot &&
       resident_[t.slot] == t.id) {
@@ -531,16 +542,7 @@ bool SlotScheduler::ensure_resident(TaskRecord& t, u64 now) {
         (find(resident_[dest]) != nullptr || region_reserved(dest))) {
       for (u32 s = 0; s < slots_.size(); ++s) {
         if (s == dest || find(resident_[s]) != nullptr) continue;
-        if (!slot_eligible(s, t)) continue;
-        bool parked_owner = false;
-        for (const TaskRecord& p : tasks_) {
-          if (p.id != t.id && p.state == TaskState::kPreempted &&
-              p.slot == s && eff_priority(p, now) >= eff_priority(t, now)) {
-            parked_owner = true;
-            break;
-          }
-        }
-        if (parked_owner) continue;
+        if (!slot_eligible(s, t) || parked_owner(s, t, now)) continue;
         dest = s;
         break;
       }
@@ -568,22 +570,11 @@ bool SlotScheduler::ensure_resident(TaskRecord& t, u64 now) {
     if (!slot_eligible(s, t)) continue;
     TaskRecord* res = find(resident_[s]);
     if (res == nullptr) {
-      // Vacant — but a preempted task parked on this slot owns it for
-      // its eventual restore unless we outrank it.
-      bool parked_owner = false;
-      for (const TaskRecord& p : tasks_) {
-        if (p.state == TaskState::kPreempted && p.slot == s &&
-            eff_priority(p, now) >= eff_priority(t, now)) {
-          parked_owner = true;
-          break;
-        }
-      }
-      if (!parked_owner) {
-        chosen = s;
-        victim = nullptr;
-        break;
-      }
-      continue;
+      // Vacant, unless a parked task owns it for its eventual restore.
+      if (parked_owner(s, t, now)) continue;
+      chosen = s;
+      victim = nullptr;
+      break;
     }
     if (victim == nullptr ||
         eff_priority(*res, now) < eff_priority(*victim, now)) {

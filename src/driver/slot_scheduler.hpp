@@ -259,6 +259,9 @@ class SlotScheduler {
   TaskRecord* best_resident(u64 now);
   void expire_queued(u64 now);
   bool ensure_resident(TaskRecord& t, u64 now);
+  /// True when a preempted task other than `t` is parked on `slot` and
+  /// owns it for its eventual restore: `t` does not outrank it.
+  bool parked_owner(u32 slot, const TaskRecord& t, u64 now) const;
   /// True when `slot` may host `t`: module registered there, or (engine
   /// mode) the slot's region is compatible and not span-reserved.
   bool slot_eligible(u32 slot, const TaskRecord& t);

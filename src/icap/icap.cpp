@@ -219,10 +219,6 @@ void Icap::reg_write(u32 reg, u32 data) {
           ++desyncs_;
           RVCAP_TRACE(trace_sink(), obs::EventKind::kIcapDesync, trace_src(),
                       sim_now(), words_);
-          // The legacy per-component counter was pre-incremented at the
-          // top of tick(), so a DESYNC during the tick at cycle T
-          // recorded T+1; preserved for bit-identical journals.
-          last_desync_ = sim_now() + 1;
           break;
         case Cmd::kNull:
         case Cmd::kLfrm:

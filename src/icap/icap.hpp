@@ -100,7 +100,6 @@ class Icap : public sim::Component {
   u64 words_ = 0;
   u64 frames_committed_ = 0;
   u64 desyncs_ = 0;
-  Cycles last_desync_ = 0;
   sim::FaultInjector* fault_ = nullptr;
 };
 

@@ -15,8 +15,7 @@ RvCapController::RvCapController(icap::Icap& icap, axi::AxiPort& ddr_port,
       decomp_("rvcap.decompressor", switch_.to_icap(), decomp_out_),
       axis2icap_("rvcap.axis2icap", decomp_out_, icap.port()),
       icap2axis_("rvcap.icap2axis", icap.read_port(), switch_.from_icap()),
-      isolator_("rvcap.isolator"),
-      rp_ctrl_("rvcap.rp_ctrl", isolator_, switch_),
+      rp_ctrl_("rvcap.rp_ctrl", switch_),
       ddr_xbar_("rvcap.ddr_xbar"),
       dma_ctrl_conv_("rvcap.dma_ctrl.widthconv"),
       dma_ctrl_bridge_("rvcap.dma_ctrl.litebridge"),
@@ -31,9 +30,6 @@ RvCapController::RvCapController(icap::Icap& icap, axi::AxiPort& ddr_port,
       w_rp_bridge_dev_("rvcap.w3", rp_ctrl_bridge_.downstream(),
                        rp_ctrl_.port()),
       w_dma_to_switch_("rvcap.w4", dma_.mm2s_stream(), switch_.from_dma()),
-      w_switch_to_iso_("rvcap.w5", switch_.to_rm(), isolator_.in_to_rp()),
-      w_iso_to_switch_("rvcap.w6", isolator_.out_from_rp(),
-                       switch_.from_rm()),
       w_switch_to_dma_("rvcap.w7", switch_.to_dma(), dma_.s2mm_stream()) {
   // Additional crossbar: manager 0 = CPU path, manager 1 = DMA.
   ddr_xbar_.add_manager(&main_bus_ddr_port_);
@@ -42,21 +38,24 @@ RvCapController::RvCapController(icap::Icap& icap, axi::AxiPort& ddr_port,
   rp_ctrl_.attach_decompressor(&decomp_);
   rp_ctrl_.set_abort_hook([this] { abort_datapath(); });
   icap2axis_.set_gate(&switch_);
-  // Slots 1..N-1: isolator + RM-port wire pair + RP-control window.
+  // Per slot: isolator + RM-port wire pair + RP-control window.
   assert(num_slots <= RpControl::kMaxSlots);
-  for (u32 s = 1; s < num_slots; ++s) {
-    auto iso = std::make_unique<axi::AxisIsolator>(
-        "rvcap.isolator" + std::to_string(s));
-    rp_ctrl_.add_slot(*iso);
-    extra_slot_wires_.push_back(std::make_unique<axi::AxisWire>(
-        "rvcap.w_slot" + std::to_string(s) + ".in", switch_.to_rm(s),
-        iso->in_to_rp()));
-    extra_slot_wires_.push_back(std::make_unique<axi::AxisWire>(
-        "rvcap.w_slot" + std::to_string(s) + ".out", iso->out_from_rp(),
-        switch_.from_rm(s)));
-    extra_isolators_.push_back(std::move(iso));
+  for (u32 s = 0; s < switch_.num_rm_ports(); ++s) {
+    slots_.push_back(std::make_unique<Slot>(s, switch_));
+    rp_ctrl_.add_slot(slots_.back()->isolator);
   }
 }
+
+// Slot 0 keeps the single-RP component names: counter names and trace
+// sources are keyed on them.
+RvCapController::Slot::Slot(u32 s, axi::AxisSwitch& sw)
+    : isolator(s == 0 ? "rvcap.isolator"
+                      : "rvcap.isolator" + std::to_string(s)),
+      to_rp(s == 0 ? "rvcap.w5" : "rvcap.w_slot" + std::to_string(s) + ".in",
+            sw.to_rm(s), isolator.in_to_rp()),
+      from_rp(s == 0 ? "rvcap.w6"
+                     : "rvcap.w_slot" + std::to_string(s) + ".out",
+              isolator.out_from_rp(), sw.from_rm(s)) {}
 
 void RvCapController::abort_datapath() {
   switch_.from_dma().clear();
@@ -90,16 +89,13 @@ void RvCapController::register_components(sim::Simulator& sim) {
   sim.add(&decomp_);
   sim.add(&axis2icap_);
   sim.add(&icap2axis_);
-  sim.add(&w_switch_to_iso_);
-  sim.add(&isolator_);
-  sim.add(&w_iso_to_switch_);
-  sim.add(&w_switch_to_dma_);
-  // Extra slots appended last: single-slot deployments keep their
-  // registration order (and golden traces) bit-identical.
-  for (usize s = 0; s < extra_isolators_.size(); ++s) {
-    sim.add(extra_slot_wires_[2 * s].get());
-    sim.add(extra_isolators_[s].get());
-    sim.add(extra_slot_wires_[2 * s + 1].get());
+  // Slot 0 ahead of w7, slots >= 1 after it: the order counter names
+  // and PerfRegs indices were first assigned in.
+  for (usize s = 0; s < slots_.size(); ++s) {
+    sim.add(&slots_[s]->to_rp);
+    sim.add(&slots_[s]->isolator);
+    sim.add(&slots_[s]->from_rp);
+    if (s == 0) sim.add(&w_switch_to_dma_);
   }
 }
 

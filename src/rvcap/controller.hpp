@@ -34,9 +34,9 @@ class RvCapController {
  public:
   /// `ddr_port`: the DDR controller's AXI subordinate port;
   /// `ddr_window`: its address window (shared by CPU and DMA);
-  /// `num_slots`: reconfigurable-partition slots (1..16). Slot 0 is the
-  /// legacy single-RP plumbing; every further slot adds an isolator, a
-  /// stream-switch RM port pair, and an RP-control register window.
+  /// `num_slots`: reconfigurable-partition slots (1..16). Each slot has
+  /// an isolator, a stream-switch RM port pair, and an RP-control
+  /// register window.
   RvCapController(icap::Icap& icap, axi::AxiPort& ddr_port,
                   const axi::AddrRange& ddr_window,
                   const AxiDma::Config& dma_cfg = AxiDma::Config{},
@@ -58,9 +58,7 @@ class RvCapController {
   axi::AxisFifo& rm_output_in(u32 slot = 0) {
     return isolator(slot).in_from_rp();
   }
-  u32 num_slots() const {
-    return 1 + static_cast<u32>(extra_isolators_.size());
-  }
+  u32 num_slots() const { return static_cast<u32>(slots_.size()); }
 
   /// Flush every stage of the reconfiguration datapath: stream FIFOs
   /// between DMA and ICAP, the decompressor and AXIS2ICAP packers, and
@@ -72,9 +70,7 @@ class RvCapController {
   AxiDma& dma() { return dma_; }
   RpControl& rp_control() { return rp_ctrl_; }
   axi::AxisSwitch& axis_switch() { return switch_; }
-  axi::AxisIsolator& isolator(u32 slot = 0) {
-    return slot == 0 ? isolator_ : *extra_isolators_[slot - 1];
-  }
+  axi::AxisIsolator& isolator(u32 slot = 0) { return slots_[slot]->isolator; }
   Axis2Icap& axis2icap() { return axis2icap_; }
   Icap2Axis& icap2axis() { return icap2axis_; }
   Decompressor& decompressor() { return decomp_; }
@@ -88,7 +84,6 @@ class RvCapController {
   Decompressor decomp_;
   Axis2Icap axis2icap_;
   Icap2Axis icap2axis_;
-  axi::AxisIsolator isolator_;
   RpControl rp_ctrl_;
 
   // DDR side: additional crossbar shared by the CPU path and the DMA.
@@ -108,15 +103,16 @@ class RvCapController {
   axi::AxiWire w_rp_conv_bridge_;
   axi::LiteWire w_rp_bridge_dev_;
   axi::AxisWire w_dma_to_switch_;
-  axi::AxisWire w_switch_to_iso_;
-  axi::AxisWire w_iso_to_switch_;
   axi::AxisWire w_switch_to_dma_;
 
-  // Slots 1..N-1: isolator plus its two switch-port wires (slot 0 uses
-  // the fixed members above, keeping single-slot layouts — and their
-  // golden traces — bit-identical).
-  std::vector<std::unique_ptr<axi::AxisIsolator>> extra_isolators_;
-  std::vector<std::unique_ptr<axi::AxisWire>> extra_slot_wires_;
+  // Per slot: the isolator and the wires joining it to its RM port pair.
+  struct Slot {
+    Slot(u32 slot, axi::AxisSwitch& sw);
+    axi::AxisIsolator isolator;
+    axi::AxisWire to_rp;    // switch RM port -> isolator
+    axi::AxisWire from_rp;  // isolator -> switch RM port
+  };
+  std::vector<std::unique_ptr<Slot>> slots_;
 
   bool registered_ = false;
 };

@@ -7,7 +7,7 @@
 //
 // Multi-slot layout: the register window repeats every 0x100 bytes,
 // one window per reconfigurable-partition slot (bits [11:8] of the
-// address select the slot; the legacy 0x00..0xFF window is slot 0).
+// address select the slot; slot 0's window is 0x00..0xFF).
 // The decouple bit and RM register file are per-slot; select_ICAP,
 // decompress, the abort pulse, and rm_select drive the single shared
 // ICAP/stream datapath and behave identically from any slot window.
@@ -60,12 +60,11 @@ class RpControl : public axi::AxiLiteSlave {
   /// software must not flip routes until this clears.
   static constexpr u32 kStDraining = 1u << 4;
 
-  /// `isolator` becomes slot 0 (the legacy single-RP window).
-  RpControl(std::string name, axi::AxisIsolator& isolator,
-            axi::AxisSwitch& axis_switch);
+  /// Every slot, slot 0 included, comes from add_slot().
+  RpControl(std::string name, axi::AxisSwitch& axis_switch);
 
-  /// Register the isolator of one additional reconfigurable-partition
-  /// slot; returns the new slot index. Wiring-time only.
+  /// Register the isolator of the next reconfigurable-partition slot;
+  /// returns the new slot index. Wiring-time only.
   u32 add_slot(axi::AxisIsolator& isolator);
   u32 num_slots() const { return static_cast<u32>(slots_.size()); }
 
@@ -79,8 +78,7 @@ class RpControl : public axi::AxiLiteSlave {
   }
 
   /// The SoC wires the active RM's register file here (nullptr while
-  /// the partition holds no module). Two-argument form: slot 0.
-  void attach_rm(RmRegisterFile* rm, u32 rm_id) { attach_rm(0, rm, rm_id); }
+  /// the partition holds no module).
   void attach_rm(u32 slot, RmRegisterFile* rm, u32 rm_id) {
     slots_[slot].rm = rm;
     slots_[slot].rm_id = rm_id;
@@ -88,12 +86,8 @@ class RpControl : public axi::AxiLiteSlave {
 
   bool decoupled(u32 slot = 0) const { return slots_[slot].decouple; }
   bool icap_selected() const { return select_icap_; }
-  /// Dropped RM register accesses, summed across every slot.
-  u64 blocked_rm_accesses() const {
-    u64 n = 0;
-    for (const Slot& s : slots_) n += s.blocked;
-    return n;
-  }
+  /// RM register accesses dropped in `slot`'s window while isolated.
+  u64 blocked_rm_accesses(u32 slot) const { return slots_[slot].blocked; }
 
  protected:
   u32 read_reg(Addr addr) override;

@@ -16,8 +16,6 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
                : fabric::DeviceGeometry::kintex7_325t()),
       cfg_mem_(dev_),
       icap_("icap", cfg_mem_),
-      rp0_(fabric::case_study_partition(dev_)),
-      rp0_handle_(cfg_mem_.register_partition(rp0_)),
       ddr_("ddr", cfg.ddr),
       boot_("boot_mem", MemoryMap::kBootMem.size, MemoryMap::kBootMem.base),
       clint_("clint"),
@@ -52,20 +50,23 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
                              &periph_conv_.upstream());
   main_xbar_.add_subordinate(MemoryMap::kBootMem, &boot_.port());
 
-  // ---- extra reconfigurable-partition slots (multi-slot serving) ----
+  // ---- reconfigurable-partition slots ----
   const u32 num_slots =
       cfg_.with_rvcap ? std::max<u32>(cfg_.num_slots, 1) : 1;
-  if (num_slots > 1) {
-    extra_rps_.reserve(num_slots - 1);
-    // Every further slot replicates RP0's column footprint into a
-    // different clock-region row (the acceleration window exists at
-    // every row), so all slots land in one relocation-compatibility
-    // class: a single synthesized RM image serves any slot after FAR
-    // retargeting (bitstream::relocate_bitstream). The Floorplan check
-    // below then proves the plan is alias-free.
-    const u32 rp0_row = rp0_.columns().front().row;
-    u32 row = 0;
-    for (u32 s = 1; s < num_slots; ++s, ++row) {
+  rps_.reserve(num_slots);
+  rps_.push_back(fabric::case_study_partition(dev_));
+  const u32 rp0_row = rps_[0].columns().front().row;
+  // One ConfigMemory handle, Floorplan region and allocator region per
+  // slot (region id == slot id).
+  std::vector<fabric::FloorplanRegion> regions;
+  allocator_ = std::make_unique<fabric::FabricAllocator>(dev_);
+  for (u32 s = 0, row = 0; s < num_slots; ++s) {
+    if (s > 0) {
+      // Every further slot replicates RP0's column footprint into a
+      // different clock-region row (the acceleration window exists at
+      // every row), so all slots land in one relocation-compatibility
+      // class: a single synthesized RM image serves any slot after FAR
+      // retargeting (bitstream::relocate_bitstream).
       if (row == rp0_row) ++row;
       if (row >= dev_.rows()) {
         throw std::invalid_argument(
@@ -73,30 +74,20 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
             std::to_string(s));
       }
       std::vector<fabric::Partition::ColumnRef> cols;
-      cols.reserve(rp0_.columns().size());
-      for (const auto& ref : rp0_.columns()) cols.push_back({row, ref.column});
-      extra_rps_.emplace_back("RP" + std::to_string(s), std::move(cols));
-      extra_rp_handles_.push_back(
-          cfg_mem_.register_partition(extra_rps_.back()));
+      cols.reserve(rps_[0].columns().size());
+      for (const auto& ref : rps_[0].columns()) {
+        cols.push_back({row, ref.column});
+      }
+      rps_.emplace_back("RP" + std::to_string(s), std::move(cols));
+      ++row;
     }
+    rp_handles_.push_back(cfg_mem_.register_partition(rps_[s]));
+    regions.push_back({rps_[s].name(), &rps_[s], "0123456789ABCDEF"[s]});
+    allocator_->add_region(rps_[s]);
   }
-  if (cfg_.with_rvcap) {
-    // Geometry-check the slot floorplan: an overlapping or
-    // out-of-geometry slot would alias configuration frames, so the
-    // Floorplan constructor turns it into a hard error.
-    std::vector<fabric::FloorplanRegion> regions;
-    regions.push_back({"RP0", &rp0_, '0'});
-    for (usize i = 0; i < extra_rps_.size(); ++i) {
-      regions.push_back({"RP" + std::to_string(i + 1), &extra_rps_[i],
-                         "0123456789ABCDEF"[i + 1]});
-    }
-    fabric::Floorplan validated(dev_, std::move(regions));
-  }
-  // One allocator region per slot (region id == slot id): the
-  // relocation-aware placement layer's free/busy view of the fabric.
-  allocator_ = std::make_unique<fabric::FabricAllocator>(dev_);
-  allocator_->add_region(rp0_);
-  for (const auto& p : extra_rps_) allocator_->add_region(p);
+  // An overlapping or out-of-geometry slot would alias configuration
+  // frames, so the Floorplan constructor turns it into a hard error.
+  fabric::Floorplan validated(dev_, std::move(regions));
 
   // ---- DPR controllers ----
   if (cfg_.with_rvcap) {
@@ -141,28 +132,19 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
         "net_server", *net_link_, cfg_.net_server);
   }
 
-  // ---- RM slot behind the isolator (needs the RV-CAP streams) ----
+  // ---- RM slots behind the isolators (need the RV-CAP streams) ----
   if (cfg_.with_rvcap) {
-    rm_slot_ = std::make_unique<accel::RmSlot>(
-        "rm_slot", cfg_mem_, rp0_handle_, rvcap_->rm_input());
-    accel::register_case_study_filters(*rm_slot_);
-    accel::register_cipher(*rm_slot_);
-    accel::register_fir(*rm_slot_);
-    rm_out_wire_ = std::make_unique<axi::AxisWire>(
-        "rm_slot.out", rm_slot_->out(), rvcap_->rm_output_in());
-    rvcap_->rp_control().attach_rm(rm_slot_.get(), 0);
-    for (u32 s = 1; s < num_slots; ++s) {
-      auto rs = std::make_unique<accel::RmSlot>(
-          "rm_slot" + std::to_string(s), cfg_mem_, extra_rp_handles_[s - 1],
-          rvcap_->rm_input(s));
-      accel::register_case_study_filters(*rs);
-      accel::register_cipher(*rs);
-      accel::register_fir(*rs);
-      extra_rm_wires_.push_back(std::make_unique<axi::AxisWire>(
-          "rm_slot" + std::to_string(s) + ".out", rs->out(),
-          rvcap_->rm_output_in(s)));
-      rvcap_->rp_control().attach_rm(s, rs.get(), 0);
-      extra_rm_slots_.push_back(std::move(rs));
+    for (u32 s = 0; s < num_slots; ++s) {
+      const std::string name =
+          "rm_slot" + (s == 0 ? std::string() : std::to_string(s));
+      auto& rs = *rm_slots_.emplace_back(std::make_unique<accel::RmSlot>(
+          name, cfg_mem_, rp_handles_[s], rvcap_->rm_input(s)));
+      accel::register_case_study_filters(rs);
+      accel::register_cipher(rs);
+      accel::register_fir(rs);
+      rm_out_wires_.push_back(std::make_unique<axi::AxisWire>(
+          name + ".out", rs.out(), rvcap_->rm_output_in(s)));
+      rvcap_->rp_control().attach_rm(s, &rs, 0);
     }
   }
 
@@ -189,13 +171,9 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   }
   if (ddr_direct_wire_) sim_.add(ddr_direct_wire_.get());
   sim_.add(&ddr_);
-  if (rm_slot_) {
-    sim_.add(rm_slot_.get());
-    sim_.add(rm_out_wire_.get());
-    for (usize i = 0; i < extra_rm_slots_.size(); ++i) {
-      sim_.add(extra_rm_slots_[i].get());
-      sim_.add(extra_rm_wires_[i].get());
-    }
+  for (usize s = 0; s < rm_slots_.size(); ++s) {
+    sim_.add(rm_slots_[s].get());
+    sim_.add(rm_out_wires_[s].get());
   }
   sim_.add(&icap_);
   // Net plant last: existing deployments keep their registration order

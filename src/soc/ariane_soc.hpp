@@ -3,9 +3,10 @@
 // Constructs and wires the platform the paper evaluates on: Ariane-class
 // CPU context, 64-bit AXI-4 main crossbar, DDR, on-chip boot memory,
 // SPI/SD card, CLINT (5 MHz timer), PLIC, the model Kintex-7 fabric with
-// its ICAP and configuration memory, one case-study reconfigurable
-// partition with stream isolator + RM slot, and — selectable per
-// deployment — the RV-CAP controller and/or the AXI_HWICAP baseline.
+// its ICAP and configuration memory, the case-study reconfigurable
+// partition (plus any further slots) with stream isolator + RM slot,
+// and — selectable per deployment — the RV-CAP controller and/or the
+// AXI_HWICAP baseline.
 #pragma once
 
 #include <memory>
@@ -57,8 +58,8 @@ struct SocConfig {
   bool with_hwicap = false;  // instantiate the AXI_HWICAP baseline
   bool with_net = false;     // instantiate link + bitstream server
   /// Reconfigurable-partition slots (RV-CAP deployments; 1..16). Slot 0
-  /// is the legacy case-study RP; further slots are planned around it
-  /// and geometry-checked (overlap is a hard construction error).
+  /// is the case-study RP; further slots are planned around it and
+  /// geometry-checked (overlap is a hard construction error).
   u32 num_slots = 1;
   net::NetLink::Config net_link{};
   net::BitstreamServer::Config net_server{};
@@ -94,24 +95,18 @@ class ArianeSoc {
   Uart& uart() { return uart_; }
   PerfRegs& perf_regs() { return perf_regs_; }
 
-  /// The case-study partition (RP0) and its tracking handle.
-  const fabric::Partition& rp0() const { return rp0_; }
-  usize rp0_handle() const { return rp0_handle_; }
-  accel::RmSlot& rm_slot() { return *rm_slot_; }
-
-  // ---- multi-slot views (slot 0 aliases the legacy RP0 plumbing) ----
-  u32 num_slots() const {
-    return static_cast<u32>(1 + extra_rps_.size());
-  }
+  // ---- per-slot views (RmSlots exist in RV-CAP deployments only) ----
+  u32 num_slots() const { return static_cast<u32>(rps_.size()); }
   const fabric::Partition& slot_partition(u32 slot) const {
-    return slot == 0 ? rp0_ : extra_rps_[slot - 1];
+    return rps_[slot];
   }
-  usize slot_handle(u32 slot) const {
-    return slot == 0 ? rp0_handle_ : extra_rp_handles_[slot - 1];
-  }
-  accel::RmSlot& slot_rm(u32 slot) {
-    return slot == 0 ? *rm_slot_ : *extra_rm_slots_[slot - 1];
-  }
+  usize slot_handle(u32 slot) const { return rp_handles_[slot]; }
+  accel::RmSlot& slot_rm(u32 slot) { return *rm_slots_[slot]; }
+
+  /// Slot 0: the case-study partition (RP0), its handle and RM slot.
+  const fabric::Partition& rp0() const { return slot_partition(0); }
+  usize rp0_handle() const { return slot_handle(0); }
+  accel::RmSlot& rm_slot() { return slot_rm(0); }
   /// Relocation-aware fabric allocator: one region per slot (region id
   /// == slot id); all slots share one compatibility class by
   /// construction, so a single RM image serves any of them.
@@ -149,8 +144,6 @@ class ArianeSoc {
   fabric::DeviceGeometry dev_;
   fabric::ConfigMemory cfg_mem_;
   icap::Icap icap_;
-  fabric::Partition rp0_;
-  usize rp0_handle_;
 
   // Memories and peripherals.
   mem::DdrController ddr_;
@@ -182,16 +175,14 @@ class ArianeSoc {
   std::unique_ptr<axi::AxiWire> hwicap_w0_;
   std::unique_ptr<axi::LiteWire> hwicap_w1_;
 
-  // RM slot + stream plumbing (RV-CAP deployments only).
-  std::unique_ptr<accel::RmSlot> rm_slot_;
-  std::unique_ptr<axi::AxisWire> rm_out_wire_;
-
-  // Slots 1..N-1: planned partitions, handles, RM slots, out-wires.
   std::unique_ptr<fabric::FabricAllocator> allocator_;
-  std::vector<fabric::Partition> extra_rps_;
-  std::vector<usize> extra_rp_handles_;
-  std::vector<std::unique_ptr<accel::RmSlot>> extra_rm_slots_;
-  std::vector<std::unique_ptr<axi::AxisWire>> extra_rm_wires_;
+  // Per slot: planned partition (reserved once, so references stay
+  // valid), ConfigMemory handle, and — RV-CAP deployments only — the
+  // RM slot and its out-wire.
+  std::vector<fabric::Partition> rps_;
+  std::vector<usize> rp_handles_;
+  std::vector<std::unique_ptr<accel::RmSlot>> rm_slots_;
+  std::vector<std::unique_ptr<axi::AxisWire>> rm_out_wires_;
 
   // Direct DDR binding used when RV-CAP (and its crossbar) is absent.
   std::unique_ptr<axi::AxiWire> ddr_direct_wire_;

@@ -15,6 +15,7 @@ set_tests_properties(
 set_tests_properties(
   SlotJournal.MailboxPublishesSlotIdAndSwapCounters
   SlotTelemetry.PerSlotServiceCountersDoNotCollide
+  SlotTelemetry.StreamWireBeatsKeepTheirPerfRegsOrder
   PROPERTIES LABELS "slots;telemetry")
 set_tests_properties(
   PlaceMailbox.PublishesPlacementCountersAndFragmentation

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <map>
+#include <string>
 
 #include "axi/crossbar.hpp"
 #include "bitstream/generator.hpp"
@@ -129,22 +130,55 @@ struct Misuse : ::testing::Test {
   driver::RvCapDriver drv;
 };
 
+constexpr u32 kIsoSlots = 3;
+
+// A 3-slot SoC whose driver is bound to one slot's RP-control window,
+// with the acceleration streams routed to that slot's RM port.
+struct SlotWorld {
+  static SocConfig three_slots() {
+    SocConfig cfg;
+    cfg.num_slots = kIsoSlots;
+    return cfg;
+  }
+  explicit SlotWorld(u32 slot)
+      : soc(three_slots()), drv(soc.cpu(), soc.plic()) {
+    drv.bind_slot(slot);
+    drv.select_rm_slot(slot);
+  }
+  ArianeSoc soc;
+  driver::RvCapDriver drv;
+};
+
+void reconfig_without_select_icap(u32 slot) {
+  SCOPED_TRACE("slot " + std::to_string(slot));
+  SlotWorld w(slot);
+  const auto pbit = bitstream::generate_partial_bitstream(
+      w.soc.device(), w.soc.slot_partition(slot), {accel::kRmIdSobel, "s"});
+  w.soc.ddr().poke(MemoryMap::kPbitStagingBase, pbit);
+  // Forgotten select_ICAP: stream goes to the (decoupled) RM route.
+  w.drv.decouple_accel(true);
+  ASSERT_EQ(w.drv.reconfigure_RP(MemoryMap::kPbitStagingBase,
+                                 static_cast<u32>(pbit.size()),
+                                 driver::DmaMode::kInterrupt),
+            Status::kOk);  // the DMA itself completes fine
+  w.drv.decouple_accel(false);
+  EXPECT_EQ(w.soc.icap().words_consumed(), 0u);
+  EXPECT_FALSE(
+      w.soc.config_memory().partition_state(w.soc.slot_handle(slot)).loaded);
+  // All beats were dropped by this slot's isolator, none leaked to the
+  // RM, and no other slot's isolator saw any.
+  for (u32 s = 0; s < kIsoSlots; ++s) {
+    EXPECT_EQ(w.soc.rvcap().isolator(s).dropped_beats(),
+              s == slot ? (pbit.size() + 7) / 8 : 0u)
+        << "isolator " << s;
+  }
+}
+
 TEST_F(Misuse, ReconfigWithoutSelectIcapNeverTouchesIcap) {
   ScopedLogLevel quiet(LogLevel::kError);
-  const auto pbit = bitstream::generate_partial_bitstream(
-      soc.device(), soc.rp0(), {accel::kRmIdSobel, "s"});
-  soc.ddr().poke(MemoryMap::kPbitStagingBase, pbit);
-  // Forgotten select_ICAP: stream goes to the (decoupled) RM route.
-  drv.decouple_accel(true);
-  ASSERT_EQ(drv.reconfigure_RP(MemoryMap::kPbitStagingBase,
-                               static_cast<u32>(pbit.size()),
-                               driver::DmaMode::kInterrupt),
-            Status::kOk);  // the DMA itself completes fine
-  drv.decouple_accel(false);
-  EXPECT_EQ(soc.icap().words_consumed(), 0u);
-  EXPECT_FALSE(soc.config_memory().partition_state(soc.rp0_handle()).loaded);
-  // All beats were dropped by the isolator, none leaked to the RM.
-  EXPECT_EQ(soc.rvcap().isolator().dropped_beats(), (pbit.size() + 7) / 8);
+  for (u32 slot = 0; slot < kIsoSlots; ++slot) {
+    reconfig_without_select_icap(slot);
+  }
 }
 
 TEST_F(Misuse, ZeroLengthDmaWriteIsIgnored) {
@@ -159,25 +193,44 @@ TEST_F(Misuse, ZeroLengthDmaWriteIsIgnored) {
   EXPECT_TRUE(soc.rvcap().dma().mm2s_idle());
 }
 
-TEST_F(Misuse, RmRegisterAccessWhileDecoupledIsBlocked) {
+void rm_register_access_while_decoupled(u32 slot) {
+  SCOPED_TRACE("slot " + std::to_string(slot));
+  SlotWorld w(slot);
   // Load a module first so registers exist behind the isolator.
   const auto pbit = bitstream::generate_partial_bitstream(
-      soc.device(), soc.rp0(), {accel::kRmIdSobel, "s"});
-  soc.ddr().poke(MemoryMap::kPbitStagingBase, pbit);
+      w.soc.device(), w.soc.slot_partition(slot), {accel::kRmIdSobel, "s"});
+  w.soc.ddr().poke(MemoryMap::kPbitStagingBase, pbit);
   driver::ReconfigModule m{"", accel::kRmIdSobel,
                            MemoryMap::kPbitStagingBase,
                            static_cast<u32>(pbit.size())};
-  ASSERT_EQ(drv.init_reconfig_process(m, driver::DmaMode::kInterrupt),
+  ASSERT_EQ(w.drv.init_reconfig_process(m, driver::DmaMode::kInterrupt),
             Status::kOk);
-  soc.sim().run_cycles(4);
-  ASSERT_EQ(drv.rm_reg_read(0), 512u);
+  w.soc.sim().run_cycles(4);
+  ASSERT_EQ(w.drv.rm_reg_read(0), 512u);
 
-  drv.decouple_accel(true);
-  EXPECT_EQ(drv.rm_reg_read(0), 0u);  // reads as zeros while isolated
-  drv.rm_reg_write(0, 64);            // dropped
-  drv.decouple_accel(false);
-  EXPECT_EQ(drv.rm_reg_read(0), 512u) << "write must not have landed";
-  EXPECT_GE(soc.rvcap().rp_control().blocked_rm_accesses(), 2u);
+  w.drv.decouple_accel(true);
+  EXPECT_EQ(w.drv.rm_reg_read(0), 0u);  // reads as zeros while isolated
+  w.drv.rm_reg_write(0, 64);            // dropped
+  // The other slots' windows stay coupled while this one is isolated.
+  for (u32 s = 0; s < kIsoSlots; ++s) {
+    if (s == slot) continue;
+    w.drv.bind_slot(s);
+    (void)w.drv.rm_reg_read(0);
+  }
+  w.drv.bind_slot(slot);
+  w.drv.decouple_accel(false);
+  EXPECT_EQ(w.drv.rm_reg_read(0), 512u) << "write must not have landed";
+  const auto& rp = w.soc.rvcap().rp_control();
+  for (u32 s = 0; s < kIsoSlots; ++s) {
+    EXPECT_EQ(rp.blocked_rm_accesses(s), s == slot ? 2u : 0u)
+        << "window " << s;
+  }
+}
+
+TEST_F(Misuse, RmRegisterAccessWhileDecoupledIsBlocked) {
+  for (u32 slot = 0; slot < kIsoSlots; ++slot) {
+    rm_register_access_while_decoupled(slot);
+  }
 }
 
 TEST_F(Misuse, UnmappedCpuAccessGetsErrorNotHang) {

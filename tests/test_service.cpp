@@ -62,7 +62,7 @@ struct ServiceWorld {
     soc.attach_fault_injector(&fi);
     mgr.set_fault_injector(&fi);
     mgr.attach_fallback(&hwicap_drv);
-    mgr.attach_scrubber(&scrubber, &soc.rp0());
+    mgr.attach_scrubber(&scrubber);
     stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
     stage("median", accel::kRmIdMedian, 0x8B00'0000);
     stage("gauss", accel::kRmIdGaussian, 0x8900'0000);

@@ -774,6 +774,37 @@ TEST(SlotTelemetry, PerSlotServiceCountersDoNotCollide) {
   EXPECT_EQ(reg("dpr.slot1.reconfigurations"), 0u);
 }
 
+// Firmware addresses a counter by its PerfRegs index (registry order),
+// so the stream wires' registration order is part of the register map:
+// slot 0's wires ahead of rvcap.w7, further slots after it, then one RM
+// out-wire per slot.
+TEST(SlotTelemetry, StreamWireBeatsKeepTheirPerfRegsOrder) {
+  auto beats_run = [](u32 num_slots) {
+    SocConfig cfg;
+    cfg.num_slots = num_slots;
+    ArianeSoc soc(cfg);
+    const obs::CounterRegistry& reg = soc.sim().obs().counters();
+    const usize first = reg.counter_index("rvcap.w4.beats");
+    EXPECT_EQ(first, 15u) << num_slots << " slots";
+    std::vector<std::string> wires;
+    for (usize i = first; i < reg.counter_count(); ++i) {
+      const std::string_view n = reg.counter_name(i);
+      if (!n.ends_with(".beats")) break;
+      wires.emplace_back(n.substr(0, n.size() - 6));
+    }
+    return wires;
+  };
+  EXPECT_EQ(beats_run(1),
+            (std::vector<std::string>{"rvcap.w4", "rvcap.w5", "rvcap.w6",
+                                      "rvcap.w7", "rm_slot.out"}));
+  EXPECT_EQ(beats_run(3),
+            (std::vector<std::string>{
+                "rvcap.w4", "rvcap.w5", "rvcap.w6", "rvcap.w7",
+                "rvcap.w_slot1.in", "rvcap.w_slot1.out", "rvcap.w_slot2.in",
+                "rvcap.w_slot2.out", "rm_slot.out", "rm_slot1.out",
+                "rm_slot2.out"}));
+}
+
 // ---------------------------------------------------------------------
 // Kernel equivalence: kFlat vs kScheduled
 // ---------------------------------------------------------------------
