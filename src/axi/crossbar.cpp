@@ -1,5 +1,7 @@
 #include "axi/crossbar.hpp"
 
+#include <bit>
+
 #include "common/log.hpp"
 #include "obs/observability.hpp"
 
@@ -7,8 +9,34 @@ namespace rvcap::axi {
 
 AxiCrossbar::AxiCrossbar(std::string name) : Component(std::move(name)) {}
 
+namespace {
+
+/// Visit the set bits of `mask` in ascending order: the port order of
+/// the plain loops the masks replace.
+template <typename F>
+void for_each_bit(u64 mask, F&& f) {
+  while (mask != 0) {
+    f(static_cast<usize>(std::countr_zero(mask)));
+    mask &= mask - 1;
+  }
+}
+
+template <typename F>
+bool any_bit(u64 mask, F&& f) {
+  while (mask != 0) {
+    if (f(static_cast<usize>(std::countr_zero(mask)))) return true;
+    mask &= mask - 1;
+  }
+  return false;
+}
+
+}  // namespace
+
 usize AxiCrossbar::add_manager(AxiPort* port) {
-  port->watch(this);
+  if (managers_.size() == 64) {
+    throw std::invalid_argument("AxiCrossbar: more than 64 managers");
+  }
+  port->watch_subordinate(this);
   managers_.push_back(port);
   active_writes_.emplace_back();
   error_reads_.emplace_back();
@@ -33,7 +61,10 @@ void AxiCrossbar::add_subordinate(const AddrRange& range, AxiPort* port) {
       throw std::invalid_argument("AxiCrossbar: overlapping address window");
     }
   }
-  port->watch(this);
+  if (subs_.size() == 64) {
+    throw std::invalid_argument("AxiCrossbar: more than 64 subordinates");
+  }
+  port->watch_manager(this);
   ranges_.push_back(range);
   subs_.push_back(port);
   read_routes_.emplace_back();
@@ -69,7 +100,47 @@ bool AxiCrossbar::tick() {
       }
     }
   }
-  return progress;
+  return ready();
+}
+
+bool AxiCrossbar::ready() const {
+  if (any_bit(open_reads_, [this](usize s) {
+        return subs_[s]->r.can_pop() &&
+               managers_[read_routes_[s].front().manager]->r.can_push();
+      })) {
+    return true;
+  }
+  if (any_bit(open_writes_, [this](usize s) {
+        return subs_[s]->b.can_pop() &&
+               managers_[write_routes_[s].front().manager]->b.can_push();
+      })) {
+    return true;
+  }
+  if (any_bit(owed_errors_, [this](usize m) {
+        return (pending_error_b_[m] > 0 && managers_[m]->b.can_push()) ||
+               (!error_reads_[m].empty() && managers_[m]->r.can_push());
+      })) {
+    return true;
+  }
+  if (any_bit(bursts_, [this](usize m) {
+        const ActiveWrite& a = *active_writes_[m];
+        return managers_[m]->w.can_pop() &&
+               (a.to_error_sink || subs_[a.sub]->w.can_push());
+      })) {
+    return true;
+  }
+  for (usize m = 0; m < managers_.size(); ++m) {
+    if (const AxiAr* ar = managers_[m]->ar.front()) {
+      const auto sub = decode(ar->addr);
+      if (!sub || subs_[*sub]->ar.can_push()) return true;
+    }
+    if (active_writes_[m].has_value()) continue;
+    if (const AxiAw* aw = managers_[m]->aw.front()) {
+      const auto sub = decode(aw->addr);
+      if (!sub || subs_[*sub]->aw.can_push()) return true;
+    }
+  }
+  return false;
 }
 
 bool AxiCrossbar::arbitrate_ar() {
@@ -84,6 +155,7 @@ bool AxiCrossbar::arbitrate_ar() {
       ++decode_errors_;
       log_warn("axi: decode error on read addr=0x", std::hex, ar->addr);
       error_reads_[m].push_back(ErrorRead{u32{ar->len} + 1});
+      owed_errors_ |= u64{1} << m;
       managers_[m]->ar.pop();
       rr_ar_ = (m + 1) % n;
       return true;  // one AR accepted per cycle (shared decode stage)
@@ -92,6 +164,7 @@ bool AxiCrossbar::arbitrate_ar() {
     subs_[*sub]->ar.push(*ar);
     read_routes_[*sub].push_back(
         ReadRoute{m, u32{ar->len} + 1, u32{ar->len} + 1, ar->addr, sim_now()});
+    open_reads_ |= u64{1} << *sub;
     managers_[m]->ar.pop();
     rr_ar_ = (m + 1) % n;
     return true;
@@ -111,6 +184,7 @@ bool AxiCrossbar::arbitrate_aw() {
       ++decode_errors_;
       log_warn("axi: decode error on write addr=0x", std::hex, aw->addr);
       active_writes_[m] = ActiveWrite{0, u32{aw->len} + 1, true};
+      bursts_ |= u64{1} << m;
       managers_[m]->aw.pop();
       rr_aw_ = (m + 1) % n;
       return true;
@@ -119,7 +193,9 @@ bool AxiCrossbar::arbitrate_aw() {
     subs_[*sub]->aw.push(*aw);
     write_routes_[*sub].push_back(
         WriteRoute{m, u32{aw->len} + 1, aw->addr, sim_now()});
+    open_writes_ |= u64{1} << *sub;
     active_writes_[m] = ActiveWrite{*sub, u32{aw->len} + 1, false};
+    bursts_ |= u64{1} << m;
     managers_[m]->aw.pop();
     rr_aw_ = (m + 1) % n;
     return true;
@@ -129,39 +205,42 @@ bool AxiCrossbar::arbitrate_aw() {
 
 bool AxiCrossbar::forward_w() {
   bool progress = false;
-  for (usize m = 0; m < managers_.size(); ++m) {
+  for_each_bit(bursts_, [&](usize m) {
     auto& active = active_writes_[m];
-    if (!active.has_value()) continue;
     const AxiW* w = managers_[m]->w.front();
-    if (w == nullptr) continue;
+    if (w == nullptr) return;
     if (active->to_error_sink) {
       managers_[m]->w.pop();
       progress = true;
       if (--active->beats_left == 0) {
         ++pending_error_b_[m];
+        owed_errors_ |= u64{1} << m;
         active.reset();
+        bursts_ &= ~(u64{1} << m);
       }
-      continue;
+      return;
     }
     AxiPort* sub = subs_[active->sub];
-    if (!sub->w.can_push()) continue;
+    if (!sub->w.can_push()) return;
     sub->w.push(*w);
     managers_[m]->w.pop();
     progress = true;
-    if (--active->beats_left == 0) active.reset();
-  }
+    if (--active->beats_left == 0) {
+      active.reset();
+      bursts_ &= ~(u64{1} << m);
+    }
+  });
   return progress;
 }
 
 bool AxiCrossbar::return_r() {
   bool progress = false;
-  for (usize s = 0; s < subs_.size(); ++s) {
-    if (read_routes_[s].empty()) continue;
+  for_each_bit(open_reads_, [&](usize s) {
     const AxiR* r = subs_[s]->r.front();
-    if (r == nullptr) continue;
+    if (r == nullptr) return;
     ReadRoute& route = read_routes_[s].front();
     AxiPort* mgr = managers_[route.manager];
-    if (!mgr->r.can_push()) continue;
+    if (!mgr->r.can_push()) return;
     mgr->r.push(*r);
     const bool last = r->last;  // r points into the FIFO; pop() frees it
     subs_[s]->r.pop();
@@ -171,60 +250,58 @@ bool AxiCrossbar::return_r() {
                   sim_now(), route.addr, route.beats_total,
                   sim_now() - route.start + 1);
       read_routes_[s].pop_front();
+      if (read_routes_[s].empty()) open_reads_ &= ~(u64{1} << s);
     }
-  }
+  });
   return progress;
 }
 
 bool AxiCrossbar::return_b() {
   bool progress = false;
-  for (usize s = 0; s < subs_.size(); ++s) {
-    if (write_routes_[s].empty()) continue;
+  for_each_bit(open_writes_, [&](usize s) {
     const AxiB* b = subs_[s]->b.front();
-    if (b == nullptr) continue;
+    if (b == nullptr) return;
     const WriteRoute& route = write_routes_[s].front();
     AxiPort* mgr = managers_[route.manager];
-    if (!mgr->b.can_push()) continue;
+    if (!mgr->b.can_push()) return;
     mgr->b.push(*b);
     subs_[s]->b.pop();
     RVCAP_TRACE(trace_sink(), obs::EventKind::kAxiWrite, trace_src(),
                 sim_now(), route.addr, route.beats,
                 sim_now() - route.start + 1);
     write_routes_[s].pop_front();
+    if (write_routes_[s].empty()) open_writes_ &= ~(u64{1} << s);
     progress = true;
-  }
+  });
   return progress;
 }
 
 bool AxiCrossbar::drain_error_reads() {
   bool progress = false;
-  for (usize m = 0; m < managers_.size(); ++m) {
+  for_each_bit(owed_errors_, [&](usize m) {
     if (pending_error_b_[m] > 0 && managers_[m]->b.can_push()) {
       managers_[m]->b.push(AxiB{Resp::kDecErr});
       --pending_error_b_[m];
       progress = true;
     }
-    if (error_reads_[m].empty()) continue;
-    ErrorRead& er = error_reads_[m].front();
-    if (!managers_[m]->r.can_push()) continue;
-    managers_[m]->r.push(AxiR{0, Resp::kDecErr, er.beats_left == 1});
-    progress = true;
-    if (--er.beats_left == 0) error_reads_[m].pop_front();
-  }
+    if (!error_reads_[m].empty() && managers_[m]->r.can_push()) {
+      ErrorRead& er = error_reads_[m].front();
+      managers_[m]->r.push(AxiR{0, Resp::kDecErr, er.beats_left == 1});
+      progress = true;
+      if (--er.beats_left == 0) error_reads_[m].pop_front();
+    }
+    if (pending_error_b_[m] == 0 && error_reads_[m].empty()) {
+      owed_errors_ &= ~(u64{1} << m);
+    }
+  });
   return progress;
 }
 
 bool AxiCrossbar::busy() const {
-  for (const auto& q : read_routes_)
-    if (!q.empty()) return true;
-  for (const auto& q : write_routes_)
-    if (!q.empty()) return true;
-  for (const auto& a : active_writes_)
-    if (a.has_value()) return true;
-  for (const auto& q : error_reads_)
-    if (!q.empty()) return true;
-  for (u32 p : pending_error_b_)
-    if (p != 0) return true;
+  if ((open_reads_ | open_writes_ | bursts_ | owed_errors_) != 0) return true;
+  for (const AxiPort* m : managers_) {
+    if (m->has_request()) return true;
+  }
   return false;
 }
 

@@ -7,6 +7,11 @@
 // route queues instead of AXI IDs; since every subordinate in the SoC
 // responds in order, this is behaviourally equivalent. Unmapped accesses
 // get DECERR responses, as the Xilinx crossbar does.
+//
+// Open routes, in-progress W bursts and owed DECERR responses are kept
+// as bitmasks (one bit per subordinate or manager), so a tick only
+// visits the ports that have something in flight and an idle phase
+// costs nothing.
 #pragma once
 
 #include <deque>
@@ -66,6 +71,7 @@ class AxiCrossbar : public sim::Component {
   };
 
   std::optional<usize> decode(Addr a) const;
+  bool ready() const;
   bool arbitrate_ar();
   bool arbitrate_aw();
   bool forward_w();
@@ -85,6 +91,12 @@ class AxiCrossbar : public sim::Component {
   std::vector<std::optional<ActiveWrite>> active_writes_;
   std::vector<std::deque<ErrorRead>> error_reads_;   // per manager
   std::vector<u32> pending_error_b_;                 // per manager
+
+  // Bit s / bit m is set while the queue above is non-empty.
+  u64 open_reads_ = 0;    // per subordinate: read_routes_
+  u64 open_writes_ = 0;   // per subordinate: write_routes_
+  u64 bursts_ = 0;        // per manager: active_writes_
+  u64 owed_errors_ = 0;   // per manager: error_reads_, pending_error_b_
 
   usize rr_ar_ = 0;  // round-robin pointers
   usize rr_aw_ = 0;

@@ -37,6 +37,9 @@ class AxisIsolator : public sim::Component {
   bool busy() const override;
 
  private:
+  /// Move (or, decoupled, drop) one beat in -> out.
+  bool pass(AxisFifo& in, AxisFifo& out);
+
   bool decoupled_ = false;
   u64 dropped_ = 0;
   AxisFifo in_to_rp_{4};     // accepts beats from the static side

@@ -4,24 +4,21 @@ namespace rvcap::axi {
 
 AxiToLiteBridge::AxiToLiteBridge(std::string name)
     : Component(std::move(name)) {
-  up_.watch(this);
-  down_.watch(this);
+  up_.watch_subordinate(this);
+  down_.watch_manager(this);
 }
 
 bool AxiToLiteBridge::tick() {
-  bool progress = false;
   // Read request.
   if (const AxiAr* ar = up_.ar.front()) {
     if (ar->len != 0) {
       if (up_.r.can_push()) {
         up_.r.push(AxiR{0, Resp::kSlvErr, true});
         up_.ar.pop();
-        progress = true;
       }
     } else if (down_.ar.can_push()) {
       down_.ar.push(LiteAr{ar->addr});
       up_.ar.pop();
-      progress = true;
     }
   }
   // Read response.
@@ -29,7 +26,6 @@ bool AxiToLiteBridge::tick() {
     if (up_.r.can_push()) {
       up_.r.push(AxiR{u64{r->data}, r->resp, true});
       down_.r.pop();
-      progress = true;
     }
   }
   // Write request: pair AW with its single W beat.
@@ -39,13 +35,11 @@ bool AxiToLiteBridge::tick() {
         if (up_.b.can_push()) {
           up_.b.push(AxiB{Resp::kSlvErr});
           up_.aw.pop();
-          progress = true;
         }
       } else {
         cur_aw_ = LiteAw{aw->addr};
         up_.aw.pop();
         aw_taken_ = true;
-        progress = true;
       }
     }
   }
@@ -57,7 +51,6 @@ bool AxiToLiteBridge::tick() {
                            static_cast<u8>(w->strb & 0x0F)});
         up_.w.pop();
         aw_taken_ = false;
-        progress = true;
       }
     }
   }
@@ -66,14 +59,29 @@ bool AxiToLiteBridge::tick() {
     if (up_.b.can_push()) {
       up_.b.push(AxiB{b->resp});
       down_.b.pop();
-      progress = true;
     }
   }
-  return progress;
+  return ready();
+}
+
+bool AxiToLiteBridge::ready() const {
+  if (const AxiAr* ar = up_.ar.front()) {
+    if (ar->len != 0 ? up_.r.can_push() : down_.ar.can_push()) return true;
+  }
+  if (down_.r.can_pop() && up_.r.can_push()) return true;
+  if (!aw_taken_) {
+    if (const AxiAw* aw = up_.aw.front()) {
+      if (aw->len == 0 || up_.b.can_push()) return true;
+    }
+  } else if (up_.w.can_pop() && down_.aw.can_push() && down_.w.can_push()) {
+    return true;
+  }
+  return down_.b.can_pop() && up_.b.can_push();
 }
 
 bool AxiToLiteBridge::busy() const {
-  return aw_taken_ || !up_.idle() || !down_.idle();
+  return aw_taken_ || up_.has_request() || down_.r.can_pop() ||
+         down_.b.can_pop();
 }
 
 }  // namespace rvcap::axi

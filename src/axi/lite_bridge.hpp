@@ -22,6 +22,8 @@ class AxiToLiteBridge : public sim::Component {
   bool busy() const override;
 
  private:
+  bool ready() const;
+
   AxiPort up_;
   AxiLitePort down_;
   bool aw_taken_ = false;

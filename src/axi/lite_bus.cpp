@@ -5,7 +5,7 @@
 namespace rvcap::axi {
 
 LiteBus::LiteBus(std::string name) : Component(std::move(name)) {
-  up_.watch(this);
+  up_.watch_subordinate(this);
 }
 
 void LiteBus::add_device(const AddrRange& range, AxiLitePort* port) {
@@ -14,7 +14,7 @@ void LiteBus::add_device(const AddrRange& range, AxiLitePort* port) {
       throw std::invalid_argument("LiteBus: overlapping window");
     }
   }
-  port->watch(this);
+  port->watch_manager(this);
   ranges_.push_back(range);
   devs_.push_back(port);
 }
@@ -27,7 +27,6 @@ std::optional<usize> LiteBus::decode(Addr a) const {
 }
 
 bool LiteBus::tick() {
-  bool progress = false;
   // Requests.
   if (const LiteAr* ar = up_.ar.front()) {
     if (auto d = decode(ar->addr); d.has_value()) {
@@ -35,13 +34,11 @@ bool LiteBus::tick() {
         devs_[*d]->ar.push(*ar);
         read_route_.push_back(*d);
         up_.ar.pop();
-        progress = true;
       }
     } else {
       ++decode_errors_;
       read_route_.push_back(kErrDev);
       up_.ar.pop();
-      progress = true;
     }
   }
   const LiteAw* aw = up_.aw.front();
@@ -54,14 +51,12 @@ bool LiteBus::tick() {
         write_route_.push_back(*d);
         up_.aw.pop();
         up_.w.pop();
-        progress = true;
       }
     } else {
       ++decode_errors_;
       write_route_.push_back(kErrDev);
       up_.aw.pop();
       up_.w.pop();
-      progress = true;
     }
   }
   // Responses (in request order; every device answers in order).
@@ -70,11 +65,9 @@ bool LiteBus::tick() {
     if (d == kErrDev) {
       up_.r.push(LiteR{0, Resp::kDecErr});
       read_route_.pop_front();
-      progress = true;
     } else if (devs_[d]->r.can_pop()) {
       up_.r.push(*devs_[d]->r.pop());
       read_route_.pop_front();
-      progress = true;
     }
   }
   if (!write_route_.empty() && up_.b.can_push()) {
@@ -82,18 +75,39 @@ bool LiteBus::tick() {
     if (d == kErrDev) {
       up_.b.push(LiteB{Resp::kDecErr});
       write_route_.pop_front();
-      progress = true;
     } else if (devs_[d]->b.can_pop()) {
       up_.b.push(*devs_[d]->b.pop());
       write_route_.pop_front();
-      progress = true;
     }
   }
-  return progress;
+  return ready();
+}
+
+bool LiteBus::ready() const {
+  if (const LiteAr* ar = up_.ar.front()) {
+    const auto d = decode(ar->addr);
+    if (!d || devs_[*d]->ar.can_push()) return true;
+  }
+  const LiteAw* aw = up_.aw.front();
+  if (aw != nullptr && up_.w.can_pop()) {
+    const auto d = decode(aw->addr);
+    if (!d || (devs_[*d]->aw.can_push() && devs_[*d]->w.can_push())) {
+      return true;
+    }
+  }
+  if (!read_route_.empty() && up_.r.can_push()) {
+    const usize d = read_route_.front();
+    if (d == kErrDev || devs_[d]->r.can_pop()) return true;
+  }
+  if (!write_route_.empty() && up_.b.can_push()) {
+    const usize d = write_route_.front();
+    if (d == kErrDev || devs_[d]->b.can_pop()) return true;
+  }
+  return false;
 }
 
 bool LiteBus::busy() const {
-  return !read_route_.empty() || !write_route_.empty() || !up_.idle();
+  return !read_route_.empty() || !write_route_.empty() || up_.has_request();
 }
 
 }  // namespace rvcap::axi

@@ -25,6 +25,7 @@ class LiteBus : public sim::Component {
 
  private:
   std::optional<usize> decode(Addr a) const;
+  bool ready() const;
 
   AxiLitePort up_;
   std::vector<AddrRange> ranges_;

@@ -4,21 +4,20 @@ namespace rvcap::axi {
 
 AxiLiteSlave::AxiLiteSlave(std::string name, u32 response_latency)
     : Component(std::move(name)), latency_(response_latency) {
-  port_.watch(this);
+  port_.watch_subordinate(this);
 }
 
 bool AxiLiteSlave::tick() {
-  bool progress = device_tick();
+  bool changed = device_tick();
 
   if (const LiteAr* ar = port_.ar.front()) {
     if (read_wait_ < latency_) {
-      ++read_wait_;  // latency countdown is observable state
-      progress = true;
+      ++read_wait_;  // latency countdown
     } else if (port_.r.can_push()) {
       port_.r.push(LiteR{read_reg(ar->addr), Resp::kOkay});
       port_.ar.pop();
       read_wait_ = 0;
-      progress = true;
+      changed = true;
     }
   }
 
@@ -27,19 +26,28 @@ bool AxiLiteSlave::tick() {
   if (aw != nullptr && w != nullptr) {
     if (write_wait_ < latency_) {
       ++write_wait_;
-      progress = true;
     } else if (port_.b.can_push()) {
       write_reg(aw->addr, w->data);
       port_.aw.pop();
       port_.w.pop();
       port_.b.push(LiteB{Resp::kOkay});
       write_wait_ = 0;
-      progress = true;
+      changed = true;
     }
   }
-  return progress;
+  return port_ready() || (changed && device_ready());
 }
 
-bool AxiLiteSlave::busy() const { return !port_.idle() || device_busy(); }
+bool AxiLiteSlave::port_ready() const {
+  if (port_.ar.can_pop() && (read_wait_ < latency_ || port_.r.can_push())) {
+    return true;
+  }
+  return port_.aw.can_pop() && port_.w.can_pop() &&
+         (write_wait_ < latency_ || port_.b.can_push());
+}
+
+bool AxiLiteSlave::busy() const {
+  return port_.has_request() || device_busy();
+}
 
 }  // namespace rvcap::axi

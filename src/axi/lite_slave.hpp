@@ -29,16 +29,20 @@ class AxiLiteSlave : public sim::Component {
   virtual u32 read_reg(Addr addr) = 0;
   virtual void write_reg(Addr addr, u32 value) = 0;
 
-  /// Subclasses override to advance internal state each cycle; the
-  /// return value is the activity contract of Component::tick()
-  /// (true iff internal state changed). The default does nothing.
+  /// Subclasses override to advance internal state each cycle and
+  /// return whether it changed. The default does nothing.
   virtual bool device_tick() { return false; }
+  /// Whether the device can progress next cycle without a new event;
+  /// asked after a tick that changed device state or served a
+  /// register access. The default (true) keeps such a device ticking
+  /// until a tick changes nothing.
+  virtual bool device_ready() const { return true; }
+  /// Device-internal work only: the port's request channels are
+  /// covered by busy().
   virtual bool device_busy() const { return false; }
 
  private:
-  struct Delayed {
-    u32 cycles_left;
-  };
+  bool port_ready() const;
 
   AxiLitePort port_;
   u32 latency_;

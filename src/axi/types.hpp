@@ -53,33 +53,52 @@ struct AxiB {
   Resp resp = Resp::kOkay;
 };
 
-/// One full-AXI4 link, owned by the link itself (the struct); the
-/// manager pushes aw/w/ar and pops r/b, the subordinate does the
-/// opposite. FIFO depths model the 2-deep skid buffers of typical AXI
-/// register slices plus room for one full max-length data burst.
-struct AxiPort {
-  explicit AxiPort(usize addr_depth = 2, usize data_depth = 32)
+/// The five channels of one memory-mapped link, owned by the link
+/// itself (the struct); the manager pushes aw/w/ar and pops r/b, the
+/// subordinate does the opposite.
+template <typename Aw, typename W, typename Ar, typename R, typename B>
+struct Channels {
+  Channels(usize addr_depth, usize data_depth)
       : aw(addr_depth), w(data_depth), ar(addr_depth), r(data_depth),
         b(addr_depth) {}
 
-  sim::Fifo<AxiAw> aw;
-  sim::Fifo<AxiW> w;
-  sim::Fifo<AxiAr> ar;
-  sim::Fifo<AxiR> r;
-  sim::Fifo<AxiB> b;
+  sim::Fifo<Aw> aw;
+  sim::Fifo<W> w;
+  sim::Fifo<Ar> ar;
+  sim::Fifo<R> r;
+  sim::Fifo<B> b;
 
-  /// Wake `c` on any activity on any of the five channels.
-  void watch(sim::Component* c) {
-    aw.watch(c);
-    w.watch(c);
-    ar.watch(c);
-    r.watch(c);
-    b.watch(c);
+  /// `c` drives this link: it pushes aw/w/ar, whose blocked pushes
+  /// wait for `need` free slots, and pops r/b.
+  void watch_manager(sim::Component* c, u32 need = 1) {
+    aw.watch_as_producer(c, need);
+    w.watch_as_producer(c, need);
+    ar.watch_as_producer(c, need);
+    r.watch_as_consumer(c);
+    b.watch_as_consumer(c);
   }
 
-  bool idle() const {
-    return aw.empty() && w.empty() && ar.empty() && r.empty() && b.empty();
+  /// `c` answers this link: it pops aw/w/ar and pushes r/b.
+  void watch_subordinate(sim::Component* c) {
+    aw.watch_as_consumer(c);
+    w.watch_as_consumer(c);
+    ar.watch_as_consumer(c);
+    r.watch_as_producer(c);
+    b.watch_as_producer(c);
   }
+
+  /// A request (aw, w or ar) is waiting for the subordinate.
+  bool has_request() const {
+    return !aw.empty() || !w.empty() || !ar.empty();
+  }
+};
+
+/// One full-AXI4 link. FIFO depths model the 2-deep skid buffers of
+/// typical AXI register slices plus room for one full max-length data
+/// burst.
+struct AxiPort : Channels<AxiAw, AxiW, AxiAr, AxiR, AxiB> {
+  explicit AxiPort(usize addr_depth = 2, usize data_depth = 32)
+      : Channels(addr_depth, data_depth) {}
 };
 
 /// AXI4-Lite link: 32-bit, single-beat, no bursts.
@@ -89,28 +108,8 @@ struct LiteAr { Addr addr = 0; };
 struct LiteR { u32 data = 0; Resp resp = Resp::kOkay; };
 struct LiteB { Resp resp = Resp::kOkay; };
 
-struct AxiLitePort {
-  explicit AxiLitePort(usize depth = 2)
-      : aw(depth), w(depth), ar(depth), r(depth), b(depth) {}
-
-  sim::Fifo<LiteAw> aw;
-  sim::Fifo<LiteW> w;
-  sim::Fifo<LiteAr> ar;
-  sim::Fifo<LiteR> r;
-  sim::Fifo<LiteB> b;
-
-  /// Wake `c` on any activity on any of the five channels.
-  void watch(sim::Component* c) {
-    aw.watch(c);
-    w.watch(c);
-    ar.watch(c);
-    r.watch(c);
-    b.watch(c);
-  }
-
-  bool idle() const {
-    return aw.empty() && w.empty() && ar.empty() && r.empty() && b.empty();
-  }
+struct AxiLitePort : Channels<LiteAw, LiteW, LiteAr, LiteR, LiteB> {
+  explicit AxiLitePort(usize depth = 2) : Channels(depth, depth) {}
 };
 
 /// AXI4-Stream beat: 64-bit data path throughout the SoC (Fig. 2).

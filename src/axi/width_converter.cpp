@@ -10,19 +10,19 @@ Resp worse(Resp a, Resp b) {
 
 WidthConverter64To32::WidthConverter64To32(std::string name)
     : Component(std::move(name)) {
-  up_.watch(this);
-  down_.watch(this);
+  up_.watch_subordinate(this);
+  // A 64-bit access pushes both halves at once; a blocked push
+  // re-declares the need of its own access.
+  down_.watch_manager(this, 2);
 }
 
 bool WidthConverter64To32::tick() {
-  bool progress = false;
   // --- read request path: split one upstream AR into 1..2 downstream ARs.
   if (const AxiAr* ar = up_.ar.front()) {
     if (ar->len != 0) {
       if (up_.r.can_push()) {
         up_.r.push(AxiR{0, Resp::kSlvErr, true});
         up_.ar.pop();
-        progress = true;
       }
     } else {
       const u8 halves = (ar->size >= 3) ? 2 : 1;
@@ -38,28 +38,29 @@ bool WidthConverter64To32::tick() {
           reads_.push_back(PendingRead{a, 1, 1});
         }
         up_.ar.pop();
-        progress = true;
+      } else {
+        down_.ar.watch_as_producer(this, halves);
       }
     }
   }
 
   // --- read response path: assemble downstream R halves into one beat.
+  // The last half is popped only once its completion can be pushed.
   if (const AxiR* r = down_.r.front()) {
     PendingRead& p = reads_.front();
-    const u8 idx = p.halves_total - p.halves_left;  // 0 = first half
-    const bool high_lane =
-        (p.halves_total == 2) ? (idx == 1) : ((p.addr & 4) != 0);
-    p.assembled |= (r->data & 0xFFFFFFFFULL) << (high_lane ? 32 : 0);
-    p.worst = worse(p.worst, r->resp);
-    down_.r.pop();
-    progress = true;
-    if (--p.halves_left == 0) {
-      if (up_.r.can_push()) {
+    const bool last = p.halves_left == 1;
+    if (!last || up_.r.can_push()) {
+      const u8 idx = p.halves_total - p.halves_left;  // 0 = first half
+      const bool high_lane =
+          (p.halves_total == 2) ? (idx == 1) : ((p.addr & 4) != 0);
+      p.assembled |= (r->data & 0xFFFFFFFFULL) << (high_lane ? 32 : 0);
+      p.worst = worse(p.worst, r->resp);
+      down_.r.pop();
+      if (last) {
         up_.r.push(AxiR{p.assembled, p.worst, true});
         reads_.pop_front();
       } else {
-        ++p.halves_left;  // retry the completion next cycle
-        p.assembled &= high_lane ? 0xFFFFFFFFULL : ~0xFFFFFFFFULL;
+        --p.halves_left;
       }
     }
   }
@@ -71,37 +72,32 @@ bool WidthConverter64To32::tick() {
         if (up_.b.can_push()) {
           up_.b.push(AxiB{Resp::kSlvErr});
           up_.aw.pop();
-          progress = true;
         }
       } else {
         cur_aw_ = *aw;
         up_.aw.pop();
         aw_taken_ = true;
-        progress = true;
       }
     }
   }
   if (aw_taken_) {
     if (const AxiW* w = up_.w.front()) {
-      const bool lo = (w->strb & 0x0F) != 0;
-      const bool hi = (w->strb & 0xF0) != 0;
-      const u8 halves = static_cast<u8>(lo) + static_cast<u8>(hi);
+      const u8 halves = write_halves(*w);
       if (halves == 0) {
         // Strobe-less write: complete immediately with OKAY.
         if (up_.b.can_push()) {
           up_.b.push(AxiB{Resp::kOkay});
           up_.w.pop();
           aw_taken_ = false;
-          progress = true;
         }
       } else if (down_.aw.vacancy() >= halves && down_.w.vacancy() >= halves) {
         const Addr base = cur_aw_.addr & ~Addr{7};
-        if (lo) {
+        if ((w->strb & 0x0F) != 0) {
           down_.aw.push(AxiAw{base, 0, 2});
           down_.w.push(AxiW{w->data & 0xFFFFFFFFULL,
                             static_cast<u8>(w->strb & 0x0F), true});
         }
-        if (hi) {
+        if ((w->strb & 0xF0) != 0) {
           down_.aw.push(AxiAw{base + 4, 0, 2});
           down_.w.push(
               AxiW{(w->data >> 32) & 0xFFFFFFFFULL,
@@ -110,36 +106,63 @@ bool WidthConverter64To32::tick() {
         writes_.push_back(PendingWrite{halves});
         up_.w.pop();
         aw_taken_ = false;
-        progress = true;
+      } else {
+        down_.aw.watch_as_producer(this, halves);
+        down_.w.watch_as_producer(this, halves);
       }
     }
   }
 
-  // --- write response path: merge downstream Bs.
+  // --- write response path: merge downstream Bs. The last B is popped
+  // only once the completion can be pushed.
   if (const AxiB* b = down_.b.front()) {
     PendingWrite& p = writes_.front();
-    p.worst = worse(p.worst, b->resp);
-    if (p.halves_left == 1) {
-      if (up_.b.can_push()) {
-        up_.b.push(AxiB{p.worst});
-        down_.b.pop();
-        writes_.pop_front();
-        progress = true;
-      }
-      // A blocked completion only re-merges the same worst-of resp —
-      // idempotent, so it is not progress; the up_.b pop wakes us.
-    } else {
-      --p.halves_left;
+    if (p.halves_left > 1 || up_.b.can_push()) {
+      p.worst = worse(p.worst, b->resp);
       down_.b.pop();
-      progress = true;
+      if (--p.halves_left == 0) {
+        up_.b.push(AxiB{p.worst});
+        writes_.pop_front();
+      }
     }
   }
-  return progress;
+  return ready();
+}
+
+u8 WidthConverter64To32::write_halves(const AxiW& w) {
+  return static_cast<u8>(((w.strb & 0x0F) != 0) + ((w.strb & 0xF0) != 0));
+}
+
+bool WidthConverter64To32::ready() const {
+  if (const AxiAr* ar = up_.ar.front()) {
+    const u8 halves = (ar->size >= 3) ? 2 : 1;
+    if (ar->len != 0 ? up_.r.can_push() : down_.ar.vacancy() >= halves) {
+      return true;
+    }
+  }
+  if (down_.r.can_pop() &&
+      (reads_.front().halves_left > 1 || up_.r.can_push())) {
+    return true;
+  }
+  if (!aw_taken_) {
+    if (const AxiAw* aw = up_.aw.front()) {
+      if (aw->len == 0 || up_.b.can_push()) return true;
+    }
+  } else if (const AxiW* w = up_.w.front()) {
+    const u8 halves = write_halves(*w);
+    if (halves == 0 ? up_.b.can_push()
+                    : down_.aw.vacancy() >= halves &&
+                          down_.w.vacancy() >= halves) {
+      return true;
+    }
+  }
+  return down_.b.can_pop() &&
+         (writes_.front().halves_left > 1 || up_.b.can_push());
 }
 
 bool WidthConverter64To32::busy() const {
-  return !reads_.empty() || !writes_.empty() || aw_taken_ || !up_.idle() ||
-         !down_.idle();
+  return !reads_.empty() || !writes_.empty() || aw_taken_ ||
+         up_.has_request() || down_.r.can_pop() || down_.b.can_pop();
 }
 
 }  // namespace rvcap::axi

@@ -43,6 +43,9 @@ class WidthConverter64To32 : public sim::Component {
     Resp worst = Resp::kOkay;
   };
 
+  static u8 write_halves(const AxiW& w);
+  bool ready() const;
+
   AxiPort up_;
   AxiPort down_;
   std::deque<PendingRead> reads_;

@@ -3,8 +3,9 @@
 // Every component owns its own FIFO ports; where two owned ports face
 // each other, a wire shuttles beats across at one per channel per
 // cycle, like a registered link. Wires are the explicit interconnect
-// glue of the SoC assembly. Each wire watches both of its endpoints so
-// it wakes the cycle a beat lands on either side.
+// glue of the SoC assembly. A wire consumes the channels that flow
+// through it and produces into their far ends, so it wakes the cycle a
+// beat lands on its input side or a full output reopens.
 #pragma once
 
 #include "axi/types.hpp"
@@ -13,25 +14,71 @@
 
 namespace rvcap::axi {
 
+namespace detail {
+
+template <typename T>
+bool can_move(const sim::Fifo<T>& from, const sim::Fifo<T>& to) {
+  return from.can_pop() && to.can_push();
+}
+
+/// Move one beat from -> to when both ends allow it.
+template <typename T>
+bool move_one(sim::Fifo<T>& from, sim::Fifo<T>& to) {
+  if (!can_move(from, to)) return false;
+  to.push(*from.pop());
+  return true;
+}
+
+/// One registered link between the ports a (manager side) and b
+/// (subordinate side): requests flow a->b, responses b->a.
+template <typename Port>
+class PortLink : public sim::Component {
+ public:
+  PortLink(std::string name, Port& a, Port& b)
+      : Component(std::move(name)), a_(a), b_(b) {
+    a_.watch_subordinate(this);
+    b_.watch_manager(this);
+  }
+
+  bool tick() override {
+    move_one(a_.ar, b_.ar);
+    move_one(a_.aw, b_.aw);
+    move_one(a_.w, b_.w);
+    move_one(b_.r, a_.r);
+    move_one(b_.b, a_.b);
+    return can_move(a_.ar, b_.ar) || can_move(a_.aw, b_.aw) ||
+           can_move(a_.w, b_.w) || can_move(b_.r, a_.r) ||
+           can_move(b_.b, a_.b);
+  }
+  bool busy() const override {
+    return a_.has_request() || b_.r.can_pop() || b_.b.can_pop();
+  }
+
+ private:
+  Port& a_;
+  Port& b_;
+};
+
+}  // namespace detail
+
 /// AXI-Stream link: from -> to.
 class AxisWire : public sim::Component {
  public:
   AxisWire(std::string name, AxisFifo& from, AxisFifo& to)
       : Component(std::move(name)), from_(from), to_(to) {
-    from_.watch(this);
-    to_.watch(this);
+    from_.watch_as_consumer(this);
+    to_.watch_as_producer(this);
   }
 
   bool tick() override {
-    if (from_.can_pop() && to_.can_push()) {
+    if (detail::can_move(from_, to_)) {
       const AxisBeat b = *from_.pop();
       to_.push(b);
       ++beats_;
       RVCAP_TRACE(trace_sink(), obs::EventKind::kAxisBeat, trace_src(),
                   sim_now(), b.data & 0xFFFFFFFF, b.last ? 1 : 0);
-      return true;
     }
-    return false;
+    return detail::can_move(from_, to_);
   }
   bool busy() const override { return from_.can_pop(); }
 
@@ -50,89 +97,9 @@ class AxisWire : public sim::Component {
 
 /// Full AXI link between a manager-facing and a subordinate-facing port:
 /// requests flow a->b, responses b->a.
-class AxiWire : public sim::Component {
- public:
-  AxiWire(std::string name, AxiPort& a, AxiPort& b)
-      : Component(std::move(name)), a_(a), b_(b) {
-    a_.watch(this);
-    b_.watch(this);
-  }
-
-  bool tick() override {
-    bool moved = false;
-    if (a_.ar.can_pop() && b_.ar.can_push()) {
-      b_.ar.push(*a_.ar.pop());
-      moved = true;
-    }
-    if (a_.aw.can_pop() && b_.aw.can_push()) {
-      b_.aw.push(*a_.aw.pop());
-      moved = true;
-    }
-    if (a_.w.can_pop() && b_.w.can_push()) {
-      b_.w.push(*a_.w.pop());
-      moved = true;
-    }
-    if (b_.r.can_pop() && a_.r.can_push()) {
-      a_.r.push(*b_.r.pop());
-      moved = true;
-    }
-    if (b_.b.can_pop() && a_.b.can_push()) {
-      a_.b.push(*b_.b.pop());
-      moved = true;
-    }
-    return moved;
-  }
-  bool busy() const override {
-    return a_.ar.can_pop() || a_.aw.can_pop() || a_.w.can_pop() ||
-           b_.r.can_pop() || b_.b.can_pop();
-  }
-
- private:
-  AxiPort& a_;
-  AxiPort& b_;
-};
+using AxiWire = detail::PortLink<AxiPort>;
 
 /// AXI4-Lite link, same direction convention as AxiWire.
-class LiteWire : public sim::Component {
- public:
-  LiteWire(std::string name, AxiLitePort& a, AxiLitePort& b)
-      : Component(std::move(name)), a_(a), b_(b) {
-    a_.watch(this);
-    b_.watch(this);
-  }
-
-  bool tick() override {
-    bool moved = false;
-    if (a_.ar.can_pop() && b_.ar.can_push()) {
-      b_.ar.push(*a_.ar.pop());
-      moved = true;
-    }
-    if (a_.aw.can_pop() && b_.aw.can_push()) {
-      b_.aw.push(*a_.aw.pop());
-      moved = true;
-    }
-    if (a_.w.can_pop() && b_.w.can_push()) {
-      b_.w.push(*a_.w.pop());
-      moved = true;
-    }
-    if (b_.r.can_pop() && a_.r.can_push()) {
-      a_.r.push(*b_.r.pop());
-      moved = true;
-    }
-    if (b_.b.can_pop() && a_.b.can_push()) {
-      a_.b.push(*b_.b.pop());
-      moved = true;
-    }
-    return moved;
-  }
-  bool busy() const override {
-    return a_.ar.can_pop() || a_.aw.can_pop() || a_.w.can_pop() ||
-           b_.r.can_pop() || b_.b.can_pop();
-  }
-
- private:
-  AxiLitePort& a_;
-  AxiLitePort& b_;
-};
+using LiteWire = detail::PortLink<AxiLitePort>;
 
 }  // namespace rvcap::axi

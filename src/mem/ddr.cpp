@@ -1,5 +1,6 @@
 #include "mem/ddr.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bytes.hpp"
@@ -8,70 +9,61 @@ namespace rvcap::mem {
 
 DdrController::DdrController(std::string name, const Config& cfg)
     : Component(std::move(name)), cfg_(cfg) {
-  port_.watch(this);
+  port_.watch_subordinate(this);
 }
 
-u8* DdrController::page_for(Addr addr) {
-  const u64 key = addr >> kPageShift;
+u8* DdrController::page(u64 key) {
+  if (key == cached_key_) return cached_page_;
   auto& p = pages_[key];
   if (!p) {
     p = std::make_unique<Page>();
     p->fill(0);
   }
-  return p->data() + (addr & (kPageSize - 1));
+  cached_key_ = key;
+  cached_page_ = p->data();
+  return cached_page_;
 }
 
-const u8* DdrController::page_for(Addr addr) const {
-  const auto it = pages_.find(addr >> kPageShift);
+const u8* DdrController::find_page(u64 key) const {
+  if (key == cached_key_) return cached_page_;
+  const auto it = pages_.find(key);
   if (it == pages_.end()) return nullptr;
-  return it->second->data() + (addr & (kPageSize - 1));
+  cached_key_ = key;
+  cached_page_ = it->second->data();
+  return cached_page_;
 }
 
 u64 DdrController::read_beat(Addr addr) const {
   const Addr a = addr & ~Addr{7};
-  const u8* p = page_for(a);
+  const u8* p = find_page(a >> kPageShift);
   if (p == nullptr) return 0;
   u64 v;
-  std::memcpy(&v, p, 8);  // host is little-endian like the SoC
+  std::memcpy(&v, p + (a & (kPageSize - 1)), 8);  // host is little-endian
   return v;
 }
 
 void DdrController::write_beat(Addr addr, u64 data, u8 strb) {
   const Addr a = addr & ~Addr{7};
-  u8* p = page_for(a);
+  u8* p = page(a >> kPageShift) + (a & (kPageSize - 1));
   for (unsigned i = 0; i < 8; ++i) {
     if (strb & (1u << i)) p[i] = static_cast<u8>(data >> (8 * i));
   }
 }
 
 bool DdrController::tick() {
-  bool progress = false;
-  // Accept new requests (address channels are independent of the data bus).
+  const Cycles now = sim_now();
+  // Accept new requests (address channels are independent of the data
+  // bus). A read's first beat leaves latency - 1 cycles after the accept
+  // cycle; queued latencies overlap (pipelined controller).
   if (const axi::AxiAr* ar = port_.ar.front()) {
-    reads_.push_back(ReadJob{ar->addr, u32{ar->len} + 1, cfg_.read_latency});
+    const Cycles lat = cfg_.read_latency;
+    reads_.push_back(
+        ReadJob{ar->addr, u32{ar->len} + 1, now + (lat > 0 ? lat - 1 : 0)});
     port_.ar.pop();
-    progress = true;
   }
   if (const axi::AxiAw* aw = port_.aw.front()) {
-    writes_.push_back(WriteJob{aw->addr, u32{aw->len} + 1, kWriteLatency});
+    writes_.push_back(WriteJob{aw->addr, u32{aw->len} + 1});
     port_.aw.pop();
-    progress = true;
-  }
-
-  // Latency countdowns overlap across queued jobs (pipelined controller);
-  // each decrement is observable state, keeping the controller awake
-  // while bursts are in flight.
-  for (auto& j : reads_) {
-    if (j.wait > 0) {
-      --j.wait;
-      progress = true;
-    }
-  }
-  for (auto& j : writes_) {
-    if (j.data_done && j.wait > 0) {
-      --j.wait;
-      progress = true;
-    }
   }
 
   // Full-duplex data movement: the AXI R and W channels are
@@ -82,43 +74,85 @@ bool DdrController::tick() {
     write_beat(j.addr, w.data, w.strb);
     j.addr += 8;
     ++beats_;
-    progress = true;
-    if (--j.beats_left == 0) j.data_done = true;
+    if (--j.beats_left == 0) {
+      j.data_done = true;
+      j.ready_at = now + kWriteLatency;
+    }
   }
-  if (!reads_.empty() && reads_.front().wait == 0 && port_.r.can_push()) {
+  if (!reads_.empty() && reads_.front().ready_at <= now &&
+      port_.r.can_push()) {
     ReadJob& j = reads_.front();
     const bool last = (j.beats_left == 1);
     port_.r.push(axi::AxiR{read_beat(j.addr), axi::Resp::kOkay, last});
     j.addr += 8;
     ++beats_;
-    progress = true;
     if (--j.beats_left == 0) reads_.pop_front();
   }
 
   // Write responses (B channel is independent of the data bus).
   if (!writes_.empty()) {
-    WriteJob& j = writes_.front();
-    if (j.data_done && j.wait == 0 && port_.b.can_push()) {
+    const WriteJob& j = writes_.front();
+    if (j.data_done && j.ready_at <= now && port_.b.can_push()) {
       port_.b.push(axi::AxiB{axi::Resp::kOkay});
       writes_.pop_front();
-      progress = true;
     }
   }
-  return progress;
+  return ready();
+}
+
+bool DdrController::ready() {
+  const Cycles next = sim_now() + 1;
+  bool can = port_.ar.can_pop() || port_.aw.can_pop();
+  if (!reads_.empty() && port_.r.can_push()) {
+    const Cycles t = reads_.front().ready_at;
+    if (t <= next) {
+      can = true;
+    } else {
+      wake_at(t);
+    }
+  }
+  if (!writes_.empty()) {
+    const WriteJob& j = writes_.front();
+    if (!j.data_done) {
+      can |= port_.w.can_pop();
+    } else if (port_.b.can_push()) {
+      if (j.ready_at <= next) {
+        can = true;
+      } else {
+        wake_at(j.ready_at);
+      }
+    }
+  }
+  return can;
 }
 
 bool DdrController::busy() const {
-  return !reads_.empty() || !writes_.empty() || !port_.idle();
+  return !reads_.empty() || !writes_.empty() || port_.has_request();
 }
 
 void DdrController::poke(Addr addr, std::span<const u8> data) {
-  for (usize i = 0; i < data.size(); ++i) *page_for(addr + i) = data[i];
+  usize done = 0;
+  while (done < data.size()) {
+    const Addr a = addr + done;
+    const usize off = a & (kPageSize - 1);
+    const usize n = std::min(kPageSize - off, data.size() - done);
+    std::memcpy(page(a >> kPageShift) + off, data.data() + done, n);
+    done += n;
+  }
 }
 
 void DdrController::peek(Addr addr, std::span<u8> out) const {
-  for (usize i = 0; i < out.size(); ++i) {
-    const u8* p = page_for(addr + i);
-    out[i] = (p != nullptr) ? *p : 0;
+  usize done = 0;
+  while (done < out.size()) {
+    const Addr a = addr + done;
+    const usize off = a & (kPageSize - 1);
+    const usize n = std::min(kPageSize - off, out.size() - done);
+    if (const u8* p = find_page(a >> kPageShift)) {
+      std::memcpy(out.data() + done, p + off, n);
+    } else {
+      std::memset(out.data() + done, 0, n);
+    }
+    done += n;
   }
 }
 

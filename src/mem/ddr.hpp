@@ -2,9 +2,10 @@
 //
 // Timing envelope, not per-bank DRAM simulation:
 //  * fixed first-access latency per burst (row activation + controller
-//    pipeline), with latency countdowns of queued bursts overlapping the
+//    pipeline), with the latencies of queued bursts overlapping the
 //    data phase of earlier ones — a MIG keeps the data bus saturated on
-//    back-to-back sequential bursts, which is what the RV-CAP DMA issues;
+//    back-to-back sequential bursts, which is what the RV-CAP DMA issues.
+//    Each latency is a deadline (wake_at), not a per-cycle countdown;
 //  * full-duplex data movement, as on AXI4: the R and W channels are
 //    independent, so a concurrent read + write stream (accelerator
 //    mode: MM2S fetch + S2MM write-back) moves one beat per channel per
@@ -13,7 +14,9 @@
 //
 // Backing store is 4 KiB-paged and lazily allocated, so a 1 GiB address
 // window costs only what is touched. Byte access helpers provide the
-// test/bench backdoor (paper §IV preloads bitstreams into DDR too).
+// test/bench backdoor (paper §IV preloads bitstreams into DDR too); they
+// copy page-sized chunks, and the beat path keeps a one-entry page
+// cache.
 #pragma once
 
 #include <array>
@@ -63,25 +66,33 @@ class DdrController : public sim::Component {
   struct ReadJob {
     Addr addr;
     u32 beats_left;
-    u32 wait;  // remaining first-access latency
+    Cycles ready_at;  // first R beat may leave at this cycle
   };
   struct WriteJob {
     Addr addr;
     u32 beats_left;
-    u32 wait;        // latency before B after data complete
+    Cycles ready_at = 0;  // B may leave at this cycle (once data_done)
     bool data_done = false;
   };
 
-  u8* page_for(Addr addr);
-  const u8* page_for(Addr addr) const;  // nullptr if untouched
+  /// Start of the page holding addr, allocated on first touch.
+  u8* page(u64 key);
+  /// Start of the page, or nullptr if it was never touched.
+  const u8* find_page(u64 key) const;
   u64 read_beat(Addr addr) const;
   void write_beat(Addr addr, u64 data, u8 strb);
+  /// Whether the controller can progress next cycle; otherwise arms the
+  /// latency deadline it waits on (an R or B beat whose turn is later).
+  bool ready();
 
   Config cfg_;
   axi::AxiPort port_;
   std::deque<ReadJob> reads_;
   std::deque<WriteJob> writes_;
-  mutable std::unordered_map<u64, std::unique_ptr<Page>> pages_;
+  std::unordered_map<u64, std::unique_ptr<Page>> pages_;
+  // One-entry page cache of the beat path (pages never move or die).
+  mutable u64 cached_key_ = ~u64{0};
+  mutable u8* cached_page_ = nullptr;
   u64 beats_ = 0;
 };
 

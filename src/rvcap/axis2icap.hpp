@@ -35,6 +35,8 @@ class Axis2Icap : public sim::Component {
   }
 
  private:
+  bool ready() const;
+
   static u32 bswap(u32 v) {
     return (v >> 24) | ((v >> 8) & 0xFF00) | ((v << 8) & 0xFF0000) |
            (v << 24);

@@ -12,8 +12,8 @@ using bitstream::kZeroTag;
 Decompressor::Decompressor(std::string name, axi::AxisFifo& in,
                            axi::AxisFifo& out)
     : Component(std::move(name)), in_(in), out_(out) {
-  in_.watch(this);
-  out_.watch(this);
+  in_.watch_as_consumer(this);
+  out_.watch_as_producer(this);
 }
 
 void Decompressor::set_enabled(bool e) {
@@ -62,45 +62,34 @@ void Decompressor::emit_word(u32 w) {
 }
 
 bool Decompressor::tick() {
+  if (!ready()) return false;
   if (!enabled_) {
     // Passthrough wire.
-    if (in_.can_pop() && out_.can_push()) {
-      out_.push(*in_.pop());
-      return true;
-    }
-    return false;
+    out_.push(*in_.pop());
+    return ready();
   }
-  if (format_error_) return false;
-  if (!out_.can_push()) return false;  // downstream back-pressure
+  decode();
+  return ready();
+}
 
-  // Every decoder transition either consumes an input word or emits an
-  // output word, so these counters (plus the half-beat flush below)
-  // capture all observable progress.
-  const u64 in0 = words_in_;
-  const u64 out0 = words_out_;
-  const bool pend0 = have_pending_out_;
-  const auto moved = [&] {
-    return words_in_ != in0 || words_out_ != out0 ||
-           have_pending_out_ != pend0;
-  };
-
+void Decompressor::decode() {
   // Emit at most one beat (two words) per cycle.
   for (int half = 0; half < 2; ++half) {
     switch (state_) {
       case State::kMagic: {
         u32 w;
-        if (!next_input_word(&w)) return moved();
+        if (!next_input_word(&w)) return;
         if (w != kCompressMagic) {
           format_error_ = true;
           log_warn("decompressor: bad magic 0x", std::hex, w);
-          return moved();
+          return;
         }
         state_ = State::kHeader;
         break;
       }
       case State::kHeader: {
         u32 w;
-        if (!next_input_word(&w)) return moved();
+        if (!next_input_word(&w)) return;
         const u32 tag = w >> 28;
         run_left_ = w & kRunCountMask;
         if (tag == kLiteralTag) {
@@ -110,13 +99,13 @@ bool Decompressor::tick() {
         } else {
           format_error_ = true;
           log_warn("decompressor: bad record tag");
-          return moved();
+          return;
         }
         break;
       }
       case State::kLiteral: {
         u32 w;
-        if (!next_input_word(&w)) return moved();
+        if (!next_input_word(&w)) return;
         emit_word(w);
         if (--run_left_ == 0) state_ = State::kHeader;
         break;
@@ -130,12 +119,24 @@ bool Decompressor::tick() {
 
   // Odd total word count: flush the final half-beat once the input
   // stream has ended (the original bitstream had an odd word count).
-  if (saw_last_in_ && !have_pending_in_ && run_left_ == 0 &&
-      have_pending_out_ && out_.can_push()) {
+  if (flush_due() && out_.can_push()) {
     out_.push(axi::AxisBeat{u64{bswap(pending_out_)}, 0x0F, true});
     have_pending_out_ = false;
   }
-  return moved();
+}
+
+bool Decompressor::flush_due() const {
+  return saw_last_in_ && !have_pending_in_ && run_left_ == 0 &&
+         have_pending_out_;
+}
+
+bool Decompressor::ready() const {
+  if (!out_.can_push()) return false;  // downstream back-pressure
+  if (!enabled_) return in_.can_pop();
+  // Every decoder step consumes an input word, emits a zero word, or
+  // flushes the final half-beat.
+  return !format_error_ && (in_.can_pop() || have_pending_in_ ||
+                            state_ == State::kZeros || flush_due());
 }
 
 bool Decompressor::busy() const {

@@ -55,6 +55,10 @@ class Decompressor : public sim::Component {
   bool next_input_word(u32* w);
   /// Queue one logical output word; emits a beat every second word.
   void emit_word(u32 w);
+  /// One cycle of the enabled decoder.
+  void decode();
+  bool flush_due() const;
+  bool ready() const;
 
   axi::AxisFifo& in_;
   axi::AxisFifo& out_;

@@ -1,5 +1,6 @@
 #include "rvcap/dma.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hpp"
@@ -10,9 +11,14 @@ namespace rvcap::rvcap_ctrl {
 AxiDma::AxiDma(std::string name, const Config& cfg)
     : AxiLiteSlave(std::move(name)), cfg_(cfg) {
   s2mm_buf_.reserve(cfg_.max_burst_beats);
-  mem_.watch(this);
-  mm2s_out_.watch(this);
-  s2mm_in_.watch(this);
+  // An S2MM flush pushes a whole burst into mem_.w; a blocked flush
+  // re-declares the need of its own (possibly final, shorter) burst.
+  mem_.watch_manager(this);
+  mem_.w.watch_as_producer(
+      this, std::min<u32>(cfg_.max_burst_beats,
+                          static_cast<u32>(mem_.w.capacity())));
+  mm2s_out_.watch_as_producer(this);
+  s2mm_in_.watch_as_consumer(this);
 }
 
 void AxiDma::on_register(obs::Observability& o) {
@@ -243,9 +249,11 @@ bool AxiDma::tick_s2mm() {
   }
 
   // Flush a full burst (or the final partial burst).
-  const bool final_flush = (j.bytes_left == 0 && !s2mm_buf_.empty());
-  if ((s2mm_buf_.size() == cfg_.max_burst_beats || final_flush) &&
-      mem_.aw.can_push() && mem_.w.vacancy() >= s2mm_buf_.size()) {
+  if (flush_due() && mem_.w.vacancy() < s2mm_buf_.size()) {
+    mem_.w.watch_as_producer(this, static_cast<u32>(s2mm_buf_.size()));
+  }
+  if (flush_due() && mem_.aw.can_push() &&
+      mem_.w.vacancy() >= s2mm_buf_.size()) {
     mem_.aw.push(axi::AxiAw{
         j.addr, static_cast<u8>(s2mm_buf_.size() - 1), 3});
     for (usize i = 0; i < s2mm_buf_.size(); ++i) {
@@ -278,6 +286,33 @@ bool AxiDma::tick_s2mm() {
   return progress;
 }
 
+bool AxiDma::flush_due() const {
+  return s2mm_buf_.size() == cfg_.max_burst_beats ||
+         (s2mm_job_->bytes_left == 0 && !s2mm_buf_.empty());
+}
+
+bool AxiDma::device_ready() const {
+  if (!mm2s_job_.has_value()) {
+    if (mem_.r.can_pop()) return true;  // draining an ended job's bursts
+  } else if (!mm2s_stalled_) {
+    const Mm2sJob& j = *mm2s_job_;
+    if ((j.bytes_left_to_request > 0 &&
+         mm2s_bursts_outstanding_ < cfg_.max_outstanding &&
+         mem_.ar.can_push()) ||
+        (mem_.r.can_pop() && mm2s_out_.can_push())) {
+      return true;
+    }
+  }
+  if (!s2mm_job_.has_value()) return false;
+  const S2mmJob& j = *s2mm_job_;
+  return (j.bytes_left > 0 && s2mm_buf_.size() < cfg_.max_burst_beats &&
+          s2mm_in_.can_pop()) ||
+         (flush_due() && mem_.aw.can_push() &&
+          mem_.w.vacancy() >= s2mm_buf_.size()) ||
+         mem_.b.can_pop() ||
+         (j.bytes_left == 0 && s2mm_buf_.empty() && j.bursts_in_flight == 0);
+}
+
 void AxiDma::update_irqs() {
   mm2s_irq_.set(((mm2s_sr_ & kSrIocIrq) && (mm2s_cr_ & kCrIocIrqEn)) ||
                 ((mm2s_sr_ & kSrErrIrq) && (mm2s_cr_ & kCrErrIrqEn)));
@@ -285,8 +320,9 @@ void AxiDma::update_irqs() {
 }
 
 bool AxiDma::device_busy() const {
-  return mm2s_job_.has_value() || s2mm_job_.has_value() || !mem_.idle() ||
-         mm2s_out_.can_pop() || s2mm_in_.can_pop();
+  return mm2s_job_.has_value() || s2mm_job_.has_value() ||
+         mm2s_bursts_outstanding_ > 0 || mem_.r.can_pop() ||
+         mem_.b.can_pop() || s2mm_in_.can_pop();
 }
 
 }  // namespace rvcap::rvcap_ctrl

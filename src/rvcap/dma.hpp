@@ -81,6 +81,7 @@ class AxiDma : public axi::AxiLiteSlave {
   u32 read_reg(Addr addr) override;
   void write_reg(Addr addr, u32 value) override;
   bool device_tick() override;
+  bool device_ready() const override;
   bool device_busy() const override;
 
  private:
@@ -98,6 +99,8 @@ class AxiDma : public axi::AxiLiteSlave {
 
   bool tick_mm2s();
   bool tick_s2mm();
+  /// The S2MM buffer holds a full burst, or the job's final one.
+  bool flush_due() const;
   void update_irqs();
 
   Config cfg_;

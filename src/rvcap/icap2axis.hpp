@@ -32,6 +32,8 @@ class Icap2Axis : public sim::Component {
   u64 beats_emitted() const { return beats_; }
 
  private:
+  bool ready() const;
+
   static u32 bswap(u32 v) {
     return (v >> 24) | ((v >> 8) & 0xFF00) | ((v << 8) & 0xFF0000) |
            (v << 24);

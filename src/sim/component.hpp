@@ -1,19 +1,24 @@
 // Base class for clocked hardware components, plus the activity
 // contract of the quiescence-aware kernel (DESIGN.md §9).
 //
-// A component's tick() now reports whether it made progress. The
-// scheduled kernel uses that to let quiescent components sleep; wake
-// sources (Fifo, ConfigMemory, AxisSwitch — anything a sleeping
-// component's next tick could observe) re-activate them through
-// Component::wake(). The contract that makes sleeping sound:
+// The scheduled kernel ticks a component only while it can make
+// progress. The contract that makes sleeping sound:
 //
-//   * tick() returns true iff it changed any observable state (moved a
-//     beat, advanced a counter, latched a register). A false-returning
-//     tick would stay a no-op if re-run, until an external event fires.
-//   * A component registers itself (via Fifo::watch etc.) on EVERY
-//     channel its tick reads or writes — its own and its neighbours'.
-//     Spurious wakes are harmless (the extra tick changes nothing);
-//     missing wakes are bugs (the component sleeps through work).
+//   * tick() returns true iff the component can progress next cycle
+//     without a new event (a queued beat it can move, a countdown that
+//     has not expired). A false return parks it; a true return that
+//     turns out to be a no-op only costs one tick.
+//   * Wakes the component raises on itself during its own tick are
+//     dropped: the return value alone decides whether it stays active.
+//   * Everything else that can let a parked component progress raises
+//     a wake: the push that makes a FIFO it consumes non-empty
+//     (Fifo::watch_as_consumer), the pop that reopens the vacancy its
+//     blocked push needs (Fifo::watch_as_producer), a clear, a mutator
+//     that calls wake(), or a deadline set with wake_at(). Components
+//     that are not converted to directional wakes use Fifo::watch(),
+//     which wakes on every push, pop and clear.
+//   * busy() reads only the component's own queues and the channels it
+//     consumes, so a sleeper's busy() cannot change without waking it.
 #pragma once
 
 #include <cassert>
@@ -36,23 +41,35 @@ class Simulator;
 /// Fixed-capacity list of components to re-activate on an event.
 /// Channel primitives embed one. Capacity covers the widest fan-out in
 /// the SoC; overflow asserts instead of silently dropping a watcher
-/// (a dropped watcher would sleep through its wake and diverge).
+/// (a dropped watcher would sleep through its wake and diverge). Each
+/// entry carries a level: a Fifo wakes it only when an event leaves
+/// the FIFO's occupancy (push) or vacancy (pop) at exactly that level.
 class WakeList {
  public:
   static constexpr usize kCapacity = 8;
+  /// Level of an entry woken by every event (Fifo::watch()).
+  static constexpr u32 kEveryEvent = 0;
 
-  void add(Component* c) {
+  /// Add c; adding it again only replaces its level.
+  void add(Component* c, u32 level = kEveryEvent) {
     for (usize i = 0; i < count_; ++i) {
-      if (watchers_[i] == c) return;  // idempotent
+      if (watchers_[i] == c) {
+        levels_[i] = level;
+        return;
+      }
     }
     assert(count_ < kCapacity && "WakeList overflow: raise kCapacity");
+    levels_[count_] = level;
     watchers_[count_++] = c;
   }
 
   inline void notify() const;  // defined after Component
+  /// Wake the entries whose level is kEveryEvent or exactly `level`.
+  inline void notify_level(usize level) const;
 
  private:
   Component* watchers_[kCapacity] = {};
+  u32 levels_[kCapacity] = {};
   usize count_ = 0;
 };
 
@@ -96,6 +113,7 @@ struct KernelHooks {
   ActiveSet active;
   u64 wakeups = 0;          // sleep -> active transitions
   usize sleeping_busy = 0;  // sleepers whose busy() was true at sleep
+  const Component* ticking = nullptr;  // inside its tick (scheduled)
 };
 
 /// A clocked component. The Simulator calls tick() at most once per
@@ -111,14 +129,17 @@ class Component {
   Component(const Component&) = delete;
   Component& operator=(const Component&) = delete;
 
-  /// Advance one core-clock cycle. Returns whether the tick made
-  /// progress (see the activity contract above). The flat kernel
-  /// ignores the return value; the scheduled kernel parks the
-  /// component after a false return until something wakes it.
+  /// Advance one core-clock cycle. Returns whether the component can
+  /// progress next cycle without a new event (see the activity
+  /// contract above). The flat kernel ignores the return value; the
+  /// scheduled kernel parks the component after a false return until
+  /// something wakes it.
   virtual bool tick() = 0;
 
   /// True while the component has unfinished internal work. The
   /// simulator's run_until_idle() uses this to detect quiescence.
+  /// Reads only the component's own state and the channels it
+  /// consumes.
   virtual bool busy() const { return false; }
 
   std::string_view name() const { return name_; }
@@ -126,10 +147,10 @@ class Component {
   /// Re-activate this component. If its tick turn for the current
   /// cycle has not passed yet it runs this cycle, otherwise next
   /// cycle — exactly when the flat loop would have it observe the
-  /// event. No-op before registration; waking an awake component is
-  /// free.
+  /// event. No-op before registration and inside the component's own
+  /// tick; waking an awake component is free.
   void wake() {
-    if (hooks_ == nullptr) return;
+    if (hooks_ == nullptr || hooks_->ticking == this) return;
     if (!hooks_->active.set(slot_)) return;
     ++hooks_->wakeups;
     if (sleeping_busy_) {
@@ -138,8 +159,11 @@ class Component {
     }
   }
 
-  /// Idle-until hint: schedule a wake at absolute cycle t (no-op
-  /// before registration; t <= now wakes immediately).
+  /// Deadline: schedule a wake at absolute cycle t. No-op before
+  /// registration and under the flat kernel (which ticks every cycle
+  /// anyway); t <= now wakes immediately; re-arming the pending
+  /// deadline is free. A tick that waits on a deadline re-arms it, so
+  /// a switch from the flat kernel cannot lose it.
   void wake_at(Cycles t);
 
   /// Current simulation time, readable from inside tick(). 0 before
@@ -172,10 +196,19 @@ class Component {
   u16 trace_src_ = 0;
   u32 slot_ = 0;
   bool sleeping_busy_ = false;
+  Cycles armed_at_ = 0;  // latest deadline put on the time wheel
 };
 
 inline void WakeList::notify() const {
   for (usize i = 0; i < count_; ++i) watchers_[i]->wake();
+}
+
+inline void WakeList::notify_level(usize level) const {
+  for (usize i = 0; i < count_; ++i) {
+    if (levels_[i] == kEveryEvent || levels_[i] == level) {
+      watchers_[i]->wake();
+    }
+  }
 }
 
 }  // namespace rvcap::sim

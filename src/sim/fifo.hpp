@@ -7,13 +7,18 @@
 // element per tick models a 1-beat-per-cycle port. Throughput therefore
 // emerges from structure, not from annotated delays.
 //
-// The FIFO doubles as the kernel's wake source: components register via
-// watch(), and every successful push, successful pop, and clear
-// re-activates all watchers. A push wakes the sleeping consumer the
-// cycle data arrives; a pop wakes a producer that went to sleep on
-// back-pressure. Watchers include the endpoint that caused the event —
-// a self-wake is harmless (its next tick either makes progress or
-// returns false and re-sleeps).
+// The FIFO doubles as the kernel's wake source, and it wakes only the
+// side that can act (DESIGN.md §9):
+//   * a push wakes the consumers (watch_as_consumer) when it makes the
+//     FIFO non-empty; a push behind a queued element changes neither
+//     can_pop() nor front(), so it cannot unblock a consumer;
+//   * a pop wakes a producer (watch_as_producer) only when it raises
+//     the vacancy to exactly the producer's declared need — the pop
+//     that unblocks its stalled push; earlier and later pops cannot;
+//   * clear wakes everyone.
+// watch() stays for components not converted to directional wakes: it
+// wakes them on every push, pop and clear. The kernel drops the wake
+// an endpoint raises on itself during its own tick.
 //
 // Storage is a fixed ring of `capacity` slots allocated once, so a
 // push or pop never allocates. front() and back() point into the ring:
@@ -44,10 +49,26 @@ class Fifo {
   usize capacity() const { return ring_.size(); }
   usize vacancy() const { return ring_.size() - size_; }
 
-  /// Register a component to be re-activated whenever this FIFO's
-  /// state changes. Every component must watch every FIFO its tick
-  /// reads OR writes (see the activity contract in component.hpp).
-  void watch(Component* c) { watchers_.add(c); }
+  /// Wake c on every push, pop and clear (components not converted to
+  /// directional wakes; also for a FIFO with more than one consumer,
+  /// where another consumer's pop changes what c's busy() reads).
+  void watch(Component* c) {
+    on_push_.add(c, WakeList::kEveryEvent);
+    on_pop_.add(c, WakeList::kEveryEvent);
+  }
+
+  /// c pops this FIFO and decides from can_pop() and front() only:
+  /// wake it on the push that makes the FIFO non-empty, and on clear.
+  void watch_as_consumer(Component* c) { on_push_.add(c, 1); }
+
+  /// c pushes into this FIFO and its blocked push needs `need` free
+  /// slots: wake it on the pop that raises the vacancy to exactly
+  /// `need`, and on clear. A producer whose pushes vary in size calls
+  /// this again when it blocks, to declare the need of that push.
+  void watch_as_producer(Component* c, u32 need = 1) {
+    assert(need >= 1 && need <= ring_.size());
+    on_pop_.add(c, need);
+  }
 
   /// Push; returns false (and drops nothing) when full.
   bool push(T v) {
@@ -56,7 +77,7 @@ class Fifo {
     ++size_;
     ++pushed_;
     if (size_ > hwm_) hwm_ = size_;
-    watchers_.notify();
+    on_push_.notify_level(size_);
     return true;
   }
 
@@ -75,14 +96,15 @@ class Fifo {
     head_ = wrap(head_ + 1);
     --size_;
     ++popped_;
-    watchers_.notify();
+    on_pop_.notify_level(vacancy());
     return v;
   }
 
   void clear() {
     head_ = 0;
     size_ = 0;
-    watchers_.notify();
+    on_push_.notify();
+    on_pop_.notify();
   }
 
   /// Lifetime counters (used by tests and link probes).
@@ -98,7 +120,8 @@ class Fifo {
   std::vector<T> ring_;
   usize head_ = 0;  // ring index of the oldest element
   usize size_ = 0;
-  WakeList watchers_;
+  WakeList on_push_;  // consumers and watch()ers
+  WakeList on_pop_;   // producers (with need) and watch()ers
   u64 pushed_ = 0;
   u64 popped_ = 0;
   usize hwm_ = 0;

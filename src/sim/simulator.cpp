@@ -6,7 +6,7 @@ namespace rvcap::sim {
 // the hot wake() path header-inline without an include cycle.
 void Component::wake_at(Cycles t) {
   if (sim_ == nullptr) return;
-  sim_->schedule_wake(slot_, t);
+  sim_->schedule_wake(this, t);
 }
 
 }  // namespace rvcap::sim

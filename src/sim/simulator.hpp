@@ -3,8 +3,8 @@
 // Mode::kFlat is the original loop: tick every registered component
 // every cycle, in registration order. Mode::kScheduled (the default)
 // is the quiescence-aware kernel: only components in the active set
-// tick; a component whose tick() reports no progress is parked until a
-// watched channel event or a scheduled wake re-activates it, and when
+// tick; a component whose tick() reports it cannot progress is parked
+// until a channel event or a deadline re-activates it, and when
 // the active set empties the clock jumps straight to the next scheduled
 // wake. Both kernels are cycle-for-cycle equivalent by construction —
 // a skipped tick is one that would have been a no-op — and the
@@ -199,12 +199,19 @@ class Simulator {
     bool operator>(const Wake& o) const { return at > o.at; }
   };
 
-  void schedule_wake(u32 slot, Cycles t) {
+  void schedule_wake(Component* c, Cycles t) {
+    // The flat loop ticks everyone every cycle and never services the
+    // wheel, so a deadline there would only pile up.
+    if (mode_ == Mode::kFlat) return;
     if (t <= now_) {
-      components_[slot]->wake();
+      c->wake();
       return;
     }
-    wheel_.push(Wake{t, slot});
+    // Entries at or before now_ have been serviced, so a deadline equal
+    // to the last one armed is still on the wheel.
+    if (c->armed_at_ == t) return;
+    c->armed_at_ = t;
+    wheel_.push(Wake{t, c->slot_});
   }
 
   Cycles next_wake_at() const {
@@ -249,23 +256,23 @@ class Simulator {
         words[w] &= ~mask;  // consume the activation
         Component* c = components_[w * 64 + bit];
         ++executed;
+        hooks_.ticking = c;  // its own wakes are dropped
         if (c->tick()) {
-          // Progress: stays active next cycle.
+          // Can progress next cycle: stays active.
           words[w] |= mask;
-        } else if ((words[w] & mask) == 0 && !c->sleeping_busy_ &&
-                   c->busy()) {
+        } else if (!c->sleeping_busy_ && c->busy()) {
           // Going to sleep while busy (e.g. stalled on back-pressure):
           // record it so all_idle() stays exact without waking it.
           c->sleeping_busy_ = true;
           ++hooks_.sleeping_busy;
         }
         // Wakes raised during this tick target the rest of THIS cycle
-        // only for slots after the current one; slots at or before it
-        // (including self-wakes) run next cycle — exactly the
-        // observation order of the flat loop.
+        // only for slots after the current one; slots before it run
+        // next cycle — exactly the observation order of the flat loop.
         pend = (bit == 63) ? 0 : (words[w] & ~((mask << 1) - 1));
       }
     }
+    hooks_.ticking = nullptr;
     stats_.ticks_issued += executed;
     stats_.ticks_skipped += components_.size() - executed;
     ++now_;

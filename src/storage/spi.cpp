@@ -6,22 +6,30 @@ SpiController::SpiController(std::string name, SdCard& card, u32 clock_divider)
     : AxiLiteSlave(std::move(name)), card_(card), divider_(clock_divider) {}
 
 bool SpiController::device_tick() {
-  if (!shifting_) {
-    if (enabled_ && tx_.can_pop() && rx_.can_push()) {
-      shift_byte_ = *tx_.pop();
-      shift_countdown_ = 8 * divider_;
-      shifting_ = true;
-      return true;
+  if (shifting_) {
+    if (sim_now() < shift_done_at_) {
+      wake_at(shift_done_at_);  // re-armed: survives a flat->scheduled switch
+      return false;
     }
-    return false;
-  }
-  if (--shift_countdown_ == 0) {
     const u8 miso = card_.exchange(shift_byte_, (ssr_ & 1) == 0);
     rx_.push(miso);  // vacancy was checked before starting the shift
     ++bytes_;
     shifting_ = false;
+    return true;
   }
-  return true;  // the shift countdown advanced
+  if (enabled_ && tx_.can_pop() && rx_.can_push()) {
+    shift_byte_ = *tx_.pop();
+    shift_done_at_ = sim_now() + 8 * divider_;
+    wake_at(shift_done_at_);
+    shifting_ = true;
+    return true;
+  }
+  return false;
+}
+
+bool SpiController::device_ready() const {
+  if (shifting_) return shift_done_at_ <= sim_now() + 1;
+  return enabled_ && tx_.can_pop() && rx_.can_push();
 }
 
 u32 SpiController::read_reg(Addr addr) {

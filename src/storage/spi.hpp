@@ -12,6 +12,8 @@
 //
 // One byte takes 8 * clock_divider core cycles on the wire; divider 4
 // models the 25 MHz high-speed SD SPI clock from the 100 MHz core clock.
+// The shift is a deadline (wake_at), so the controller ticks twice per
+// byte instead of once per cycle.
 #pragma once
 
 #include "axi/lite_slave.hpp"
@@ -43,6 +45,7 @@ class SpiController : public axi::AxiLiteSlave {
   u32 read_reg(Addr addr) override;
   void write_reg(Addr addr, u32 value) override;
   bool device_tick() override;
+  bool device_ready() const override;
   bool device_busy() const override;
 
  private:
@@ -52,7 +55,7 @@ class SpiController : public axi::AxiLiteSlave {
   sim::Fifo<u8> rx_{16};
   u32 ssr_ = 0x1;  // deselected (active low)
   bool enabled_ = false;
-  u32 shift_countdown_ = 0;
+  Cycles shift_done_at_ = 0;  // cycle the shifting byte completes
   bool shifting_ = false;
   u8 shift_byte_ = 0;
   u64 bytes_ = 0;

@@ -43,7 +43,7 @@ class Echo32 : public sim::Component {
     }
     return true;  // test harness device: never sleeps
   }
-  bool busy() const override { return !port.idle(); }
+  bool busy() const override { return port.has_request(); }
 };
 
 struct WidthConvFixture : ::testing::Test {
@@ -112,6 +112,34 @@ TEST_F(WidthConvFixture, Positions32BitReadInAddressedLane) {
   ASSERT_TRUE(s.run_until([&] { return conv.upstream().r.can_pop(); }, 1000));
   const axi::AxiR r = *conv.upstream().r.pop();
   EXPECT_EQ(r.data >> 32, 0xABCD1234u);  // high lane for addr bit2=1
+}
+
+// The completion of a read finds the upstream R FIFO full: the last
+// half must stay in the downstream FIFO until the completion can be
+// pushed, and the read must complete once the FIFO drains.
+void read_behind_full_response_fifo(WidthConvFixture& f, Addr addr, u8 size,
+                                    u64 expect) {
+  f.echo.mem[0x500] = 0x11111111;
+  f.echo.mem[0x504] = 0x22222222;
+  auto& up = f.conv.upstream();
+  usize filler = 0;
+  while (up.r.push(axi::AxiR{0xF111, Resp::kOkay, true})) ++filler;
+  up.ar.push(axi::AxiAr{addr, 0, size});
+  f.s.run_cycles(100);  // the echo answers; the completion is blocked
+  ASSERT_EQ(up.r.size(), filler);
+  for (usize i = 0; i < filler; ++i) up.r.pop();
+  ASSERT_TRUE(f.s.run_until([&] { return up.r.can_pop(); }, 1000));
+  const axi::AxiR r = *up.r.pop();
+  EXPECT_EQ(r.resp, Resp::kOkay);
+  EXPECT_EQ(r.data, expect);
+}
+
+TEST_F(WidthConvFixture, Read32WaitsForRoomInFullResponseFifo) {
+  read_behind_full_response_fifo(*this, 0x504, 2, 0x2222222200000000ULL);
+}
+
+TEST_F(WidthConvFixture, Read64WaitsForRoomInFullResponseFifo) {
+  read_behind_full_response_fifo(*this, 0x500, 3, 0x2222222211111111ULL);
 }
 
 TEST_F(WidthConvFixture, BurstRejectedWithSlvErr) {

@@ -3,14 +3,15 @@
 // The activity-scheduled kernel must be indistinguishable from the flat
 // reference loop at cycle granularity: a skipped tick is one that would
 // have been a no-op. These tests run complete workloads — end-to-end
-// DMA reconfigurations, the HWICAP baseline, and fault-injected
-// self-healing activations — once under Simulator::Mode::kFlat and once
-// under Mode::kScheduled, and assert the outcomes are identical: same
-// now() at every milestone, same driver timing, same throughput, and
-// bit-for-bit identical DprManager failure journals under the same
-// fault seed. Any divergence here means a component broke the activity
-// contract (returned false from a tick that changed state, or mutated
-// state without raising a wake).
+// DMA reconfigurations, the HWICAP baseline, SD staging over SPI +
+// FAT32, and fault-injected self-healing activations — once under
+// Simulator::Mode::kFlat and once under Mode::kScheduled, and assert
+// the outcomes are identical: same now() at every milestone, same
+// driver timing, same throughput, and bit-for-bit identical DprManager
+// failure journals under the same fault seed. Any divergence here means
+// a component broke the activity contract (returned false from a tick
+// that could progress next cycle, or mutated state without raising a
+// wake).
 #include <gtest/gtest.h>
 
 #include "accel/rm_slot.hpp"
@@ -24,7 +25,9 @@
 #include "fabric/seu_process.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
+#include "driver/spi_sd.hpp"
 #include "soc/ariane_soc.hpp"
+#include "storage/fat32.hpp"
 
 namespace rvcap {
 namespace {
@@ -126,6 +129,80 @@ TEST(KernelEquivalence, RvcapBlockingModeIdentical) {
 TEST(KernelEquivalence, HwicapBaselineIdentical) {
   expect_same(run_hwicap(Simulator::Mode::kFlat, 16),
               run_hwicap(Simulator::Mode::kScheduled, 16));
+}
+
+// ---------------------------------------------------------------------
+// CPU-paced path: SD -> DDR over SPI + FAT32, then the HWICAP keyhole
+// ---------------------------------------------------------------------
+
+/// Everything observable about one SD staging + keyhole program run.
+struct SdStagingOutcome {
+  Cycles staged_cycle = 0;
+  Cycles final_cycle = 0;
+  std::vector<u8> staged;
+  std::vector<std::pair<std::string, u64>> counters;  // outside sim.*
+  bool loaded = false;
+};
+
+SdStagingOutcome run_sd_staging(Simulator::Mode mode) {
+  SocConfig cfg;
+  cfg.sim_mode = mode;
+  cfg.with_hwicap = true;
+  ArianeSoc soc(cfg);
+  // A single-CLB-column partition keeps the timed SPI transfer short.
+  const auto small = fabric::Partition("RP_SMALL", {{0, 2}});
+  const usize handle = soc.add_partition(small);
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc.device(), small, {9, "tiny"});
+  storage::MemBlockIo host_io(soc.sd_card());
+  EXPECT_EQ(storage::fat32_format(host_io), Status::kOk);
+  {
+    storage::Fat32Volume host_vol(host_io);
+    EXPECT_EQ(host_vol.mount(), Status::kOk);
+    EXPECT_EQ(host_vol.write_file("TINY.PB", pbit), Status::kOk);
+  }
+
+  // Target side: every SD byte is an SPI shift polled by the CPU.
+  driver::SpiSdDriver sd(soc.cpu());
+  EXPECT_EQ(sd.init_card(), Status::kOk);
+  driver::CpuBlockIo io(sd, soc.sd_card().block_count());
+  storage::Fat32Volume vol(io);
+  EXPECT_EQ(vol.mount(), Status::kOk);
+  driver::RvCapDriver loader(soc.cpu(), soc.plic());
+  driver::ReconfigModule mods[] = {{"TINY.PB", 9, 0, 0}};
+  EXPECT_EQ(loader.init_RModules(mods, vol), Status::kOk);
+
+  SdStagingOutcome o;
+  o.staged_cycle = soc.sim().now();
+  o.staged.resize(pbit.size());
+  soc.ddr().peek(mods[0].start_address, o.staged);
+  EXPECT_EQ(o.staged, pbit);
+
+  driver::HwIcapDriver hw(soc.cpu(), 16);
+  EXPECT_EQ(hw.init_reconfig_process(mods[0]), Status::kOk);
+  o.final_cycle = soc.sim().now();
+  o.loaded = soc.config_memory().partition_state(handle).loaded;
+  const obs::CounterRegistry& reg = soc.sim().obs().counters();
+  for (usize i = 0; i < reg.counter_count(); ++i) {
+    const std::string_view name = reg.counter_name(i);
+    if (name.starts_with("sim.")) continue;
+    o.counters.emplace_back(std::string(name), reg.counter_value(i));
+  }
+  return o;
+}
+
+TEST(KernelEquivalence, SdStagingIdentical) {
+  const SdStagingOutcome flat = run_sd_staging(Simulator::Mode::kFlat);
+  const SdStagingOutcome sched = run_sd_staging(Simulator::Mode::kScheduled);
+  EXPECT_TRUE(flat.loaded);
+  EXPECT_TRUE(sched.loaded);
+  EXPECT_EQ(flat.staged_cycle, sched.staged_cycle);
+  EXPECT_EQ(flat.final_cycle, sched.final_cycle);
+  EXPECT_TRUE(flat.staged == sched.staged);
+  ASSERT_EQ(flat.counters.size(), sched.counters.size());
+  for (usize i = 0; i < flat.counters.size(); ++i) {
+    EXPECT_EQ(flat.counters[i], sched.counters[i]);
+  }
 }
 
 // ---------------------------------------------------------------------

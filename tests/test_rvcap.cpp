@@ -214,6 +214,27 @@ TEST(Axis2IcapTest, EmitsOneWordPerCycle) {
   EXPECT_GE(s.now() - t0, 32u);  // one 32-bit word per cycle maximum
 }
 
+TEST(Axis2IcapTest, IdleOnceItsOutputDrains) {
+  // busy() reads the input and the buffered half-beat, never the ICAP
+  // port. Only the pop that reopens a full port wakes the converter,
+  // so a busy() that read the port would leave a stale busy sleeper
+  // once the port drains, and run_until_idle() would never return.
+  sim::Simulator s;
+  axi::AxisFifo in(4);
+  sim::Fifo<u32> out(2);
+  Axis2Icap conv("conv", in, out);
+  s.add(&conv);
+  in.push(axi::AxisBeat{0x2222222211111111ULL, 0xFF, false});
+  in.push(axi::AxisBeat{0x4444444433333333ULL, 0xFF, true});
+  u32 drained = 0;
+  for (int i = 0; i < 40 && drained < 4; ++i) {
+    s.run_cycles(2);
+    if (out.pop().has_value()) ++drained;  // one word per two cycles
+  }
+  ASSERT_EQ(drained, 4u);
+  EXPECT_TRUE(s.run_until_idle(10));
+}
+
 // ---------------------------------------------------------------------------
 // Full controller datapath
 // ---------------------------------------------------------------------------

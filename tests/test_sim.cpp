@@ -230,9 +230,9 @@ TEST(ScheduledKernel, WakeupCounterTracksSleepTransitions) {
   const u64 before = s.stats().wakeups;
   link.push(7);  // host-side push: wakes the sleeping consumer
   s.run_cycles(3);
-  // One wake from the push, one self-wake from the consumer's own pop
-  // (its activation is consumed before the tick runs).
-  EXPECT_EQ(s.stats().wakeups, before + 2);
+  // One wake from the push. The consumer's own pop also notifies it,
+  // but a wake raised during its own tick is dropped.
+  EXPECT_EQ(s.stats().wakeups, before + 1);
   ASSERT_EQ(c.popped_at.size(), 1u);
 }
 
@@ -276,6 +276,170 @@ TEST(ScheduledKernel, FlatModeIssuesEveryTick) {
   EXPECT_EQ(st.ticks_issued, 200u);
   EXPECT_EQ(st.ticks_skipped, 0u);
   EXPECT_EQ(st.time_skip_jumps, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Directional wakes, dropped self-wakes and deadlines (DESIGN.md §9)
+// ---------------------------------------------------------------------
+
+// Never progresses on its own; counts the ticks its wakes cause.
+class TickCounter : public Component {
+ public:
+  TickCounter() : Component("tick_counter") {}
+  bool tick() override {
+    ++ticks;
+    return false;
+  }
+  u64 ticks = 0;
+};
+
+TEST(DirectionalWakes, ProducerWokenOnlyByThePopReachingItsNeed) {
+  Simulator s;
+  Fifo<int> f(4);
+  TickCounter producer;
+  f.watch_as_producer(&producer, 2);
+  s.add(&producer);
+  for (int i = 0; i < 4; ++i) f.push(i);  // pushes never wake a producer
+  s.run_cycles(3);
+  ASSERT_EQ(producer.ticks, 1u);  // its initial activation only
+  const u64 expect_after_pop[] = {1, 2, 2, 2};  // vacancy 1, 2, 3, 4
+  for (const u64 expect : expect_after_pop) {
+    f.pop();
+    s.run_cycles(2);
+    EXPECT_EQ(producer.ticks, expect) << "vacancy " << f.vacancy();
+  }
+}
+
+TEST(DirectionalWakes, PushWakesConsumerNotProducer) {
+  // A push wakes the consumer when it makes the FIFO non-empty, never
+  // the producer; a pop wakes the producer at its need, never the
+  // consumer.
+  Simulator s;
+  Fifo<int> f(2);
+  TickCounter producer, consumer;
+  f.watch_as_producer(&producer);
+  f.watch_as_consumer(&consumer);
+  s.add(&producer);
+  s.add(&consumer);
+  s.run_cycles(3);  // both asleep after their initial tick
+  f.push(1);
+  s.run_cycles(2);
+  EXPECT_EQ(consumer.ticks, 2u);
+  EXPECT_EQ(producer.ticks, 1u);
+  f.push(2);  // behind a queued element: can_pop() and front() unchanged
+  s.run_cycles(2);
+  EXPECT_EQ(consumer.ticks, 2u);
+  f.pop();  // vacancy 0 -> 1: the producer's need
+  s.run_cycles(2);
+  EXPECT_EQ(producer.ticks, 2u);
+  EXPECT_EQ(consumer.ticks, 2u);  // pops do not wake a consumer
+  f.clear();  // clear wakes both sides
+  s.run_cycles(2);
+  EXPECT_EQ(producer.ticks, 3u);
+  EXPECT_EQ(consumer.ticks, 3u);
+}
+
+TEST(ScheduledKernel, SelfWakeIsDroppedAndTrueKeepsActive) {
+  class SelfWaker : public Component {
+   public:
+    SelfWaker() : Component("self_waker") {}
+    bool tick() override {
+      ++ticks;
+      wake();  // dropped: the return value alone decides
+      return keep_active;
+    }
+    bool keep_active = false;
+    u64 ticks = 0;
+  };
+  Simulator s;
+  SelfWaker c;
+  s.add(&c);
+  s.run_cycles(10);
+  EXPECT_EQ(c.ticks, 1u);
+  EXPECT_EQ(s.stats().wakeups, 0u);
+  c.keep_active = true;
+  c.wake();  // host-side wake: not inside its tick
+  s.run_cycles(10);
+  EXPECT_EQ(c.ticks, 11u);
+  EXPECT_EQ(s.stats().wakeups, 1u);
+}
+
+TEST(ScheduledKernel, RunUntilIdleOnceProducerOutputDrains) {
+  // A producer stalls on a full output and parks while busy; each pop
+  // that reopens a slot wakes it. Its busy() reads only its own queue,
+  // so the census of busy sleepers cannot go stale when the consumer
+  // drains the output without waking it.
+  class Producer : public Component {
+   public:
+    explicit Producer(Fifo<int>& out) : Component("producer"), out_(out) {
+      out_.watch_as_producer(this);
+    }
+    bool tick() override {
+      if (left > 0 && out_.can_push()) {
+        out_.push(left--);
+      }
+      return left > 0 && out_.can_push();
+    }
+    bool busy() const override { return left > 0; }
+    int left = 6;
+
+   private:
+    Fifo<int>& out_;
+  };
+  class Consumer : public Component {
+   public:
+    explicit Consumer(Fifo<int>& in) : Component("consumer"), in_(in) {
+      in_.watch_as_consumer(this);
+    }
+    bool tick() override {
+      // Drains at one item every other cycle, so the producer stalls.
+      if (phase_ = !phase_; phase_ && in_.pop().has_value()) ++popped;
+      return in_.can_pop();
+    }
+    bool busy() const override { return in_.can_pop(); }
+    int popped = 0;
+
+   private:
+    Fifo<int>& in_;
+    bool phase_ = false;
+  };
+  for (const auto mode : {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
+    Simulator s(mode);
+    Fifo<int> link(2);
+    Producer p(link);
+    Consumer c(link);
+    s.add(&p);
+    s.add(&c);
+    EXPECT_TRUE(s.run_until_idle(1000)) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(c.popped, 6) << "mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(ScheduledKernel, WakeAtIsNoOpUnderFlatKernel) {
+  // A deadline re-armed on every tick must not pile up on the wheel
+  // while the flat kernel runs: after a switch to the scheduled kernel,
+  // no stale deadline may fire.
+  class Armer : public Component {
+   public:
+    Armer() : Component("armer") {}
+    bool tick() override {
+      ++ticks;
+      if (arm) wake_at(sim_now() + 3);
+      return false;
+    }
+    bool arm = true;
+    u64 ticks = 0;
+  };
+  Simulator s(Simulator::Mode::kFlat);
+  Armer a;
+  s.add(&a);
+  s.run_cycles(10);
+  EXPECT_EQ(a.ticks, 10u);
+  a.arm = false;
+  s.set_mode(Simulator::Mode::kScheduled);
+  s.run_cycles(20);
+  EXPECT_EQ(a.ticks, 11u);  // the tick set_mode's wake-all asks for
+  EXPECT_EQ(s.stats().time_skip_jumps, 1u);
 }
 
 }  // namespace
