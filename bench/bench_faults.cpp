@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "driver/dpr_manager.hpp"
 #include "driver/hwicap_driver.hpp"
-#include "driver/scrubber.hpp"
 #include "sim/fault_injector.hpp"
 
 using namespace rvcap;
@@ -28,15 +27,14 @@ SweepResult run_sweep(std::string_view site, double probability, u64 seed,
                       u32 activations) {
   soc::ArianeSoc soc((soc::SocConfig()));
   driver::RvCapDriver drv(soc.cpu(), soc.plic());
-  driver::Scrubber scrubber(
-      drv, soc.device(),
-      driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000});
   sim::FaultInjector fi(seed);
   driver::DprManager mgr(drv, soc.config_memory(), soc.rp0_handle(),
                          nullptr);
   soc.attach_fault_injector(&fi);
   mgr.set_fault_injector(&fi);
-  mgr.attach_scrubber(&scrubber);
+  driver::DprManager::RecoveryPolicy pol;
+  pol.scrub_after_recovery = true;  // frame-ECC verify before recouple
+  mgr.set_policy(pol);
 
   // A wedged DMA must time out in bounded simulated time.
   auto t = drv.timeouts();

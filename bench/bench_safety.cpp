@@ -3,7 +3,7 @@
 // relocation across compatible partitions.
 #include "bench_util.hpp"
 #include "bitstream/relocate.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/frame_check.hpp"
 
 using namespace rvcap;
 
@@ -13,9 +13,10 @@ int main() {
 
   soc::ArianeSoc soc((soc::SocConfig()));
   driver::RvCapDriver drv(soc.cpu(), soc.plic());
-  driver::Scrubber scrubber(
-      drv, soc.device(),
-      driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000});
+  const auto verify = [&] {
+    return driver::verify_partition(drv, soc.config_memory(), soc.rp0(),
+                                    0x8D00'0000);
+  };
 
   // Load the Sobel module into RP0.
   const auto rec = bench::run_rvcap_reconfig(soc, drv, accel::kRmIdSobel);
@@ -37,12 +38,10 @@ int main() {
               throughput_mbps(u64{got} * 4, rb_cycles));
 
   // ---- scrub cycle cost -------------------------------------------------
-  if (!ok(scrubber.snapshot(soc.rp0()))) return 1;
   t0 = soc.sim().now();
-  bool clean = false;
-  if (!ok(scrubber.scrub(soc.rp0(), &clean)) || !clean) return 1;
+  if (!ok(verify())) return 1;
   const Cycles scrub_cycles = soc.sim().now() - t0;
-  std::printf("\nscrub cycle (readback + software checksum): %.1f us per "
+  std::printf("\nscrub cycle (readback + frame-ECC check): %.1f us per "
               "%u-frame partition\n",
               cycles_to_us(scrub_cycles),
               soc.rp0().frame_count(soc.device()));
@@ -53,16 +52,16 @@ int main() {
   driver::ReconfigModule m{"", accel::kRmIdSobel,
                            soc::MemoryMap::kPbitStagingBase, rec.pbit_bytes};
   t0 = soc.sim().now();
-  const Status repair = scrubber.scrub_and_repair(soc.rp0(), m);
+  const bool detected = verify() == Status::kCrcError;
+  const bool repaired =
+      detected &&
+      ok(drv.init_reconfig_process(m, driver::DmaMode::kInterrupt)) &&
+      ok(verify());
   const Cycles repair_cycles = soc.sim().now() - t0;
-  std::printf("SEU injected -> detected and repaired in %.1f us "
-              "(scrub + full-partition reload + re-snapshot): %s\n",
-              cycles_to_us(repair_cycles),
-              ok(repair) ? "OK" : "FAILED");
-  std::printf("scrubber stats: %llu scrubs, %llu detections, %llu repairs\n",
-              static_cast<unsigned long long>(scrubber.stats().scrubs),
-              static_cast<unsigned long long>(scrubber.stats().detections),
-              static_cast<unsigned long long>(scrubber.stats().repairs));
+  std::printf("SEU injected -> detected %s, repaired %s in %.1f us "
+              "(verify + full-partition reload + verify)\n",
+              detected ? "OK" : "FAILED", repaired ? "OK" : "FAILED",
+              cycles_to_us(repair_cycles));
 
   // ---- relocation ---------------------------------------------------------
   std::vector<fabric::Partition::ColumnRef> cols;
@@ -94,5 +93,5 @@ int main() {
               drv.last_timing().reconfig_us());
 
   bench::print_footnote();
-  return (ok(repair) && reloc_ok) ? 0 : 1;
+  return (repaired && reloc_ok) ? 0 : 1;
 }

@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "driver/dpr_manager.hpp"
 #include "driver/reconfig_service.hpp"
-#include "driver/scrubber.hpp"
 #include "sim/fault_injector.hpp"
 
 using namespace rvcap;
@@ -52,19 +51,11 @@ double percentile(std::vector<u64>& v, double p) {
 CellResult run_cell(u32 burst_size, u32 bursts, double fault_rate, u64 seed) {
   soc::ArianeSoc soc((soc::SocConfig()));
   driver::RvCapDriver drv(soc.cpu(), soc.plic());
-  driver::Scrubber scrubber(
-      drv, soc.device(),
-      driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000});
   sim::FaultInjector fi(seed);
   driver::DprManager mgr(drv, soc.config_memory(), soc.rp0_handle(),
                          nullptr);
   soc.attach_fault_injector(&fi);
   mgr.set_fault_injector(&fi);
-  mgr.attach_scrubber(&scrubber);
-  // Bounded runs: skip the slow post-recovery readback scrub.
-  driver::DprManager::RecoveryPolicy pol;
-  pol.scrub_after_recovery = false;
-  mgr.set_policy(pol);
 
   // Five pre-staged modules (every registered RM behavior): enough
   // distinct targets that a 12-request burst saturates the 4-deep

@@ -6,8 +6,9 @@
 //     reconfiguration when it is already loaded;
 //   * every processed frame is verified bit-exact against golden
 //     software;
-//   * a scrubber periodically checks the partition's configuration
-//     memory; injected SEUs are detected and repaired by reloading;
+//   * a frame-ECC verify reads the partition's configuration memory
+//     back; an injected SEU is detected and repaired by a forced
+//     reload through the manager;
 //   * one module is also relocated to a spare partition, demonstrating
 //     bitstream retargeting.
 #include <cstdio>
@@ -16,7 +17,7 @@
 #include "bitstream/relocate.hpp"
 #include "common/units.hpp"
 #include "driver/dpr_manager.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/frame_check.hpp"
 #include "soc/ariane_soc.hpp"
 
 using namespace rvcap;
@@ -26,9 +27,10 @@ int main() {
   driver::RvCapDriver drv(soc.cpu(), soc.plic());
   driver::DprManager mgr(drv, soc.config_memory(), soc.rp0_handle(),
                          nullptr);
-  driver::Scrubber scrubber(
-      drv, soc.device(),
-      driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000});
+  const auto verify = [&] {
+    return driver::verify_partition(drv, soc.config_memory(), soc.rp0(),
+                                    0x8D00'0000);
+  };
 
   // Stage all modules and register them with the manager.
   struct ModInfo {
@@ -62,7 +64,6 @@ int main() {
     const u64 reconfigs_before = mgr.stats().reconfigurations;
     if (!ok(mgr.activate(plan[phase]))) return 1;
     const bool swapped = mgr.stats().reconfigurations != reconfigs_before;
-    if (swapped && !ok(scrubber.snapshot(soc.rp0()))) return 1;
 
     if (!ok(drv.run_accelerator(soc::MemoryMap::kImageInBase, 512 * 512,
                                 soc::MemoryMap::kImageOutBase, 512 * 512,
@@ -82,17 +83,15 @@ int main() {
     if (phase == 3) {
       const auto addrs = soc.rp0().frame_addrs(soc.device());
       soc.config_memory().inject_upset(addrs[200], 101, 19);
-      driver::ReconfigModule m{plan[phase],
-                               soc.rm_slot().active_rm(),
-                               mods[1].addr, mods[1].size};
-      const Status st = scrubber.scrub_and_repair(soc.rp0(), m);
-      std::printf("      [scrub] SEU injected -> %s (detections=%llu, "
-                  "repairs=%llu)\n",
-                  ok(st) ? "detected & repaired" : "FAILED",
-                  static_cast<unsigned long long>(
-                      scrubber.stats().detections),
-                  static_cast<unsigned long long>(scrubber.stats().repairs));
-      if (!ok(st)) return 1;
+      const bool detected = verify() == Status::kCrcError;
+      const bool repaired =
+          detected &&
+          ok(mgr.activate(plan[phase], driver::DmaMode::kInterrupt,
+                          /*force=*/true)) &&
+          ok(verify());
+      std::printf("      [scrub] SEU injected -> %s\n",
+                  repaired ? "detected & repaired" : "FAILED");
+      if (!repaired) return 1;
     }
   }
 

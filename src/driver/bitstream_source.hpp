@@ -175,7 +175,6 @@ class BitstreamDelivery : public BitstreamSource {
   std::vector<Record> journal() const { return journal_.journal(); }
   u64 journal_events() const { return journal_.journal_events(); }
 
-  u64 deliveries_ok() const { return ok_; }
   u64 cache_hits() const { return cache_hits_; }
   u64 net_deliveries() const { return net_ok_; }
   u64 sd_fallbacks() const { return sd_fallbacks_; }

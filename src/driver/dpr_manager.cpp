@@ -3,6 +3,7 @@
 #include "bitstream/generator.hpp"
 #include "common/log.hpp"
 #include "driver/bitstream_source.hpp"
+#include "driver/frame_check.hpp"
 #include "obs/observability.hpp"
 
 namespace rvcap::driver {
@@ -311,7 +312,7 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
     }
 
     const bool use_fallback =
-        policy_.hwicap_fallback && fallback_ != nullptr &&
+        fallback_ != nullptr &&
         consecutive_dma_failures_ >= policy_.fallback_after_failures;
     ReconfigModule rm{m->name, m->rm_id, m->staged_addr, m->pbit_size,
                      m->crc32};
@@ -354,18 +355,18 @@ Status DprManager::activate(std::string_view name, DmaMode mode,
       continue;
     }
 
-    // Post-recovery verification: read the partition back and check it
-    // is stable BEFORE the RP rejoins the system. The scrubber reads
-    // through the RV-CAP DMA, so it is skipped on fallback transfers —
-    // those run precisely because the DMA path is known-bad, and a
-    // readback over it would wedge the recovery it is meant to verify.
-    if (failed_once && !use_fallback && policy_.scrub_after_recovery &&
-        scrubber_ != nullptr) {
+    // Post-recovery verification: read the partition back and check
+    // every frame's ECC BEFORE the RP rejoins the system, in the
+    // blanking scratch region (a blank pass never overlaps a verify).
+    // The readback goes through the RV-CAP DMA, so it is skipped on
+    // fallback transfers — those run precisely because the DMA path is
+    // known-bad, and a readback over it would wedge the recovery it is
+    // meant to verify.
+    if (failed_once && !use_fallback && policy_.scrub_after_recovery) {
       ++stats_.scrub_verifies;
-      scrubber_->set_hold_decoupled(true);
-      Status ss = scrubber_->snapshot(partition());
-      if (ok(ss)) ss = scrubber_->scrub(partition());
-      scrubber_->set_hold_decoupled(false);
+      const Status ss = verify_partition(drv_, cfg_, partition(),
+                                         scratch_addr(), mode,
+                                         /*hold_decoupled=*/true);
       if (!ok(ss)) {
         last = ss;
         ++stats_.scrub_failures;

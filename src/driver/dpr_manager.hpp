@@ -24,7 +24,6 @@
 #include "driver/primitives.hpp"
 #include "driver/recovery_journal.hpp"
 #include "driver/rvcap_driver.hpp"
-#include "driver/scrubber.hpp"
 #include "fabric/config_memory.hpp"
 #include "sim/fault_injector.hpp"
 
@@ -63,9 +62,8 @@ class DprManager {
   /// the staged DDR image before the ICAP, and every failed attempt
   /// blanks the partition.
   struct RecoveryPolicy {
-    bool hwicap_fallback = true;   // degrade to AXI_HWICAP when attached
     u32 fallback_after_failures = 2;  // consecutive DMA-path failures
-    bool scrub_after_recovery = true; // readback-verify before recouple
+    bool scrub_after_recovery = false; // frame-ECC verify before recouple
   };
   static constexpr u32 kMaxAttempts = 3;  // total tries per activate()
 
@@ -166,13 +164,10 @@ class DprManager {
   const fabric::DeviceGeometry& device() const { return cfg_.device(); }
 
   void set_policy(const RecoveryPolicy& p) { policy_ = p; }
-  const RecoveryPolicy& policy() const { return policy_; }
 
-  /// Degraded-mode transfer path used after repeated DMA failures.
+  /// Degraded-mode transfer path used after repeated DMA failures;
+  /// nullptr detaches (no HWICAP path).
   void attach_fallback(HwIcapDriver* hwicap) { fallback_ = hwicap; }
-
-  /// Post-recovery verification service; it reads back partition().
-  void attach_scrubber(Scrubber* scrubber) { scrubber_ = scrubber; }
 
   /// Staging-path fault hook (sim::fault_sites::kStageBitFlip).
   void set_fault_injector(sim::FaultInjector* fi) { fault_ = fi; }
@@ -224,7 +219,8 @@ class DprManager {
   void stage_bitflip_hook(const Module& m);
   u32 pick_victim_slot();
   void unstage(Module& m);
-  /// Scratch DDR just past the slot cache, used for blank bitstreams.
+  /// Scratch DDR just past the slot cache: blank bitstreams, and the
+  /// post-recovery verify's readback.
   Addr scratch_addr() const {
     return config_.staging_base +
            u64{config_.num_slots} * config_.slot_bytes;
@@ -241,7 +237,6 @@ class DprManager {
   Config config_;
   RecoveryPolicy policy_;
   HwIcapDriver* fallback_ = nullptr;
-  Scrubber* scrubber_ = nullptr;
   sim::FaultInjector* fault_ = nullptr;
   BitstreamSource* source_ = nullptr;
   RecoveryJournal* intent_ = nullptr;

@@ -109,10 +109,6 @@ void RvCapDriver::select_rm_slot(u32 slot) {
   cpu_.store32_uncached(rp_addr(RpControl::kRmSelect), slot);
 }
 
-u32 RvCapDriver::selected_rm_slot() {
-  return cpu_.load32_uncached(rp_addr(RpControl::kRmSelect));
-}
-
 void RvCapDriver::select_decompress(bool enable) {
   write_rp_control(cpu_, rp_base_, bound_slot_, RpControl::kCtlDecompress,
                    enable);

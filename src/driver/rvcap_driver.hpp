@@ -81,11 +81,9 @@ class RvCapDriver {
     bound_slot_ = slot;
     slot_offset_ = u64{slot} * rvcap_ctrl::RpControl::kSlotStride;
   }
-  u32 bound_slot() const { return bound_slot_; }
   /// Route the acceleration stream pair to `slot`'s RM port (the
   /// global kRmSelect register; independent of the window binding).
   void select_rm_slot(u32 slot);
-  u32 selected_rm_slot();
 
   /// Listing-1 flow for an RVZ0-compressed bitstream (RT-ICAP-style
   /// extension): enables the inline decompressor for the transfer.
@@ -165,7 +163,7 @@ class RvCapDriver {
   /// Number of counters registered behind the window.
   u32 perf_count();
 
-  /// The CPU context driver services run on (scrubber, manager).
+  /// The CPU context driver services run on (scrub service, manager).
   cpu::CpuContext& cpu_context() { return cpu_; }
 
   /// Calibrated software cost of the RM-selection phase (descriptor

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/bytes.hpp"
 #include "common/units.hpp"
+#include "driver/frame_check.hpp"
 
 namespace rvcap::driver {
 
@@ -72,21 +72,16 @@ void ScrubService::ack_irqs() {
 }
 
 void ScrubService::install_upset_feed() {
-  // now() is a pure read of the simulated clock — safe from inside a
-  // ConfigMemory notification (no bus access, no time advance).
   mem_.set_upset_observer([this](const fabric::ConfigMemory::UpsetEvent& ev) {
-    note_upset(ev, drv_.cpu_context().now());
+    ++stats_.upsets_seen;
+    // Upsets on frames outside any loaded partition are still scrubbed
+    // (the frame was written at some point), so track every landed one.
+    // now() is a pure read of the simulated clock — safe from inside a
+    // ConfigMemory notification (no bus access, no time advance).
+    pending_.push_back({ev.fa.encode(), now(), 0, ev.essential});
+    trace(obs::EventKind::kScrubUpset, ev.fa.encode(),
+          (u64{ev.word} << 8) | ev.bit);
   });
-}
-
-void ScrubService::note_upset(const fabric::ConfigMemory::UpsetEvent& ev,
-                              u64 now_cycles) {
-  ++stats_.upsets_seen;
-  // Upsets on frames outside any loaded partition are still scrubbed
-  // (the frame was written at some point), so track every landed one.
-  pending_.push_back({ev.fa.encode(), now_cycles, 0, ev.essential});
-  trace(obs::EventKind::kScrubUpset, ev.fa.encode(),
-        (u64{ev.word} << 8) | ev.bit);
 }
 
 u64 ScrubService::pending_essential() const {
@@ -194,20 +189,10 @@ void ScrubService::yield_to_queue() {
 }
 
 Status ScrubService::read_frame(const FrameAddr& fa, std::vector<u32>* out) {
-  if (auto st = drv_.readback(fa, kFrameWords, cfg_.cmd_staging,
-                              cfg_.rb_buffer);
-      !ok(st)) {
-    return st;
-  }
-  std::vector<u8> raw(usize{kFrameWords} * 4);
-  cpu::CpuContext& cpu = drv_.cpu_context();
-  cpu.read_buffer(cfg_.rb_buffer, raw);
-  out->resize(kFrameWords);
-  for (u32 k = 0; k < kFrameWords; ++k) {
-    (*out)[k] = load_be32(std::span<const u8>(raw).subspan(usize{k} * 4, 4));
-  }
-  cpu.spend_instructions(kFrameWords);  // the syndrome loop
-  return Status::kOk;
+  const Status st =
+      drv_.readback(fa, kFrameWords, cfg_.cmd_staging, cfg_.rb_buffer);
+  if (ok(st)) load_frame(drv_.cpu_context(), cfg_.rb_buffer, out);
+  return st;
 }
 
 Status ScrubService::escalate_reload(const Watch& w) {
@@ -264,11 +249,10 @@ Status ScrubService::scrub_frame(const Watch& w) {
   }
   ++stats_.frames_scrubbed;
 
-  const fabric::FrameEcc* golden = mem_.frame_ecc(fa);
-  if (golden == nullptr) return Status::kInternal;  // loaded => written
-  const fabric::EccDecode d =
-      fabric::decode_frame_ecc(*golden, fabric::compute_frame_ecc(words),
-                               kFrameWords);
+  fabric::EccDecode d;
+  if (auto st = check_frame(mem_, fa, words, &d); !ok(st)) {
+    return st;  // loaded => written
+  }
   if (d.cls == EccClass::kClean) {
     resolve_clean(fa.encode(), now());
     return Status::kOk;
@@ -292,12 +276,10 @@ Status ScrubService::scrub_frame(const Watch& w) {
       Status st = drv_.write_frame(fa, words, cfg_.cmd_staging);
       if (ok(st)) {
         std::vector<u32> check;
+        fabric::EccDecode v;
         st = read_frame(fa, &check);
-        if (ok(st) &&
-            fabric::decode_frame_ecc(*mem_.frame_ecc(fa),
-                                     fabric::compute_frame_ecc(check),
-                                     kFrameWords)
-                    .cls != EccClass::kClean) {
+        if (ok(st)) st = check_frame(mem_, fa, check, &v);
+        if (ok(st) && v.cls != EccClass::kClean) {
           // >2 flips can alias to a single-bit syndrome; the verify
           // read catches the miscorrection and forces a reload.
           st = Status::kCrcError;

@@ -1,13 +1,13 @@
 // Continuous frame-ECC scrub engine — background SEU mitigation.
 //
-// Where the one-shot Scrubber (scrubber.hpp) answers "is this
-// partition still the one I loaded?", the ScrubService keeps a SoC
-// alive under a continuous upset process: it walks every watched
-// partition frame by frame at a configurable duty cycle, reads each
-// frame back through the ICAP, computes the SECDED syndrome in
-// software over the captured buffer and compares it with the golden
-// check word the fabric recorded at configuration time
-// (fabric/frame_ecc.hpp — the FRAME_ECC primitive's view).
+// The ScrubService keeps a SoC alive under a continuous upset process:
+// it walks every watched partition frame by frame at a configurable
+// duty cycle, reads each frame back through the ICAP and runs the
+// driver's one frame-ECC check on it (driver/frame_check.hpp): the
+// SECDED syndrome, computed in software over the captured buffer,
+// against the check word the fabric recorded at configuration time.
+// DprManager's post-recovery verify runs the same check over a whole
+// partition.
 //
 // Verdict handling per frame:
 //   clean          -> next frame;
@@ -130,9 +130,6 @@ class ScrubService {
   /// Register this service as the ConfigMemory upset observer so every
   /// landed injection is timestamped for MTTD/MTTR.
   void install_upset_feed();
-  /// Manual feed variant (tests chaining their own observer).
-  void note_upset(const fabric::ConfigMemory::UpsetEvent& ev,
-                  u64 now_cycles);
 
   /// Scrub one duty-cycle slice (frames_per_slice frames), yielding to
   /// queued reconfiguration requests between frames. Errors raise the

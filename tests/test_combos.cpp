@@ -7,7 +7,7 @@
 #include "bitstream/generator.hpp"
 #include "bitstream/relocate.hpp"
 #include "common/bytes.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/frame_check.hpp"
 #include "soc/ariane_soc.hpp"
 
 namespace rvcap {
@@ -125,9 +125,6 @@ TEST(Combos, ReadbackOfRelocatedPartitionMatchesOriginalPayload) {
 TEST(Combos, ScrubRelocatedPartition) {
   ArianeSoc soc((SocConfig()));
   driver::RvCapDriver drv(soc.cpu(), soc.plic());
-  driver::Scrubber scrubber(
-      drv, soc.device(),
-      driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000});
 
   std::vector<fabric::Partition::ColumnRef> cols;
   const u32 start = soc.device().accel_window_start();
@@ -144,14 +141,17 @@ TEST(Combos, ScrubRelocatedPartition) {
   const auto m = stage(soc, moved, accel::kRmIdSobel, 0x8800'0000);
   ASSERT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
 
-  ASSERT_EQ(scrubber.snapshot(alt), Status::kOk);
-  bool clean = false;
-  EXPECT_EQ(scrubber.scrub(alt, &clean), Status::kOk);
-  EXPECT_TRUE(clean);
-  // Inject + repair on the relocated partition.
-  soc.config_memory().inject_upset(alt.frame_addrs(soc.device())[7], 3, 3);
-  ASSERT_EQ(scrubber.scrub_and_repair(alt, m), Status::kOk);
-  EXPECT_EQ(scrubber.stats().repairs, 1u);
+  const auto verify = [&] {
+    return driver::verify_partition(drv, soc.config_memory(), alt,
+                                    0x8D00'0000);
+  };
+  EXPECT_EQ(verify(), Status::kOk);
+  // Inject, detect, reload and verify again on the relocated partition.
+  ASSERT_TRUE(
+      soc.config_memory().inject_upset(alt.frame_addrs(soc.device())[7], 3, 3));
+  ASSERT_EQ(verify(), Status::kCrcError);
+  ASSERT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  EXPECT_EQ(verify(), Status::kOk);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 //
 // Covers the FaultInjector itself (determinism, plans) and the recovery
 // pipeline end to end: for every instrumented site, activation under
-// the default RecoveryPolicy must converge to kOk with the RP coupled
-// to a verified configuration — and when recovery is impossible, the RP
-// must be left decoupled, never coupled to a corrupt partition.
+// the shared DPR world's RecoveryPolicy (post-recovery verify on) must
+// converge to kOk with the RP coupled to a verified configuration —
+// and when recovery is impossible, the RP must be left decoupled,
+// never coupled to a corrupt partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +14,13 @@
 
 #include "bitstream/generator.hpp"
 #include "driver/dpr_manager.hpp"
+#include "driver/frame_check.hpp"
 #include "driver/hwicap_driver.hpp"
-#include "driver/scrubber.hpp"
 #include "driver/spi_sd.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
 #include "storage/fat32.hpp"
+#include "testutil.hpp"
 
 namespace rvcap {
 namespace {
@@ -192,49 +194,7 @@ TEST(FaultInjector, DisarmStopsFiring) {
 // Recovery over pre-staged modules (rp0, DMA/ICAP fault sites)
 // ---------------------------------------------------------------------
 
-struct RecoveryWorld {
-  RecoveryWorld()
-      : soc(make_config()),
-        drv(soc.cpu(), soc.plic()),
-        hwicap_drv(soc.cpu()),
-        scrubber(drv, soc.device(),
-                 driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
-        fi(0x5EED),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
-    soc.attach_fault_injector(&fi);
-    mgr.set_fault_injector(&fi);
-    mgr.attach_fallback(&hwicap_drv);
-    mgr.attach_scrubber(&scrubber);
-    stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
-    stage("median", accel::kRmIdMedian, 0x8B00'0000);
-  }
-
-  static SocConfig make_config() {
-    SocConfig cfg;
-    cfg.with_hwicap = true;  // fallback path available
-    return cfg;
-  }
-
-  void stage(const char* name, u32 rm_id, Addr addr) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_id, name});
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(pbit.size())),
-              Status::kOk);
-  }
-
-  bool decoupled() { return soc.rvcap().rp_control().decoupled(); }
-
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  driver::HwIcapDriver hwicap_drv;
-  driver::Scrubber scrubber;
-  FaultInjector fi;
-  DprManager mgr;
-};
-
-struct FaultRecoveryFixture : ::testing::Test, RecoveryWorld {};
+struct FaultRecoveryFixture : ::testing::Test, test::DprWorld {};
 
 TEST_F(FaultRecoveryFixture, NoFaultsCleanActivation) {
   ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
@@ -295,57 +255,91 @@ TEST_F(FaultRecoveryFixture, RecoversFromIcapCrcCorruption) {
   EXPECT_EQ(mgr.stats().recoveries, 1u);
 }
 
-TEST_F(FaultRecoveryFixture, CorruptedRepairReloadNeverReplacesGoldenSnapshot) {
-  // Regression: scrub_and_repair() must keep the existing snapshot
-  // authoritative when the repair reload is itself corrupted. The old
-  // behaviour re-snapshotted right after the reload, recording the
-  // damaged image as golden — every later scrub then silently compared
-  // against corruption.
+TEST_F(FaultRecoveryFixture, CorruptedRepairReloadLeavesPartitionInvalid) {
+  // Detect an upset, reload the module, verify again — with the reload
+  // itself cut short by an ICAP sync loss. The check words live in the
+  // fabric, written frame by frame, so the frames the broken reload
+  // never reached still carry the upset: the repair verify fails
+  // instead of blessing the damage.
   ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
-  ASSERT_EQ(scrubber.snapshot(soc.rp0()), Status::kOk);
+  const auto verify = [&] {
+    return driver::verify_partition(drv, soc.config_memory(), soc.rp0(),
+                                    0x8D00'0000);
+  };
+  ASSERT_EQ(verify(), Status::kOk);
 
-  // Calibrate: count the injector queries one full scrub pass makes at
-  // the ICAP write port (armed at p=0 so nothing fires), so the real
-  // plan below can skip past the detection scrub.
-  fi.arm(sites::kIcapCrcCorrupt, FaultInjector::Plan{0, 0.0, 0});
-  bool clean = false;
-  ASSERT_EQ(scrubber.scrub(soc.rp0(), &clean), Status::kOk);
-  ASSERT_TRUE(clean);
-  const u64 per_pass = fi.queries(sites::kIcapCrcCorrupt);
+  const auto addrs = soc.rp0().frame_addrs(soc.device());
+  ASSERT_TRUE(soc.config_memory().inject_upset(addrs[400], /*word=*/7,
+                                               /*bit=*/3));
+  ASSERT_EQ(verify(), Status::kCrcError);
 
-  // Land an upset so the next scrub detects, then corrupt the repair
-  // reload itself: skip past the detection pass and ~50 words into the
-  // reload, well inside the FDRI frame payload.
-  fabric::FrameAddr fa = soc.rp0().base_frame(soc.device());
-  ASSERT_TRUE(soc.device().next_frame(&fa));
-  ASSERT_TRUE(soc.config_memory().inject_upset(fa, /*word=*/7, /*bit=*/3));
-  fi.arm(sites::kIcapCrcCorrupt,
-         FaultInjector::Plan{1, 1.0, static_cast<u32>(per_pass) + 50});
-
+  // Lose sync about ten frames into the reload: the base frame restarts
+  // the partition's configuration pass, frame 400 is never rewritten.
+  fi.arm(sites::kIcapSyncLoss,
+         FaultInjector::Plan{1, 1.0, 10 * fabric::kFrameWords});
   const auto pbit = bitstream::generate_partial_bitstream(
       soc.device(), soc.rp0(), {accel::kRmIdSobel, "sobel"});
   const driver::ReconfigModule m{"sobel", accel::kRmIdSobel, 0x8A00'0000,
                                  static_cast<u32>(pbit.size())};
-  EXPECT_EQ(scrubber.scrub_and_repair(soc.rp0(), m), Status::kCrcError);
-  EXPECT_EQ(fi.fires(sites::kIcapCrcCorrupt), 1u);
-  EXPECT_EQ(scrubber.stats().repairs, 0u);
-  // The corrupted pass tripped the bitstream CRC and invalidated the
-  // partition rather than leaving the damage live.
+  ASSERT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  EXPECT_EQ(fi.fires(sites::kIcapSyncLoss), 1u);
+  EXPECT_EQ(verify(), Status::kCrcError);
   EXPECT_FALSE(soc.config_memory().partition_state(soc.rp0_handle()).loaded);
 
-  // The snapshot survived: a clean reload scrubs clean against it, and
-  // a repair through the same entry point now counts.
+  // A clean reload verifies clean and the module is back.
   ASSERT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
-  EXPECT_EQ(scrubber.scrub(soc.rp0(), &clean), Status::kOk);
-  EXPECT_TRUE(clean);
-  ASSERT_TRUE(soc.config_memory().inject_upset(fa, /*word=*/9, /*bit=*/1));
-  EXPECT_EQ(scrubber.scrub_and_repair(soc.rp0(), m), Status::kOk);
-  EXPECT_EQ(scrubber.stats().repairs, 1u);
+  EXPECT_EQ(verify(), Status::kOk);
+  const auto st = soc.config_memory().partition_state(soc.rp0_handle());
+  EXPECT_TRUE(st.loaded);
+  EXPECT_EQ(st.rm_id, accel::kRmIdSobel);
+}
+
+// The post-recovery verify is the last gate before recouple: a readback
+// that fails (here an MM2S SLVERR on its command stream, so the S2MM
+// capture never completes and times out) is journalled as kScrub,
+// blanks the partition and spends an attempt like any other failure.
+TEST_F(FaultRecoveryFixture, FailedRecoveryVerifyRetriesUntilClean) {
+  // Shrink the WFI bound so the starved capture times out quickly.
+  auto t = drv.timeouts();
+  t.irq_wait_cycles = 3'000'000;
+  drv.set_timeouts(t);
+  // Attempt 1 loses ICAP sync (kActivate). The SLVERR skips three
+  // MM2S jobs (attempt 1's transfer, the blanking pass, attempt 2's
+  // transfer) and lands on attempt 2's verify readback.
+  fi.arm(sites::kIcapSyncLoss, /*count=*/1);
+  fi.arm(sites::kDmaMm2sSlvErr, FaultInjector::Plan{1, 1.0, 3});
+  ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
+  EXPECT_EQ(fi.fires(sites::kDmaMm2sSlvErr), 1u);
+
+  const auto j = mgr.journal();
+  ASSERT_EQ(j.size(), 3u);
+  EXPECT_EQ(j[0].stage, FailStage::kActivate);
+  EXPECT_EQ(j[0].attempt, 1u);
+  EXPECT_EQ(j[1].stage, FailStage::kScrub);
+  EXPECT_EQ(j[1].status, Status::kTimeout);
+  EXPECT_EQ(j[1].attempt, 2u);
+  EXPECT_EQ(j[2].stage, FailStage::kRecovered);
+  EXPECT_EQ(j[2].attempt, 3u);
+
+  const auto& st = mgr.stats();
+  EXPECT_EQ(st.scrub_verifies, 2u);
+  EXPECT_EQ(st.scrub_failures, 1u);
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_EQ(st.fallback_reconfigs, 0u);
+  EXPECT_EQ(test::perf_counter(drv, "dpr.slot0.scrub_failures"), 1u);
+
+  // Coupled, over a partition that verifies clean.
+  EXPECT_FALSE(decoupled());
+  EXPECT_EQ(mgr.active_module(), "sobel");
+  EXPECT_EQ(driver::verify_partition(drv, soc.config_memory(), soc.rp0(),
+                                     0x8D00'0000),
+            Status::kOk);
 }
 
 TEST_F(FaultRecoveryFixture, FallsBackToHwicapAfterRepeatedDmaFailures) {
   DprManager::RecoveryPolicy p;
   p.fallback_after_failures = 1;
+  p.scrub_after_recovery = true;
   mgr.set_policy(p);
   fi.arm(sites::kDmaMm2sSlvErr, /*count=*/0);  // DMA path always fails
   ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
@@ -413,9 +407,7 @@ TEST(HwicapFallbackSlots, SlotOneFallbackLeavesSlotZeroCoupled) {
 }
 
 TEST_F(FaultRecoveryFixture, ExhaustedRetriesLeaveRpDecoupled) {
-  DprManager::RecoveryPolicy p;
-  p.hwicap_fallback = false;  // no escape hatch
-  mgr.set_policy(p);
+  mgr.attach_fallback(nullptr);  // no escape hatch
   fi.arm(sites::kDmaMm2sSlvErr, /*count=*/0);
   EXPECT_EQ(mgr.activate("sobel"), Status::kIoError);
   EXPECT_TRUE(decoupled());
@@ -482,9 +474,7 @@ TEST_F(FaultRecoveryFixture, ActivationFailureKeepsPreviousModuleOut) {
   // The RP must end decoupled and blanked, not left on the stale or the
   // partial configuration.
   ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
-  DprManager::RecoveryPolicy p;
-  p.hwicap_fallback = false;
-  mgr.set_policy(p);
+  mgr.attach_fallback(nullptr);
   fi.arm(sites::kDmaMm2sSlvErr, /*count=*/0);
   EXPECT_EQ(mgr.activate("median"), Status::kIoError);
   EXPECT_TRUE(decoupled());
@@ -495,11 +485,9 @@ TEST_F(FaultRecoveryFixture, SameSeedSameJournal) {
   // Probabilistic, unlimited faults: whatever sequence of failures,
   // recoveries, or exhaustion plays out, an identically-seeded world
   // must reproduce it exactly — statuses, journal, and fire counts.
-  const auto scenario = [](RecoveryWorld& w) {
-    DprManager::RecoveryPolicy p;
-    p.hwicap_fallback = false;       // keep the run on one path
-    p.scrub_after_recovery = false;  // and free of long readback waits
-    w.mgr.set_policy(p);
+  const auto scenario = [](test::DprWorld& w) {
+    w.mgr.attach_fallback(nullptr);  // keep the run on one path
+    w.mgr.set_policy({});  // no verify: free of long readback waits
     w.fi.arm(sites::kDmaMm2sSlvErr, 0, 0.5);
     w.fi.arm(sites::kIcapCrcCorrupt, 3, 0.001);
     std::vector<Status> out;
@@ -512,7 +500,7 @@ TEST_F(FaultRecoveryFixture, SameSeedSameJournal) {
   const auto report1 = fi.fire_report();
 
   // Fresh, identically-seeded world must reproduce the exact journal.
-  RecoveryWorld other;
+  test::DprWorld other;
   const auto s2 = scenario(other);
   const auto j2 = other.mgr.journal();
 

@@ -21,13 +21,13 @@
 #include "driver/reconfig_service.hpp"
 #include "driver/rvcap_driver.hpp"
 #include "driver/scrub_service.hpp"
-#include "driver/scrubber.hpp"
 #include "fabric/seu_process.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "driver/spi_sd.hpp"
 #include "soc/ariane_soc.hpp"
 #include "storage/fat32.hpp"
+#include "testutil.hpp"
 
 namespace rvcap {
 namespace {
@@ -232,48 +232,6 @@ TEST(KernelEquivalence, IdleStretchKeepsClintPhase) {
 // Fault-injected self-healing: bit-identical journals per seed
 // ---------------------------------------------------------------------
 
-/// The RecoveryWorld of test_faults.cpp, parameterized by kernel mode.
-struct RecoveryRun {
-  explicit RecoveryRun(Simulator::Mode mode)
-      : soc(make_config(mode)),
-        drv(soc.cpu(), soc.plic()),
-        hwicap_drv(soc.cpu()),
-        scrubber(drv, soc.device(),
-                 driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
-        fi(0x5EED),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
-    soc.attach_fault_injector(&fi);
-    mgr.set_fault_injector(&fi);
-    mgr.attach_fallback(&hwicap_drv);
-    mgr.attach_scrubber(&scrubber);
-    stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
-    stage("median", accel::kRmIdMedian, 0x8B00'0000);
-  }
-
-  static SocConfig make_config(Simulator::Mode mode) {
-    SocConfig cfg;
-    cfg.sim_mode = mode;
-    cfg.with_hwicap = true;
-    return cfg;
-  }
-
-  void stage(const char* name, u32 rm_id, Addr addr) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_id, name});
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(pbit.size())),
-              Status::kOk);
-  }
-
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  driver::HwIcapDriver hwicap_drv;
-  driver::Scrubber scrubber;
-  FaultInjector fi;
-  DprManager mgr;
-};
-
 void expect_same_journal(const std::vector<DprManager::JournalEntry>& a,
                          const std::vector<DprManager::JournalEntry>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -287,8 +245,8 @@ void expect_same_journal(const std::vector<DprManager::JournalEntry>& a,
 }
 
 TEST(KernelEquivalence, DmaFaultRecoveryJournalIdentical) {
-  RecoveryRun flat(Simulator::Mode::kFlat);
-  RecoveryRun sched(Simulator::Mode::kScheduled);
+  test::DprWorld flat(Simulator::Mode::kFlat);
+  test::DprWorld sched(Simulator::Mode::kScheduled);
   flat.fi.arm(sites::kDmaMm2sSlvErr, /*count=*/1);
   sched.fi.arm(sites::kDmaMm2sSlvErr, /*count=*/1);
   ASSERT_EQ(flat.mgr.activate("sobel"), Status::kOk);
@@ -300,8 +258,8 @@ TEST(KernelEquivalence, DmaFaultRecoveryJournalIdentical) {
 }
 
 TEST(KernelEquivalence, IcapCorruptionRecoveryJournalIdentical) {
-  RecoveryRun flat(Simulator::Mode::kFlat);
-  RecoveryRun sched(Simulator::Mode::kScheduled);
+  test::DprWorld flat(Simulator::Mode::kFlat);
+  test::DprWorld sched(Simulator::Mode::kScheduled);
   flat.fi.arm(sites::kIcapCrcCorrupt, /*count=*/1);
   sched.fi.arm(sites::kIcapCrcCorrupt, /*count=*/1);
   ASSERT_EQ(flat.mgr.activate("sobel"), Status::kOk);
@@ -319,8 +277,8 @@ TEST(KernelEquivalence, IcapCorruptionRecoveryJournalIdentical) {
 TEST(KernelEquivalence, BackToBackActivationsIdentical) {
   // Module swaps exercise decouple/recouple, RM slot wake paths and
   // the already-active fast path in both kernels.
-  RecoveryRun flat(Simulator::Mode::kFlat);
-  RecoveryRun sched(Simulator::Mode::kScheduled);
+  test::DprWorld flat(Simulator::Mode::kFlat);
+  test::DprWorld sched(Simulator::Mode::kScheduled);
   for (const char* name : {"sobel", "median", "median", "sobel"}) {
     ASSERT_EQ(flat.mgr.activate(name), Status::kOk);
     ASSERT_EQ(sched.mgr.activate(name), Status::kOk);

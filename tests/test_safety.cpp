@@ -4,7 +4,7 @@
 #include "bitstream/generator.hpp"
 #include "bitstream/parser.hpp"
 #include "bitstream/relocate.hpp"
-#include "driver/scrubber.hpp"
+#include "driver/frame_check.hpp"
 #include "soc/ariane_soc.hpp"
 
 namespace rvcap {
@@ -13,7 +13,7 @@ namespace {
 using bitstream::partitions_compatible;
 using bitstream::relocate_bitstream;
 using driver::DmaMode;
-using driver::Scrubber;
+using driver::verify_partition;
 using fabric::Partition;
 using soc::ArianeSoc;
 using soc::MemoryMap;
@@ -111,15 +111,11 @@ TEST_F(RelocFixture, MalformedInputRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Scrubbing
+// Scrubbing: the one-shot frame-ECC partition verify
 // ---------------------------------------------------------------------------
 
 struct ScrubFixture : ::testing::Test {
-  ScrubFixture()
-      : soc(SocConfig{}),
-        drv(soc.cpu(), soc.plic()),
-        scrubber(drv, soc.device(),
-                 Scrubber::Config{0x8C00'0000, 0x8D00'0000}) {}
+  ScrubFixture() : soc(SocConfig{}), drv(soc.cpu(), soc.plic()) {}
 
   driver::ReconfigModule load(u32 rm_id) {
     const auto pbit = bitstream::generate_partial_bitstream(
@@ -132,35 +128,29 @@ struct ScrubFixture : ::testing::Test {
     return m;
   }
 
+  /// Read RP0 back and check every frame against its recorded ECC.
+  Status verify() {
+    return verify_partition(drv, soc.config_memory(), soc.rp0(), 0x8D00'0000);
+  }
+
   ArianeSoc soc;
   driver::RvCapDriver drv;
-  Scrubber scrubber;
 };
 
 TEST_F(ScrubFixture, CleanPartitionScrubsClean) {
   load(accel::kRmIdSobel);
-  ASSERT_EQ(scrubber.snapshot(soc.rp0()), Status::kOk);
-  bool clean = false;
-  EXPECT_EQ(scrubber.scrub(soc.rp0(), &clean), Status::kOk);
-  EXPECT_TRUE(clean);
-  EXPECT_EQ(scrubber.stats().detections, 0u);
-  EXPECT_GT(scrubber.stats().words_scrubbed, 160'000u);
-}
-
-TEST_F(ScrubFixture, ScrubWithoutSnapshotRejected) {
-  EXPECT_EQ(scrubber.scrub(soc.rp0()), Status::kInternal);
+  const u64 words0 = soc.icap().words_read_back();
+  EXPECT_EQ(verify(), Status::kOk);
+  EXPECT_EQ(soc.icap().words_read_back() - words0,
+            u64{soc.rp0().frame_count(soc.device())} * fabric::kFrameWords);
 }
 
 TEST_F(ScrubFixture, DetectsInjectedUpset) {
   load(accel::kRmIdMedian);
-  ASSERT_EQ(scrubber.snapshot(soc.rp0()), Status::kOk);
   // Flip one configuration bit deep inside the partition.
   const auto addrs = soc.rp0().frame_addrs(soc.device());
   ASSERT_TRUE(soc.config_memory().inject_upset(addrs[400], 77, 13));
-  bool clean = true;
-  EXPECT_EQ(scrubber.scrub(soc.rp0(), &clean), Status::kCrcError);
-  EXPECT_FALSE(clean);
-  EXPECT_EQ(scrubber.stats().detections, 1u);
+  EXPECT_EQ(verify(), Status::kCrcError);
   // The functional model keeps the module loaded (an SEU is silent) —
   // which is exactly why scrubbing is needed.
   EXPECT_TRUE(soc.config_memory().partition_state(soc.rp0_handle()).loaded);
@@ -168,27 +158,25 @@ TEST_F(ScrubFixture, DetectsInjectedUpset) {
 
 TEST_F(ScrubFixture, RepairRestoresPartition) {
   const auto m = load(accel::kRmIdGaussian);
-  ASSERT_EQ(scrubber.snapshot(soc.rp0()), Status::kOk);
   const auto addrs = soc.rp0().frame_addrs(soc.device());
   ASSERT_TRUE(soc.config_memory().inject_upset(addrs[10], 5, 31));
 
-  ASSERT_EQ(scrubber.scrub_and_repair(soc.rp0(), m), Status::kOk);
-  EXPECT_EQ(scrubber.stats().repairs, 1u);
-
-  // Post-repair: clean scrub and an active module again.
-  bool clean = false;
-  EXPECT_EQ(scrubber.scrub(soc.rp0(), &clean), Status::kOk);
-  EXPECT_TRUE(clean);
+  // Detect, reload the module, verify again.
+  ASSERT_EQ(verify(), Status::kCrcError);
+  ASSERT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  EXPECT_EQ(verify(), Status::kOk);
   const auto st = soc.config_memory().partition_state(soc.rp0_handle());
   EXPECT_TRUE(st.loaded);
   EXPECT_EQ(st.rm_id, accel::kRmIdGaussian);
 }
 
 TEST_F(ScrubFixture, RepairSkippedWhenClean) {
-  const auto m = load(accel::kRmIdSobel);
-  ASSERT_EQ(scrubber.snapshot(soc.rp0()), Status::kOk);
-  ASSERT_EQ(scrubber.scrub_and_repair(soc.rp0(), m), Status::kOk);
-  EXPECT_EQ(scrubber.stats().repairs, 0u);
+  load(accel::kRmIdSobel);
+  const u64 written = soc.config_memory().frames_written();
+  // A clean verify calls for no reload, and the readback itself
+  // writes no frame.
+  ASSERT_EQ(verify(), Status::kOk);
+  EXPECT_EQ(soc.config_memory().frames_written(), written);
 }
 
 TEST_F(ScrubFixture, UpsetInjectionBoundsChecked) {

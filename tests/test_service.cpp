@@ -24,7 +24,6 @@
 #include "driver/dpr_manager.hpp"
 #include "driver/hwicap_driver.hpp"
 #include "driver/reconfig_service.hpp"
-#include "driver/scrubber.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "soc/ariane_soc.hpp"
@@ -50,38 +49,8 @@ using State = ReconfigService::RequestState;
 // World: SoC + self-healing DprManager with three pre-staged modules.
 // ---------------------------------------------------------------------
 
-struct ServiceWorld {
-  ServiceWorld()
-      : soc(make_config()),
-        drv(soc.cpu(), soc.plic()),
-        hwicap_drv(soc.cpu()),
-        scrubber(drv, soc.device(),
-                 driver::Scrubber::Config{0x8C00'0000, 0x8D00'0000}),
-        fi(0x5EED),
-        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
-    soc.attach_fault_injector(&fi);
-    mgr.set_fault_injector(&fi);
-    mgr.attach_fallback(&hwicap_drv);
-    mgr.attach_scrubber(&scrubber);
-    stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
-    stage("median", accel::kRmIdMedian, 0x8B00'0000);
-    stage("gauss", accel::kRmIdGaussian, 0x8900'0000);
-  }
-
-  static SocConfig make_config() {
-    SocConfig cfg;
-    cfg.with_hwicap = true;
-    return cfg;
-  }
-
-  void stage(const char* name, u32 rm_id, Addr addr) {
-    const auto pbit = bitstream::generate_partial_bitstream(
-        soc.device(), soc.rp0(), {rm_id, name});
-    soc.ddr().poke(addr, pbit);
-    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
-                                  static_cast<u32>(pbit.size())),
-              Status::kOk);
-  }
+struct ServiceWorld : test::DprWorld {
+  ServiceWorld() { stage("gauss", accel::kRmIdGaussian, 0x8900'0000); }
 
   /// Stage raw bytes under a module name (for malformed images).
   void stage_raw(const char* name, u32 rm_id, Addr addr,
@@ -107,13 +76,6 @@ struct ServiceWorld {
     ADD_FAILURE() << "device fully covered by RP0?";
     return fabric::Partition("RPX", {{0, 0}});
   }
-
-  ArianeSoc soc;
-  driver::RvCapDriver drv;
-  driver::HwIcapDriver hwicap_drv;
-  driver::Scrubber scrubber;
-  FaultInjector fi;
-  DprManager mgr;
 };
 
 struct ServiceFixture : ::testing::Test, ServiceWorld {};

@@ -1,7 +1,9 @@
 // Shared test helpers: a bus-functional manager for driving AxiPort /
 // AxiLitePort links cycle-accurately from tests, a scriptable register
-// device, assertion helpers over the obs:: trace stream, and a
-// firmware-style counter read through the PerfRegs window.
+// device, assertion helpers over the obs:: trace stream, a
+// firmware-style counter read through the PerfRegs window, and the
+// self-healing DPR world the fault, service, scrub and
+// kernel-equivalence suites share.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,10 +17,15 @@
 
 #include "axi/lite_slave.hpp"
 #include "axi/types.hpp"
+#include "bitstream/generator.hpp"
+#include "driver/dpr_manager.hpp"
+#include "driver/hwicap_driver.hpp"
 #include "driver/rvcap_driver.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
+#include "soc/ariane_soc.hpp"
 
 namespace rvcap::test {
 
@@ -181,5 +188,55 @@ inline u64 perf_counter(driver::RvCapDriver& drv, std::string_view name) {
   drv.perf_select(static_cast<u32>(idx));
   return drv.perf_read();
 }
+
+// ---- shared DPR world ----
+
+/// A SoC with the AXI_HWICAP fallback, a seeded fault injector and a
+/// self-healing DprManager on RP0 with the post-recovery verify on;
+/// "sobel" and "median" are pre-staged in DDR.
+struct DprWorld {
+  explicit DprWorld(
+      sim::Simulator::Mode sim_mode = sim::Simulator::Mode::kScheduled,
+      u64 seed = 0x5EED)
+      : soc(make_config(sim_mode)),
+        drv(soc.cpu(), soc.plic()),
+        hwicap_drv(soc.cpu()),
+        fi(seed),
+        mgr(drv, soc.config_memory(), soc.rp0_handle(), nullptr) {
+    soc.attach_fault_injector(&fi);
+    mgr.set_fault_injector(&fi);
+    mgr.attach_fallback(&hwicap_drv);
+    driver::DprManager::RecoveryPolicy p;
+    p.scrub_after_recovery = true;
+    mgr.set_policy(p);
+    stage("sobel", accel::kRmIdSobel, 0x8A00'0000);
+    stage("median", accel::kRmIdMedian, 0x8B00'0000);
+  }
+
+  static soc::SocConfig make_config(sim::Simulator::Mode sim_mode) {
+    soc::SocConfig cfg;
+    cfg.sim_mode = sim_mode;
+    cfg.with_hwicap = true;  // fallback path available
+    return cfg;
+  }
+
+  /// Generate `name`'s RP0 bitstream, poke it at `addr` and register it.
+  void stage(const char* name, u32 rm_id, Addr addr) {
+    const auto pbit = bitstream::generate_partial_bitstream(
+        soc.device(), soc.rp0(), {rm_id, name});
+    soc.ddr().poke(addr, pbit);
+    ASSERT_EQ(mgr.register_staged(name, rm_id, addr,
+                                  static_cast<u32>(pbit.size())),
+              Status::kOk);
+  }
+
+  bool decoupled() { return soc.rvcap().rp_control().decoupled(); }
+
+  soc::ArianeSoc soc;
+  driver::RvCapDriver drv;
+  driver::HwIcapDriver hwicap_drv;
+  sim::FaultInjector fi;
+  driver::DprManager mgr;
+};
 
 }  // namespace rvcap::test
