@@ -176,7 +176,7 @@ struct KernelRun {
   double seconds = 0;
   Cycles final_cycle = 0;
   sim::SimStats stats;
-  double mbps = 0;   // dma_reconfig only
+  double mbps = 0;   // reconfiguration cells only
   bool loaded = true;
 };
 
@@ -224,6 +224,39 @@ KernelRun run_dma_reconfig(sim::Simulator::Mode mode,
   return r;
 }
 
+/// CPU-paced workload: one Fig. 3 window (2 columns) programmed
+/// through the AXI_HWICAP keyhole at unroll 16. Every configuration
+/// word is an uncached store over the CPU-side register path, so this
+/// cell measures the CPU's bus waits rather than the stream datapath.
+KernelRun run_hwicap_program(sim::Simulator::Mode mode) {
+  soc::SocConfig cfg;
+  cfg.sim_mode = mode;
+  cfg.with_hwicap = true;
+  soc::ArianeSoc soc(cfg);
+  driver::HwIcapDriver drv(soc.cpu(), 16);
+  std::vector<fabric::Partition::ColumnRef> cols;
+  const u32 row = soc.device().rows() / 2;
+  for (u32 c = 2; c < 4; ++c) cols.push_back({row, c});
+  const fabric::Partition rp("RP_sweep2", std::move(cols));
+  const usize handle = soc.add_partition(rp);
+  const auto pbit =
+      bitstream::generate_partial_bitstream(soc.device(), rp, {7, "sweep"});
+  const Addr staging = soc::MemoryMap::kPbitStagingBase;
+  soc.ddr().poke(staging, pbit);
+  const driver::ReconfigModule m{"", 7, staging,
+                                 static_cast<u32>(pbit.size())};
+  const auto t0 = std::chrono::steady_clock::now();
+  const Status st = drv.init_reconfig_process(m);
+  const auto t1 = std::chrono::steady_clock::now();
+  KernelRun r;
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.final_cycle = soc.sim().now();
+  r.stats = soc.sim().stats();
+  r.mbps = pbit.size() / drv.last_timing().reconfig_us();
+  r.loaded = ok(st) && soc.config_memory().partition_state(handle).loaded;
+  return r;
+}
+
 void print_run(const char* workload, sim::Simulator::Mode mode,
                const KernelRun& r) {
   std::printf(
@@ -266,28 +299,40 @@ int run_kernel_comparison() {
   const KernelRun idle_sched = run_idle_wait(Mode::kScheduled, idle_cycles);
   const KernelRun dma_flat = run_dma_reconfig(Mode::kFlat);
   const KernelRun dma_sched = run_dma_reconfig(Mode::kScheduled);
+  const KernelRun hw_flat = run_hwicap_program(Mode::kFlat);
+  const KernelRun hw_sched = run_hwicap_program(Mode::kScheduled);
 
   print_run("idle_wait", Mode::kFlat, idle_flat);
   print_run("idle_wait", Mode::kScheduled, idle_sched);
   print_run("dma_reconfig", Mode::kFlat, dma_flat);
   print_run("dma_reconfig", Mode::kScheduled, dma_sched);
+  print_run("hwicap_program", Mode::kFlat, hw_flat);
+  print_run("hwicap_program", Mode::kScheduled, hw_sched);
 
-  const double idle_speedup =
-      idle_sched.seconds > 0 ? idle_flat.seconds / idle_sched.seconds : 0;
-  const double dma_speedup =
-      dma_sched.seconds > 0 ? dma_flat.seconds / dma_sched.seconds : 0;
+  auto speedup = [](const KernelRun& flat, const KernelRun& sched) {
+    return sched.seconds > 0 ? flat.seconds / sched.seconds : 0;
+  };
+  auto same_reconfig = [](const KernelRun& flat, const KernelRun& sched) {
+    return flat.final_cycle == sched.final_cycle &&
+           flat.mbps == sched.mbps && flat.loaded && sched.loaded;
+  };
+  const double idle_speedup = speedup(idle_flat, idle_sched);
+  const double dma_speedup = speedup(dma_flat, dma_sched);
+  const double hw_speedup = speedup(hw_flat, hw_sched);
 
   const bool idle_match = idle_flat.final_cycle == idle_sched.final_cycle;
-  const bool dma_match = dma_flat.final_cycle == dma_sched.final_cycle &&
-                         dma_flat.mbps == dma_sched.mbps &&
-                         dma_flat.loaded && dma_sched.loaded;
+  const bool dma_match = same_reconfig(dma_flat, dma_sched);
+  const bool hw_match = same_reconfig(hw_flat, hw_sched);
 
-  std::printf("\n  idle_wait:    %.1fx speedup, cycle counts %s\n",
+  std::printf("\n  idle_wait:      %.1fx speedup, cycle counts %s\n",
               idle_speedup, idle_match ? "MATCH" : "DIVERGED");
-  std::printf("  dma_reconfig: %.2fx speedup, cycle counts + MB/s %s "
+  std::printf("  dma_reconfig:   %.2fx speedup, cycle counts + MB/s %s "
               "(%.1f MB/s both modes)\n",
               dma_speedup, dma_match ? "MATCH" : "DIVERGED",
               dma_sched.mbps);
+  std::printf("  hwicap_program: %.2fx speedup, cycle counts + MB/s %s "
+              "(%.2f MB/s both modes)\n",
+              hw_speedup, hw_match ? "MATCH" : "DIVERGED", hw_sched.mbps);
 
   const char* path = std::getenv("BENCH_KERNEL_JSON");
   if (path == nullptr) path = "BENCH_kernel.json";
@@ -306,15 +351,23 @@ int run_kernel_comparison() {
     json_run(f, "scheduled", dma_sched);
     std::fprintf(f,
                  ",\n    \"mbps\": %.2f, \"speedup\": %.2f, "
-                 "\"cycles_match\": %s\n  }\n}\n",
+                 "\"cycles_match\": %s\n  },\n",
                  dma_sched.mbps, dma_speedup, dma_match ? "true" : "false");
+    std::fprintf(f, "  \"hwicap_program\": {\n");
+    json_run(f, "flat", hw_flat);
+    std::fprintf(f, ",\n");
+    json_run(f, "scheduled", hw_sched);
+    std::fprintf(f,
+                 ",\n    \"mbps\": %.2f, \"speedup\": %.2f, "
+                 "\"cycles_match\": %s\n  }\n}\n",
+                 hw_sched.mbps, hw_speedup, hw_match ? "true" : "false");
     std::fclose(f);
     std::printf("  wrote %s\n", path);
   } else {
     std::printf("  WARNING: could not open %s for writing\n", path);
   }
 
-  if (!idle_match || !dma_match) {
+  if (!idle_match || !dma_match || !hw_match) {
     std::printf("\nKERNEL DIVERGENCE DETECTED — see DESIGN.md §9\n");
     return 1;
   }

@@ -3,9 +3,12 @@
 // randomized requests (module, priority, deadline) into the bounded
 // queue, drains them through the self-healing pipeline under fault
 // injection, and reports admission/degradation counters plus the
-// p50/p99 request-to-active latency. Emits a JSON report and exits
-// non-zero if any accepted request failed to reach a terminal state.
+// p50/p99 request-to-active latency. Emits BENCH_service.json
+// (override with BENCH_SERVICE_JSON) and exits non-zero if any
+// accepted request failed to reach a terminal state.
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -209,6 +212,14 @@ int main() {
   json += all_terminal ? "true" : "false";
   json += "\n}";
 
+  const char* path = std::getenv("BENCH_SERVICE_JSON");
+  if (path == nullptr) path = "BENCH_service.json";
+  if (std::FILE* f = std::fopen(path, "w")) {
+    std::fputs(json.c_str(), f);
+    std::fputc('\n', f);
+    std::fclose(f);
+    std::printf("\nwrote %s\n", path);
+  }
   std::printf("\n--- JSON report ---\n%s\n", json.c_str());
   if (!all_terminal) {
     std::printf("\nERROR: an accepted request never reached a terminal "

@@ -29,36 +29,6 @@ bool move_one(sim::Fifo<T>& from, sim::Fifo<T>& to) {
   return true;
 }
 
-/// One registered link between the ports a (manager side) and b
-/// (subordinate side): requests flow a->b, responses b->a.
-template <typename Port>
-class PortLink : public sim::Component {
- public:
-  PortLink(std::string name, Port& a, Port& b)
-      : Component(std::move(name)), a_(a), b_(b) {
-    a_.watch_subordinate(this);
-    b_.watch_manager(this);
-  }
-
-  bool tick() override {
-    move_one(a_.ar, b_.ar);
-    move_one(a_.aw, b_.aw);
-    move_one(a_.w, b_.w);
-    move_one(b_.r, a_.r);
-    move_one(b_.b, a_.b);
-    return can_move(a_.ar, b_.ar) || can_move(a_.aw, b_.aw) ||
-           can_move(a_.w, b_.w) || can_move(b_.r, a_.r) ||
-           can_move(b_.b, a_.b);
-  }
-  bool busy() const override {
-    return a_.has_request() || b_.r.can_pop() || b_.b.can_pop();
-  }
-
- private:
-  Port& a_;
-  Port& b_;
-};
-
 }  // namespace detail
 
 /// AXI-Stream link: from -> to.
@@ -95,11 +65,33 @@ class AxisWire : public sim::Component {
   u64 beats_ = 0;
 };
 
-/// Full AXI link between a manager-facing and a subordinate-facing port:
-/// requests flow a->b, responses b->a.
-using AxiWire = detail::PortLink<AxiPort>;
+/// Full AXI link between a manager-facing port a and a
+/// subordinate-facing port b: requests flow a->b, responses b->a.
+class AxiWire : public sim::Component {
+ public:
+  AxiWire(std::string name, AxiPort& a, AxiPort& b)
+      : Component(std::move(name)), a_(a), b_(b) {
+    a_.watch_subordinate(this);
+    b_.watch_manager(this);
+  }
 
-/// AXI4-Lite link, same direction convention as AxiWire.
-using LiteWire = detail::PortLink<AxiLitePort>;
+  bool tick() override {
+    detail::move_one(a_.ar, b_.ar);
+    detail::move_one(a_.aw, b_.aw);
+    detail::move_one(a_.w, b_.w);
+    detail::move_one(b_.r, a_.r);
+    detail::move_one(b_.b, a_.b);
+    return detail::can_move(a_.ar, b_.ar) ||
+           detail::can_move(a_.aw, b_.aw) || detail::can_move(a_.w, b_.w) ||
+           detail::can_move(b_.r, a_.r) || detail::can_move(b_.b, a_.b);
+  }
+  bool busy() const override {
+    return a_.has_request() || b_.r.can_pop() || b_.b.can_pop();
+  }
+
+ private:
+  AxiPort& a_;
+  AxiPort& b_;
+};
 
 }  // namespace rvcap::axi

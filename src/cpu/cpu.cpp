@@ -1,31 +1,44 @@
 #include "cpu/cpu.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 
 namespace rvcap::cpu {
 
+template <typename Pred>
+bool CpuContext::bus_wait(Pred&& pred, const char* what, Addr a) {
+  if (sim_.run_until_event(std::forward<Pred>(pred))) return true;
+  log_error("cpu: ", what, " timeout at 0x", std::hex, a);
+  ++bus_timeouts_;
+  return false;
+}
+
+template <typename T>
+bool CpuContext::push_request(sim::Fifo<T>& ch, const T& beat, Addr a) {
+  if (!bus_wait([&] { return ch.can_push(); }, "request", a)) return false;
+  ch.push(beat);
+  return true;
+}
+
 axi::AxiR CpuContext::blocking_read(Addr a, u8 size) {
-  while (!port_.ar.push(axi::AxiAr{a, 0, size})) sim_.step();
+  constexpr axi::AxiR kTimedOut{0, axi::Resp::kSlvErr, true};
+  if (!push_request(port_.ar, axi::AxiAr{a, 0, size}, a)) return kTimedOut;
   ++bus_reads_;
-  if (!sim_.run_until([&] { return port_.r.can_pop(); })) {
-    log_error("cpu: read timeout at 0x", std::hex, a);
-    return axi::AxiR{0, axi::Resp::kSlvErr, true};
-  }
+  if (!bus_wait([&] { return port_.r.can_pop(); }, "read", a)) return kTimedOut;
   const axi::AxiR r = *port_.r.pop();
   if (r.resp != axi::Resp::kOkay) ++bus_errors_;
   return r;
 }
 
 void CpuContext::blocking_write(Addr a, u64 data, u8 strb, u8 size) {
-  while (!port_.aw.push(axi::AxiAw{a, 0, size})) sim_.step();
-  while (!port_.w.push(axi::AxiW{data, strb, true})) sim_.step();
-  ++bus_writes_;
-  if (!sim_.run_until([&] { return port_.b.can_pop(); })) {
-    log_error("cpu: write timeout at 0x", std::hex, a);
+  if (!push_request(port_.aw, axi::AxiAw{a, 0, size}, a) ||
+      !push_request(port_.w, axi::AxiW{data, strb, true}, a)) {
     return;
   }
+  ++bus_writes_;
+  if (!bus_wait([&] { return port_.b.can_pop(); }, "write", a)) return;
   if (port_.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
 }
 
@@ -83,12 +96,13 @@ void CpuContext::read_buffer(Addr a, std::span<u8> out) {
     const usize want = out.size() - done + ((a + done) & 7);
     const u32 beats =
         static_cast<u32>(std::min<usize>(avail_beats, (want + 7) / 8));
-    while (!port_.ar.push(axi::AxiAr{base, static_cast<u8>(beats - 1), 3})) {
-      sim_.step();
+    if (!push_request(port_.ar,
+                      axi::AxiAr{base, static_cast<u8>(beats - 1), 3}, base)) {
+      return;
     }
     ++bus_reads_;
     for (u32 b = 0; b < beats; ++b) {
-      if (!sim_.run_until([&] { return port_.r.can_pop(); })) return;
+      if (!bus_wait([&] { return port_.r.can_pop(); }, "read", base)) return;
       const axi::AxiR r = *port_.r.pop();
       if (r.resp != axi::Resp::kOkay) ++bus_errors_;
       for (u32 i = 0; i < 8 && done < out.size(); ++i) {
@@ -108,8 +122,9 @@ void CpuContext::write_buffer(Addr a, std::span<const u8> data) {
     const Addr base = addr & ~Addr{7};
     const usize remaining = data.size() - done + (addr & 7);
     const u32 beats = static_cast<u32>(std::min<usize>(16, (remaining + 7) / 8));
-    while (!port_.aw.push(axi::AxiAw{base, static_cast<u8>(beats - 1), 3})) {
-      sim_.step();
+    if (!push_request(port_.aw,
+                      axi::AxiAw{base, static_cast<u8>(beats - 1), 3}, base)) {
+      return;
     }
     ++bus_writes_;
     usize cursor = done;
@@ -125,20 +140,21 @@ void CpuContext::write_buffer(Addr a, std::span<const u8> data) {
           ++cursor;
         }
       }
-      while (!port_.w.push(axi::AxiW{word, strb, b + 1 == beats})) {
-        sim_.step();
+      if (!push_request(port_.w, axi::AxiW{word, strb, b + 1 == beats},
+                        base)) {
+        return;
       }
       sim_.run_cycles(tm_.cached_access_core_cycles);
     }
     done = cursor;
-    if (!sim_.run_until([&] { return port_.b.can_pop(); })) return;
+    if (!bus_wait([&] { return port_.b.can_pop(); }, "write", base)) return;
     if (port_.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
   }
 }
 
 u32 CpuContext::wait_for_irq(const irq::Plic& plic, Addr plic_claim_addr,
                              Cycles timeout) {
-  if (!sim_.run_until([&] { return plic.eip(); }, timeout)) return 0;
+  if (!sim_.run_until_event([&] { return plic.eip(); }, timeout)) return 0;
   sim_.run_cycles(tm_.irq_entry_cycles);
   return load32_uncached(plic_claim_addr);
 }

@@ -7,10 +7,14 @@
 // round trip plus the CpuTimingModel's core-side cost. Blocking APIs
 // run the simulator forward until the response arrives, so hardware
 // (DMA, ICAP, SPI...) naturally progresses "while the CPU executes".
+// Every wait is on a channel or the PLIC line, so it goes through
+// Simulator::run_until_event and the scheduled kernel jumps the idle
+// cycles of a round trip; each wait is bounded by the kernel's
+// watchdog, and a timeout is logged and counted (bus_timeouts()).
 #pragma once
 
-#include <functional>
 #include <span>
+#include <utility>
 
 #include "axi/types.hpp"
 #include "common/status.hpp"
@@ -59,10 +63,12 @@ class CpuContext {
   void spend_call_overhead() { sim_.run_cycles(tm_.call_overhead_cycles); }
 
   /// Busy-wait until pred() holds (polling is accounted by the caller's
-  /// loop of MMIO reads; this variant is for hardware conditions).
-  bool wait_for(const std::function<bool()>& pred,
-                Cycles timeout = 100'000'000) {
-    return sim_.run_until(pred, timeout);
+  /// loop of MMIO reads; this variant is for hardware conditions). The
+  /// predicate may read only state a component tick changes (see
+  /// Simulator::run_until_event).
+  template <typename Pred>
+  bool wait_for(Pred&& pred, Cycles timeout = 100'000'000) {
+    return sim_.run_until_event(std::forward<Pred>(pred), timeout);
   }
 
   /// Sleep until the PLIC raises an external interrupt, then claim it.
@@ -77,10 +83,19 @@ class CpuContext {
   u64 bus_reads() const { return bus_reads_; }
   u64 bus_writes() const { return bus_writes_; }
   u64 bus_errors() const { return bus_errors_; }
+  /// Requests that found no room, and responses that never came,
+  /// within the kernel's watchdog (a wedged subordinate).
+  u64 bus_timeouts() const { return bus_timeouts_; }
 
  private:
   axi::AxiR blocking_read(Addr a, u8 size);
   void blocking_write(Addr a, u64 data, u8 strb, u8 size);
+  /// Wait for room in a request channel and push `beat`.
+  template <typename T>
+  bool push_request(sim::Fifo<T>& ch, const T& beat, Addr a);
+  /// Wait until pred() holds; false (logged, counted) on the watchdog.
+  template <typename Pred>
+  bool bus_wait(Pred&& pred, const char* what, Addr a);
 
   sim::Simulator& sim_;
   CpuTimingModel tm_;
@@ -88,6 +103,7 @@ class CpuContext {
   u64 bus_reads_ = 0;
   u64 bus_writes_ = 0;
   u64 bus_errors_ = 0;
+  u64 bus_timeouts_ = 0;
 };
 
 }  // namespace rvcap::cpu

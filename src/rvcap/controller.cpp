@@ -17,18 +17,8 @@ RvCapController::RvCapController(icap::Icap& icap, axi::AxiPort& ddr_port,
       icap2axis_("rvcap.icap2axis", icap.read_port(), switch_.from_icap()),
       rp_ctrl_("rvcap.rp_ctrl", switch_),
       ddr_xbar_("rvcap.ddr_xbar"),
-      dma_ctrl_conv_("rvcap.dma_ctrl.widthconv"),
-      dma_ctrl_bridge_("rvcap.dma_ctrl.litebridge"),
-      rp_ctrl_conv_("rvcap.rp_ctrl.widthconv"),
-      rp_ctrl_bridge_("rvcap.rp_ctrl.litebridge"),
-      w_dma_conv_bridge_("rvcap.w0", dma_ctrl_conv_.downstream(),
-                         dma_ctrl_bridge_.upstream()),
-      w_dma_bridge_dev_("rvcap.w1", dma_ctrl_bridge_.downstream(),
-                        dma_.port()),
-      w_rp_conv_bridge_("rvcap.w2", rp_ctrl_conv_.downstream(),
-                        rp_ctrl_bridge_.upstream()),
-      w_rp_bridge_dev_("rvcap.w3", rp_ctrl_bridge_.downstream(),
-                       rp_ctrl_.port()),
+      dma_ctrl_path_("rvcap.dma_ctrl.path", dma_.port()),
+      rp_ctrl_path_("rvcap.rp_ctrl.path", rp_ctrl_.port()),
       w_dma_to_switch_("rvcap.w4", dma_.mm2s_stream(), switch_.from_dma()),
       w_switch_to_dma_("rvcap.w7", switch_.to_dma(), dma_.s2mm_stream()) {
   // Additional crossbar: manager 0 = CPU path, manager 1 = DMA.
@@ -71,16 +61,10 @@ void RvCapController::abort_datapath() {
 void RvCapController::register_components(sim::Simulator& sim) {
   assert(!registered_);
   registered_ = true;
-  // Dataflow order: control converters first, then engines, then the
+  // Dataflow order: control paths first, then engines, then the
   // stream fabric toward the ICAP/RM.
-  sim.add(&dma_ctrl_conv_);
-  sim.add(&w_dma_conv_bridge_);
-  sim.add(&dma_ctrl_bridge_);
-  sim.add(&w_dma_bridge_dev_);
-  sim.add(&rp_ctrl_conv_);
-  sim.add(&w_rp_conv_bridge_);
-  sim.add(&rp_ctrl_bridge_);
-  sim.add(&w_rp_bridge_dev_);
+  sim.add(&dma_ctrl_path_);
+  sim.add(&rp_ctrl_path_);
   sim.add(&rp_ctrl_);
   sim.add(&ddr_xbar_);
   sim.add(&dma_);

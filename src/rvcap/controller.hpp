@@ -16,9 +16,8 @@
 
 #include "axi/crossbar.hpp"
 #include "axi/isolator.hpp"
-#include "axi/lite_bridge.hpp"
+#include "axi/lite_path.hpp"
 #include "axi/stream_switch.hpp"
-#include "axi/width_converter.hpp"
 #include "axi/wires.hpp"
 #include "icap/icap.hpp"
 #include "rvcap/axis2icap.hpp"
@@ -47,8 +46,8 @@ class RvCapController {
   void register_components(sim::Simulator& sim);
 
   // ---- main-crossbar-facing subordinate ports ----
-  axi::AxiPort& dma_ctrl_port() { return dma_ctrl_conv_.upstream(); }
-  axi::AxiPort& rp_ctrl_port() { return rp_ctrl_conv_.upstream(); }
+  axi::AxiPort& dma_ctrl_port() { return dma_ctrl_path_.upstream(); }
+  axi::AxiPort& rp_ctrl_port() { return rp_ctrl_path_.upstream(); }
   axi::AxiPort& main_bus_ddr_port() { return main_bus_ddr_port_; }
 
   // ---- RM-side stream attachment points (behind the isolators) ----
@@ -92,16 +91,10 @@ class RvCapController {
 
   // Control path: per-interface 64->32 width conversion + AXI4-Lite
   // protocol conversion (Fig. 2 component 2).
-  axi::WidthConverter64To32 dma_ctrl_conv_;
-  axi::AxiToLiteBridge dma_ctrl_bridge_;
-  axi::WidthConverter64To32 rp_ctrl_conv_;
-  axi::AxiToLiteBridge rp_ctrl_bridge_;
+  axi::LitePath dma_ctrl_path_;
+  axi::LitePath rp_ctrl_path_;
 
-  // Wires.
-  axi::AxiWire w_dma_conv_bridge_;
-  axi::LiteWire w_dma_bridge_dev_;
-  axi::AxiWire w_rp_conv_bridge_;
-  axi::LiteWire w_rp_bridge_dev_;
+  // Stream wires.
   axi::AxisWire w_dma_to_switch_;
   axi::AxisWire w_switch_to_dma_;
 

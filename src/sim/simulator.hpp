@@ -100,25 +100,7 @@ class Simulator {
   /// component state land exactly where the flat loop would put them.
   void run_cycles(Cycles n) {
     const Cycles end = now_ + n;
-    if (mode_ == Mode::kFlat) {
-      while (now_ < end) step_flat();
-      return;
-    }
-    while (now_ < end) {
-      service_wheel();
-      if (hooks_.active.none()) {
-        const Cycles target = std::min(end, next_wake_at());
-        if (target > now_) {
-          const Cycles jumped = target - now_;
-          stats_.cycles_skipped += jumped;
-          stats_.ticks_skipped += components_.size() * jumped;
-          ++stats_.time_skip_jumps;
-          now_ = target;
-        }
-        continue;  // re-service the wheel at the new time
-      }
-      step_scheduled();
-    }
+    while (now_ < end) advance(end);
   }
 
   /// Advance until pred() is true, up to max_cycles more cycles.
@@ -129,14 +111,31 @@ class Simulator {
   /// gets exactly max_cycles, in either kernel mode. The predicate is
   /// evaluated once per cycle at the same cycle boundaries as the flat
   /// loop; the scheduled kernel never jumps time here, because pred()
-  /// may be time-dependent. A template, so a lambda predicate inlines
-  /// into the loop instead of going through std::function every cycle.
+  /// may be time-dependent or drive stimulus. A template, so a lambda
+  /// predicate inlines into the loop instead of going through
+  /// std::function every cycle.
   template <typename Pred>
   bool run_until(Pred&& pred, Cycles max_cycles = kDefaultWatchdog) {
     const Cycles end = now_ + max_cycles;
     while (!pred()) {
       if (now_ >= end) return false;
       step();
+    }
+    return true;
+  }
+
+  /// run_until() for a predicate that reads only state a component
+  /// tick changes (channel FIFOs, the PLIC's eip): it cannot turn true
+  /// while no component is active, so the scheduled kernel jumps an
+  /// idle stretch to the next scheduled wake, or to the budget end,
+  /// instead of stepping it. Return value, time and state are those of
+  /// run_until(). The CPU's waits use this.
+  template <typename Pred>
+  bool run_until_event(Pred&& pred, Cycles max_cycles = kDefaultWatchdog) {
+    const Cycles end = now_ + max_cycles;
+    while (!pred()) {
+      if (now_ >= end) return false;
+      advance(end);
     }
     return true;
   }
@@ -217,6 +216,28 @@ class Simulator {
   Cycles next_wake_at() const {
     return wheel_.empty() ? std::numeric_limits<Cycles>::max()
                           : wheel_.top().at;
+  }
+
+  /// One kernel step toward `end` (> now_): a cycle of ticks, or under
+  /// the scheduled kernel with nothing active, a jump to the next
+  /// scheduled wake capped at `end`.
+  void advance(Cycles end) {
+    if (mode_ == Mode::kFlat) {
+      step_flat();
+      return;
+    }
+    service_wheel();
+    if (!hooks_.active.none()) {
+      step_scheduled();
+      return;
+    }
+    // Idle: nothing can change before the next wake. The wheel was
+    // just serviced, so that wake lies after now_.
+    const Cycles jumped = std::min(end, next_wake_at()) - now_;
+    stats_.cycles_skipped += jumped;
+    stats_.ticks_skipped += components_.size() * jumped;
+    ++stats_.time_skip_jumps;
+    now_ += jumped;
   }
 
   void service_wheel() {

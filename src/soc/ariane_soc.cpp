@@ -29,25 +29,19 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
       spi_("spi", sd_),
       cpu_(sim_, cfg.timing),
       main_xbar_("main_xbar"),
-      periph_conv_("periph.widthconv"),
-      periph_bridge_("periph.litebridge"),
-      periph_bus_("periph.litebus"),
-      periph_w0_("periph.w0", periph_conv_.downstream(),
-                 periph_bridge_.upstream()),
-      periph_w1_("periph.w1", periph_bridge_.downstream(),
-                 periph_bus_.upstream()) {
+      periph_path_("periph.path") {
   // ---- interconnect: managers ----
   main_xbar_.add_manager(&cpu_.port());
 
-  // ---- peripheral chain windows ----
-  periph_bus_.add_device(MemoryMap::kClint, &clint_.port());
-  periph_bus_.add_device(MemoryMap::kPlic, &plic_.port());
-  periph_bus_.add_device(MemoryMap::kUart, &uart_.port());
-  periph_bus_.add_device(MemoryMap::kSpi, &spi_.port());
+  // ---- peripheral windows ----
+  periph_path_.add_device(MemoryMap::kClint, &clint_.port());
+  periph_path_.add_device(MemoryMap::kPlic, &plic_.port());
+  periph_path_.add_device(MemoryMap::kUart, &uart_.port());
+  periph_path_.add_device(MemoryMap::kSpi, &spi_.port());
   perf_regs_.bind(&sim_.obs().counters());
-  periph_bus_.add_device(MemoryMap::kPerfRegs, &perf_regs_.port());
+  periph_path_.add_device(MemoryMap::kPerfRegs, &perf_regs_.port());
   main_xbar_.add_subordinate(MemoryMap::kPeripherals,
-                             &periph_conv_.upstream());
+                             &periph_path_.upstream());
   main_xbar_.add_subordinate(MemoryMap::kBootMem, &boot_.port());
 
   // ---- reconfigurable-partition slots ----
@@ -113,16 +107,10 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
     hwicap_ =
         std::make_unique<hwicap::HwIcap>("hwicap", icap_,
                                          cfg_.hwicap_fifo_depth);
-    hwicap_conv_ = std::make_unique<axi::WidthConverter64To32>(
-        "hwicap.widthconv");
-    hwicap_bridge_ = std::make_unique<axi::AxiToLiteBridge>(
-        "hwicap.litebridge");
-    hwicap_w0_ = std::make_unique<axi::AxiWire>(
-        "hwicap.w0", hwicap_conv_->downstream(), hwicap_bridge_->upstream());
-    hwicap_w1_ = std::make_unique<axi::LiteWire>(
-        "hwicap.w1", hwicap_bridge_->downstream(), hwicap_->port());
+    hwicap_path_ =
+        std::make_unique<axi::LitePath>("hwicap.path", hwicap_->port());
     main_xbar_.add_subordinate(MemoryMap::kHwicap,
-                               &hwicap_conv_->upstream());
+                               &hwicap_path_->upstream());
   }
 
   // ---- networked bitstream delivery plant ----
@@ -150,11 +138,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
 
   // ---- simulator registration (dataflow order) ----
   sim_.add(&main_xbar_);
-  sim_.add(&periph_conv_);
-  sim_.add(&periph_w0_);
-  sim_.add(&periph_bridge_);
-  sim_.add(&periph_w1_);
-  sim_.add(&periph_bus_);
+  sim_.add(&periph_path_);
   sim_.add(&clint_);
   sim_.add(&plic_);
   sim_.add(&uart_);
@@ -163,10 +147,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   sim_.add(&boot_);
   if (rvcap_) rvcap_->register_components(sim_);
   if (hwicap_) {
-    sim_.add(hwicap_conv_.get());
-    sim_.add(hwicap_w0_.get());
-    sim_.add(hwicap_bridge_.get());
-    sim_.add(hwicap_w1_.get());
+    sim_.add(hwicap_path_.get());
     sim_.add(hwicap_.get());
   }
   if (ddr_direct_wire_) sim_.add(ddr_direct_wire_.get());

@@ -17,9 +17,7 @@
 #include "accel/fir_filter.hpp"
 #include "accel/stream_cipher.hpp"
 #include "axi/crossbar.hpp"
-#include "axi/lite_bridge.hpp"
-#include "axi/lite_bus.hpp"
-#include "axi/width_converter.hpp"
+#include "axi/lite_path.hpp"
 #include "axi/wires.hpp"
 #include "cpu/cpu.hpp"
 #include "fabric/config_memory.hpp"
@@ -160,20 +158,13 @@ class ArianeSoc {
   cpu::CpuContext cpu_;
   axi::AxiCrossbar main_xbar_;
 
-  // Peripheral converter chain: 64-bit bus -> 32-bit lite devices.
-  axi::WidthConverter64To32 periph_conv_;
-  axi::AxiToLiteBridge periph_bridge_;
-  axi::LiteBus periph_bus_;
-  axi::AxiWire periph_w0_;
-  axi::LiteWire periph_w1_;
+  // Peripheral register path: 64-bit bus -> decoded 32-bit lite devices.
+  axi::LitePath periph_path_;
 
   // DPR controllers (deployment options).
   std::unique_ptr<rvcap_ctrl::RvCapController> rvcap_;
   std::unique_ptr<hwicap::HwIcap> hwicap_;
-  std::unique_ptr<axi::WidthConverter64To32> hwicap_conv_;
-  std::unique_ptr<axi::AxiToLiteBridge> hwicap_bridge_;
-  std::unique_ptr<axi::AxiWire> hwicap_w0_;
-  std::unique_ptr<axi::LiteWire> hwicap_w1_;
+  std::unique_ptr<axi::LitePath> hwicap_path_;
 
   std::unique_ptr<fabric::FabricAllocator> allocator_;
   // Per slot: planned partition (reserved once, so references stay

@@ -1,9 +1,9 @@
-// Width converter + AXI4->Lite bridge + lite-slave base, including the
-// full chain the paper inserts in front of the HWICAP (§III-C).
+// The CPU-side register path (axi::LitePath): its 64->32 split, its
+// AXI4->Lite conversion and the hop timing of the converter chain it
+// stands for in front of the HWICAP (§III-C), plus the lite-slave base.
 #include <gtest/gtest.h>
 
-#include "axi/lite_bridge.hpp"
-#include "axi/width_converter.hpp"
+#include "axi/lite_path.hpp"
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
 #include "testutil.hpp"
@@ -11,103 +11,54 @@
 namespace rvcap {
 namespace {
 
-using axi::AxiToLiteBridge;
+using axi::LitePath;
 using axi::Resp;
-using axi::WidthConverter64To32;
 using test::bfm_read64;
 using test::bfm_write64;
 using test::ScratchRegs;
 
-// A 32-bit AXI4 (not lite) echo device used downstream of the width
-// converter alone: stores writes, serves reads, 32-bit beats.
-class Echo32 : public sim::Component {
- public:
-  Echo32() : Component("echo32") {}
-  axi::AxiPort port;
-  std::map<Addr, u32> mem;
-
-  bool tick() override {
-    if (const axi::AxiAr* ar = port.ar.front()) {
-      if (port.r.can_push()) {
-        port.r.push(axi::AxiR{mem[ar->addr], Resp::kOkay, true});
-        port.ar.pop();
-      }
-    }
-    const axi::AxiAw* aw = port.aw.front();
-    const axi::AxiW* w = port.w.front();
-    if (aw != nullptr && w != nullptr && port.b.can_push()) {
-      mem[aw->addr] = static_cast<u32>(w->data);
-      port.aw.pop();
-      port.w.pop();
-      port.b.push(axi::AxiB{Resp::kOkay});
-    }
-    return true;  // test harness device: never sleeps
-  }
-  bool busy() const override { return port.has_request(); }
-};
-
+// The 64->32 split on its own: a zero-latency register file behind a
+// direct path stores writes and serves reads per 32-bit word.
 struct WidthConvFixture : ::testing::Test {
-  WidthConvFixture() : conv("conv") {
+  WidthConvFixture() : conv("conv", echo.port()) {
     s.add(&conv);
     s.add(&echo);
-    pump.conv = &conv;
-    pump.echo = &echo;
-    s.add(&pump);
   }
 
-  // Shuttles beats between the converter's downstream link and the echo
-  // device's port (links are distinct objects; a tiny wire joins them).
-  struct Wire : sim::Component {
-    Wire() : Component("wire") {}
-    WidthConverter64To32* conv = nullptr;
-    Echo32* echo = nullptr;
-    bool tick() override {
-      auto& d = conv->downstream();
-      auto& p = echo->port;
-      if (d.ar.can_pop() && p.ar.can_push()) p.ar.push(*d.ar.pop());
-      if (d.aw.can_pop() && p.aw.can_push()) p.aw.push(*d.aw.pop());
-      if (d.w.can_pop() && p.w.can_push()) p.w.push(*d.w.pop());
-      if (p.r.can_pop() && d.r.can_push()) d.r.push(*p.r.pop());
-      if (p.b.can_pop() && d.b.can_push()) d.b.push(*p.b.pop());
-      return true;  // test harness wire: never sleeps
-    }
-  };
-
   sim::Simulator s;
-  WidthConverter64To32 conv;
-  Echo32 echo;
-  Wire pump;
+  ScratchRegs echo{"echo32", 0};
+  LitePath conv;
 };
 
 TEST_F(WidthConvFixture, SplitsFull64BitWriteIntoTwoHalves) {
   EXPECT_EQ(bfm_write64(s, conv.upstream(), 0x100, 0xAAAAAAAA55555555ULL),
             Resp::kOkay);
-  EXPECT_EQ(echo.mem[0x100], 0x55555555u);
-  EXPECT_EQ(echo.mem[0x104], 0xAAAAAAAAu);
+  EXPECT_EQ(echo.regs[0x100], 0x55555555u);
+  EXPECT_EQ(echo.regs[0x104], 0xAAAAAAAAu);
 }
 
 TEST_F(WidthConvFixture, LowHalf32BitWriteTargetsLowAddr) {
   bfm_write64(s, conv.upstream(), 0x200, 0x00000000DEADBEEFULL, 0x0F);
-  EXPECT_EQ(echo.mem[0x200], 0xDEADBEEFu);
-  EXPECT_EQ(echo.mem.count(0x204), 0u);
+  EXPECT_EQ(echo.regs[0x200], 0xDEADBEEFu);
+  EXPECT_EQ(echo.regs.count(0x204), 0u);
 }
 
 TEST_F(WidthConvFixture, HighHalf32BitWriteTargetsHighAddr) {
   bfm_write64(s, conv.upstream(), 0x204, 0xCAFEF00D00000000ULL, 0xF0);
-  EXPECT_EQ(echo.mem[0x204], 0xCAFEF00Du);
-  EXPECT_EQ(echo.mem.count(0x200), 0u);
+  EXPECT_EQ(echo.regs[0x204], 0xCAFEF00Du);
+  EXPECT_EQ(echo.regs.count(0x200), 0u);
 }
 
 TEST_F(WidthConvFixture, Reassembles64BitRead) {
-  echo.mem[0x300] = 0x11111111;
-  echo.mem[0x304] = 0x22222222;
+  echo.regs[0x300] = 0x11111111;
+  echo.regs[0x304] = 0x22222222;
   const auto [v, r] = bfm_read64(s, conv.upstream(), 0x300);
   EXPECT_EQ(r, Resp::kOkay);
   EXPECT_EQ(v, 0x2222222211111111ULL);
 }
 
 TEST_F(WidthConvFixture, Positions32BitReadInAddressedLane) {
-  echo.mem[0x404] = 0xABCD1234;
+  echo.regs[0x404] = 0xABCD1234;
   conv.upstream().ar.push(axi::AxiAr{0x404, 0, 2});  // 32-bit read
   ASSERT_TRUE(s.run_until([&] { return conv.upstream().r.can_pop(); }, 1000));
   const axi::AxiR r = *conv.upstream().r.pop();
@@ -119,8 +70,8 @@ TEST_F(WidthConvFixture, Positions32BitReadInAddressedLane) {
 // pushed, and the read must complete once the FIFO drains.
 void read_behind_full_response_fifo(WidthConvFixture& f, Addr addr, u8 size,
                                     u64 expect) {
-  f.echo.mem[0x500] = 0x11111111;
-  f.echo.mem[0x504] = 0x22222222;
+  f.echo.regs[0x500] = 0x11111111;
+  f.echo.regs[0x504] = 0x22222222;
   auto& up = f.conv.upstream();
   usize filler = 0;
   while (up.r.push(axi::AxiR{0xF111, Resp::kOkay, true})) ++filler;
@@ -158,43 +109,16 @@ TEST_F(WidthConvFixture, RandomWriteReadRoundtrip) {
   }
 }
 
-// ---- full chain: 64-bit bus -> width conv -> lite bridge -> registers
+// ---- the HWICAP's path: 64-bit bus -> register path -> registers
 struct HwicapPathFixture : ::testing::Test {
-  HwicapPathFixture() : conv("conv"), bridge("bridge"), regs("regs") {
+  HwicapPathFixture() : conv("conv", regs.port()) {
     s.add(&conv);
-    s.add(&bridge);
     s.add(&regs);
-    glue.f = this;
-    s.add(&glue);
   }
 
-  struct Glue : sim::Component {
-    Glue() : Component("glue") {}
-    HwicapPathFixture* f = nullptr;
-    bool tick() override {
-      auto& c = f->conv.downstream();
-      auto& b = f->bridge.upstream();
-      if (c.ar.can_pop() && b.ar.can_push()) b.ar.push(*c.ar.pop());
-      if (c.aw.can_pop() && b.aw.can_push()) b.aw.push(*c.aw.pop());
-      if (c.w.can_pop() && b.w.can_push()) b.w.push(*c.w.pop());
-      if (b.r.can_pop() && c.r.can_push()) c.r.push(*b.r.pop());
-      if (b.b.can_pop() && c.b.can_push()) c.b.push(*b.b.pop());
-      auto& bd = f->bridge.downstream();
-      auto& p = f->regs.port();
-      if (bd.ar.can_pop() && p.ar.can_push()) p.ar.push(*bd.ar.pop());
-      if (bd.aw.can_pop() && p.aw.can_push()) p.aw.push(*bd.aw.pop());
-      if (bd.w.can_pop() && p.w.can_push()) p.w.push(*bd.w.pop());
-      if (p.r.can_pop() && bd.r.can_push()) bd.r.push(*p.r.pop());
-      if (p.b.can_pop() && bd.b.can_push()) bd.b.push(*p.b.pop());
-      return true;  // test harness glue: never sleeps
-    }
-  };
-
   sim::Simulator s;
-  WidthConverter64To32 conv;
-  AxiToLiteBridge bridge;
-  ScratchRegs regs;
-  Glue glue;
+  ScratchRegs regs{"regs"};
+  LitePath conv;
 };
 
 TEST_F(HwicapPathFixture, Register32BitWriteArrives) {
@@ -212,8 +136,9 @@ TEST_F(HwicapPathFixture, RegisterReadBack) {
 }
 
 TEST_F(HwicapPathFixture, ChainAddsPipelineLatency) {
-  // Each hop is registered: the round trip must cost >1 cycle but stay
-  // bounded (the CPU-side store cost model depends on this).
+  // Each hop of the chain is registered: the round trip must cost >1
+  // cycle but stay bounded (the CPU-side store cost model depends on
+  // this; MmioLatency pins the exact figures).
   const Cycles t0 = s.now();
   bfm_write64(s, conv.upstream(), 0x100, 5, 0x0F);
   const Cycles dt = s.now() - t0;

@@ -134,6 +134,32 @@ TEST(CpuIrqPath, WaitForIrqTimesOut) {
   EXPECT_EQ(src, 0u);
 }
 
+TEST(CpuWatchdog, WedgedSubordinateTimesOutInsteadOfHanging) {
+  // Nothing answers the CPU's port. Each wait ends at the kernel
+  // watchdog, is counted, and (scheduled kernel, nothing active) costs
+  // one time jump: responses that never come, then request pushes that
+  // never find room once the request channels are full.
+  sim::Simulator s;
+  CpuContext cpu(s);
+  constexpr Cycles kWatchdog = sim::Simulator::kDefaultWatchdog;
+  const Cycles drain = CpuTimingModel{}.uncached_access_core_cycles;
+
+  EXPECT_EQ(cpu.load32_uncached(0x100), 0u);  // response timeout
+  EXPECT_EQ(s.now(), drain + kWatchdog);
+  EXPECT_EQ(cpu.load32_uncached(0x100), 0u);  // fills the AR channel
+  EXPECT_EQ(cpu.load32_uncached(0x100), 0u);  // no room for the AR
+  EXPECT_EQ(cpu.bus_reads(), 2u);
+  EXPECT_EQ(cpu.bus_timeouts(), 3u);
+
+  cpu.store32_uncached(0x100, 1);  // response timeout
+  cpu.store32_uncached(0x100, 2);  // fills the AW channel
+  cpu.store32_uncached(0x100, 3);  // no room for the AW
+  EXPECT_EQ(cpu.bus_writes(), 2u);
+  EXPECT_EQ(cpu.bus_timeouts(), 6u);
+  EXPECT_EQ(s.now(), 6 * (drain + kWatchdog));
+  EXPECT_EQ(s.stats().ticks_issued, 0u);
+}
+
 TEST(ProbeTest, MeasuresLinkUtilization) {
   sim::Simulator s;
   sim::Fifo<int> link(4);

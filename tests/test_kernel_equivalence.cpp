@@ -14,6 +14,9 @@
 // wake).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+
 #include "accel/rm_slot.hpp"
 #include "bitstream/generator.hpp"
 #include "driver/dpr_manager.hpp"
@@ -511,6 +514,207 @@ TEST(KernelEquivalence, ModeSwitchMidRunMatchesFlat) {
   EXPECT_EQ(soc.sim().now() - 1000, ref.final_cycle);
   EXPECT_EQ(drv.last_timing().reconfig_ticks, ref.reconfig_ticks);
   EXPECT_EQ(soc.icap().frames_committed(), ref.frames_committed);
+}
+
+// ---------------------------------------------------------------------
+// MMIO register paths: exact round trips on all four CPU-side windows
+// ---------------------------------------------------------------------
+
+/// One access as the CPU's manager port sees it: cycles from the
+/// request push to the cycle its response can be popped.
+struct Access {
+  Cycles cycles = 0;
+  axi::Resp resp = axi::Resp::kOkay;
+  u64 data = 0;
+
+  bool operator==(const Access&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Access& a) {
+  return os << "{" << a.cycles << ", resp " << static_cast<int>(a.resp)
+            << ", 0x" << std::hex << a.data << std::dec << "}";
+}
+
+Access mmio_read(ArianeSoc& soc, Addr a, u8 size, u8 len = 0) {
+  axi::AxiPort& p = soc.cpu().port();
+  const Cycles t0 = soc.sim().now();
+  EXPECT_TRUE(p.ar.push(axi::AxiAr{a, len, size}));
+  EXPECT_TRUE(soc.sim().run_until([&] { return p.r.can_pop(); }, 1000));
+  const axi::AxiR r = *p.r.pop();
+  EXPECT_TRUE(r.last);
+  return {soc.sim().now() - t0, r.resp, r.data};
+}
+
+/// A write of len+1 beats of `data`; strb 0 is a strobe-less write.
+Access mmio_write(ArianeSoc& soc, Addr a, u64 data, u8 strb, u8 size,
+                  u8 len = 0) {
+  axi::AxiPort& p = soc.cpu().port();
+  const Cycles t0 = soc.sim().now();
+  EXPECT_TRUE(p.aw.push(axi::AxiAw{a, len, size}));
+  for (u32 beat = 0; beat <= len; ++beat) {
+    EXPECT_TRUE(p.w.push(axi::AxiW{data, strb, beat == len}));
+  }
+  EXPECT_TRUE(soc.sim().run_until([&] { return p.b.can_pop(); }, 1000));
+  return {soc.sim().now() - t0, p.b.pop()->resp, 0};
+}
+
+/// One register window: a 32-bit register with address bit 2 set (the
+/// high lane of the 64-bit bus) and an 8-byte aligned register pair.
+struct MmioWindow {
+  Addr reg32;
+  Addr reg64;
+};
+
+constexpr MmioWindow kPeriphWindow{0x0C00'0004, 0x0C00'0008};  // PLIC prio
+constexpr MmioWindow kHwicapWindow{0x4000'001C, 0x4000'0028};  // GIER; IER
+constexpr MmioWindow kDmaWindow{0x4100'001C, 0x4100'0048};     // SA_MSB; DA
+constexpr MmioWindow kRpWindow{0x4200'0004, 0x4200'0000};      // status; ctl
+
+std::unique_ptr<ArianeSoc> mmio_soc(Simulator::Mode mode) {
+  SocConfig cfg;
+  cfg.sim_mode = mode;
+  cfg.with_hwicap = true;
+  return std::make_unique<ArianeSoc>(cfg);
+}
+
+/// Every single-access kind on one window, in a fixed order, each
+/// issued as soon as the previous response was popped.
+std::vector<Access> mmio_script(Simulator::Mode mode, const MmioWindow& w) {
+  auto soc = mmio_soc(mode);
+  std::vector<Access> out;
+  out.push_back(mmio_write(*soc, w.reg32, u64{0x5} << 32, 0xF0, 2));
+  out.push_back(mmio_read(*soc, w.reg32, 2));
+  out.push_back(mmio_write(*soc, w.reg64, 0x0000'0006'0000'0001ULL, 0xFF, 3));
+  out.push_back(mmio_read(*soc, w.reg64, 3));
+  out.push_back(mmio_read(*soc, w.reg64, 3, /*len=*/3));  // burst
+  out.push_back(mmio_write(*soc, w.reg32, u64{0x7} << 32, 0x00, 2));
+  out.push_back(mmio_read(*soc, w.reg32, 2));  // strobe-less wrote nothing
+  // Back to back through the CPU's own accessors: core cost included.
+  const Cycles t0 = soc->sim().now();
+  soc->cpu().store32_uncached(w.reg32, 0x3);
+  soc->cpu().store32_uncached(w.reg32, 0x2);
+  const u32 v = soc->cpu().load32_uncached(w.reg32);
+  const u64 v64 = soc->cpu().load64_uncached(w.reg64);
+  out.push_back(
+      {soc->sim().now() - t0, axi::Resp::kOkay, (u64{v} << 32) ^ v64});
+  EXPECT_EQ(soc->cpu().bus_errors(), 0u);
+  // A burst write is answered without reaching the device.
+  out.push_back(mmio_write(*soc, w.reg64, 0x1, 0xFF, 3, /*len=*/1));
+  return out;
+}
+
+void expect_mmio_script(const MmioWindow& w,
+                        const std::vector<Access>& expected) {
+  for (const auto mode :
+       {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
+    const std::vector<Access> got = mmio_script(mode, w);
+    ASSERT_EQ(got.size(), expected.size());
+    for (usize i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i])
+          << "access " << i << (mode == Simulator::Mode::kFlat
+                                     ? " (flat)" : " (scheduled)");
+    }
+  }
+}
+
+// Cycles pinned from the converter-chain model the register paths
+// reproduce: a response crosses 5 registered hops back from a
+// peripheral (LiteBus, lite wire, protocol converter, AXI wire, width
+// converter) and 4 from the other windows, which have no window decode.
+// Register blocks answer one cycle after a request arrives, so a 64-bit
+// split access costs 2 more cycles than a 32-bit one. Bursts and
+// strobe-less writes are answered by the path itself.
+constexpr axi::Resp kOk = axi::Resp::kOkay;
+constexpr axi::Resp kSlv = axi::Resp::kSlvErr;
+constexpr axi::Resp kDec = axi::Resp::kDecErr;
+
+TEST(MmioLatency, PeripheralWindow) {
+  expect_mmio_script(kPeriphWindow,
+                     {{9, kOk, 0},
+                      {8, kOk, 0x5'0000'0000},
+                      {11, kOk, 0},
+                      {10, kOk, 0x6'0000'0001},
+                      {2, kSlv, 0},
+                      {3, kOk, 0},
+                      {8, kOk, 0x5'0000'0000},
+                      {180, kOk, 0x4'0000'0001},
+                      {2, kSlv, 0}});
+}
+
+TEST(MmioLatency, HwicapWindow) {
+  expect_mmio_script(kHwicapWindow,
+                     {{8, kOk, 0},
+                      {7, kOk, 0},
+                      {10, kOk, 0},
+                      {9, kOk, 0x1},
+                      {2, kSlv, 0},
+                      {3, kOk, 0},
+                      {7, kOk, 0},
+                      {176, kOk, 0x1},
+                      {2, kSlv, 0}});
+}
+
+TEST(MmioLatency, DmaControlWindow) {
+  expect_mmio_script(kDmaWindow,
+                     {{8, kOk, 0},
+                      {7, kOk, 0x5'0000'0000},
+                      {10, kOk, 0},
+                      {9, kOk, 0x6'0000'0001},
+                      {2, kSlv, 0},
+                      {3, kOk, 0},
+                      {7, kOk, 0x5'0000'0000},
+                      {176, kOk, 0x4'0000'0001},
+                      {2, kSlv, 0}});
+}
+
+TEST(MmioLatency, RpControlWindow) {
+  expect_mmio_script(kRpWindow,
+                     {{8, kOk, 0},
+                      {7, kOk, 0x4'0000'0000},
+                      {10, kOk, 0},
+                      {9, kOk, 0x5'0000'0001},
+                      {2, kSlv, 0},
+                      {3, kOk, 0},
+                      {7, kOk, 0x5'0000'0000},
+                      {176, kOk, 0x1},
+                      {2, kSlv, 0}});
+}
+
+TEST(MmioLatency, RejectedBurstWriteTakesItsDataBeatsWithIt) {
+  // The next write must carry its own data, not a beat the rejected
+  // burst left behind, and the path must go idle.
+  for (const MmioWindow& w :
+       {kPeriphWindow, kHwicapWindow, kDmaWindow, kRpWindow}) {
+    auto ref = mmio_soc(Simulator::Mode::kScheduled);
+    mmio_write(*ref, w.reg64, 0x0000'0002'0000'0003ULL, 0xFF, 3);
+    const Access expected = mmio_read(*ref, w.reg64, 3);
+    for (const auto mode :
+         {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
+      auto soc = mmio_soc(mode);
+      EXPECT_EQ(mmio_write(*soc, w.reg64, ~u64{0}, 0xFF, 3, /*len=*/1).resp,
+                kSlv);
+      EXPECT_EQ(mmio_write(*soc, w.reg64, 0x0000'0002'0000'0003ULL, 0xFF, 3)
+                    .resp,
+                kOk);
+      EXPECT_EQ(mmio_read(*soc, w.reg64, 3), expected);
+      EXPECT_TRUE(soc->sim().run_until_idle(1000));
+    }
+  }
+}
+
+TEST(MmioLatency, UnmappedPeripheralAddressGetsDecErr) {
+  // The window decoder answers in the request cycle, one hop closer to
+  // the CPU than a device; the second half of a split access decodes
+  // one cycle after the first.
+  constexpr Addr kHole = 0x0300'0000;  // inside kPeripherals, no device
+  for (const auto mode :
+       {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
+    auto soc = mmio_soc(mode);
+    EXPECT_EQ(mmio_read(*soc, kHole + 4, 2), (Access{6, kDec, 0}));
+    EXPECT_EQ(mmio_read(*soc, kHole, 3), (Access{7, kDec, 0}));
+    EXPECT_EQ(mmio_write(*soc, kHole + 4, 1, 0xF0, 2), (Access{7, kDec, 0}));
+    EXPECT_EQ(mmio_write(*soc, kHole, 1, 0xFF, 3), (Access{8, kDec, 0}));
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Coverage for the smaller components: floorplan rendering, the lite
-// peripheral bus, channel wires, and the UART model.
+// Coverage for the smaller components: floorplan rendering, the
+// peripheral window decode of the register path, channel wires, and
+// the UART model.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "axi/lite_bus.hpp"
+#include "axi/lite_path.hpp"
 #include "axi/wires.hpp"
 #include "fabric/floorplan.hpp"
 #include "sim/simulator.hpp"
@@ -47,9 +48,10 @@ TEST(Floorplan, NoRegionsStillRendersDevice) {
   EXPECT_EQ(clbs, 72u * 7u);
 }
 
+// The peripheral window: a decoded register path in front of two
+// register files, driven as the 64-bit bus drives it.
 struct LiteBusFixture : ::testing::Test {
-  LiteBusFixture()
-      : bus("litebus"), dev_a("a", 1), dev_b("b", 1) {
+  LiteBusFixture() : bus("litebus"), dev_a("a", 1), dev_b("b", 1) {
     bus.add_device(axi::AddrRange{0x1000, 0x100}, &dev_a.port());
     bus.add_device(axi::AddrRange{0x2000, 0x100}, &dev_b.port());
     s.add(&bus);
@@ -57,47 +59,43 @@ struct LiteBusFixture : ::testing::Test {
     s.add(&dev_b);
   }
   sim::Simulator s;
-  axi::LiteBus bus;
+  axi::LitePath bus;
   test::ScratchRegs dev_a, dev_b;
 };
 
 TEST_F(LiteBusFixture, RoutesByWindow) {
-  bus.upstream().aw.push(axi::LiteAw{0x1010});
-  bus.upstream().w.push(axi::LiteW{42, 0xF});
-  ASSERT_TRUE(s.run_until([&] { return bus.upstream().b.can_pop(); }, 1000));
-  EXPECT_EQ(bus.upstream().b.pop()->resp, axi::Resp::kOkay);
+  EXPECT_EQ(test::bfm_write64(s, bus.upstream(), 0x1010, 42, 0x0F),
+            axi::Resp::kOkay);
   EXPECT_EQ(dev_a.regs[0x1010], 42u);
   EXPECT_TRUE(dev_b.write_log.empty());
 }
 
 TEST_F(LiteBusFixture, ReadReturnsDeviceData) {
   dev_b.regs[0x2004] = 0xBEEF;
-  bus.upstream().ar.push(axi::LiteAr{0x2004});
+  bus.upstream().ar.push(axi::AxiAr{0x2004, 0, 2});
   ASSERT_TRUE(s.run_until([&] { return bus.upstream().r.can_pop(); }, 1000));
-  EXPECT_EQ(bus.upstream().r.pop()->data, 0xBEEFu);
+  EXPECT_EQ(bus.upstream().r.pop()->data >> 32, 0xBEEFu);  // high lane
 }
 
 TEST_F(LiteBusFixture, UnmappedAccessGetsDecErr) {
-  bus.upstream().ar.push(axi::LiteAr{0x9999});
+  bus.upstream().ar.push(axi::AxiAr{0x9999, 0, 2});
   ASSERT_TRUE(s.run_until([&] { return bus.upstream().r.can_pop(); }, 1000));
   EXPECT_EQ(bus.upstream().r.pop()->resp, axi::Resp::kDecErr);
-  bus.upstream().aw.push(axi::LiteAw{0x9999});
-  bus.upstream().w.push(axi::LiteW{1, 0xF});
-  ASSERT_TRUE(s.run_until([&] { return bus.upstream().b.can_pop(); }, 1000));
-  EXPECT_EQ(bus.upstream().b.pop()->resp, axi::Resp::kDecErr);
+  EXPECT_EQ(test::bfm_write64(s, bus.upstream(), 0x9998, 1, 0x0F),
+            axi::Resp::kDecErr);
   EXPECT_EQ(bus.decode_errors(), 2u);
 }
 
 TEST_F(LiteBusFixture, ResponsesStayInRequestOrder) {
   dev_a.regs[0x1000] = 1;
   dev_b.regs[0x2000] = 2;
-  bus.upstream().ar.push(axi::LiteAr{0x1000});
-  bus.upstream().ar.push(axi::LiteAr{0x2000});
+  bus.upstream().ar.push(axi::AxiAr{0x1000, 0, 2});
+  bus.upstream().ar.push(axi::AxiAr{0x2000, 0, 2});
   std::vector<u32> got;
   ASSERT_TRUE(s.run_until(
       [&] {
         while (bus.upstream().r.can_pop()) {
-          got.push_back(bus.upstream().r.pop()->data);
+          got.push_back(static_cast<u32>(bus.upstream().r.pop()->data));
         }
         return got.size() == 2;
       },
@@ -122,18 +120,22 @@ TEST(Wires, AxisWireMovesOneBeatPerCycle) {
   for (u64 i = 0; i < 5; ++i) EXPECT_EQ(b.pop()->data, i);
 }
 
-TEST(Wires, LiteWireCarriesBothDirections) {
+TEST(Wires, LitePathCarriesBothDirections) {
+  // The request reaches the device port in its own cycle; the response
+  // is back upstream after the direct chain's response hops.
   sim::Simulator s;
-  axi::AxiLitePort a, b;
-  axi::LiteWire wire("w", a, b);
-  s.add(&wire);
-  a.ar.push(axi::LiteAr{0x4});
-  s.run_cycles(2);
+  axi::AxiLitePort b;
+  axi::LitePath path("w", b);
+  s.add(&path);
+  path.upstream().ar.push(axi::AxiAr{0x4, 0, 2});
+  s.run_cycles(1);
   ASSERT_TRUE(b.ar.can_pop());
   b.r.push(axi::LiteR{7, axi::Resp::kOkay});
-  s.run_cycles(2);
-  ASSERT_TRUE(a.r.can_pop());
-  EXPECT_EQ(a.r.pop()->data, 7u);
+  s.run_cycles(axi::LitePath::kDirectHops - 1);
+  EXPECT_FALSE(path.upstream().r.can_pop());
+  s.run_cycles(1);
+  ASSERT_TRUE(path.upstream().r.can_pop());
+  EXPECT_EQ(path.upstream().r.pop()->data >> 32, 7u);  // high lane
 }
 
 TEST(UartModel, LsrAlwaysReady) {

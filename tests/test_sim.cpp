@@ -253,6 +253,47 @@ TEST(ScheduledKernel, RunUntilNeverJumpsTime) {
   EXPECT_EQ(s.now(), 50u);
 }
 
+TEST(ScheduledKernel, RunUntilEventJumpsToTheEventCycle) {
+  // A FIFO-reading predicate fires at the same cycle in both kernels
+  // and under run_until(); the scheduled kernel covers the wait with
+  // jumps instead of stepping it, and evaluates the predicate only
+  // after the kernel acted.
+  for (const auto mode : {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
+    Simulator s(mode);
+    Fifo<int> link(4);
+    PulseProducer p(link, 1000);
+    s.add(&p);
+    u64 calls = 0;
+    EXPECT_TRUE(s.run_until_event([&] {
+      ++calls;
+      return link.can_pop();
+    }, 5000));
+    EXPECT_EQ(s.now(), 1001u);  // the push lands in cycle 1000's ticks
+    if (mode == Simulator::Mode::kScheduled) {
+      EXPECT_LT(calls, 10u);
+      EXPECT_GE(s.stats().time_skip_jumps, 1u);
+      EXPECT_GE(s.stats().cycles_skipped, 990u);
+    } else {
+      EXPECT_EQ(calls, 1002u);  // entry check + one per cycle
+    }
+  }
+}
+
+TEST(ScheduledKernel, RunUntilEventWatchdogLandsOnTheBudgetEnd) {
+  // Nothing can ever satisfy the predicate: the scheduled kernel jumps
+  // straight to the budget end, where run_until() would have stepped.
+  Simulator s;
+  Fifo<int> link(4);
+  PulseProducer p(link, 1'000'000);  // due after the budget
+  s.add(&p);
+  EXPECT_FALSE(s.run_until_event([&] { return link.can_pop(); }, 5000));
+  EXPECT_EQ(s.now(), 5000u);
+  EXPECT_LE(s.stats().ticks_issued, 2u);
+  // An initially-true predicate consumes none of the budget.
+  EXPECT_TRUE(s.run_until_event([] { return true; }, 0));
+  EXPECT_EQ(s.now(), 5000u);
+}
+
 TEST(ScheduledKernel, ModeSwitchReactivatesSleepers) {
   Simulator s;
   Fifo<int> link(4);
