@@ -3,6 +3,12 @@
 // increasing probability and report activation success rate, recovery
 // rate, and the latency cost of a recovered activation versus a clean
 // one. Deterministic: one fixed seed drives every injection decision.
+// Writes the cells to BENCH_faults.json (override with
+// BENCH_FAULTS_JSON); every field is simulated, so a rerun reproduces
+// the file byte for byte.
+#include <cstdlib>
+#include <string>
+
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "driver/dpr_manager.hpp"
@@ -113,6 +119,7 @@ int main() {
   std::printf("\n%-22s %6s | %8s %9s %9s | %10s %12s\n", "site", "p",
               "ok-rate", "recover", "exhaust", "clean(us)", "recover(us)");
   bool all_converged = true;
+  std::string json = "{\n  \"cells\": [\n";
   for (const std::string_view site : sweep_sites) {
     for (const double p : probabilities) {
       const SweepResult r = run_sweep(site, p, kSeed, kActivations);
@@ -125,7 +132,30 @@ int main() {
       // With a bounded per-site probability and 3 attempts per call the
       // sweep should essentially always converge to kOk.
       if (r.ok_count != r.attempts) all_converged = false;
+      char buf[512];
+      std::snprintf(buf, sizeof(buf),
+                    "%s    {\"site\": \"%s\", \"p\": %.2f, "
+                    "\"attempts\": %u, \"ok\": %u, \"recoveries\": %llu, "
+                    "\"exhausted\": %llu, \"clean_us\": %.1f, "
+                    "\"recovered_us\": %.1f}",
+                    json.back() == '\n' ? "" : ",\n",
+                    std::string(site).c_str(), p, r.attempts, r.ok_count,
+                    static_cast<unsigned long long>(r.recoveries),
+                    static_cast<unsigned long long>(r.exhausted), r.clean_us,
+                    r.recovered_us);
+      json += buf;
     }
+  }
+  json += "\n  ],\n  \"all_converged\": ";
+  json += all_converged ? "true" : "false";
+  json += "\n}\n";
+
+  const char* path = std::getenv("BENCH_FAULTS_JSON");
+  if (path == nullptr) path = "BENCH_faults.json";
+  if (std::FILE* f = std::fopen(path, "w")) {
+    std::fputs(json.c_str(), f);
+    std::fclose(f);
+    std::printf("\nwrote %s\n", path);
   }
 
   std::printf("\nevery activation above either succeeded first try or was\n"

@@ -27,6 +27,7 @@
 #include "bitstream/generator.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "driver/primitives.hpp"
 #include "fabric/frame_ecc.hpp"
 #include "icap/icap.hpp"
 #include "mem/ddr.hpp"
@@ -257,6 +258,31 @@ KernelRun run_hwicap_program(sim::Simulator::Mode mode) {
   return r;
 }
 
+/// Memory-path workload: ddr_crc over the case-study partial bitstream
+/// staged in DDR (the staged-CRC verify of every activation). Each
+/// 16-beat burst crosses main_xbar, rvcap.ddr_xbar and the DDR
+/// controller; `loaded` holds whether the CRC matched.
+KernelRun run_cpu_bulk_read(sim::Simulator::Mode mode, usize* bytes) {
+  soc::SocConfig cfg;
+  cfg.sim_mode = mode;
+  soc::ArianeSoc soc(cfg);
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc.device(), soc.rp0(), {accel::kRmIdSobel, "sobel"});
+  const Addr staging = soc::MemoryMap::kPbitStagingBase;
+  soc.ddr().poke(staging, pbit);
+  *bytes = pbit.size();
+  const auto t0 = std::chrono::steady_clock::now();
+  const u32 crc =
+      driver::ddr_crc(soc.cpu(), staging, static_cast<u32>(pbit.size()));
+  const auto t1 = std::chrono::steady_clock::now();
+  KernelRun r;
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.final_cycle = soc.sim().now();
+  r.stats = soc.sim().stats();
+  r.loaded = crc == crc32(pbit);
+  return r;
+}
+
 void print_run(const char* workload, sim::Simulator::Mode mode,
                const KernelRun& r) {
   std::printf(
@@ -301,6 +327,10 @@ int run_kernel_comparison() {
   const KernelRun dma_sched = run_dma_reconfig(Mode::kScheduled);
   const KernelRun hw_flat = run_hwicap_program(Mode::kFlat);
   const KernelRun hw_sched = run_hwicap_program(Mode::kScheduled);
+  usize bulk_bytes = 0;
+  const KernelRun bulk_flat = run_cpu_bulk_read(Mode::kFlat, &bulk_bytes);
+  const KernelRun bulk_sched =
+      run_cpu_bulk_read(Mode::kScheduled, &bulk_bytes);
 
   print_run("idle_wait", Mode::kFlat, idle_flat);
   print_run("idle_wait", Mode::kScheduled, idle_sched);
@@ -308,6 +338,8 @@ int run_kernel_comparison() {
   print_run("dma_reconfig", Mode::kScheduled, dma_sched);
   print_run("hwicap_program", Mode::kFlat, hw_flat);
   print_run("hwicap_program", Mode::kScheduled, hw_sched);
+  print_run("cpu_bulk_read", Mode::kFlat, bulk_flat);
+  print_run("cpu_bulk_read", Mode::kScheduled, bulk_sched);
 
   auto speedup = [](const KernelRun& flat, const KernelRun& sched) {
     return sched.seconds > 0 ? flat.seconds / sched.seconds : 0;
@@ -319,10 +351,13 @@ int run_kernel_comparison() {
   const double idle_speedup = speedup(idle_flat, idle_sched);
   const double dma_speedup = speedup(dma_flat, dma_sched);
   const double hw_speedup = speedup(hw_flat, hw_sched);
+  const double bulk_speedup = speedup(bulk_flat, bulk_sched);
 
   const bool idle_match = idle_flat.final_cycle == idle_sched.final_cycle;
   const bool dma_match = same_reconfig(dma_flat, dma_sched);
   const bool hw_match = same_reconfig(hw_flat, hw_sched);
+  const bool bulk_match = bulk_flat.final_cycle == bulk_sched.final_cycle &&
+                          bulk_flat.loaded && bulk_sched.loaded;
 
   std::printf("\n  idle_wait:      %.1fx speedup, cycle counts %s\n",
               idle_speedup, idle_match ? "MATCH" : "DIVERGED");
@@ -333,6 +368,9 @@ int run_kernel_comparison() {
   std::printf("  hwicap_program: %.2fx speedup, cycle counts + MB/s %s "
               "(%.2f MB/s both modes)\n",
               hw_speedup, hw_match ? "MATCH" : "DIVERGED", hw_sched.mbps);
+  std::printf("  cpu_bulk_read:  %.2fx speedup, cycle counts + CRC %s "
+              "(%zu B)\n",
+              bulk_speedup, bulk_match ? "MATCH" : "DIVERGED", bulk_bytes);
 
   const char* path = std::getenv("BENCH_KERNEL_JSON");
   if (path == nullptr) path = "BENCH_kernel.json";
@@ -359,15 +397,23 @@ int run_kernel_comparison() {
     json_run(f, "scheduled", hw_sched);
     std::fprintf(f,
                  ",\n    \"mbps\": %.2f, \"speedup\": %.2f, "
-                 "\"cycles_match\": %s\n  }\n}\n",
+                 "\"cycles_match\": %s\n  },\n",
                  hw_sched.mbps, hw_speedup, hw_match ? "true" : "false");
+    std::fprintf(f, "  \"cpu_bulk_read\": {\n");
+    json_run(f, "flat", bulk_flat);
+    std::fprintf(f, ",\n");
+    json_run(f, "scheduled", bulk_sched);
+    std::fprintf(f,
+                 ",\n    \"bytes\": %zu, \"speedup\": %.2f, "
+                 "\"cycles_match\": %s\n  }\n}\n",
+                 bulk_bytes, bulk_speedup, bulk_match ? "true" : "false");
     std::fclose(f);
     std::printf("  wrote %s\n", path);
   } else {
     std::printf("  WARNING: could not open %s for writing\n", path);
   }
 
-  if (!idle_match || !dma_match || !hw_match) {
+  if (!idle_match || !dma_match || !hw_match || !bulk_match) {
     std::printf("\nKERNEL DIVERGENCE DETECTED — see DESIGN.md §9\n");
     return 1;
   }

@@ -1,5 +1,6 @@
 #include "axi/crossbar.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hpp"
@@ -69,6 +70,7 @@ void AxiCrossbar::add_subordinate(const AddrRange& range, AxiPort* port) {
   subs_.push_back(port);
   read_routes_.emplace_back();
   write_routes_.emplace_back();
+  r_next_.push_back(0);
 }
 
 std::optional<usize> AxiCrossbar::decode(Addr a) const {
@@ -95,7 +97,7 @@ bool AxiCrossbar::tick() {
     for (usize m = 0; m < managers_.size(); ++m) {
       if (managers_[m]->ar.front() != nullptr ||
           (managers_[m]->aw.front() != nullptr &&
-           !active_writes_[m].has_value())) {
+           (!active_writes_[m].has_value() || write_done(m)))) {
         ++stalls_[m];
       }
     }
@@ -103,7 +105,7 @@ bool AxiCrossbar::tick() {
   return ready();
 }
 
-bool AxiCrossbar::ready() const {
+bool AxiCrossbar::ready() {
   if (any_bit(open_reads_, [this](usize s) {
         return subs_[s]->r.can_pop() &&
                managers_[read_routes_[s].front().manager]->r.can_push();
@@ -124,6 +126,14 @@ bool AxiCrossbar::ready() const {
   }
   if (any_bit(bursts_, [this](usize m) {
         const ActiveWrite& a = *active_writes_[m];
+        if (a.beats_left == 0) {
+          // Every beat has moved; the burst ends at its last beat's
+          // cycle, when a waiting AW may be accepted.
+          if (managers_[m]->aw.can_pop()) {
+            wake_at(a.next - 1);
+          }
+          return false;
+        }
         return managers_[m]->w.can_pop() &&
                (a.to_error_sink || subs_[a.sub]->w.can_push());
       })) {
@@ -134,7 +144,7 @@ bool AxiCrossbar::ready() const {
       const auto sub = decode(ar->addr);
       if (!sub || subs_[*sub]->ar.can_push()) return true;
     }
-    if (active_writes_[m].has_value()) continue;
+    if (active_writes_[m].has_value() && !write_done(m)) continue;
     if (const AxiAw* aw = managers_[m]->aw.front()) {
       const auto sub = decode(aw->addr);
       if (!sub || subs_[*sub]->aw.can_push()) return true;
@@ -176,14 +186,18 @@ bool AxiCrossbar::arbitrate_aw() {
   const usize n = managers_.size();
   for (usize k = 0; k < n; ++k) {
     const usize m = (rr_aw_ + k) % n;
-    if (active_writes_[m].has_value()) continue;  // burst in flight
+    if (active_writes_[m].has_value()) {
+      if (!write_done(m)) continue;  // burst in flight
+      active_writes_[m].reset();
+      bursts_ &= ~(u64{1} << m);
+    }
     const AxiAw* aw = managers_[m]->aw.front();
     if (aw == nullptr) continue;
     auto sub = decode(aw->addr);
     if (!sub) {
       ++decode_errors_;
       log_warn("axi: decode error on write addr=0x", std::hex, aw->addr);
-      active_writes_[m] = ActiveWrite{0, u32{aw->len} + 1, true};
+      active_writes_[m] = ActiveWrite{0, u32{aw->len} + 1, true, sim_now() + 1};
       bursts_ |= u64{1} << m;
       managers_[m]->aw.pop();
       rr_aw_ = (m + 1) % n;
@@ -194,7 +208,7 @@ bool AxiCrossbar::arbitrate_aw() {
     write_routes_[*sub].push_back(
         WriteRoute{m, u32{aw->len} + 1, aw->addr, sim_now()});
     open_writes_ |= u64{1} << *sub;
-    active_writes_[m] = ActiveWrite{*sub, u32{aw->len} + 1, false};
+    active_writes_[m] = ActiveWrite{*sub, u32{aw->len} + 1, false, sim_now() + 1};
     bursts_ |= u64{1} << m;
     managers_[m]->aw.pop();
     rr_aw_ = (m + 1) % n;
@@ -203,14 +217,44 @@ bool AxiCrossbar::arbitrate_aw() {
   return false;
 }
 
+template <typename T>
+usize AxiCrossbar::move_burst(sim::Fifo<T>& in, sim::Fifo<T>& out, Cycles& c,
+                              u32 beats, bool& progress) {
+  if (in.empty()) return 0;
+  // A lone beat moving now (a register access) takes the plain path.
+  if (in.size() == 1 && c <= sim_now() && in.can_pop()) {
+    if (!out.can_push()) return 0;
+    out.push(*in.front());
+    in.pop();
+    c = sim_now() + 1;
+    progress = true;
+    return 1;
+  }
+  const Cycles first = std::max(c, in.peek()->at);
+  const usize moved = out.move_from(in, c, beats);
+  progress |= moved > 0 && first == sim_now();
+  // A beat of the burst that may not find room retries at its own cycle.
+  if (moved < beats && !in.empty() && (moved == 0 || !out.back()->last)) {
+    const Cycles next = std::max(c, in.peek()->at);
+    if (next > sim_now()) wake_at(next);
+  }
+  return moved;
+}
+
+bool AxiCrossbar::write_done(usize m) const {
+  const ActiveWrite& a = *active_writes_[m];
+  return a.beats_left == 0 && a.next <= sim_now() + 1;
+}
+
 bool AxiCrossbar::forward_w() {
+  const Cycles now = sim_now();
   bool progress = false;
   for_each_bit(bursts_, [&](usize m) {
     auto& active = active_writes_[m];
-    const AxiW* w = managers_[m]->w.front();
-    if (w == nullptr) return;
+    sim::Fifo<AxiW>& in = managers_[m]->w;
+    if (active->beats_left == 0 || !in.can_pop()) return;
     if (active->to_error_sink) {
-      managers_[m]->w.pop();
+      in.pop();
       progress = true;
       if (--active->beats_left == 0) {
         ++pending_error_b_[m];
@@ -220,12 +264,15 @@ bool AxiCrossbar::forward_w() {
       }
       return;
     }
-    AxiPort* sub = subs_[active->sub];
-    if (!sub->w.can_push()) return;
-    sub->w.push(*w);
-    managers_[m]->w.pop();
-    progress = true;
-    if (--active->beats_left == 0) {
+    Cycles c = std::max(now, active->next);
+    while (active->beats_left > 0) {
+      const usize moved = move_burst(in, subs_[active->sub]->w, c,
+                                     active->beats_left, progress);
+      if (moved == 0) break;
+      active->beats_left -= static_cast<u32>(moved);
+      active->next = c;
+    }
+    if (write_done(m)) {
       active.reset();
       bursts_ &= ~(u64{1} << m);
     }
@@ -234,23 +281,27 @@ bool AxiCrossbar::forward_w() {
 }
 
 bool AxiCrossbar::return_r() {
+  const Cycles now = sim_now();
   bool progress = false;
   for_each_bit(open_reads_, [&](usize s) {
-    const AxiR* r = subs_[s]->r.front();
-    if (r == nullptr) return;
-    ReadRoute& route = read_routes_[s].front();
-    AxiPort* mgr = managers_[route.manager];
-    if (!mgr->r.can_push()) return;
-    mgr->r.push(*r);
-    const bool last = r->last;  // r points into the FIFO; pop() frees it
-    subs_[s]->r.pop();
-    progress = true;
-    if (--route.beats_left == 0 || last) {
-      RVCAP_TRACE(trace_sink(), obs::EventKind::kAxiRead, trace_src(),
-                  sim_now(), route.addr, route.beats_total,
-                  sim_now() - route.start + 1);
+    sim::Fifo<AxiR>& in = subs_[s]->r;
+    if (!in.can_pop()) return;
+    Cycles c = std::max(now, r_next_[s]);
+    while (!in.empty()) {
+      ReadRoute& route = read_routes_[s].front();
+      sim::Fifo<AxiR>& out = managers_[route.manager]->r;
+      const usize moved = move_burst(in, out, c, route.beats_left, progress);
+      if (moved == 0) break;
+      r_next_[s] = c;
+      route.beats_left -= static_cast<u32>(moved);
+      if (route.beats_left > 0 && !out.back()->last) break;
+      RVCAP_TRACE(trace_sink(), obs::EventKind::kAxiRead, trace_src(), c - 1,
+                  route.addr, route.beats_total, c - route.start);
       read_routes_[s].pop_front();
-      if (read_routes_[s].empty()) open_reads_ &= ~(u64{1} << s);
+      if (read_routes_[s].empty()) {
+        open_reads_ &= ~(u64{1} << s);
+        break;
+      }
     }
   });
   return progress;
@@ -298,7 +349,14 @@ bool AxiCrossbar::drain_error_reads() {
 }
 
 bool AxiCrossbar::busy() const {
-  if ((open_reads_ | open_writes_ | bursts_ | owed_errors_) != 0) return true;
+  // A burst whose beats have all moved is not busy here: its beats are
+  // queued downstream and its write route stays open until the B.
+  if ((open_reads_ | open_writes_ | owed_errors_) != 0) return true;
+  if (any_bit(bursts_, [this](usize m) {
+        return active_writes_[m]->beats_left > 0;
+      })) {
+    return true;
+  }
   for (const AxiPort* m : managers_) {
     if (m->has_request()) return true;
   }

@@ -12,6 +12,14 @@
 // as bitmasks (one bit per subordinate or manager), so a tick only
 // visits the ports that have something in flight and an idle phase
 // costs nothing.
+//
+// R and W are stamped channels (sim/fifo.hpp): once a burst's first
+// beat is visible, one tick forwards every queued beat of it, each at
+// the cycle the per-beat crossbar would have moved it (one beat per
+// subordinate R channel and per manager W channel per cycle, no
+// earlier than its stamp, and only where the far FIFO is sure to have
+// room then). A beat that may not fit waits for that cycle and goes the
+// per-beat way. Address channels, B and DECERR beats stay per-beat.
 #pragma once
 
 #include <deque>
@@ -65,16 +73,27 @@ class AxiCrossbar : public sim::Component {
     usize sub;           // target subordinate index
     u32 beats_left;      // W beats still to forward
     bool to_error_sink;  // unmapped: swallow beats, answer DECERR
+    Cycles next = 0;     // first cycle the next W beat may move
   };
   struct ErrorRead {
     u32 beats_left;  // DECERR R beats still owed to the manager
   };
 
   std::optional<usize> decode(Addr a) const;
-  bool ready() const;
+  /// Whether the next tick can progress; arms the deadline of a burst
+  /// whose last beat moves later while an AW waits behind it.
+  bool ready();
   bool arbitrate_ar();
   bool arbitrate_aw();
+  /// Move up to `beats` queued beats of one burst from `in` to `out`
+  /// (Fifo::move_from); a beat that may not find room retries at its
+  /// own cycle. `progress` notes a beat moved at this cycle.
+  template <typename T>
+  usize move_burst(sim::Fifo<T>& in, sim::Fifo<T>& out, Cycles& c,
+                   u32 beats, bool& progress);
   bool forward_w();
+  /// Manager m's burst has moved every beat, the last one by now.
+  bool write_done(usize m) const;
   bool return_r();
   bool return_b();
   bool drain_error_reads();
@@ -90,6 +109,7 @@ class AxiCrossbar : public sim::Component {
   // beats of different bursts from one manager, so one slot suffices.
   std::vector<std::optional<ActiveWrite>> active_writes_;
   std::vector<std::deque<ErrorRead>> error_reads_;   // per manager
+  std::vector<Cycles> r_next_;  // per subordinate: first free R cycle
   std::vector<u32> pending_error_b_;                 // per manager
 
   // Bit s / bit m is set while the queue above is non-empty.

@@ -34,9 +34,9 @@ class AxiLiteSlave : public sim::Component {
   virtual bool device_tick() { return false; }
   /// Whether the device can progress next cycle without a new event;
   /// asked after a tick that changed device state or served a
-  /// register access. The default (true) keeps such a device ticking
-  /// until a tick changes nothing.
-  virtual bool device_ready() const { return true; }
+  /// register access. The default is a register file with no device
+  /// work: a device that overrides device_tick() overrides this too.
+  virtual bool device_ready() const { return false; }
   /// Device-internal work only: the port's request channels are
   /// covered by busy().
   virtual bool device_busy() const { return false; }

@@ -34,18 +34,22 @@ struct AxiAw {
   u8 size = 3;
 };
 
-/// Write-data channel beat.
+/// Write-data channel beat. `at` is the channel's stamp: the first
+/// cycle the consumer may take the beat (set by the FIFO on push, see
+/// sim/fifo.hpp).
 struct AxiW {
   u64 data = 0;
   u8 strb = 0xFF;
   bool last = true;
+  Cycles at = 0;
 };
 
-/// Read-data channel beat.
+/// Read-data channel beat, stamped like AxiW.
 struct AxiR {
   u64 data = 0;
   Resp resp = Resp::kOkay;
   bool last = true;
+  Cycles at = 0;
 };
 
 /// Write-response channel beat.

@@ -1,6 +1,7 @@
 #include "cpu/cpu.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/log.hpp"
@@ -26,6 +27,8 @@ axi::AxiR CpuContext::blocking_read(Addr a, u8 size) {
   constexpr axi::AxiR kTimedOut{0, axi::Resp::kSlvErr, true};
   if (!push_request(port_.ar, axi::AxiAr{a, 0, size}, a)) return kTimedOut;
   ++bus_reads_;
+  // A single-beat response leaves the crossbar in the cycle it moves,
+  // so it is visible at the step boundary the wait lands on.
   if (!bus_wait([&] { return port_.r.can_pop(); }, "read", a)) return kTimedOut;
   const axi::AxiR r = *port_.r.pop();
   if (r.resp != axi::Resp::kOkay) ++bus_errors_;
@@ -91,26 +94,35 @@ void CpuContext::read_buffer(Addr a, std::span<u8> out) {
   usize done = 0;
   while (done < out.size()) {
     const Addr base = (a + done) & ~Addr{7};
-    const u32 avail_beats = 16;
+    const usize lead = (a + done) & 7;  // pre-alignment bytes of beat 0
     // Burst read up to 16 beats.
-    const usize want = out.size() - done + ((a + done) & 7);
-    const u32 beats =
-        static_cast<u32>(std::min<usize>(avail_beats, (want + 7) / 8));
+    const u32 beats = static_cast<u32>(
+        std::min<usize>(16, (out.size() - done + lead + 7) / 8));
     if (!push_request(port_.ar,
                       axi::AxiAr{base, static_cast<u8>(beats - 1), 3}, base)) {
       return;
     }
     ++bus_reads_;
-    for (u32 b = 0; b < beats; ++b) {
-      if (!bus_wait([&] { return port_.r.can_pop(); }, "read", base)) return;
-      const axi::AxiR r = *port_.r.pop();
-      if (r.resp != axi::Resp::kOkay) ++bus_errors_;
-      for (u32 i = 0; i < 8 && done < out.size(); ++i) {
-        const Addr byte_addr = base + u64{b} * 8 + i;
-        if (byte_addr < a + done) continue;  // pre-alignment bytes
-        out[done++] = static_cast<u8>(r.data >> (8 * i));
+    // Take every beat that has arrived, beat b at the cycle the per-beat
+    // loop would have popped it: its stamp, or one core cycle after the
+    // previous beat.
+    Cycles t = sim_.now();
+    for (u32 b = 0; b < beats;) {
+      if (!bus_wait([&] { return !port_.r.empty(); }, "read", base)) return;
+      t = std::max(t, sim_.now());
+      for (; b < beats && !port_.r.empty(); ++b) {
+        const axi::AxiR& r = *port_.r.peek();
+        t = std::max(t, r.at);
+        if (r.resp != axi::Resp::kOkay) ++bus_errors_;
+        const usize from = b == 0 ? lead : 0;
+        const usize n = std::min<usize>(8 - from, out.size() - done);
+        const u64 v = r.data >> (8 * from);
+        std::memcpy(out.data() + done, &v, n);  // host is little-endian
+        done += n;
+        port_.r.pop_at(t);
+        t += tm_.cached_access_core_cycles;
       }
-      sim_.run_cycles(tm_.cached_access_core_cycles);
+      sim_.run_cycles(t - sim_.now());
     }
   }
 }
@@ -118,35 +130,37 @@ void CpuContext::read_buffer(Addr a, std::span<u8> out) {
 void CpuContext::write_buffer(Addr a, std::span<const u8> data) {
   usize done = 0;
   while (done < data.size()) {
-    const Addr addr = a + done;
-    const Addr base = addr & ~Addr{7};
-    const usize remaining = data.size() - done + (addr & 7);
-    const u32 beats = static_cast<u32>(std::min<usize>(16, (remaining + 7) / 8));
+    const Addr base = (a + done) & ~Addr{7};
+    const usize lead = (a + done) & 7;
+    const u32 beats = static_cast<u32>(
+        std::min<usize>(16, (data.size() - done + lead + 7) / 8));
     if (!push_request(port_.aw,
                       axi::AxiAw{base, static_cast<u8>(beats - 1), 3}, base)) {
       return;
     }
     ++bus_writes_;
-    usize cursor = done;
+    // Beat b leaves at t, one core cycle after the previous one; a beat
+    // that may not find room then is pushed the per-beat way.
+    Cycles t = sim_.now();
     for (u32 b = 0; b < beats; ++b) {
+      const usize from = b == 0 ? lead : 0;
+      const usize n = std::min<usize>(8 - from, data.size() - done);
       u64 word = 0;
-      u8 strb = 0;
-      for (u32 i = 0; i < 8; ++i) {
-        const Addr byte_addr = base + u64{b} * 8 + i;
-        if (byte_addr >= a + cursor && cursor < data.size() &&
-            byte_addr == a + cursor) {
-          word |= u64{data[cursor]} << (8 * i);
-          strb |= static_cast<u8>(1u << i);
-          ++cursor;
-        }
+      std::memcpy(&word, data.data() + done, n);
+      const axi::AxiW beat{word << (8 * from),
+                           static_cast<u8>(((1u << n) - 1) << from),
+                           b + 1 == beats};
+      done += n;
+      if (t > sim_.now() && port_.w.can_push_at(t)) {
+        port_.w.push_at(beat, t);
+      } else {
+        sim_.run_cycles(t - sim_.now());
+        if (!push_request(port_.w, beat, base)) return;
+        t = sim_.now();
       }
-      if (!push_request(port_.w, axi::AxiW{word, strb, b + 1 == beats},
-                        base)) {
-        return;
-      }
-      sim_.run_cycles(tm_.cached_access_core_cycles);
+      t += tm_.cached_access_core_cycles;
     }
-    done = cursor;
+    sim_.run_cycles(t - sim_.now());
     if (!bus_wait([&] { return port_.b.can_pop(); }, "write", base)) return;
     if (port_.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
   }

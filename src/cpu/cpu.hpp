@@ -11,6 +11,11 @@
 // Simulator::run_until_event and the scheduled kernel jumps the idle
 // cycles of a round trip; each wait is bounded by the kernel's
 // watchdog, and a timeout is logged and counted (bus_timeouts()).
+// R and W are stamped channels (sim/fifo.hpp): read_buffer takes every
+// beat that has arrived in one wait, each at the cycle the per-beat
+// loop would have popped it, and write_buffer pushes a burst's beats at
+// once, each stamped with the cycle the per-beat loop would have pushed
+// it.
 #pragma once
 
 #include <span>

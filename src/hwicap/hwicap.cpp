@@ -50,6 +50,11 @@ bool HwIcap::device_tick() {
   return progress;
 }
 
+bool HwIcap::device_ready() const {
+  return (writing_ && (fifo_.empty() || icap_.port().can_push())) ||
+         (read_left_ > 0 && icap_.read_port().can_pop() && rfifo_.can_push());
+}
+
 u32 HwIcap::read_reg(Addr addr) {
   switch (addr & 0xFFF) {
     case kGier: return gier_ ? 0x80000000u : 0;

@@ -51,6 +51,7 @@ class HwIcap : public axi::AxiLiteSlave {
   u32 read_reg(Addr addr) override;
   void write_reg(Addr addr, u32 value) override;
   bool device_tick() override;
+  bool device_ready() const override;
   bool device_busy() const override;
 
  private:

@@ -35,6 +35,15 @@ bool Plic::device_tick() {
   return latched;
 }
 
+bool Plic::device_ready() const {
+  // A gateway latches next cycle: a high line neither pending nor
+  // in flight (e.g. just completed while its device still asserts it).
+  for (u32 s = 1; s < level_.size(); ++s) {
+    if (level_[s] && !in_flight_[s] && !pending_[s]) return true;
+  }
+  return false;
+}
+
 u32 Plic::best_pending() const {
   u32 best = 0;
   u32 best_prio = threshold_;

@@ -39,6 +39,7 @@ class Plic : public axi::AxiLiteSlave {
   u32 read_reg(Addr addr) override;
   void write_reg(Addr addr, u32 value) override;
   bool device_tick() override;
+  bool device_ready() const override;
 
  private:
   u32 best_pending() const;

@@ -12,6 +12,19 @@ DdrController::DdrController(std::string name, const Config& cfg)
   port_.watch_subordinate(this);
 }
 
+namespace {
+
+/// Whether a queued job overlaps the bytes job `j` has still to move.
+template <typename Jobs, typename Job>
+bool overlaps(const Jobs& jobs, const Job& j) {
+  const axi::AddrRange range{j.addr & ~Addr{7}, u64{j.beats_left} * 8};
+  return std::any_of(jobs.begin(), jobs.end(), [&](const auto& o) {
+    return range.overlaps({o.addr & ~Addr{7}, u64{o.beats_left} * 8});
+  });
+}
+
+}  // namespace
+
 u8* DdrController::page(u64 key) {
   if (key == cached_key_) return cached_page_;
   auto& p = pages_[key];
@@ -69,25 +82,9 @@ bool DdrController::tick() {
   // Full-duplex data movement: the AXI R and W channels are
   // independent, one beat each per cycle.
   if (!writes_.empty() && !writes_.front().data_done && port_.w.can_pop()) {
-    WriteJob& j = writes_.front();
-    const axi::AxiW w = *port_.w.pop();
-    write_beat(j.addr, w.data, w.strb);
-    j.addr += 8;
-    ++beats_;
-    if (--j.beats_left == 0) {
-      j.data_done = true;
-      j.ready_at = now + kWriteLatency;
-    }
+    take_writes();
   }
-  if (!reads_.empty() && reads_.front().ready_at <= now &&
-      port_.r.can_push()) {
-    ReadJob& j = reads_.front();
-    const bool last = (j.beats_left == 1);
-    port_.r.push(axi::AxiR{read_beat(j.addr), axi::Resp::kOkay, last});
-    j.addr += 8;
-    ++beats_;
-    if (--j.beats_left == 0) reads_.pop_front();
-  }
+  produce_reads();
 
   // Write responses (B channel is independent of the data bus).
   if (!writes_.empty()) {
@@ -100,11 +97,63 @@ bool DdrController::tick() {
   return ready();
 }
 
+void DdrController::take_writes() {
+  const Cycles now = sim_now();
+  WriteJob& j = writes_.front();
+  const bool batch = !overlaps(reads_, j);
+  Cycles c = std::max(now, j.next);
+  while (j.beats_left > 0 && !port_.w.empty()) {
+    const axi::AxiW& w = *port_.w.peek();
+    c = std::max(c, w.at);
+    if (c > now && !batch) {
+      wake_at(c);  // beat by beat: take it at its own cycle
+      break;
+    }
+    write_beat(j.addr, w.data, w.strb);
+    port_.w.pop_at(c);
+    j.addr += 8;
+    j.next = c + 1;
+    ++beats_;
+    if (--j.beats_left == 0) {
+      j.data_done = true;
+      j.ready_at = c + kWriteLatency;
+    }
+    ++c;
+  }
+}
+
+void DdrController::produce_reads() {
+  const Cycles now = sim_now();
+  while (!reads_.empty() && read_start() <= now) {
+    ReadJob& j = reads_.front();
+    const bool batch = !overlaps(writes_, j);
+    for (Cycles c = now; j.beats_left > 0; ++c) {
+      if (c > now && !batch) return;  // beat by beat
+      if (!port_.r.can_push_at(c)) {
+        if (c > now) wake_at(c);  // the rest goes at its own cycle
+        return;
+      }
+      port_.r.push_at(
+          axi::AxiR{read_beat(j.addr), axi::Resp::kOkay, j.beats_left == 1},
+          c);
+      j.addr += 8;
+      r_next_ = c + 1;
+      ++beats_;
+      --j.beats_left;
+    }
+    reads_.pop_front();
+  }
+}
+
+Cycles DdrController::read_start() const {
+  return std::max(reads_.front().ready_at, r_next_);
+}
+
 bool DdrController::ready() {
   const Cycles next = sim_now() + 1;
   bool can = port_.ar.can_pop() || port_.aw.can_pop();
   if (!reads_.empty() && port_.r.can_push()) {
-    const Cycles t = reads_.front().ready_at;
+    const Cycles t = read_start();
     if (t <= next) {
       can = true;
     } else {

@@ -10,7 +10,14 @@
 //    independent, so a concurrent read + write stream (accelerator
 //    mode: MM2S fetch + S2MM write-back) moves one beat per channel per
 //    cycle. The MIG behind the port runs at a 4:1 clock ratio and keeps
-//    up with both.
+//    up with both;
+//  * burst-granular (DESIGN.md §9): the tick that starts a read burst
+//    produces all its beats, stamped one cycle apart, and the tick that
+//    sees a write burst's first beat takes every queued beat of it at
+//    the cycles the per-beat controller would have. The bytes move in
+//    that tick, so a read is batched only while no write to an
+//    overlapping range is queued here, and a write only while no
+//    overlapping read is; otherwise that burst goes beat by beat.
 //
 // Backing store is 4 KiB-paged and lazily allocated, so a 1 GiB address
 // window costs only what is touched. Byte access helpers provide the
@@ -73,6 +80,7 @@ class DdrController : public sim::Component {
     u32 beats_left;
     Cycles ready_at = 0;  // B may leave at this cycle (once data_done)
     bool data_done = false;
+    Cycles next = 0;      // first cycle the next W beat may be taken
   };
 
   /// Start of the page holding addr, allocated on first touch.
@@ -81,6 +89,12 @@ class DdrController : public sim::Component {
   const u8* find_page(u64 key) const;
   u64 read_beat(Addr addr) const;
   void write_beat(Addr addr, u64 data, u8 strb);
+  /// Take the head write job's queued W beats.
+  void take_writes();
+  /// Produce the R beats of every read job whose turn has come.
+  void produce_reads();
+  /// First cycle the head read job may put a beat on R.
+  Cycles read_start() const;
   /// Whether the controller can progress next cycle; otherwise arms the
   /// latency deadline it waits on (an R or B beat whose turn is later).
   bool ready();
@@ -89,6 +103,7 @@ class DdrController : public sim::Component {
   axi::AxiPort port_;
   std::deque<ReadJob> reads_;
   std::deque<WriteJob> writes_;
+  Cycles r_next_ = 0;  // first cycle R is free after the beats produced
   std::unordered_map<u64, std::unique_ptr<Page>> pages_;
   // One-entry page cache of the beat path (pages never move or die).
   mutable u64 cached_key_ = ~u64{0};

@@ -66,6 +66,14 @@ class WakeList {
   inline void notify() const;  // defined after Component
   /// Wake the entries whose level is kEveryEvent or exactly `level`.
   inline void notify_level(usize level) const;
+  /// notify_level() as a deadline at cycle t (Component::wake_at).
+  inline void notify_level_at(usize level, Cycles t) const;
+
+  /// Call f(component, level) for every entry.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (usize i = 0; i < count_; ++i) f(watchers_[i], levels_[i]);
+  }
 
  private:
   Component* watchers_[kCapacity] = {};
@@ -170,6 +178,11 @@ class Component {
   /// registration with a Simulator.
   Cycles sim_now() const { return now_ptr_ != nullptr ? *now_ptr_ : 0; }
 
+  /// Registration index: within a cycle, lower slots tick first.
+  u32 slot() const { return slot_; }
+  /// The simulator's cycle counter; nullptr before registration.
+  const Cycles* clock() const { return now_ptr_; }
+
   /// Observability hook, called once from Simulator::add(). Override
   /// to register counters/histograms and cache histogram handles.
   /// Trace emission does NOT require overriding this: trace_sink() and
@@ -207,6 +220,14 @@ inline void WakeList::notify_level(usize level) const {
   for (usize i = 0; i < count_; ++i) {
     if (levels_[i] == kEveryEvent || levels_[i] == level) {
       watchers_[i]->wake();
+    }
+  }
+}
+
+inline void WakeList::notify_level_at(usize level, Cycles t) const {
+  for (usize i = 0; i < count_; ++i) {
+    if (levels_[i] == kEveryEvent || levels_[i] == level) {
+      watchers_[i]->wake_at(t);
     }
   }
 }

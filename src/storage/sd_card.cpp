@@ -32,14 +32,28 @@ const u8* SdCard::block(u32 lba) const {
   return it == blocks_.end() ? nullptr : it->second->data();
 }
 
-u16 SdCard::crc16(std::span<const u8> data) {
-  u16 crc = 0;
-  for (u8 byte : data) {
-    crc ^= static_cast<u16>(byte) << 8;
+namespace {
+/// CRC-16/XMODEM one byte at a time: entry b is the CRC register after
+/// shifting b through the top byte (the bitwise form is the oracle in
+/// tests/test_host_kernels.cpp).
+constexpr std::array<u16, 256> kCrc16Table = [] {
+  std::array<u16, 256> t{};
+  for (u32 b = 0; b < 256; ++b) {
+    u16 crc = static_cast<u16>(b << 8);
     for (int i = 0; i < 8; ++i) {
       crc = (crc & 0x8000) ? static_cast<u16>((crc << 1) ^ 0x1021)
                            : static_cast<u16>(crc << 1);
     }
+    t[b] = crc;
+  }
+  return t;
+}();
+}  // namespace
+
+u16 SdCard::crc16(std::span<const u8> data) {
+  u16 crc = 0;
+  for (const u8 byte : data) {
+    crc = static_cast<u16>((crc << 8) ^ kCrc16Table[(crc >> 8) ^ byte]);
   }
   return crc;
 }

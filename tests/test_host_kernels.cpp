@@ -2,6 +2,7 @@
 // the simulator's hot path against the plain bitwise definition it
 // replaces. The reference forms live only here, as the oracles:
 //  * crc32 — one shift/xor step per bit (reflected IEEE 802.3);
+//  * SdCard::crc16 — one shift/xor step per bit (CRC-16/XMODEM);
 //  * ConfigCrc — the 37-bit serial LFSR, MSB first;
 //  * compute_frame_ecc — XOR of the 1-based position of every set bit;
 //  * the 3x3 median — std::nth_element over the nine window pixels;
@@ -23,6 +24,7 @@
 #include "fabric/geometry.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
+#include "storage/sd_card.hpp"
 
 namespace rvcap {
 namespace {
@@ -40,6 +42,18 @@ u32 crc32_bitwise(std::span<const u8> data, u32 crc = 0) {
     }
   }
   return ~crc;
+}
+
+u16 crc16_bitwise(std::span<const u8> data) {
+  u16 crc = 0;
+  for (const u8 byte : data) {
+    crc ^= static_cast<u16>(byte) << 8;
+    for (int i = 0; i < 8; ++i) {
+      crc = (crc & 0x8000) ? static_cast<u16>((crc << 1) ^ 0x1021)
+                           : static_cast<u16>(crc << 1);
+    }
+  }
+  return crc;
 }
 
 struct ConfigCrcSerial {
@@ -132,6 +146,25 @@ TEST(HostKernelCrc32, ChainedCallsMatchOneShot) {
 // ---------------------------------------------------------------------
 // ConfigCrc
 // ---------------------------------------------------------------------
+
+TEST(HostKernelCrc16, KnownAnswers) {
+  const std::vector<u8> ff(512, 0xFF);
+  EXPECT_EQ(storage::SdCard::crc16(ff), 0x7FA1);  // an erased SD block
+  const u8 check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(storage::SdCard::crc16(check), 0x31C3);  // XMODEM check value
+  EXPECT_EQ(storage::SdCard::crc16({}), 0);
+}
+
+TEST(HostKernelCrc16, RandomLengthsAndContentsMatchBitwise) {
+  SplitMix64 rng(16);
+  std::vector<u8> buf(1100);
+  for (int trial = 0; trial < 400; ++trial) {
+    const usize len = rng.next() % buf.size();
+    for (usize i = 0; i < len; ++i) buf[i] = rng.next_byte();
+    const std::span<const u8> s(buf.data(), len);
+    ASSERT_EQ(storage::SdCard::crc16(s), crc16_bitwise(s)) << "len " << len;
+  }
+}
 
 TEST(HostKernelConfigCrc, AllRegistersWithRandomWordsMatchSerial) {
   SplitMix64 rng(0xC0F1C);

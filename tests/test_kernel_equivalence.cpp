@@ -18,8 +18,11 @@
 #include <ostream>
 
 #include "accel/rm_slot.hpp"
+#include "accel/stream_cipher.hpp"
 #include "bitstream/generator.hpp"
+#include "common/bytes.hpp"
 #include "driver/dpr_manager.hpp"
+#include "driver/primitives.hpp"
 #include "driver/hwicap_driver.hpp"
 #include "driver/reconfig_service.hpp"
 #include "driver/rvcap_driver.hpp"
@@ -715,6 +718,233 @@ TEST(MmioLatency, UnmappedPeripheralAddressGetsDecErr) {
     EXPECT_EQ(mmio_write(*soc, kHole + 4, 1, 0xF0, 2), (Access{7, kDec, 0}));
     EXPECT_EQ(mmio_write(*soc, kHole, 1, 0xFF, 3), (Access{8, kDec, 0}));
   }
+}
+
+// ---------------------------------------------------------------------
+// Memory path: exact CPU and DMA bursts through both crossbars and DDR
+// ---------------------------------------------------------------------
+
+/// One memory-path scenario as the SoC sees it: the cycle at each
+/// milestone, a digest of the bytes the CPU read, the crossbars'
+/// contention census and the DDR controller's beat count.
+struct MemOutcome {
+  std::vector<Cycles> cycles;
+  u32 bytes_crc = 0;
+  u64 main_m0_stalls = 0;
+  u64 ddr_m0_stalls = 0;
+  u64 ddr_m1_stalls = 0;
+  u64 ddr_beats = 0;
+  u64 bus_errors = 0;
+
+  bool operator==(const MemOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const MemOutcome& o) {
+  os << "{cycles {";
+  for (const Cycles c : o.cycles) os << c << ", ";
+  return os << "}, crc 0x" << std::hex << o.bytes_crc << std::dec
+            << ", stalls " << o.main_m0_stalls << "/" << o.ddr_m0_stalls
+            << "/" << o.ddr_m1_stalls << ", ddr beats " << o.ddr_beats
+            << ", bus errors " << o.bus_errors << "}";
+}
+
+u64 counter(ArianeSoc& soc, std::string_view name) {
+  const obs::CounterRegistry& c = soc.sim().obs().counters();
+  const usize i = c.counter_index(name);
+  EXPECT_LT(i, c.counter_count()) << name;
+  return i < c.counter_count() ? c.counter_value(i) : 0;
+}
+
+void finish(ArianeSoc& soc, MemOutcome& o) {
+  o.main_m0_stalls = counter(soc, "main_xbar.m0.stall_cycles");
+  o.ddr_m0_stalls = counter(soc, "rvcap.ddr_xbar.m0.stall_cycles");
+  o.ddr_m1_stalls = counter(soc, "rvcap.ddr_xbar.m1.stall_cycles");
+  o.ddr_beats = soc.ddr().beats_transferred();
+  o.bus_errors = soc.cpu().bus_errors();
+}
+
+std::vector<u8> pattern(usize n, u8 seed) {
+  std::vector<u8> v(n);
+  for (usize i = 0; i < n; ++i) v[i] = static_cast<u8>(seed + i * 7 + (i >> 8));
+  return v;
+}
+
+/// write_buffer then read_buffer of each size at `base` (+3 for the
+/// unaligned pass): the cycles of every call and the bytes read back.
+MemOutcome cpu_buffers(Simulator::Mode mode, Addr base) {
+  SocConfig cfg;
+  cfg.sim_mode = mode;
+  ArianeSoc soc(cfg);
+  cpu::CpuContext& cpu = soc.cpu();
+  MemOutcome o;
+  u32 crc = 0;
+  for (const Addr skew : {Addr{0}, Addr{3}}) {
+    for (const usize n : {usize{1}, usize{7}, usize{8}, usize{129},
+                          usize{4096}}) {
+      const Addr a = base + skew + 0x2000 * (n % 5);
+      const std::vector<u8> in = pattern(n, static_cast<u8>(n + skew));
+      Cycles t0 = soc.sim().now();
+      cpu.write_buffer(a, in);
+      o.cycles.push_back(soc.sim().now() - t0);
+      std::vector<u8> out(n);
+      t0 = soc.sim().now();
+      cpu.read_buffer(a, out);
+      o.cycles.push_back(soc.sim().now() - t0);
+      EXPECT_EQ(out, in) << "n=" << n << " skew=" << skew;
+      crc = crc32(out, crc);
+    }
+  }
+  o.bytes_crc = crc;
+  o.cycles.push_back(soc.sim().now());
+  finish(soc, o);
+  return o;
+}
+
+/// A CPU ddr_crc over 64 KiB while an MM2S job streams a bitstream
+/// into the ICAP through the shared DDR crossbar.
+MemOutcome crc_while_mm2s(Simulator::Mode mode) {
+  SocConfig cfg;
+  cfg.sim_mode = mode;
+  ArianeSoc soc(cfg);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  cpu::CpuContext& cpu = soc.cpu();
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc.device(), soc.rp0(), {accel::kRmIdSobel, "sobel"});
+  soc.ddr().poke(soc::MemoryMap::kPbitStagingBase, pbit);
+  const std::vector<u8> buf = pattern(64 * 1024, 11);
+  soc.ddr().poke(soc::MemoryMap::kImageInBase + 5, buf);
+  MemOutcome o;
+  drv.decouple_accel(true);
+  drv.select_ICAP(true);
+  const Addr dma = soc::MemoryMap::kDmaCtrl.base;
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sCr,
+                       rvcap_ctrl::AxiDma::kCrRunStop);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSa,
+                       static_cast<u32>(soc::MemoryMap::kPbitStagingBase));
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSaMsb, 0);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sLength,
+                       static_cast<u32>(pbit.size()));
+  o.cycles.push_back(soc.sim().now());
+  o.bytes_crc =
+      driver::ddr_crc(cpu, soc::MemoryMap::kImageInBase + 5,
+                      static_cast<u32>(buf.size()));
+  EXPECT_EQ(o.bytes_crc, crc32(buf));
+  o.cycles.push_back(soc.sim().now());
+  EXPECT_FALSE(soc.rvcap().dma().mm2s_idle()) << "CRC outran the MM2S job";
+  EXPECT_TRUE(cpu.wait_for([&] { return soc.rvcap().dma().mm2s_idle(); }));
+  EXPECT_TRUE(soc.sim().run_until_idle(100'000));
+  o.cycles.push_back(soc.sim().now());
+  o.cycles.push_back(soc.icap().words_consumed());
+  finish(soc, o);
+  return o;
+}
+
+/// The cipher RM encrypts a buffer in place (MM2S source = S2MM
+/// destination), then the CPU reads the result back.
+MemOutcome in_place_then_read(Simulator::Mode mode) {
+  SocConfig cfg;
+  cfg.sim_mode = mode;
+  ArianeSoc soc(cfg);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc.device(), soc.rp0(), {accel::kRmIdCipher, "cipher"});
+  soc.ddr().poke(soc::MemoryMap::kPbitStagingBase, pbit);
+  driver::ReconfigModule m{"", accel::kRmIdCipher,
+                           soc::MemoryMap::kPbitStagingBase,
+                           static_cast<u32>(pbit.size())};
+  MemOutcome o;
+  EXPECT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  o.cycles.push_back(soc.sim().now());
+  drv.rm_reg_write(0, 0x12345678);
+  drv.rm_reg_write(1, 0x9ABCDEF0);
+  const Addr buf = soc::MemoryMap::kImageInBase;
+  const std::vector<u8> plain = pattern(16 * 1024, 3);
+  soc.ddr().poke(buf, plain);
+  EXPECT_EQ(drv.run_accelerator(buf, static_cast<u32>(plain.size()), buf,
+                                static_cast<u32>(plain.size()),
+                                DmaMode::kInterrupt),
+            Status::kOk);
+  o.cycles.push_back(soc.sim().now());
+  std::vector<u8> out(plain.size());
+  soc.cpu().read_buffer(buf, out);
+  o.cycles.push_back(soc.sim().now());
+  std::vector<u8> peeked(plain.size());
+  soc.ddr().peek(buf, peeked);
+  EXPECT_EQ(out, peeked);
+  EXPECT_NE(out, plain);
+  o.bytes_crc = crc32(out);
+  finish(soc, o);
+  return o;
+}
+
+/// Bursts to an address no window decodes: DECERR beats for a read,
+/// one DECERR response for a write.
+MemOutcome unmapped_bursts(Simulator::Mode mode) {
+  SocConfig cfg;
+  cfg.sim_mode = mode;
+  ArianeSoc soc(cfg);
+  constexpr Addr kHole = 0x6000'0000;
+  MemOutcome o;
+  std::vector<u8> out(129, 0xAA);
+  Cycles t0 = soc.sim().now();
+  soc.cpu().read_buffer(kHole + 1, out);
+  o.cycles.push_back(soc.sim().now() - t0);
+  EXPECT_EQ(out, std::vector<u8>(129, 0));
+  t0 = soc.sim().now();
+  soc.cpu().write_buffer(kHole, pattern(100, 1));
+  o.cycles.push_back(soc.sim().now() - t0);
+  o.cycles.push_back(counter(soc, "main_xbar.decode_errors"));
+  finish(soc, o);
+  return o;
+}
+
+void expect_mem(MemOutcome (*run)(Simulator::Mode), const MemOutcome& pinned) {
+  for (const auto mode :
+       {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
+    EXPECT_EQ(run(mode), pinned)
+        << (mode == Simulator::Mode::kFlat ? "flat" : "scheduled");
+  }
+}
+
+MemOutcome ddr_buffers(Simulator::Mode m) {
+  return cpu_buffers(m, soc::MemoryMap::kImageOutBase);
+}
+MemOutcome sram_buffers(Simulator::Mode m) {
+  return cpu_buffers(m, soc::MemoryMap::kBootMem.base + 0x100);
+}
+
+// Cycles recorded from the per-beat memory path (one beat per channel
+// per cycle through main_xbar, rvcap.ddr_xbar and the DDR controller).
+// Pairs are write_buffer then read_buffer of 1, 7, 8, 129 and 4096
+// bytes, first 8-byte aligned, then at +3; the last entry is the end
+// cycle.
+TEST(MemoryPath, CpuBuffersOnDdr) {
+  expect_mem(ddr_buffers,
+             {{14, 19, 14, 19, 14, 19, 43, 53, 928, 1088, 14, 19, 15, 20, 15,
+               20, 43, 53, 942, 1107, 4459},
+              0x7cae93eb, 0, 0, 0, 2134, 0});
+}
+TEST(MemoryPath, CpuBuffersOnBootSram) {
+  expect_mem(sram_buffers,
+             {{3, 3, 3, 3, 3, 3, 21, 21, 576, 576, 3, 3, 4, 4, 4, 4, 21, 21,
+               579, 579, 2434},
+              0x7cae93eb, 0, 0, 0, 0, 0});
+}
+// MM2S start, CRC end, MM2S end and ICAP words; the DMA (manager 1 of
+// rvcap.ddr_xbar) loses 48 AR arbitrations to the CPU.
+TEST(MemoryPath, DdrCrcWhileMm2sStreams) {
+  expect_mem(crc_while_mm2s,
+             {{395, 35264, 163131, 162724}, 0x84b8ff3e, 0, 0, 48, 89570, 0});
+}
+// Reconfiguration end, accelerator end, CPU read end.
+TEST(MemoryPath, InPlaceAcceleratorThenCpuRead) {
+  expect_mem(in_place_then_read,
+             {{165239, 169440, 173792}, 0x1bd6727f, 0, 0, 0, 87506, 0});
+}
+// 17 DECERR read beats and one DECERR write response; the last entry
+// is main_xbar's decode-error count.
+TEST(MemoryPath, UnmappedBurstGetsDecErr) {
+  expect_mem(unmapped_bursts, {{21, 15, 3}, 0, 0, 0, 0, 0, 18});
 }
 
 }  // namespace

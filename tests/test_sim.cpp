@@ -351,6 +351,90 @@ TEST(DirectionalWakes, ProducerWokenOnlyByThePopReachingItsNeed) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Stamped channels (DESIGN.md §9, "Burst-granular memory path")
+// ---------------------------------------------------------------------
+
+struct Beat {
+  int v = 0;
+  bool last = false;
+  Cycles at = 0;
+};
+
+TEST(StampedChannel, BeatIsVisibleAndWakesItsConsumerAtItsStamp) {
+  Simulator s;
+  Fifo<Beat> f(4);
+  TickCounter producer, consumer;  // the consumer ticks second
+  f.watch_as_producer(&producer);
+  f.watch_as_consumer(&consumer);
+  s.add(&producer);
+  s.add(&consumer);
+  s.run_cycles(3);
+  ASSERT_EQ(consumer.ticks, 1u);
+  f.push_at(Beat{7}, 10);
+  EXPECT_EQ(f.peek()->at, 10u);  // the consumer ticks later in a cycle
+  s.run_cycles(7);               // now 10
+  EXPECT_EQ(consumer.ticks, 1u);
+  EXPECT_TRUE(f.can_pop());
+  s.run_cycles(1);  // woken for cycle 10, not before
+  EXPECT_EQ(consumer.ticks, 2u);
+  f.push(Beat{8});  // a plain push is visible in its own cycle
+  EXPECT_EQ(f.pop()->v, 7);
+  EXPECT_EQ(f.pop()->v, 8);
+}
+
+TEST(StampedChannel, SlotTakenEarlyStaysOccupiedUntilItsRelease) {
+  Simulator s;
+  Fifo<Beat> f(2);
+  TickCounter producer, consumer;
+  f.watch_as_producer(&producer);
+  f.watch_as_consumer(&consumer);
+  s.add(&producer);
+  s.add(&consumer);
+  s.run_cycles(3);
+  f.push(Beat{1});
+  f.push(Beat{2});
+  ASSERT_FALSE(f.can_push());
+  f.pop_at(8);  // taken at cycle 8: the producer, ticking first, sees it at 9
+  EXPECT_FALSE(f.can_push_at(8));
+  EXPECT_TRUE(f.can_push_at(9));
+  s.run_cycles(5);  // now 8
+  EXPECT_FALSE(f.can_push());
+  EXPECT_EQ(producer.ticks, 1u);
+  s.run_cycles(1);  // now 9
+  EXPECT_TRUE(f.can_push());
+  EXPECT_EQ(f.vacancy(), 1u);
+  s.run_cycles(1);  // woken at the release
+  EXPECT_EQ(producer.ticks, 2u);
+}
+
+TEST(StampedChannel, MoveFromTakesOneBeatPerCycleAndStopsAfterLast) {
+  Simulator s;
+  Fifo<Beat> in(4), out(4);
+  TickCounter a, b, c;
+  in.watch_as_producer(&a);
+  in.watch_as_consumer(&b);
+  out.watch_as_producer(&b);
+  out.watch_as_consumer(&c);
+  s.add(&a);
+  s.add(&b);
+  s.add(&c);
+  s.run_cycles(3);
+  in.push(Beat{1});
+  in.push(Beat{2, true});
+  in.push(Beat{3});
+  Cycles cyc = 3;
+  EXPECT_EQ(out.move_from(in, cyc, 4), 2u);  // one burst
+  EXPECT_EQ(cyc, 5u);
+  EXPECT_EQ(out.peek()->at, 3u);
+  EXPECT_EQ(in.size(), 1u);
+  EXPECT_EQ(in.vacancy(), 2u);  // beat 2's slot frees at 5
+  EXPECT_EQ(out.pop()->v, 1);
+  EXPECT_FALSE(out.can_pop());  // beat 2 moves at cycle 4
+  s.run_cycles(1);
+  EXPECT_EQ(out.pop()->v, 2);
+}
+
 TEST(DirectionalWakes, PushWakesConsumerNotProducer) {
   // A push wakes the consumer when it makes the FIFO non-empty, never
   // the producer; a pop wakes the producer at its need, never the
