@@ -179,6 +179,7 @@ struct KernelRun {
   sim::SimStats stats;
   double mbps = 0;   // reconfiguration cells only
   bool loaded = true;
+  u32 crc = 0;       // icap_readback: CRC-32 of the bytes read back
 };
 
 const char* mode_name(sim::Simulator::Mode m) {
@@ -283,6 +284,42 @@ KernelRun run_cpu_bulk_read(sim::Simulator::Mode mode, usize* bytes) {
   return r;
 }
 
+/// Readback workload: after a (untimed) Sobel load, every frame of RP0
+/// is read back over the stream path (ICAP read port -> ICAP2AXIS ->
+/// w7 -> DMA S2MM -> DDR). The stats cover the readback alone; *bytes
+/// is the byte count landed in DDR.
+KernelRun run_icap_readback(sim::Simulator::Mode mode, usize* bytes) {
+  soc::SocConfig cfg;
+  cfg.sim_mode = mode;
+  soc::ArianeSoc soc(cfg);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  const auto load = bench::run_rvcap_reconfig(soc, drv, accel::kRmIdSobel,
+                                              driver::DmaMode::kInterrupt);
+  const sim::SimStats before = soc.sim().stats();
+  constexpr Addr kCmd = 0x8C00'0000;
+  constexpr Addr kDst = 0x8D00'0000;
+  u32 words = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const Status st = drv.readback_partition(soc.device(), soc.rp0(), kCmd,
+                                           kDst, &words);
+  const auto t1 = std::chrono::steady_clock::now();
+  KernelRun r;
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.final_cycle = soc.sim().now();
+  r.stats = soc.sim().stats();
+  r.stats.ticks_issued -= before.ticks_issued;
+  r.stats.ticks_skipped -= before.ticks_skipped;
+  r.stats.wakeups -= before.wakeups;
+  r.stats.time_skip_jumps -= before.time_skip_jumps;
+  r.stats.cycles_skipped -= before.cycles_skipped;
+  std::vector<u8> data(usize{words} * 4);
+  soc.ddr().peek(kDst, data);
+  *bytes = data.size();
+  r.crc = crc32(data);
+  r.loaded = load.loaded && ok(st) && words > 0;
+  return r;
+}
+
 void print_run(const char* workload, sim::Simulator::Mode mode,
                const KernelRun& r) {
   std::printf(
@@ -331,6 +368,9 @@ int run_kernel_comparison() {
   const KernelRun bulk_flat = run_cpu_bulk_read(Mode::kFlat, &bulk_bytes);
   const KernelRun bulk_sched =
       run_cpu_bulk_read(Mode::kScheduled, &bulk_bytes);
+  usize rb_bytes = 0;
+  const KernelRun rb_flat = run_icap_readback(Mode::kFlat, &rb_bytes);
+  const KernelRun rb_sched = run_icap_readback(Mode::kScheduled, &rb_bytes);
 
   print_run("idle_wait", Mode::kFlat, idle_flat);
   print_run("idle_wait", Mode::kScheduled, idle_sched);
@@ -340,6 +380,8 @@ int run_kernel_comparison() {
   print_run("hwicap_program", Mode::kScheduled, hw_sched);
   print_run("cpu_bulk_read", Mode::kFlat, bulk_flat);
   print_run("cpu_bulk_read", Mode::kScheduled, bulk_sched);
+  print_run("icap_readback", Mode::kFlat, rb_flat);
+  print_run("icap_readback", Mode::kScheduled, rb_sched);
 
   auto speedup = [](const KernelRun& flat, const KernelRun& sched) {
     return sched.seconds > 0 ? flat.seconds / sched.seconds : 0;
@@ -352,12 +394,16 @@ int run_kernel_comparison() {
   const double dma_speedup = speedup(dma_flat, dma_sched);
   const double hw_speedup = speedup(hw_flat, hw_sched);
   const double bulk_speedup = speedup(bulk_flat, bulk_sched);
+  const double rb_speedup = speedup(rb_flat, rb_sched);
 
   const bool idle_match = idle_flat.final_cycle == idle_sched.final_cycle;
   const bool dma_match = same_reconfig(dma_flat, dma_sched);
   const bool hw_match = same_reconfig(hw_flat, hw_sched);
   const bool bulk_match = bulk_flat.final_cycle == bulk_sched.final_cycle &&
                           bulk_flat.loaded && bulk_sched.loaded;
+  const bool rb_match = rb_flat.final_cycle == rb_sched.final_cycle &&
+                        rb_flat.crc == rb_sched.crc && rb_flat.loaded &&
+                        rb_sched.loaded;
 
   std::printf("\n  idle_wait:      %.1fx speedup, cycle counts %s\n",
               idle_speedup, idle_match ? "MATCH" : "DIVERGED");
@@ -371,6 +417,9 @@ int run_kernel_comparison() {
   std::printf("  cpu_bulk_read:  %.2fx speedup, cycle counts + CRC %s "
               "(%zu B)\n",
               bulk_speedup, bulk_match ? "MATCH" : "DIVERGED", bulk_bytes);
+  std::printf("  icap_readback:  %.2fx speedup, cycle counts + bytes %s "
+              "(%zu B)\n",
+              rb_speedup, rb_match ? "MATCH" : "DIVERGED", rb_bytes);
 
   const char* path = std::getenv("BENCH_KERNEL_JSON");
   if (path == nullptr) path = "BENCH_kernel.json";
@@ -405,15 +454,23 @@ int run_kernel_comparison() {
     json_run(f, "scheduled", bulk_sched);
     std::fprintf(f,
                  ",\n    \"bytes\": %zu, \"speedup\": %.2f, "
-                 "\"cycles_match\": %s\n  }\n}\n",
+                 "\"cycles_match\": %s\n  },\n",
                  bulk_bytes, bulk_speedup, bulk_match ? "true" : "false");
+    std::fprintf(f, "  \"icap_readback\": {\n");
+    json_run(f, "flat", rb_flat);
+    std::fprintf(f, ",\n");
+    json_run(f, "scheduled", rb_sched);
+    std::fprintf(f,
+                 ",\n    \"bytes\": %zu, \"speedup\": %.2f, "
+                 "\"cycles_match\": %s\n  }\n}\n",
+                 rb_bytes, rb_speedup, rb_match ? "true" : "false");
     std::fclose(f);
     std::printf("  wrote %s\n", path);
   } else {
     std::printf("  WARNING: could not open %s for writing\n", path);
   }
 
-  if (!idle_match || !dma_match || !hw_match || !bulk_match) {
+  if (!idle_match || !dma_match || !hw_match || !bulk_match || !rb_match) {
     std::printf("\nKERNEL DIVERGENCE DETECTED — see DESIGN.md §9\n");
     return 1;
   }

@@ -9,6 +9,7 @@ AxiLiteSlave::AxiLiteSlave(std::string name, u32 response_latency)
 
 bool AxiLiteSlave::tick() {
   bool changed = device_tick();
+  if (!port_.has_request()) return changed && device_ready();
 
   if (const LiteAr* ar = port_.ar.front()) {
     if (read_wait_ < latency_) {

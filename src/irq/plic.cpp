@@ -12,15 +12,12 @@ Plic::Plic(std::string name, u32 num_sources)
       priority_(num_sources + 1, 1),
       enable_(num_sources + 1, false) {}
 
-void Plic::set_source_level(u32 source, bool level) {
-  if (source == 0 || source >= level_.size()) return;
-  if (level_[source] != level) {
-    level_[source] = level;
-    RVCAP_TRACE(trace_sink(),
-                level ? obs::EventKind::kIrqRaise : obs::EventKind::kIrqLower,
-                trace_src(), sim_now(), source);
-    wake();
-  }
+void Plic::change_level(u32 source, bool level) {
+  level_[source] = level;
+  RVCAP_TRACE(trace_sink(),
+              level ? obs::EventKind::kIrqRaise : obs::EventKind::kIrqLower,
+              trace_src(), sim_now(), source);
+  wake();
 }
 
 bool Plic::device_tick() {
@@ -32,6 +29,7 @@ bool Plic::device_tick() {
       latched = true;
     }
   }
+  if (latched) update_best();
   return latched;
 }
 
@@ -44,7 +42,7 @@ bool Plic::device_ready() const {
   return false;
 }
 
-u32 Plic::best_pending() const {
+u32 Plic::scan_best() const {
   u32 best = 0;
   u32 best_prio = threshold_;
   for (u32 s = 1; s < pending_.size(); ++s) {
@@ -55,8 +53,6 @@ u32 Plic::best_pending() const {
   }
   return best;
 }
-
-bool Plic::eip() const { return best_pending() != 0; }
 
 u32 Plic::read_reg(Addr addr) {
   const Addr off = addr & 0x00FF'FFFF;
@@ -83,10 +79,11 @@ u32 Plic::read_reg(Addr addr) {
   }
   if (off == kThreshold) return threshold_;
   if (off == kClaimComplete) {
-    const u32 s = best_pending();
+    const u32 s = best_;
     if (s != 0) {
       pending_[s] = false;
       in_flight_[s] = true;
+      update_best();
       RVCAP_TRACE(trace_sink(), obs::EventKind::kIrqClaim, trace_src(),
                   sim_now(), s);
     }
@@ -99,6 +96,7 @@ void Plic::write_reg(Addr addr, u32 value) {
   const Addr off = addr & 0x00FF'FFFF;
   if (off >= kPriorityBase && off < kPriorityBase + 4 * priority_.size()) {
     priority_[off / 4] = value & 0x7;
+    update_best();
     return;
   }
   if (off >= kEnableBase && off < kEnableBase + 0x80) {
@@ -107,10 +105,12 @@ void Plic::write_reg(Addr addr, u32 value) {
       const u32 s = word * 32 + b;
       if (s != 0 && s < enable_.size()) enable_[s] = (value >> b) & 1;
     }
+    update_best();
     return;
   }
   if (off == kThreshold) {
     threshold_ = value & 0x7;
+    update_best();
     return;
   }
   if (off == kClaimComplete) {

@@ -27,11 +27,16 @@ class Plic : public axi::AxiLiteSlave {
   /// Drive a source's level (device-side). Source ids start at 1, as in
   /// the PLIC spec; source 0 means "no interrupt". Wakes the PLIC on a
   /// level change so the gateway can latch under the scheduled kernel.
-  void set_source_level(u32 source, bool level);
+  void set_source_level(u32 source, bool level) {
+    if (source != 0 && source < level_.size() && level_[source] != level) {
+      change_level(source, level);
+    }
+  }
 
   /// True when an enabled pending source exceeds the threshold — the
-  /// external-interrupt line into the hart.
-  bool eip() const;
+  /// external-interrupt line into the hart. O(1): the CPU's WFI wait
+  /// polls it every kernel step.
+  bool eip() const { return best_ != 0; }
 
   u32 num_sources() const { return static_cast<u32>(level_.size() - 1); }
 
@@ -42,7 +47,13 @@ class Plic : public axi::AxiLiteSlave {
   bool device_ready() const override;
 
  private:
-  u32 best_pending() const;
+  void change_level(u32 source, bool level);
+  /// Scan for the highest-priority enabled pending source above the
+  /// threshold (lowest id on a tie); 0 when none.
+  u32 scan_best() const;
+  /// Re-derive best_ after a gateway latch, an enable, priority or
+  /// threshold write, or a claim (a complete changes none of them).
+  void update_best() { best_ = scan_best(); }
 
   std::vector<bool> level_;     // raw device lines
   std::vector<bool> pending_;   // gateway latched
@@ -50,6 +61,7 @@ class Plic : public axi::AxiLiteSlave {
   std::vector<u32> priority_;
   std::vector<bool> enable_;
   u32 threshold_ = 0;
+  u32 best_ = 0;  // scan_best(), kept current by update_best()
 };
 
 /// Handle a device uses to drive its interrupt line.

@@ -159,9 +159,13 @@ void AxiDma::write_reg(Addr addr, u32 value) {
 }
 
 bool AxiDma::device_tick() {
+  // The IRQ lines follow SR and CR, which a tick changes only when a
+  // job ends or fails.
+  const u32 mm2s_sr = mm2s_sr_;
+  const u32 s2mm_sr = s2mm_sr_;
   const bool mm2s = tick_mm2s();
   const bool s2mm = tick_s2mm();
-  if (mm2s || s2mm) update_irqs();
+  if (mm2s_sr != mm2s_sr_ || s2mm_sr != s2mm_sr_) update_irqs();
   return mm2s || s2mm;
 }
 

@@ -120,7 +120,6 @@ class ActiveSet {
 struct KernelHooks {
   ActiveSet active;
   u64 wakeups = 0;          // sleep -> active transitions
-  usize sleeping_busy = 0;  // sleepers whose busy() was true at sleep
   const Component* ticking = nullptr;  // inside its tick (scheduled)
 };
 
@@ -161,10 +160,6 @@ class Component {
     if (hooks_ == nullptr || hooks_->ticking == this) return;
     if (!hooks_->active.set(slot_)) return;
     ++hooks_->wakeups;
-    if (sleeping_busy_) {
-      sleeping_busy_ = false;
-      --hooks_->sleeping_busy;
-    }
   }
 
   /// Deadline: schedule a wake at absolute cycle t. No-op before
@@ -208,7 +203,6 @@ class Component {
   obs::TraceSink* trace_sink_ = nullptr;
   u16 trace_src_ = 0;
   u32 slot_ = 0;
-  bool sleeping_busy_ = false;
   Cycles armed_at_ = 0;  // latest deadline put on the time wheel
 };
 

@@ -65,7 +65,6 @@ class Simulator {
     c->now_ptr_ = &now_;
     c->sim_ = this;
     c->slot_ = static_cast<u32>(components_.size());
-    c->sleeping_busy_ = false;
     c->obs_ = &obs_;
     c->trace_sink_ = &obs_.sink();
     c->trace_src_ = obs_.sink().intern(c->name_);
@@ -162,21 +161,13 @@ class Simulator {
     step_scheduled();
   }
 
-  /// Quiescence check. A sleeping component's busy() inputs are frozen
-  /// (any mutation would have woken it), so its busy() was sampled once
-  /// when it went to sleep; only active components need a live scan.
-  /// In flat mode every bit stays set, making this the original linear
-  /// scan.
+  /// Quiescence check: every component's busy() is false. A sleeping
+  /// component's busy() inputs are frozen (any mutation would have
+  /// woken it), so asking it now gives the answer it had when it went
+  /// to sleep; the kernel does not sample it on every park.
   bool all_idle() const {
-    if (hooks_.sleeping_busy > 0) return false;
-    const auto& words = hooks_.active.words();
-    for (usize w = 0; w < words.size(); ++w) {
-      u64 pend = words[w];
-      while (pend != 0) {
-        const u32 bit = static_cast<u32>(std::countr_zero(pend));
-        pend &= pend - 1;
-        if (components_[w * 64 + bit]->busy()) return false;
-      }
+    for (const Component* c : components_) {
+      if (c->busy()) return false;
     }
     return true;
   }
@@ -248,11 +239,7 @@ class Simulator {
   }
 
   void wake_all() {
-    for (Component* c : components_) {
-      hooks_.active.set(c->slot_);
-      c->sleeping_busy_ = false;
-    }
-    hooks_.sleeping_busy = 0;
+    for (Component* c : components_) hooks_.active.set(c->slot_);
   }
 
   void step_flat() {
@@ -281,11 +268,6 @@ class Simulator {
         if (c->tick()) {
           // Can progress next cycle: stays active.
           words[w] |= mask;
-        } else if (!c->sleeping_busy_ && c->busy()) {
-          // Going to sleep while busy (e.g. stalled on back-pressure):
-          // record it so all_idle() stays exact without waking it.
-          c->sleeping_busy_ = true;
-          ++hooks_.sleeping_busy;
         }
         // Wakes raised during this tick target the rest of THIS cycle
         // only for slots after the current one; slots before it run

@@ -151,5 +151,68 @@ TEST_F(PlicFixture, IrqLineHandleDrivesSource) {
   EXPECT_FALSE(unconnected.connected());
 }
 
+
+// eip() keeps a cached best-pending source; this drives a seeded mix of
+// level changes, enable/priority/threshold writes, claims and completes
+// and checks it against a scan of the registers after every step.
+TEST(PlicBestPending, MatchesRegisterScanOverSeededOperations) {
+  constexpr u32 kSources = 8;
+  sim::Simulator s;
+  Plic plic("plic", kSources);
+  s.add(&plic);
+  u64 x = 0x9E3779B97F4A7C15ULL;
+  auto next = [&x](u32 bound) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<u32>(x % bound);
+  };
+  std::vector<u32> claimed;
+  u32 fired = 0;
+  for (int step = 0; step < 3000; ++step) {
+    switch (next(6)) {
+      case 0:
+        plic.set_source_level(1 + next(kSources), next(2) == 0);
+        break;
+      case 1:
+        lite_write(s, plic.port(), Plic::kEnableBase, next(1u << 9) & ~1u);
+        break;
+      case 2:
+        lite_write(s, plic.port(), Plic::kPriorityBase + 4 * (1 + next(kSources)),
+                   next(8));
+        break;
+      case 3:
+        lite_write(s, plic.port(), Plic::kThreshold, next(4));
+        break;
+      case 4:
+        if (const u32 src = lite_read(s, plic.port(), Plic::kClaimComplete)) {
+          claimed.push_back(src);
+        }
+        break;
+      default:
+        if (!claimed.empty()) {
+          const usize i = next(static_cast<u32>(claimed.size()));
+          lite_write(s, plic.port(), Plic::kClaimComplete, claimed[i]);
+          claimed.erase(claimed.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        break;
+    }
+    s.run_cycles(2);
+    const u32 pending = lite_read(s, plic.port(), Plic::kPendingBase);
+    const u32 enabled = lite_read(s, plic.port(), Plic::kEnableBase);
+    const u32 threshold = lite_read(s, plic.port(), Plic::kThreshold);
+    bool want = false;
+    for (u32 src = 1; src <= kSources; ++src) {
+      const u32 prio = lite_read(s, plic.port(), Plic::kPriorityBase + 4 * src);
+      if ((pending >> src & 1) && (enabled >> src & 1) && prio > threshold) {
+        want = true;
+      }
+    }
+    ASSERT_EQ(plic.eip(), want) << "step " << step;
+    fired += want ? 1 : 0;
+  }
+  EXPECT_GT(fired, 100u);
+}
+
 }  // namespace
 }  // namespace rvcap

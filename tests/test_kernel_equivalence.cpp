@@ -19,6 +19,7 @@
 
 #include "accel/rm_slot.hpp"
 #include "accel/stream_cipher.hpp"
+#include "bitstream/compress.hpp"
 #include "bitstream/generator.hpp"
 #include "common/bytes.hpp"
 #include "driver/dpr_manager.hpp"
@@ -945,6 +946,476 @@ TEST(MemoryPath, InPlaceAcceleratorThenCpuRead) {
 // is main_xbar's decode-error count.
 TEST(MemoryPath, UnmappedBurstGetsDecErr) {
   expect_mem(unmapped_bursts, {{21, 15, 3}, 0, 0, 0, 0, 0, 18});
+}
+
+
+// ---------------------------------------------------------------------
+// Stream path: exact per-beat schedule of the DMA -> ICAP datapath
+// ---------------------------------------------------------------------
+
+/// Records the cycle of every frame commit: it ticks after the ICAP
+/// (registered last) and is woken by every ConfigMemory change, so it
+/// sees each commit in the cycle the ICAP made it.
+class FrameCommitProbe : public sim::Component {
+ public:
+  explicit FrameCommitProbe(ArianeSoc& soc)
+      : Component("test.frame_probe"), icap_(soc.icap()),
+        seen_(soc.icap().frames_committed()) {
+    soc.config_memory().add_observer(this);
+    soc.sim().add(this);
+  }
+
+  bool tick() override {
+    const u64 n = icap_.frames_committed();
+    if (n != seen_) {
+      fold(sim_now());
+      fold(n);
+      seen_ = n;
+      ++commits_;
+    }
+    return false;
+  }
+
+  u64 digest() const { return digest_; }
+  u64 commits() const { return commits_; }
+
+ private:
+  void fold(u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      digest_ ^= (v >> (8 * i)) & 0xFF;
+      digest_ *= 0x100000001B3ULL;
+    }
+  }
+
+  const icap::Icap& icap_;
+  u64 seen_;
+  u64 commits_ = 0;
+  u64 digest_ = 0xCBF29CE484222325ULL;
+};
+
+/// One stream-path scenario: milestone cycles and case values, the
+/// frame-commit schedule, and every stream counter the SoC registers
+/// (absent counters read as ~0).
+struct StreamOutcome {
+  std::vector<u64> values;
+  u64 commits = 0;
+  u64 commit_digest = 0;
+  std::vector<u64> counters;
+
+  bool operator==(const StreamOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const StreamOutcome& o) {
+  os << "{{";
+  for (const u64 v : o.values) os << v << ", ";
+  os << "}, " << o.commits << ", 0x" << std::hex << o.commit_digest
+     << std::dec << ", {";
+  for (const u64 v : o.counters) os << v << ", ";
+  return os << "}}";
+}
+
+constexpr const char* kStreamCounters[] = {
+    "icap.words",
+    "icap.frames",
+    "icap.readback_words",
+    "icap.desyncs",
+    "icap.port_hwm",
+    "rvcap.w4.beats",
+    "rvcap.w5.beats",
+    "rvcap.w6.beats",
+    "rvcap.w7.beats",
+    "rm_slot.out.beats",
+    "rvcap.dma.mm2s_bytes",
+    "rvcap.dma.s2mm_bytes",
+    "rvcap.dma.mm2s_jobs",
+    "rvcap.dma.mm2s_out_hwm",
+    "rvcap.dma.s2mm_in_hwm",
+    "rvcap.ddr_xbar.m0.stall_cycles",
+    "rvcap.ddr_xbar.m1.stall_cycles",
+    "main_xbar.m0.stall_cycles",
+    "hwicap.words_written",
+    "hwicap.write_fifo_hwm",
+    "hwicap.read_fifo_hwm",
+};
+
+u64 counter_or_none(ArianeSoc& soc, std::string_view name) {
+  const obs::CounterRegistry& c = soc.sim().obs().counters();
+  const usize i = c.counter_index(name);
+  return i < c.counter_count() ? c.counter_value(i) : ~u64{0};
+}
+
+void finish(ArianeSoc& soc, const FrameCommitProbe& probe, StreamOutcome& o) {
+  o.values.push_back(soc.sim().now());
+  o.commits = probe.commits();
+  o.commit_digest = probe.digest();
+  for (const char* name : kStreamCounters) {
+    o.counters.push_back(counter_or_none(soc, name));
+  }
+}
+
+driver::ReconfigModule stage_module(ArianeSoc& soc, u32 rm_id, const char* name,
+                                    Addr at) {
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc.device(), soc.rp0(), {rm_id, name});
+  soc.ddr().poke(at, pbit);
+  return {"", rm_id, at, static_cast<u32>(pbit.size())};
+}
+
+SocConfig stream_config(Simulator::Mode mode, bool with_hwicap = false) {
+  SocConfig cfg;
+  cfg.sim_mode = mode;
+  cfg.with_hwicap = with_hwicap;
+  return cfg;
+}
+
+void push_timing(const driver::RvCapDriver& drv, StreamOutcome& o) {
+  o.values.push_back(drv.last_timing().decision_ticks);
+  o.values.push_back(drv.last_timing().reconfig_ticks);
+}
+
+/// bench_micro's dma_reconfig load: Sobel into RP0, interrupt mode.
+StreamOutcome stream_load(Simulator::Mode mode) {
+  ArianeSoc soc(stream_config(mode));
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  StreamOutcome o;
+  EXPECT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  push_timing(drv, o);
+  finish(soc, probe, o);
+  return o;
+}
+
+/// Sobel load, then a 16 KB (32-row) frame through run_accelerator.
+StreamOutcome stream_accelerator(Simulator::Mode mode) {
+  ArianeSoc soc(stream_config(mode));
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  StreamOutcome o;
+  EXPECT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  o.values.push_back(soc.sim().now());
+  drv.rm_reg_write(1, 32);  // height: 32 rows of 512 pixels
+  const std::vector<u8> img = pattern(16 * 1024, 5);
+  soc.ddr().poke(soc::MemoryMap::kImageInBase, img);
+  EXPECT_EQ(drv.run_accelerator(soc::MemoryMap::kImageInBase, 16 * 1024,
+                                soc::MemoryMap::kImageOutBase, 16 * 1024,
+                                DmaMode::kInterrupt),
+            Status::kOk);
+  o.values.push_back(soc.sim().now());
+  std::vector<u8> out(16 * 1024);
+  soc.ddr().peek(soc::MemoryMap::kImageOutBase, out);
+  o.values.push_back(crc32(out));
+  finish(soc, probe, o);
+  return o;
+}
+
+/// Sobel load, then every frame of RP0 read back over S2MM.
+StreamOutcome stream_readback(Simulator::Mode mode) {
+  ArianeSoc soc(stream_config(mode));
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  StreamOutcome o;
+  EXPECT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  o.values.push_back(soc.sim().now());
+  u32 words = 0;
+  EXPECT_EQ(drv.readback_partition(soc.device(), soc.rp0(), 0x8C00'0000,
+                                   0x8D00'0000, &words),
+            Status::kOk);
+  o.values.push_back(soc.sim().now());
+  o.values.push_back(words);
+  std::vector<u8> data(usize{words} * 4);
+  soc.ddr().peek(0x8D00'0000, data);
+  o.values.push_back(crc32(data));
+  finish(soc, probe, o);
+  return o;
+}
+
+/// An RVZ0-compressed Gaussian bitstream through the decompressor.
+StreamOutcome stream_compressed(Simulator::Mode mode) {
+  ArianeSoc soc(stream_config(mode));
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc.device(), soc.rp0(), {accel::kRmIdGaussian, "g"},
+      bitstream::FrameFill::kSparse);
+  std::vector<u8> packed;
+  EXPECT_EQ(bitstream::compress_bitstream(pbit, &packed), Status::kOk);
+  soc.ddr().poke(0x8800'0000, packed);
+  const driver::ReconfigModule m{"", accel::kRmIdGaussian, 0x8800'0000,
+                                 static_cast<u32>(packed.size())};
+  StreamOutcome o;
+  EXPECT_EQ(drv.init_reconfig_process_compressed(m, DmaMode::kInterrupt),
+            Status::kOk);
+  push_timing(drv, o);
+  EXPECT_TRUE(soc.sim().run_until_idle(2'000'000));
+  o.values.push_back(
+      soc.config_memory().partition_state(soc.rp0_handle()).loaded);
+  finish(soc, probe, o);
+  return o;
+}
+
+/// DprManager activations with an MM2S fault mid-burst: the journal's
+/// stages and the recovery counts, then the stream counters.
+StreamOutcome stream_dma_fault(Simulator::Mode mode, std::string_view site) {
+  test::DprWorld w(mode);
+  FrameCommitProbe probe(w.soc);
+  w.fi.arm(site, FaultInjector::Plan{1, 1.0, 0});
+  StreamOutcome o;
+  EXPECT_EQ(w.mgr.activate("sobel"), Status::kOk);
+  o.values.push_back(w.soc.sim().now());
+  for (const auto& e : w.mgr.journal()) {
+    o.values.push_back(e.mtime);
+    o.values.push_back(static_cast<u64>(e.stage));
+    o.values.push_back(static_cast<u64>(e.status));
+  }
+  o.values.push_back(w.mgr.stats().recoveries);
+  EXPECT_EQ(w.mgr.activate("median"), Status::kOk);
+  finish(w.soc, probe, o);
+  return o;
+}
+StreamOutcome stream_slverr(Simulator::Mode m) {
+  return stream_dma_fault(m, sites::kDmaMm2sSlvErr);
+}
+StreamOutcome stream_early_ioc(Simulator::Mode m) {
+  return stream_dma_fault(m, sites::kDmaMm2sEarlyIoc);
+}
+
+/// A load polled by firmware: probe_mm2s and two PerfRegs counters
+/// every 997 cycles mid-transfer, then a watchdog-fenced load.
+StreamOutcome stream_probed(Simulator::Mode mode) {
+  ArianeSoc soc(stream_config(mode));
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  cpu::CpuContext& cpu = soc.cpu();
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  const obs::CounterRegistry& reg = soc.sim().obs().counters();
+  const u32 words_idx = static_cast<u32>(reg.counter_index("icap.words"));
+  const u32 w4_idx = static_cast<u32>(reg.counter_index("rvcap.w4.beats"));
+  StreamOutcome o;
+  drv.decouple_accel(true);
+  drv.select_ICAP(true);
+  const Addr dma = soc::MemoryMap::kDmaCtrl.base;
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sCr,
+                       rvcap_ctrl::AxiDma::kCrRunStop);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSa,
+                       static_cast<u32>(m.start_address));
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSaMsb, 0);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sLength, m.pbit_size);
+  for (int i = 0; i < 400 && !soc.rvcap().dma().mm2s_idle(); ++i) {
+    soc.sim().run_cycles(997);
+    const driver::TransferProgress p = drv.probe_mm2s();
+    o.values.push_back(p.beats);
+    o.values.push_back(p.status);
+    o.values.push_back(p.rp_status);
+    o.values.push_back(p.mtime);
+    drv.perf_select(words_idx);
+    o.values.push_back(drv.perf_read());
+    drv.perf_select(w4_idx);
+    o.values.push_back(drv.perf_read());
+  }
+  EXPECT_TRUE(soc.sim().run_until_idle(100'000));
+  o.values.push_back(soc.sim().now());
+  driver::StallWatchdog wd("stream-pin");
+  drv.set_watchdog(&wd);
+  const auto m2 = stage_module(soc, accel::kRmIdMedian, "median",
+                               0x8900'0000);
+  EXPECT_EQ(drv.init_reconfig_process(m2, DmaMode::kBlocking), Status::kOk);
+  push_timing(drv, o);
+  finish(soc, probe, o);
+  return o;
+}
+
+/// A load started by hand and aborted from the RP-control window
+/// mid-transfer (the DMA keeps streaming into an unsynced ICAP), then,
+/// after the IOC is acknowledged, a full load of another module.
+StreamOutcome stream_aborted(Simulator::Mode mode) {
+  ArianeSoc soc(stream_config(mode));
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  cpu::CpuContext& cpu = soc.cpu();
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  const u32 words_idx = static_cast<u32>(
+      soc.sim().obs().counters().counter_index("icap.words"));
+  StreamOutcome o;
+  drv.decouple_accel(true);
+  drv.select_ICAP(true);
+  const Addr dma = soc::MemoryMap::kDmaCtrl.base;
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sCr,
+                       rvcap_ctrl::AxiDma::kCrRunStop);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSa,
+                       static_cast<u32>(m.start_address));
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSaMsb, 0);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sLength, m.pbit_size);
+  soc.sim().run_cycles(40'001);
+  drv.icap_abort();
+  o.values.push_back(soc.sim().now());
+  o.values.push_back(soc.icap().frames_committed());
+  drv.perf_select(words_idx);
+  o.values.push_back(drv.perf_read());
+  soc.sim().run_cycles(3);
+  drv.icap_abort();  // a second pulse a few cycles later
+  o.values.push_back(soc.sim().now());
+  EXPECT_TRUE(soc.sim().run_until_idle(400'000));
+  o.values.push_back(soc.sim().now());
+  o.values.push_back(soc.icap().synced());
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSr,
+                       rvcap_ctrl::AxiDma::kSrIocIrq);
+  const auto m2 = stage_module(soc, accel::kRmIdMedian, "median",
+                               0x8900'0000);
+  EXPECT_EQ(drv.init_reconfig_process(m2, DmaMode::kInterrupt), Status::kOk);
+  push_timing(drv, o);
+  finish(soc, probe, o);
+  return o;
+}
+
+/// An RV-CAP load, then an AXI_HWICAP keyhole program of another
+/// module and a HWICAP readback: both controllers share the ICAP's
+/// write and read ports.
+StreamOutcome stream_shared_ports(Simulator::Mode mode) {
+  ArianeSoc soc(stream_config(mode, /*with_hwicap=*/true));
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  driver::HwIcapDriver hw(soc.cpu(), 16);
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  const auto m2 = stage_module(soc, accel::kRmIdMedian, "median",
+                               0x8900'0000);
+  StreamOutcome o;
+  EXPECT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  o.values.push_back(soc.sim().now());
+  EXPECT_EQ(hw.init_reconfig_process(m2), Status::kOk);
+  o.values.push_back(soc.sim().now());
+  const fabric::FrameAddr first = soc.rp0().base_frame(soc.device());
+  std::vector<u32> words(2 * fabric::kFrameWords);
+  EXPECT_EQ(hw.readback(first, words), Status::kOk);
+  o.values.push_back(soc.sim().now());
+  o.values.push_back(crc32(std::span<const u8>(
+      reinterpret_cast<const u8*>(words.data()), words.size() * 4)));
+  finish(soc, probe, o);
+  return o;
+}
+
+void expect_stream(StreamOutcome (*run)(Simulator::Mode),
+                   const StreamOutcome& pinned) {
+  for (const auto mode :
+       {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
+    EXPECT_EQ(run(mode), pinned)
+        << (mode == Simulator::Mode::kFlat ? "flat" : "scheduled");
+  }
+}
+
+constexpr u64 kNone = ~u64{0};
+
+// Values recorded from the per-beat stream path (the DMA, w4, the
+// stream switch and the decompressor one 64-bit beat per cycle,
+// AXIS2ICAP and the ICAP one 32-bit word per cycle). Counters are in
+// kStreamCounters order; ~0 marks a counter the SoC does not have.
+TEST(StreamPath, DmaReconfigLoad) {
+  expect_stream(stream_load, {{90, 8154, 165239}, 805, 0x3b66fb7e1d3c655c,
+      {162724, 805, 0, 1, 1, 81362, 0, 0, 0, 0, 650892, 0, 1, 8, 0, 0, 0, 0,
+      kNone, kNone, kNone}});
+}
+TEST(StreamPath, AcceleratorFrame) {
+  expect_stream(stream_accelerator, {{165239, 169855, 3096761186, 169855},
+      805, 0x3b66fb7e1d3c655c, {162724, 805, 0, 1, 1, 83410, 2048, 2048,
+      2048, 2048, 667276, 16384, 2, 8, 1, 0, 0, 0, kNone, kNone, kNone}});
+}
+TEST(StreamPath, PartitionReadbackOverS2mm) {
+  expect_stream(stream_readback, {{165239, 328854, 162610, 1740778753,
+      328854}, 805, 0x3b66fb7e1d3c655c, {162742, 805, 162610, 2, 4, 81371,
+      0, 0, 81305, 0, 650964, 650440, 2, 8, 1, 0, 0, 0, kNone, kNone,
+      kNone}});
+}
+TEST(StreamPath, CompressedBitstream) {
+  expect_stream(stream_compressed, {{87, 8168, 1, 165543}, 805,
+      0x422fdb7fb171e711, {162723, 805, 0, 1, 1, 15757, 0, 0, 0, 0, 126056,
+      0, 1, 8, 0, 0, 0, 0, kNone, kNone, kNone}});
+}
+TEST(StreamPath, Mm2sSlvErrMidBurst) {
+  expect_stream(stream_slverr, {{2389046, 53285, 2, 7, 119449, 7, 0, 1,
+      2889960}, 2693, 0x867a3acbf261829a, {544398, 2693, 162610, 4, 4,
+      272199, 0, 0, 81305, 0, 1952748, 650440, 4, 8, 1, 0, 0, 0, 0, 0, 0}});
+}
+TEST(StreamPath, Mm2sEarlyIocMidBurst) {
+  expect_stream(stream_early_ioc, {{2346718, 51168, 4, 7, 117333, 7, 0, 1,
+      2847632}, 2483, 0x67010fbf8a5f735b, {502072, 2483, 162610, 4, 4,
+      251036, 0, 0, 81305, 0, 2603640, 650440, 5, 8, 1, 0, 0, 0, 0, 0, 0}});
+}
+TEST(StreamPath, FirmwareProbesMidTransfer) {
+  expect_stream(stream_probed, {{530, 0, 23, 80, 1328, 741, 1292, 0, 23,
+      156, 2852, 1503, 2054, 0, 23, 232, 4376, 2265, 2816, 0, 23, 308, 5900,
+      3027, 3578, 0, 23, 384, 7424, 3789, 4340, 0, 23, 461, 8948, 4551,
+      5102, 0, 23, 537, 10472, 5313, 5864, 0, 23, 613, 11996, 6075, 6626, 0,
+      23, 689, 13520, 6837, 7388, 0, 23, 765, 15044, 7599, 8150, 0, 23, 842,
+      16568, 8361, 8912, 0, 23, 918, 18092, 9123, 9674, 0, 23, 994, 19616,
+      9885, 10436, 0, 23, 1070, 21140, 10647, 11198, 0, 23, 1146, 22664,
+      11409, 11960, 0, 23, 1223, 24188, 12171, 12722, 0, 23, 1299, 25712,
+      12933, 13484, 0, 23, 1375, 27236, 13695, 14246, 0, 23, 1451, 28760,
+      14457, 15008, 0, 23, 1527, 30284, 15219, 15770, 0, 23, 1604, 31808,
+      15981, 16532, 0, 23, 1680, 33332, 16743, 17294, 0, 23, 1756, 34856,
+      17505, 18056, 0, 23, 1832, 36380, 18267, 18818, 0, 23, 1908, 37904,
+      19029, 19580, 0, 23, 1985, 39428, 19791, 20342, 0, 23, 2061, 40952,
+      20553, 21104, 0, 23, 2137, 42476, 21315, 21866, 0, 23, 2213, 44000,
+      22077, 22628, 0, 23, 2289, 45524, 22839, 23390, 0, 23, 2366, 47048,
+      23601, 24152, 0, 23, 2442, 48572, 24363, 24914, 0, 23, 2518, 50096,
+      25125, 25676, 0, 23, 2594, 51620, 25887, 26438, 0, 23, 2670, 53144,
+      26649, 27200, 0, 23, 2747, 54668, 27411, 27962, 0, 23, 2823, 56192,
+      28173, 28724, 0, 23, 2899, 57716, 28935, 29486, 0, 23, 2975, 59240,
+      29697, 30248, 0, 23, 3051, 60764, 30459, 31010, 0, 23, 3128, 62288,
+      31221, 31772, 0, 23, 3204, 63812, 31983, 32534, 0, 23, 3280, 65336,
+      32745, 33296, 0, 23, 3356, 66860, 33507, 34058, 0, 23, 3432, 68384,
+      34269, 34820, 0, 23, 3509, 69908, 35031, 35582, 0, 23, 3585, 71432,
+      35793, 36344, 0, 23, 3661, 72956, 36555, 37106, 0, 23, 3737, 74480,
+      37317, 37868, 0, 23, 3813, 76004, 38079, 38630, 0, 23, 3890, 77528,
+      38841, 39392, 0, 23, 3966, 79052, 39603, 40154, 0, 23, 4042, 80576,
+      40365, 40916, 0, 23, 4118, 82100, 41127, 41678, 0, 23, 4194, 83624,
+      41889, 42440, 0, 23, 4271, 85148, 42651, 43202, 0, 23, 4347, 86672,
+      43413, 43964, 0, 23, 4423, 88196, 44175, 44726, 0, 23, 4499, 89720,
+      44937, 45488, 0, 23, 4575, 91244, 45699, 46250, 0, 23, 4652, 92768,
+      46461, 47012, 0, 23, 4728, 94292, 47223, 47774, 0, 23, 4804, 95816,
+      47985, 48536, 0, 23, 4880, 97340, 48747, 49298, 0, 23, 4956, 98864,
+      49509, 50060, 0, 23, 5033, 100388, 50271, 50822, 0, 23, 5109, 101912,
+      51033, 51584, 0, 23, 5185, 103436, 51795, 52346, 0, 23, 5261, 104960,
+      52557, 53108, 0, 23, 5337, 106484, 53319, 53870, 0, 23, 5414, 108008,
+      54081, 54632, 0, 23, 5490, 109532, 54843, 55394, 0, 23, 5566, 111056,
+      55605, 56156, 0, 23, 5642, 112580, 56367, 56918, 0, 23, 5718, 114104,
+      57129, 57680, 0, 23, 5795, 115628, 57891, 58442, 0, 23, 5871, 117152,
+      58653, 59204, 0, 23, 5947, 118676, 59415, 59966, 0, 23, 6023, 120200,
+      60177, 60728, 0, 23, 6099, 121724, 60939, 61490, 0, 23, 6176, 123248,
+      61701, 62252, 0, 23, 6252, 124772, 62463, 63014, 0, 23, 6328, 126296,
+      63225, 63776, 0, 23, 6404, 127820, 63987, 64538, 0, 23, 6480, 129344,
+      64749, 65300, 0, 23, 6557, 130868, 65511, 66062, 0, 23, 6633, 132392,
+      66273, 66824, 0, 23, 6709, 133916, 67035, 67586, 0, 23, 6785, 135440,
+      67797, 68348, 0, 23, 6861, 136964, 68559, 69110, 0, 23, 6938, 138488,
+      69321, 69872, 0, 23, 7014, 140012, 70083, 70634, 0, 23, 7090, 141536,
+      70845, 71396, 0, 23, 7166, 143060, 71607, 72158, 0, 23, 7242, 144584,
+      72369, 72920, 0, 23, 7319, 146108, 73131, 73682, 0, 23, 7395, 147632,
+      73893, 74444, 0, 23, 7471, 149156, 74655, 75206, 0, 23, 7547, 150680,
+      75417, 75968, 0, 23, 7623, 152204, 76179, 76730, 0, 23, 7700, 153728,
+      76941, 77492, 0, 23, 7776, 155252, 77703, 78254, 0, 23, 7852, 156776,
+      78465, 79016, 0, 23, 7928, 158300, 79227, 79778, 0, 23, 8004, 159824,
+      79989, 80540, 0, 23, 8081, 161348, 80751, 81302, 0, 23, 8157, 162724,
+      81362, 163463, 90, 13, 165828}, 806, 0x35fd41d9c39a4eb, {163026, 806,
+      0, 1, 1, 81609, 93, 0, 0, 0, 650892, 0, 1, 8, 0, 0, 0, 0, kNone,
+      kNone, kNone}});
+}
+TEST(StreamPath, IcapAbortMidTransfer) {
+  expect_stream(stream_aborted, {{40483, 198, 40158, 40706, 163088, 0, 90,
+      8155, 328326}, 1003, 0x4a52397385a86b6, {325405, 1003, 0, 1, 1,
+      162724, 0, 0, 0, 0, 1301784, 0, 2, 8, 0, 0, 0, 0, kNone, kNone,
+      kNone}});
+}
+TEST(StreamPath, HwicapSharesTheIcapPorts) {
+  expect_stream(stream_shared_ports, {{165239, 8123950, 8177880, 1033266137,
+      8177880}, 1610, 0x7d42440b8e642c8c, {325463, 1610, 404, 3, 1, 81362,
+      0, 0, 0, 0, 650892, 0, 1, 8, 0, 0, 0, 0, 162739, 1024, 128}});
 }
 
 }  // namespace
