@@ -1418,5 +1418,229 @@ TEST(StreamPath, HwicapSharesTheIcapPorts) {
       0, 0, 0, 0, 650892, 0, 1, 8, 0, 0, 0, 0, 162739, 1024, 128}});
 }
 
+// ---------------------------------------------------------------------
+// MMIO timelines: CPU-paced driver traffic, cycle for cycle
+// ---------------------------------------------------------------------
+
+/// One CPU-paced scenario: milestone cycles and returned values, the
+/// CPU's bus counts, the bus-side counters, and the whole trace stream
+/// (event count and digest: every main_xbar access event, in order).
+struct TimelineOutcome {
+  std::vector<u64> values;
+  std::vector<u64> counters;
+  u64 events = 0;
+  u64 digest = 0;
+
+  bool operator==(const TimelineOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const TimelineOutcome& o) {
+  os << "{{";
+  for (const u64 v : o.values) os << v << ", ";
+  os << "}, {";
+  for (const u64 v : o.counters) os << v << ", ";
+  return os << "}, " << o.events << ", 0x" << std::hex << o.digest
+            << std::dec << "}";
+}
+
+constexpr const char* kTimelineCounters[] = {
+    "main_xbar.decode_errors",
+    "main_xbar.m0.stall_cycles",
+    "icap.words",
+    "icap.frames",
+    "icap.readback_words",
+    "icap.desyncs",
+    "icap.port_hwm",
+    "hwicap.words_written",
+    "hwicap.dropped_words",
+    "hwicap.write_fifo_hwm",
+    "hwicap.read_fifo_hwm",
+    "rvcap.dma.mm2s_bytes",
+    "rvcap.dma.mm2s_jobs",
+};
+
+std::unique_ptr<ArianeSoc> traced_soc(Simulator::Mode mode,
+                                      bool with_hwicap = false) {
+  SocConfig cfg;
+  cfg.sim_mode = mode;
+  cfg.with_hwicap = with_hwicap;
+  auto soc = std::make_unique<ArianeSoc>(cfg);
+  soc->sim().obs().sink().set_enabled(true);
+  return soc;
+}
+
+/// Append one SoC's end cycle, counters and trace stream to `o`.
+void finish(ArianeSoc& soc, TimelineOutcome& o) {
+  o.values.push_back(soc.sim().now());
+  const cpu::CpuContext& cpu = soc.cpu();
+  o.counters.insert(o.counters.end(),
+                    {cpu.bus_reads(), cpu.bus_writes(), cpu.bus_errors(),
+                     cpu.bus_timeouts(), soc.sd_card().blocks_read(),
+                     soc.sd_card().blocks_written(),
+                     soc.sd_card().crc_errors()});
+  for (const char* name : kTimelineCounters) {
+    o.counters.push_back(counter_or_none(soc, name));
+  }
+  const obs::TraceSink& sink = soc.sim().obs().sink();
+  o.events += sink.total_events();
+  o.digest = o.digest * 0x100000001B3ULL + sink.digest();
+}
+
+/// SD card bring-up over SPI, 8 single-block reads and a block write:
+/// every byte is a DTR store, an SR poll and a DRR load.
+TimelineOutcome timeline_spi_sd(Simulator::Mode mode) {
+  auto soc = traced_soc(mode);
+  storage::MemBlockIo host(soc->sd_card());
+  for (u32 i = 0; i < 8; ++i) {
+    EXPECT_EQ(host.write(100 + 3 * i, pattern(512, static_cast<u8>(i))),
+              Status::kOk);
+  }
+  TimelineOutcome o;
+  driver::SpiSdDriver sd(soc->cpu());
+  o.values.push_back(static_cast<u64>(sd.init_card()));
+  o.values.push_back(soc->sim().now());
+  std::vector<u8> buf(512);
+  for (u32 i = 0; i < 8; ++i) {
+    o.values.push_back(static_cast<u64>(sd.read_block(100 + 3 * i, buf)));
+    o.values.push_back(crc32(buf));
+    EXPECT_EQ(buf, pattern(512, static_cast<u8>(i)));
+  }
+  o.values.push_back(soc->sim().now());
+  const std::vector<u8> out = pattern(512, 0x5A);
+  o.values.push_back(static_cast<u64>(sd.write_block(300, out)));
+  EXPECT_EQ(host.read(300, buf), Status::kOk);
+  EXPECT_EQ(buf, out);
+  finish(*soc, o);
+  return o;
+}
+
+/// The AXI_HWICAP keyhole: a 2-column Fig. 3 window programmed at
+/// unroll 1 and at unroll 16, then two of its frames read back.
+TimelineOutcome timeline_hwicap(Simulator::Mode mode) {
+  auto soc = traced_soc(mode, /*with_hwicap=*/true);
+  std::vector<fabric::Partition::ColumnRef> cols;
+  const u32 row = soc->device().rows() / 2;
+  for (u32 c = 2; c < 4; ++c) cols.push_back({row, c});
+  const fabric::Partition window("RP_sweep2", std::move(cols));
+  const usize handle = soc->add_partition(window);
+  const auto pbit = bitstream::generate_partial_bitstream(
+      soc->device(), window, {7, "sweep"});
+  soc->ddr().poke(soc::MemoryMap::kPbitStagingBase, pbit);
+  const driver::ReconfigModule m{"", 7, soc::MemoryMap::kPbitStagingBase,
+                                 static_cast<u32>(pbit.size())};
+  TimelineOutcome o;
+  driver::HwIcapDriver hw(soc->cpu(), 1);
+  for (const u32 unroll : {1u, 16u}) {
+    hw.set_unroll(unroll);
+    o.values.push_back(static_cast<u64>(hw.init_reconfig_process(m)));
+    o.values.push_back(hw.last_timing().reconfig_ticks);
+    o.values.push_back(soc->sim().now());
+    o.values.push_back(soc->config_memory().partition_state(handle).loaded);
+  }
+  std::vector<u32> words(2 * fabric::kFrameWords);
+  o.values.push_back(static_cast<u64>(
+      hw.readback(window.base_frame(soc->device()), words)));
+  o.values.push_back(crc32(std::span<const u8>(
+      reinterpret_cast<const u8*>(words.data()), words.size() * 4)));
+  finish(*soc, o);
+  return o;
+}
+
+/// Reads whose answer depends on the cycle the device serves them:
+/// CLINT mtime at every phase of its 20-cycle divider, and PLIC claims
+/// served around the cycle a DMA completion raises its line.
+TimelineOutcome timeline_irq(Simulator::Mode mode) {
+  constexpr Addr kMtimeLo = soc::MemoryMap::kClint.base + irq::Clint::kMtimeLo;
+  constexpr Addr kClaim =
+      soc::MemoryMap::kPlic.base + irq::Plic::kClaimComplete;
+  constexpr Addr kDma = soc::MemoryMap::kDmaCtrl.base;
+  TimelineOutcome o;
+  {
+    auto soc = traced_soc(mode);
+    for (int i = 0; i < 20; ++i) {
+      o.values.push_back(soc->cpu().load32_uncached(kMtimeLo));
+      soc->sim().run_cycles(17);  // next read one divider phase later
+    }
+    finish(*soc, o);
+  }
+  // A 4 KB MM2S job into the unsynced ICAP with its IOC interrupt on;
+  // returns the SoC at the cycle the LENGTH store returned.
+  const auto start_job = [&] {
+    auto soc = traced_soc(mode);
+    driver::RvCapDriver drv(soc->cpu(), soc->plic());
+    drv.decouple_accel(true);
+    drv.select_ICAP(true);
+    cpu::CpuContext& cpu = soc->cpu();
+    cpu.store32_uncached(kDma + rvcap_ctrl::AxiDma::kMm2sCr,
+                         rvcap_ctrl::AxiDma::kCrRunStop |
+                             rvcap_ctrl::AxiDma::kCrIocIrqEn);
+    cpu.store32_uncached(kDma + rvcap_ctrl::AxiDma::kMm2sSa,
+                         static_cast<u32>(soc::MemoryMap::kPbitStagingBase));
+    cpu.store32_uncached(kDma + rvcap_ctrl::AxiDma::kMm2sSaMsb, 0);
+    cpu.store32_uncached(kDma + rvcap_ctrl::AxiDma::kMm2sLength, 4096);
+    return soc;
+  };
+  Cycles eip_at = 0;  // first boundary with the external interrupt up
+  {
+    auto soc = start_job();
+    const irq::Plic& plic = soc->plic();
+    EXPECT_TRUE(soc->sim().run_until_event([&] { return plic.eip(); },
+                                           100'000));
+    eip_at = soc->sim().now();
+    finish(*soc, o);
+  }
+  // A claim load reaches the PLIC 36 core cycles after it is issued,
+  // and the PLIC serves it the cycle after.
+  constexpr Cycles kToServe = 37;
+  for (Cycles before = 4; before > 0; --before) {
+    auto soc = start_job();
+    soc->sim().run_cycles(eip_at - before - kToServe - soc->sim().now());
+    const u32 src = soc->cpu().load32_uncached(kClaim);
+    o.values.push_back(src);
+    o.values.push_back(soc->sim().now());
+    if (src != 0) soc->cpu().store32_uncached(kClaim, src);
+    o.values.push_back(soc->cpu().load32_uncached(kClaim));
+    finish(*soc, o);
+  }
+  return o;
+}
+
+void expect_timeline(TimelineOutcome (*run)(Simulator::Mode),
+                     const TimelineOutcome& pinned) {
+  for (const auto mode :
+       {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
+    EXPECT_EQ(run(mode), pinned)
+        << (mode == Simulator::Mode::kFlat ? "flat" : "scheduled");
+  }
+}
+
+// Recorded with every CPU register access carried by main_xbar and the
+// register paths (axi::LitePath). Counters: the CPU's reads, writes,
+// errors and timeouts, the SD card's blocks read, written and CRC
+// errors, then kTimelineCounters (~0: the SoC has no such counter).
+TEST(MmioTimeline, SpiSdCardBlocks) {
+  expect_timeline(timeline_spi_sd, {{0, 9985, 0, 3511381275, 0, 2003491387, 0,
+      767597049, 0, 3516676709, 0, 569825680, 0, 2433617403, 0, 828578047, 0,
+      487439453, 568649, 0, 639147}, {9608, 4807, 0, 0, 8, 1, 0, 0, 0, 0, 0, 0,
+      0, 0, kNone, kNone, kNone, kNone, 0, 0}, 14415, 0xf340eb7bf237f06f});
+}
+TEST(MmioTimeline, HwicapKeyholeProgramAndReadback) {
+  expect_timeline(timeline_hwicap, {{0, 66095, 1322046, 1, 0, 35868, 2039532, 1,
+      0, 1541529250, 2093462}, {2466, 29378, 0, 0, 0, 0, 0, 0, 0, 29330, 144,
+      404, 3, 1, 29330, 0, 1024, 128, 0, 0}, 62643, 0x52f1fc34bb3af28e});
+}
+TEST(MmioTimeline, ClintMtimeAndPlicClaimAtTheIrqEdge) {
+  expect_timeline(timeline_irq, {{1, 4, 8, 11, 14, 17, 20, 23, 26, 29, 32, 35,
+      38, 41, 44, 47, 50, 53, 56, 59, 1220, 1395, 0, 1398, 1, 1442, 0, 1399, 1,
+      1443, 0, 1400, 1, 1444, 1, 1401, 1, 1490}, {20, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      0, 0, 0, 0, kNone, kNone, kNone, kNone, 0, 0, 2, 7, 0, 0, 0, 0, 0, 0, 0,
+      988, 0, 0, 0, 1, kNone, kNone, kNone, kNone, 4096, 1, 4, 7, 0, 0, 0, 0, 0,
+      0, 0, 1024, 0, 0, 0, 1, kNone, kNone, kNone, kNone, 4096, 1, 4, 7, 0, 0,
+      0, 0, 0, 0, 0, 1024, 0, 0, 0, 1, kNone, kNone, kNone, kNone, 4096, 1, 4,
+      7, 0, 0, 0, 0, 0, 0, 0, 1024, 0, 0, 0, 1, kNone, kNone, kNone, kNone,
+      4096, 1, 4, 8, 0, 0, 0, 0, 0, 0, 0, 1024, 0, 0, 0, 1, kNone, kNone, kNone,
+      kNone, 4096, 1}, 7892, 0x2d9466d77a00ac8d});
+}
+
 }  // namespace
 }  // namespace rvcap
