@@ -348,6 +348,12 @@ bool AxiCrossbar::drain_error_reads() {
   return progress;
 }
 
+void AxiCrossbar::trace_timed_call(obs::EventKind kind, Addr addr,
+                                   Cycles start) {
+  RVCAP_TRACE(trace_sink(), kind, trace_src(), sim_now(), addr, 1,
+              sim_now() + 1 - start);
+}
+
 bool AxiCrossbar::busy() const {
   // A burst whose beats have all moved is not busy here: its beats are
   // queued downstream and its write route stays open until the B.

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "axi/types.hpp"
+#include "obs/trace.hpp"
 #include "sim/component.hpp"
 
 namespace rvcap::axi {
@@ -49,6 +50,14 @@ class AxiCrossbar : public sim::Component {
 
   /// Count of address-decode failures (DECERR responses generated).
   u64 decode_errors() const { return decode_errors_; }
+
+  /// The bus event of a single-beat access that a timed register call
+  /// (cpu::CpuContext) made without this crossbar ticking. Call it at
+  /// the boundary before the cycle in which the crossbar would have
+  /// moved the response; `start` is the cycle it would have taken the
+  /// address. This crossbar is slot 0, so the event lands in the trace
+  /// where the crossbar would have emitted it.
+  void trace_timed_call(obs::EventKind kind, Addr addr, Cycles start);
 
   /// Cycles manager m spent with an unaccepted AR/AW at the end of a
   /// progressing tick — the interconnect contention metric. Counted

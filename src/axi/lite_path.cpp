@@ -47,9 +47,6 @@ void LitePath::add_device(const AddrRange& range, AxiLitePort* port) {
       throw std::invalid_argument("LitePath: overlapping window");
     }
   }
-  // A 64-bit access pushes both halves at once; a blocked push
-  // re-declares the need of its own access.
-  port->watch_manager(this, 2);
   ranges_.push_back(range);
   devs_.push_back(port);
 }
@@ -99,10 +96,7 @@ bool LitePath::accept_read() {
       answer(reads_, Resp::kDecErr, halves);
     } else {
       AxiLitePort& d = *devs_[dev];
-      if (d.ar.vacancy() < halves) {
-        d.ar.watch_as_producer(this, halves);
-        return false;
-      }
+      if (d.ar.vacancy() < halves) return true;
       for (u8 h = 0; h < halves; ++h) d.ar.push(LiteAr{addr + 4 * h});
       reads_.push(Pending{ar->addr, dev, halves, halves});
     }
@@ -143,11 +137,7 @@ bool LitePath::accept_write() {
       answer(writes_, Resp::kDecErr, halves);
     } else {
       AxiLitePort& d = *devs_[dev];
-      if (d.aw.vacancy() < halves || d.w.vacancy() < halves) {
-        d.aw.watch_as_producer(this, halves);
-        d.w.watch_as_producer(this, halves);
-        return false;
-      }
+      if (d.aw.vacancy() < halves || d.w.vacancy() < halves) return true;
       const Addr base = cur_aw_.addr & ~Addr{7};
       if ((w->strb & 0x0F) != 0) {
         d.aw.push(LiteAw{base});
@@ -172,7 +162,7 @@ bool LitePath::collect_read() {
   if (p == nullptr) return false;
   AxiLitePort& d = *devs_[p->dev];
   const LiteR* r = d.r.front();
-  if (r == nullptr) return false;
+  if (r == nullptr) return true;
   const u8 idx = p->halves - p->owed;  // 0 = first half
   const bool high_lane = p->halves == 2 ? idx == 1 : (p->addr & 4) != 0;
   p->data |= u64{r->data} << (high_lane ? 32 : 0);
@@ -182,8 +172,7 @@ bool LitePath::collect_read() {
     p->due = sim_now() + hops_ - 1;
     reads_.complete();
   }
-  p = reads_.owing();
-  return p != nullptr && devs_[p->dev]->r.can_pop();
+  return reads_.owing() != nullptr;
 }
 
 bool LitePath::collect_write() {
@@ -191,15 +180,14 @@ bool LitePath::collect_write() {
   if (p == nullptr) return false;
   AxiLitePort& d = *devs_[p->dev];
   const LiteB* b = d.b.front();
-  if (b == nullptr) return false;
+  if (b == nullptr) return true;
   p->resp = worse(p->resp, b->resp);
   d.b.pop();
   if (--p->owed == 0) {
     p->due = sim_now() + hops_ - 1;
     writes_.complete();
   }
-  p = writes_.owing();
-  return p != nullptr && devs_[p->dev]->b.can_pop();
+  return writes_.owing() != nullptr;
 }
 
 bool LitePath::deliver_read() {

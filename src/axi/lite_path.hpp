@@ -23,6 +23,14 @@
 //    chain's first stage did, and holds it on a wake_at() deadline
 //    instead of moving it one stage per cycle. A DECERR comes from the
 //    decoder itself, one hop closer.
+//
+// The path does not watch its device ports: while an access waits on a
+// device it polls that device's port every cycle. A device port thus
+// wakes only its device, and the timed register calls of the CPU
+// (cpu::CpuContext), which use the device ports directly while the
+// path is idle, tick nothing else. The CPU's accessors reach a device
+// through the path only when a timed call does not fit: a burst, a
+// strobe-less write, a DECERR hole, or a path still busy (DESIGN.md §5).
 #pragma once
 
 #include <deque>
@@ -59,6 +67,9 @@ class LitePath : public sim::Component {
 
   /// Accesses answered DECERR (no window contains the address).
   u64 decode_errors() const { return decode_errors_; }
+  /// Response hops: cycles from collecting a device response to
+  /// handing it upstream, plus one.
+  u32 hops() const { return hops_; }
 
  private:
   static constexpr u32 kNoDevice = ~u32{0};

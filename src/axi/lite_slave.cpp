@@ -1,5 +1,7 @@
 #include "axi/lite_slave.hpp"
 
+#include <cassert>
+
 namespace rvcap::axi {
 
 AxiLiteSlave::AxiLiteSlave(std::string name, u32 response_latency)
@@ -37,6 +39,21 @@ bool AxiLiteSlave::tick() {
     }
   }
   return port_ready() || (changed && device_ready());
+}
+
+void AxiLiteSlave::post_read(Addr addr, u8 halves) {
+  assert(!port_.has_request());
+  for (u8 h = 0; h < halves; ++h) port_.ar.push(LiteAr{addr + 4 * h});
+  read_wait_ = latency_;
+}
+
+void AxiLiteSlave::post_write(Addr addr, u64 data, u8 halves) {
+  assert(!port_.has_request());
+  for (u8 h = 0; h < halves; ++h) {
+    port_.aw.push(LiteAw{addr + 4 * h});
+    port_.w.push(LiteW{static_cast<u32>(data >> (32 * h)), 0xF});
+  }
+  write_wait_ = latency_;
 }
 
 bool AxiLiteSlave::port_ready() const {

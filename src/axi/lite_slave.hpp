@@ -19,6 +19,16 @@ class AxiLiteSlave : public sim::Component {
   AxiLiteSlave(std::string name, u32 response_latency = 1);
 
   AxiLitePort& port() { return port_; }
+  /// Cycles from a request reaching the port to the tick serving it.
+  u32 latency() const { return latency_; }
+
+  /// Timed register calls (cpu::CpuContext): queue `halves` 32-bit
+  /// reads of consecutive registers from `addr` into the idle port, the
+  /// first as if it had reached the port latency() cycles ago, so the
+  /// tick of the current cycle serves it. post_write() does the same
+  /// for writes of `data`, low word first.
+  void post_read(Addr addr, u8 halves);
+  void post_write(Addr addr, u64 data, u8 halves);
 
   bool tick() override;
   bool busy() const override;

@@ -45,14 +45,80 @@ void CpuContext::blocking_write(Addr a, u64 data, u8 strb, u8 size) {
   if (port_.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
 }
 
+const CpuContext::RegisterWindow* CpuContext::timed_window(Addr a) const {
+  for (const RegisterWindow& w : windows_) {
+    if (w.range.contains(a)) return w.path->busy() ? nullptr : &w;
+  }
+  return nullptr;
+}
+
+u64 CpuContext::timed_read(const RegisterWindow& w, Addr a, u8 halves) {
+  const Cycles start = sim_.now();  // the crossbar takes the AR now
+  ++bus_reads_;
+  // The path would hand the halves to the device in this cycle, the
+  // low word first, and the device serves the first latency() cycles
+  // later: post them then.
+  sim_.run_cycles(w.device->latency());
+  w.device->post_read(a & (halves == 2 ? ~Addr{7} : ~Addr{3}), halves);
+  axi::AxiLitePort& d = w.device->port();
+  u64 data = 0;
+  bool error = false;
+  for (u8 h = 0; h < halves; ++h) {
+    // The path collects a response at the boundary it becomes visible.
+    if (!bus_wait([&] { return d.r.can_pop(); }, "read", a)) return 0;
+    const axi::LiteR r = *d.r.pop();
+    data |= u64{r.data} << (32 * h);
+    error |= r.resp != axi::Resp::kOkay;
+  }
+  if (error) ++bus_errors_;
+  timed_return(w, obs::EventKind::kAxiRead, a, start);
+  return data;
+}
+
+void CpuContext::timed_write(const RegisterWindow& w, Addr a, u64 data,
+                             u8 halves) {
+  const Cycles start = sim_.now();  // the crossbar takes the AW now
+  ++bus_writes_;
+  // It moves the W beat next cycle, in which the path would hand the
+  // halves to the device.
+  sim_.run_cycles(1 + w.device->latency());
+  w.device->post_write(a & (halves == 2 ? ~Addr{7} : ~Addr{3}), data,
+                       halves);
+  axi::AxiLitePort& d = w.device->port();
+  bool error = false;
+  for (u8 h = 0; h < halves; ++h) {
+    if (!bus_wait([&] { return d.b.can_pop(); }, "write", a)) return;
+    error |= d.b.pop()->resp != axi::Resp::kOkay;
+  }
+  if (error) ++bus_errors_;
+  timed_return(w, obs::EventKind::kAxiWrite, a, start);
+}
+
+void CpuContext::timed_return(const RegisterWindow& w, obs::EventKind kind,
+                              Addr a, Cycles start) {
+  // The response leaves the path hops - 1 cycles after it collected
+  // the last half, the crossbar moves it the cycle after, and the CPU
+  // sees it the next.
+  sim_.run_cycles(w.path->hops());
+  w.bus->trace_timed_call(kind, a, start);
+  sim_.run_cycles(1);
+}
+
 u32 CpuContext::load32_uncached(Addr a) {
   sim_.run_cycles(tm_.uncached_access_core_cycles);
+  if (const RegisterWindow* w = timed_window(a)) {
+    return static_cast<u32>(timed_read(*w, a, 1));
+  }
   const axi::AxiR r = blocking_read(a, 2);
   return static_cast<u32>((a & 4) ? (r.data >> 32) : r.data);
 }
 
 void CpuContext::store32_uncached(Addr a, u32 v) {
   sim_.run_cycles(tm_.uncached_access_core_cycles);
+  if (const RegisterWindow* w = timed_window(a)) {
+    timed_write(*w, a, v, 1);
+    return;
+  }
   const bool high = (a & 4) != 0;
   blocking_write(a, high ? (u64{v} << 32) : u64{v},
                  high ? 0xF0 : 0x0F, 2);
@@ -60,11 +126,16 @@ void CpuContext::store32_uncached(Addr a, u32 v) {
 
 u64 CpuContext::load64_uncached(Addr a) {
   sim_.run_cycles(tm_.uncached_access_core_cycles);
+  if (const RegisterWindow* w = timed_window(a)) return timed_read(*w, a, 2);
   return blocking_read(a, 3).data;
 }
 
 void CpuContext::store64_uncached(Addr a, u64 v) {
   sim_.run_cycles(tm_.uncached_access_core_cycles);
+  if (const RegisterWindow* w = timed_window(a)) {
+    timed_write(*w, a, v, 2);
+    return;
+  }
   blocking_write(a, v, 0xFF, 3);
 }
 

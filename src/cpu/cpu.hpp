@@ -16,11 +16,24 @@
 // loop would have popped it, and write_buffer pushes a burst's beats at
 // once, each stamped with the cycle the per-beat loop would have pushed
 // it.
+//
+// Timed register calls (DESIGN.md §5). The CPU is the only manager of
+// the crossbar in front of the register windows and blocks on every
+// access, so an uncached single-beat access to an idle register path
+// has a fixed timeline. Such an access goes straight to its device's
+// AXI4-Lite port: the device serves it in its own tick, and the CPU
+// takes the response off the port and returns at the cycle the port
+// path would have delivered it. The crossbar and the path do not tick
+// for it; the crossbar's bus event is emitted at its own cycle.
 #pragma once
 
 #include <span>
 #include <utility>
+#include <vector>
 
+#include "axi/crossbar.hpp"
+#include "axi/lite_path.hpp"
+#include "axi/lite_slave.hpp"
 #include "axi/types.hpp"
 #include "common/status.hpp"
 #include "cpu/timing_model.hpp"
@@ -36,6 +49,16 @@ class CpuContext {
 
   /// The CPU's manager link; connect to the main crossbar.
   axi::AxiPort& port() { return port_; }
+
+  /// Make uncached single-beat accesses to `range` timed register
+  /// calls to `device`, which `path` connects to `bus`, the crossbar
+  /// port() is the only manager of. `range` lies inside one of `bus`'s
+  /// windows and one of `path`'s device windows.
+  void add_register_window(const axi::AddrRange& range,
+                           axi::AxiLiteSlave& device,
+                           const axi::LitePath& path, axi::AxiCrossbar& bus) {
+    windows_.push_back({range, &device, &path, &bus});
+  }
   sim::Simulator& simulator() { return sim_; }
   const CpuTimingModel& timing() const { return tm_; }
   Cycles now() const { return sim_.now(); }
@@ -93,8 +116,27 @@ class CpuContext {
   u64 bus_timeouts() const { return bus_timeouts_; }
 
  private:
+  /// A register window that takes timed calls (add_register_window).
+  struct RegisterWindow {
+    axi::AddrRange range;
+    axi::AxiLiteSlave* device;
+    const axi::LitePath* path;
+    axi::AxiCrossbar* bus;
+  };
+
   axi::AxiR blocking_read(Addr a, u8 size);
   void blocking_write(Addr a, u64 data, u8 strb, u8 size);
+  /// The window of a timed call to `a`; nullptr when the access takes
+  /// the port path (no window, or the path is still busy).
+  const RegisterWindow* timed_window(Addr a) const;
+  /// Timed calls of `halves` 32-bit halves from `a` (8-byte aligned
+  /// when halves == 2); a 32-bit write carries `data` in its low bits.
+  u64 timed_read(const RegisterWindow& w, Addr a, u8 halves);
+  void timed_write(const RegisterWindow& w, Addr a, u64 data, u8 halves);
+  /// Return from a timed call whose last response the path would have
+  /// collected now, emitting the crossbar's event on the way.
+  void timed_return(const RegisterWindow& w, obs::EventKind kind, Addr a,
+                    Cycles start);
   /// Wait for room in a request channel and push `beat`.
   template <typename T>
   bool push_request(sim::Fifo<T>& ch, const T& beat, Addr a);
@@ -105,6 +147,7 @@ class CpuContext {
   sim::Simulator& sim_;
   CpuTimingModel tm_;
   axi::AxiPort port_;
+  std::vector<RegisterWindow> windows_;
   u64 bus_reads_ = 0;
   u64 bus_writes_ = 0;
   u64 bus_errors_ = 0;

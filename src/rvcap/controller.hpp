@@ -48,6 +48,8 @@ class RvCapController {
   // ---- main-crossbar-facing subordinate ports ----
   axi::AxiPort& dma_ctrl_port() { return dma_ctrl_path_.upstream(); }
   axi::AxiPort& rp_ctrl_port() { return rp_ctrl_path_.upstream(); }
+  const axi::LitePath& dma_ctrl_path() const { return dma_ctrl_path_; }
+  const axi::LitePath& rp_ctrl_path() const { return rp_ctrl_path_; }
   axi::AxiPort& main_bus_ddr_port() { return main_bus_ddr_port_; }
 
   // ---- RM-side stream attachment points (behind the isolators) ----

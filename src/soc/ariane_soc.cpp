@@ -136,6 +136,23 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
     }
   }
 
+  // ---- timed register calls: every AXI4-Lite device window ----
+  const auto timed = [this](const axi::AddrRange& range,
+                            axi::AxiLiteSlave& device,
+                            const axi::LitePath& path) {
+    cpu_.add_register_window(range, device, path, main_xbar_);
+  };
+  timed(MemoryMap::kSpi, spi_, periph_path_);
+  timed(MemoryMap::kClint, clint_, periph_path_);
+  timed(MemoryMap::kPlic, plic_, periph_path_);
+  timed(MemoryMap::kUart, uart_, periph_path_);
+  timed(MemoryMap::kPerfRegs, perf_regs_, periph_path_);
+  if (hwicap_) timed(MemoryMap::kHwicap, *hwicap_, *hwicap_path_);
+  if (rvcap_) {
+    timed(MemoryMap::kDmaCtrl, rvcap_->dma(), rvcap_->dma_ctrl_path());
+    timed(MemoryMap::kRpCtrl, rvcap_->rp_control(), rvcap_->rp_ctrl_path());
+  }
+
   // ---- simulator registration (dataflow order) ----
   sim_.add(&main_xbar_);
   sim_.add(&periph_path_);
