@@ -200,12 +200,19 @@ Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
           plic_, plic_base_ + irq::Plic::kClaimComplete, slice);
       if (src != 0) {
         // Acknowledge at the DMA (W1C) and complete at the PLIC.
-        const u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kMm2sSr);
+        u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kMm2sSr);
         cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSr,
                               AxiDma::kSrIocIrq | AxiDma::kSrErrIrq);
         cpu_.complete_irq(plic_base_ + irq::Plic::kClaimComplete, src);
         if (sr & AxiDma::kSrErrMask) return Status::kIoError;
-        return Status::kOk;
+        // IOC without Idle was left by an earlier job: this one is still
+        // running. If it finished before the acknowledge, Idle shows it;
+        // otherwise its own IOC raises the line again.
+        if ((sr & AxiDma::kSrIdle) == 0) {
+          sr = cpu_.load32_uncached(dma_base_ + AxiDma::kMm2sSr);
+        }
+        if (sr & AxiDma::kSrIdle) return Status::kOk;
+        continue;
       }
       budget -= slice;
       if (watchdog_ != nullptr && !watchdog_->poll(probe_mm2s())) {
@@ -223,7 +230,10 @@ Status RvCapDriver::wait_mm2s_done(DmaMode mode, u64 bytes) {
       cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSr, AxiDma::kSrErrIrq);
       return Status::kIoError;
     }
-    if (sr & AxiDma::kSrIocIrq) {
+    // The completing tick sets IOC and Idle together; IOC alone was
+    // left by an earlier, unacknowledged job.
+    if ((sr & (AxiDma::kSrIocIrq | AxiDma::kSrIdle)) ==
+        (AxiDma::kSrIocIrq | AxiDma::kSrIdle)) {
       cpu_.store32_uncached(dma_base_ + AxiDma::kMm2sSr, AxiDma::kSrIocIrq);
       return Status::kOk;
     }

@@ -1226,6 +1226,12 @@ StreamOutcome stream_probed(Simulator::Mode mode) {
   const auto m2 = stage_module(soc, accel::kRmIdMedian, "median",
                                0x8900'0000);
   EXPECT_EQ(drv.init_reconfig_process(m2, DmaMode::kBlocking), Status::kOk);
+  // The hand-started load's IOC is still set: the driver must wait for
+  // its own job, so no configuration beat reaches RP0.
+  EXPECT_EQ(counter_or_none(soc, "rvcap.w5.beats"), 0u);
+  const auto st = soc.config_memory().partition_state(soc.rp0_handle());
+  EXPECT_TRUE(st.loaded);
+  EXPECT_EQ(st.rm_id, accel::kRmIdMedian);
   push_timing(drv, o);
   finish(soc, probe, o);
   return o;
@@ -1402,8 +1408,8 @@ TEST(StreamPath, FirmwareProbesMidTransfer) {
       76941, 77492, 0, 23, 7776, 155252, 77703, 78254, 0, 23, 7852, 156776,
       78465, 79016, 0, 23, 7928, 158300, 79227, 79778, 0, 23, 8004, 159824,
       79989, 80540, 0, 23, 8081, 161348, 80751, 81302, 0, 23, 8157, 162724,
-      81362, 163463, 90, 13, 165828}, 806, 0x35fd41d9c39a4eb, {163026, 806,
-      0, 1, 1, 81609, 93, 0, 0, 0, 650892, 0, 1, 8, 0, 0, 0, 0, kNone,
+      81362, 163463, 90, 8159, 328746}, 1610, 0xdaced916b87e6703, {325448,
+      1610, 0, 2, 1, 162724, 0, 0, 0, 0, 1301784, 0, 2, 8, 0, 0, 0, 0, kNone,
       kNone, kNone}});
 }
 TEST(StreamPath, IcapAbortMidTransfer) {

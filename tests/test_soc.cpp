@@ -161,6 +161,40 @@ TEST_F(RvCapSocFixture, UartConsoleCollectsDriverMessages) {
   EXPECT_EQ(soc.uart().output(), "reconfiguration successful\n");
 }
 
+TEST(RvCapDriverCompletion, IgnoresIocLeftByAnEarlierJob) {
+  // A load started by hand and never acknowledged leaves IOC set in
+  // MM2S_SR. The driver's next load must wait for its own completion
+  // (IOC together with Idle) before it re-routes the stream switch.
+  using rvcap_ctrl::AxiDma;
+  const Addr dma = MemoryMap::kDmaCtrl.base;
+  for (const DmaMode mode : {DmaMode::kBlocking, DmaMode::kInterrupt}) {
+    ArianeSoc soc((SocConfig{}));
+    driver::RvCapDriver drv(soc.cpu(), soc.plic());
+    const ReconfigModule sobel = stage(soc, accel::kRmIdSobel, 0x8810'0000);
+    const ReconfigModule median = stage(soc, accel::kRmIdMedian, 0x8900'0000);
+    drv.decouple_accel(true);
+    drv.select_ICAP(true);
+    cpu::CpuContext& cpu = soc.cpu();
+    cpu.store32_uncached(dma + AxiDma::kMm2sCr, AxiDma::kCrRunStop);
+    cpu.store32_uncached(dma + AxiDma::kMm2sSa,
+                         static_cast<u32>(sobel.start_address));
+    cpu.store32_uncached(dma + AxiDma::kMm2sSaMsb, 0);
+    cpu.store32_uncached(dma + AxiDma::kMm2sLength, sobel.pbit_size);
+    ASSERT_TRUE(soc.sim().run_until_idle(1'000'000));
+    ASSERT_NE(cpu.load32_uncached(dma + AxiDma::kMm2sSr) & AxiDma::kSrIocIrq,
+              0u);
+
+    ASSERT_EQ(drv.init_reconfig_process(median, mode), Status::kOk);
+    const obs::CounterRegistry& reg = soc.sim().obs().counters();
+    EXPECT_EQ(reg.counter_value(reg.counter_index("rvcap.w5.beats")), 0u)
+        << "beats streamed into RP0 while the bitstream was still loading";
+    const auto st = soc.config_memory().partition_state(soc.rp0_handle());
+    EXPECT_TRUE(st.loaded);
+    EXPECT_EQ(st.rm_id, accel::kRmIdMedian);
+    EXPECT_NEAR(drv.last_timing().reconfig_us(), 1630.9, 30.0);
+  }
+}
+
 TEST_F(RvCapSocFixture, ClintTimerMeasuresSimTime) {
   driver::TimerDriver timer(soc.cpu());
   const u64 a = timer.read_mtime();
