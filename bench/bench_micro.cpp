@@ -28,11 +28,13 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "driver/primitives.hpp"
+#include "driver/spi_sd.hpp"
 #include "fabric/frame_ecc.hpp"
 #include "icap/icap.hpp"
 #include "mem/ddr.hpp"
 #include "obs/export.hpp"
 #include "sim/simulator.hpp"
+#include "storage/fat32.hpp"
 
 namespace {
 
@@ -179,8 +181,21 @@ struct KernelRun {
   sim::SimStats stats;
   double mbps = 0;   // reconfiguration cells only
   bool loaded = true;
-  u32 crc = 0;       // icap_readback: CRC-32 of the bytes read back
+  u32 crc = 0;       // icap_readback, spi_sd_stage: CRC-32 of the bytes
+  u64 bus_ops = 0;   // spi_sd_stage: the CPU's bus reads + writes
 };
+
+/// The kernel work done since `before` (a cell that times one phase).
+sim::SimStats stats_since(const sim::Simulator& sim,
+                          const sim::SimStats& before) {
+  sim::SimStats s = sim.stats();
+  s.ticks_issued -= before.ticks_issued;
+  s.ticks_skipped -= before.ticks_skipped;
+  s.wakeups -= before.wakeups;
+  s.time_skip_jumps -= before.time_skip_jumps;
+  s.cycles_skipped -= before.cycles_skipped;
+  return s;
+}
 
 const char* mode_name(sim::Simulator::Mode m) {
   return m == sim::Simulator::Mode::kFlat ? "flat" : "scheduled";
@@ -306,17 +321,55 @@ KernelRun run_icap_readback(sim::Simulator::Mode mode, usize* bytes) {
   KernelRun r;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.final_cycle = soc.sim().now();
-  r.stats = soc.sim().stats();
-  r.stats.ticks_issued -= before.ticks_issued;
-  r.stats.ticks_skipped -= before.ticks_skipped;
-  r.stats.wakeups -= before.wakeups;
-  r.stats.time_skip_jumps -= before.time_skip_jumps;
-  r.stats.cycles_skipped -= before.cycles_skipped;
+  r.stats = stats_since(soc.sim(), before);
   std::vector<u8> data(usize{words} * 4);
   soc.ddr().peek(kDst, data);
   *bytes = data.size();
   r.crc = crc32(data);
   r.loaded = load.loaded && ok(st) && words > 0;
+  return r;
+}
+
+/// SD staging workload: RvCapDriver::init_RModules of one 16 KB file
+/// from a FAT32 card into DDR, every byte an SPI shift polled by the
+/// CPU (SPISR/SPIDTR/SPIDRR). The stats and bus ops cover
+/// init_RModules alone; `crc` is over the staged bytes, *bytes their
+/// count.
+KernelRun run_spi_sd_stage(sim::Simulator::Mode mode, usize* bytes) {
+  soc::SocConfig cfg;
+  cfg.sim_mode = mode;
+  soc::ArianeSoc soc(cfg);
+  std::vector<u8> file(16 * 1024);
+  SplitMix64 rng(0x5D5'7A6E);
+  for (u8& b : file) b = static_cast<u8>(rng.next());
+  storage::MemBlockIo host_io(soc.sd_card());
+  bool ok_all = ok(storage::fat32_format(host_io));
+  {
+    storage::Fat32Volume host_vol(host_io);
+    ok_all = ok_all && ok(host_vol.mount()) &&
+             ok(host_vol.write_file("STAGE.PB", file));
+  }
+  driver::SpiSdDriver sd(soc.cpu());
+  driver::CpuBlockIo io(sd, soc.sd_card().block_count());
+  storage::Fat32Volume vol(io);
+  ok_all = ok_all && ok(sd.init_card()) && ok(vol.mount());
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  driver::ReconfigModule mods[] = {{"STAGE.PB", 9, 0, 0}};
+  const sim::SimStats before = soc.sim().stats();
+  const u64 ops_before = soc.cpu().bus_reads() + soc.cpu().bus_writes();
+  const auto t0 = std::chrono::steady_clock::now();
+  const Status st = drv.init_RModules(mods, vol);
+  const auto t1 = std::chrono::steady_clock::now();
+  KernelRun r;
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.final_cycle = soc.sim().now();
+  r.stats = stats_since(soc.sim(), before);
+  r.bus_ops = soc.cpu().bus_reads() + soc.cpu().bus_writes() - ops_before;
+  std::vector<u8> staged(mods[0].pbit_size);
+  soc.ddr().peek(mods[0].start_address, staged);
+  *bytes = staged.size();
+  r.crc = crc32(staged);
+  r.loaded = ok_all && ok(st) && staged == file;
   return r;
 }
 
@@ -371,6 +424,9 @@ int run_kernel_comparison() {
   usize rb_bytes = 0;
   const KernelRun rb_flat = run_icap_readback(Mode::kFlat, &rb_bytes);
   const KernelRun rb_sched = run_icap_readback(Mode::kScheduled, &rb_bytes);
+  usize sd_bytes = 0;
+  const KernelRun sd_flat = run_spi_sd_stage(Mode::kFlat, &sd_bytes);
+  const KernelRun sd_sched = run_spi_sd_stage(Mode::kScheduled, &sd_bytes);
 
   print_run("idle_wait", Mode::kFlat, idle_flat);
   print_run("idle_wait", Mode::kScheduled, idle_sched);
@@ -382,6 +438,8 @@ int run_kernel_comparison() {
   print_run("cpu_bulk_read", Mode::kScheduled, bulk_sched);
   print_run("icap_readback", Mode::kFlat, rb_flat);
   print_run("icap_readback", Mode::kScheduled, rb_sched);
+  print_run("spi_sd_stage", Mode::kFlat, sd_flat);
+  print_run("spi_sd_stage", Mode::kScheduled, sd_sched);
 
   auto speedup = [](const KernelRun& flat, const KernelRun& sched) {
     return sched.seconds > 0 ? flat.seconds / sched.seconds : 0;
@@ -395,6 +453,7 @@ int run_kernel_comparison() {
   const double hw_speedup = speedup(hw_flat, hw_sched);
   const double bulk_speedup = speedup(bulk_flat, bulk_sched);
   const double rb_speedup = speedup(rb_flat, rb_sched);
+  const double sd_speedup = speedup(sd_flat, sd_sched);
 
   const bool idle_match = idle_flat.final_cycle == idle_sched.final_cycle;
   const bool dma_match = same_reconfig(dma_flat, dma_sched);
@@ -404,6 +463,10 @@ int run_kernel_comparison() {
   const bool rb_match = rb_flat.final_cycle == rb_sched.final_cycle &&
                         rb_flat.crc == rb_sched.crc && rb_flat.loaded &&
                         rb_sched.loaded;
+  const bool sd_match = sd_flat.final_cycle == sd_sched.final_cycle &&
+                        sd_flat.crc == sd_sched.crc &&
+                        sd_flat.bus_ops == sd_sched.bus_ops &&
+                        sd_flat.loaded && sd_sched.loaded;
 
   std::printf("\n  idle_wait:      %.1fx speedup, cycle counts %s\n",
               idle_speedup, idle_match ? "MATCH" : "DIVERGED");
@@ -420,6 +483,15 @@ int run_kernel_comparison() {
   std::printf("  icap_readback:  %.2fx speedup, cycle counts + bytes %s "
               "(%zu B)\n",
               rb_speedup, rb_match ? "MATCH" : "DIVERGED", rb_bytes);
+  const auto ns_per_op = [](const KernelRun& r) {
+    return r.bus_ops > 0 ? r.seconds * 1e9 / r.bus_ops : 0;
+  };
+  std::printf("  spi_sd_stage:   %.2fx speedup, cycle counts + bytes %s "
+              "(%zu B, %llu bus ops, %.0f / %.0f host ns per bus op "
+              "flat / scheduled)\n",
+              sd_speedup, sd_match ? "MATCH" : "DIVERGED", sd_bytes,
+              static_cast<unsigned long long>(sd_sched.bus_ops),
+              ns_per_op(sd_flat), ns_per_op(sd_sched));
 
   const char* path = std::getenv("BENCH_KERNEL_JSON");
   if (path == nullptr) path = "BENCH_kernel.json";
@@ -462,15 +534,25 @@ int run_kernel_comparison() {
     json_run(f, "scheduled", rb_sched);
     std::fprintf(f,
                  ",\n    \"bytes\": %zu, \"speedup\": %.2f, "
-                 "\"cycles_match\": %s\n  }\n}\n",
+                 "\"cycles_match\": %s\n  },\n",
                  rb_bytes, rb_speedup, rb_match ? "true" : "false");
+    std::fprintf(f, "  \"spi_sd_stage\": {\n");
+    json_run(f, "flat", sd_flat);
+    std::fprintf(f, ",\n");
+    json_run(f, "scheduled", sd_sched);
+    std::fprintf(f,
+                 ",\n    \"bytes\": %zu, \"bus_ops\": %llu, "
+                 "\"speedup\": %.2f, \"cycles_match\": %s\n  }\n}\n",
+                 sd_bytes, static_cast<unsigned long long>(sd_sched.bus_ops),
+                 sd_speedup, sd_match ? "true" : "false");
     std::fclose(f);
     std::printf("  wrote %s\n", path);
   } else {
     std::printf("  WARNING: could not open %s for writing\n", path);
   }
 
-  if (!idle_match || !dma_match || !hw_match || !bulk_match || !rb_match) {
+  if (!idle_match || !dma_match || !hw_match || !bulk_match || !rb_match ||
+      !sd_match) {
     std::printf("\nKERNEL DIVERGENCE DETECTED — see DESIGN.md §9\n");
     return 1;
   }
