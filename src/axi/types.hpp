@@ -72,12 +72,11 @@ struct Channels {
   sim::Fifo<R> r;
   sim::Fifo<B> b;
 
-  /// `c` drives this link: it pushes aw/w/ar, whose blocked pushes
-  /// wait for `need` free slots, and pops r/b.
-  void watch_manager(sim::Component* c, u32 need = 1) {
-    aw.watch_as_producer(c, need);
-    w.watch_as_producer(c, need);
-    ar.watch_as_producer(c, need);
+  /// `c` drives this link: it pushes aw/w/ar and pops r/b.
+  void watch_manager(sim::Component* c) {
+    aw.watch_as_producer(c);
+    w.watch_as_producer(c);
+    ar.watch_as_producer(c);
     r.watch_as_consumer(c);
     b.watch_as_consumer(c);
   }
