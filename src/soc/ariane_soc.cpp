@@ -34,12 +34,24 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   main_xbar_.add_manager(&cpu_.port());
 
   // ---- peripheral windows ----
-  periph_path_.add_device(MemoryMap::kClint, &clint_.port());
-  periph_path_.add_device(MemoryMap::kPlic, &plic_.port());
-  periph_path_.add_device(MemoryMap::kUart, &uart_.port());
-  periph_path_.add_device(MemoryMap::kSpi, &spi_.port());
+  // Every AXI4-Lite device window also takes the CPU's timed register
+  // calls (DESIGN.md §5).
+  const auto timed = [this](const axi::AddrRange& range,
+                            axi::AxiLiteSlave& device,
+                            const axi::LitePath& path) {
+    cpu_.add_register_window(range, device, path, main_xbar_);
+  };
+  const auto peripheral = [&](const axi::AddrRange& range,
+                              axi::AxiLiteSlave& device) {
+    periph_path_.add_device(range, &device.port());
+    timed(range, device, periph_path_);
+  };
+  peripheral(MemoryMap::kClint, clint_);
+  peripheral(MemoryMap::kPlic, plic_);
+  peripheral(MemoryMap::kUart, uart_);
+  peripheral(MemoryMap::kSpi, spi_);
   perf_regs_.bind(&sim_.obs().counters());
-  periph_path_.add_device(MemoryMap::kPerfRegs, &perf_regs_.port());
+  peripheral(MemoryMap::kPerfRegs, perf_regs_);
   main_xbar_.add_subordinate(MemoryMap::kPeripherals,
                              &periph_path_.upstream());
   main_xbar_.add_subordinate(MemoryMap::kBootMem, &boot_.port());
@@ -90,6 +102,8 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
     main_xbar_.add_subordinate(MemoryMap::kDmaCtrl,
                                &rvcap_->dma_ctrl_port());
     main_xbar_.add_subordinate(MemoryMap::kRpCtrl, &rvcap_->rp_ctrl_port());
+    timed(MemoryMap::kDmaCtrl, rvcap_->dma(), rvcap_->dma_ctrl_path());
+    timed(MemoryMap::kRpCtrl, rvcap_->rp_control(), rvcap_->rp_ctrl_path());
     // CPU reaches DDR through the controller's additional crossbar.
     main_xbar_.add_subordinate(MemoryMap::kDdr,
                                &rvcap_->main_bus_ddr_port());
@@ -111,6 +125,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
         std::make_unique<axi::LitePath>("hwicap.path", hwicap_->port());
     main_xbar_.add_subordinate(MemoryMap::kHwicap,
                                &hwicap_path_->upstream());
+    timed(MemoryMap::kHwicap, *hwicap_, *hwicap_path_);
   }
 
   // ---- networked bitstream delivery plant ----
@@ -134,23 +149,6 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
           name + ".out", rs.out(), rvcap_->rm_output_in(s)));
       rvcap_->rp_control().attach_rm(s, &rs, 0);
     }
-  }
-
-  // ---- timed register calls: every AXI4-Lite device window ----
-  const auto timed = [this](const axi::AddrRange& range,
-                            axi::AxiLiteSlave& device,
-                            const axi::LitePath& path) {
-    cpu_.add_register_window(range, device, path, main_xbar_);
-  };
-  timed(MemoryMap::kSpi, spi_, periph_path_);
-  timed(MemoryMap::kClint, clint_, periph_path_);
-  timed(MemoryMap::kPlic, plic_, periph_path_);
-  timed(MemoryMap::kUart, uart_, periph_path_);
-  timed(MemoryMap::kPerfRegs, perf_regs_, periph_path_);
-  if (hwicap_) timed(MemoryMap::kHwicap, *hwicap_, *hwicap_path_);
-  if (rvcap_) {
-    timed(MemoryMap::kDmaCtrl, rvcap_->dma(), rvcap_->dma_ctrl_path());
-    timed(MemoryMap::kRpCtrl, rvcap_->rp_control(), rvcap_->rp_ctrl_path());
   }
 
   // ---- simulator registration (dataflow order) ----
