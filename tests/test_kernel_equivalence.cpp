@@ -1612,10 +1612,14 @@ TimelineOutcome timeline_irq(Simulator::Mode mode) {
 }
 
 void expect_timeline(TimelineOutcome (*run)(Simulator::Mode),
-                     const TimelineOutcome& pinned) {
+                     TimelineOutcome pinned) {
+  // Built with RVCAP_NO_TRACE there is no trace stream to compare.
+  if (!obs::trace_compiled_in()) pinned.events = pinned.digest = 0;
   for (const auto mode :
        {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
-    EXPECT_EQ(run(mode), pinned)
+    TimelineOutcome got = run(mode);
+    if (!obs::trace_compiled_in()) got.events = got.digest = 0;
+    EXPECT_EQ(got, pinned)
         << (mode == Simulator::Mode::kFlat ? "flat" : "scheduled");
   }
 }
