@@ -129,8 +129,9 @@ class CpuContext {
   /// The window of a timed call to `a`; nullptr when the access takes
   /// the port path (no window, or the path is still busy).
   const RegisterWindow* timed_window(Addr a) const;
-  /// Timed calls of `halves` 32-bit halves from `a` (8-byte aligned
-  /// when halves == 2); a 32-bit write carries `data` in its low bits.
+  /// Timed calls of `halves` 32-bit halves at `a`, split as the path
+  /// splits them (low word first); a 32-bit write carries `data` in its
+  /// low bits.
   u64 timed_read(const RegisterWindow& w, Addr a, u8 halves);
   void timed_write(const RegisterWindow& w, Addr a, u64 data, u8 halves);
   /// Return from a timed call whose last response the path would have
