@@ -1308,6 +1308,42 @@ StreamOutcome stream_shared_ports(Simulator::Mode mode) {
   return o;
 }
 
+/// Both readers of the ICAP read port in one SoC: an AXI_HWICAP
+/// readback, an RV-CAP partition readback over S2MM (through
+/// ICAP2AXIS), then another AXI_HWICAP readback.
+StreamOutcome stream_both_readers(Simulator::Mode mode) {
+  ArianeSoc soc(stream_config(mode, /*with_hwicap=*/true));
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  driver::HwIcapDriver hw(soc.cpu(), 16);
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  StreamOutcome o;
+  EXPECT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  o.values.push_back(soc.sim().now());
+  const fabric::FrameAddr first = soc.rp0().base_frame(soc.device());
+  std::vector<u32> words(2 * fabric::kFrameWords);
+  const auto hwicap_readback = [&] {
+    EXPECT_EQ(hw.readback(first, words), Status::kOk);
+    o.values.push_back(soc.sim().now());
+    o.values.push_back(crc32(std::span<const u8>(
+        reinterpret_cast<const u8*>(words.data()), words.size() * 4)));
+  };
+  hwicap_readback();
+  u32 n = 0;
+  EXPECT_EQ(drv.readback_partition(soc.device(), soc.rp0(), 0x8C00'0000,
+                                   0x8D00'0000, &n),
+            Status::kOk);
+  o.values.push_back(soc.sim().now());
+  o.values.push_back(n);
+  std::vector<u8> data(usize{n} * 4);
+  soc.ddr().peek(0x8D00'0000, data);
+  o.values.push_back(crc32(data));
+  hwicap_readback();
+  finish(soc, probe, o);
+  return o;
+}
+
 void expect_stream(StreamOutcome (*run)(Simulator::Mode),
                    const StreamOutcome& pinned) {
   for (const auto mode :
@@ -1422,6 +1458,13 @@ TEST(StreamPath, HwicapSharesTheIcapPorts) {
   expect_stream(stream_shared_ports, {{165239, 8123950, 8177880, 1033266137,
       8177880}, 1610, 0x7d42440b8e642c8c, {325463, 1610, 404, 3, 1, 81362,
       0, 0, 0, 0, 650892, 0, 1, 8, 0, 0, 0, 0, 162739, 1024, 128}});
+}
+
+TEST(StreamPath, BothReadersShareTheReadPort) {
+  expect_stream(stream_both_readers, {{165239, 219169, 4101703567, 382784,
+      162610, 1740778753, 436714, 4101703567, 436714}, 805,
+      0x3b66fb7e1d3c655c, {162774, 805, 163418, 4, 4, 81371, 0, 0, 81305, 0,
+      650964, 650440, 2, 8, 1, 0, 0, 0, 32, 12, 128}});
 }
 
 // ---------------------------------------------------------------------
