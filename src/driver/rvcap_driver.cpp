@@ -342,7 +342,9 @@ Status RvCapDriver::wait_s2mm_done(DmaMode mode, u64 bytes) {
   const u32 bound = poll_bound(bytes, kS2mmItersPerBeat);
   for (u32 i = 0; i < bound; ++i) {
     const u32 sr = cpu_.load32_uncached(dma_base_ + AxiDma::kS2mmSr);
-    if (sr & AxiDma::kSrIocIrq) {
+    // As in wait_mm2s_done: IOC without Idle is an earlier job's.
+    if ((sr & (AxiDma::kSrIocIrq | AxiDma::kSrIdle)) ==
+        (AxiDma::kSrIocIrq | AxiDma::kSrIdle)) {
       cpu_.store32_uncached(dma_base_ + AxiDma::kS2mmSr, AxiDma::kSrIocIrq);
       return Status::kOk;
     }

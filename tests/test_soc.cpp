@@ -195,6 +195,52 @@ TEST(RvCapDriverCompletion, IgnoresIocLeftByAnEarlierJob) {
   }
 }
 
+TEST(RvCapDriverCompletion, S2mmIgnoresIocLeftByAnEarlierJob) {
+  // A Sobel job run by hand and never acknowledged leaves IOC set in
+  // S2MM_SR. A blocking run_accelerator must wait for its own job (IOC
+  // together with Idle) before it returns.
+  using rvcap_ctrl::AxiDma;
+  const Addr dma = MemoryMap::kDmaCtrl.base;
+  constexpr u32 kBytes = 8 * 512;  // 8 rows of 512 pixels
+  ArianeSoc soc((SocConfig{}));
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  const ReconfigModule sobel = stage(soc, accel::kRmIdSobel, 0x8810'0000);
+  ASSERT_EQ(drv.init_reconfig_process(sobel, DmaMode::kInterrupt),
+            Status::kOk);
+  drv.rm_reg_write(1, 8);  // height
+  const accel::Image first = accel::make_test_image(512, 8, 3);
+  const accel::Image second = accel::make_test_image(512, 8, 4);
+  soc.ddr().poke(MemoryMap::kImageInBase, first.pixels);
+  soc.ddr().poke(MemoryMap::kImageInBase + kBytes, second.pixels);
+
+  cpu::CpuContext& cpu = soc.cpu();
+  cpu.store32_uncached(dma + AxiDma::kS2mmCr, AxiDma::kCrRunStop);
+  cpu.store32_uncached(dma + AxiDma::kS2mmDa,
+                       static_cast<u32>(MemoryMap::kImageOutBase));
+  cpu.store32_uncached(dma + AxiDma::kS2mmDaMsb, 0);
+  cpu.store32_uncached(dma + AxiDma::kS2mmLength, kBytes);
+  cpu.store32_uncached(dma + AxiDma::kMm2sCr, AxiDma::kCrRunStop);
+  cpu.store32_uncached(dma + AxiDma::kMm2sSa,
+                       static_cast<u32>(MemoryMap::kImageInBase));
+  cpu.store32_uncached(dma + AxiDma::kMm2sSaMsb, 0);
+  cpu.store32_uncached(dma + AxiDma::kMm2sLength, kBytes);
+  ASSERT_TRUE(soc.sim().run_until_idle(1'000'000));
+  ASSERT_NE(cpu.load32_uncached(dma + AxiDma::kS2mmSr) & AxiDma::kSrIocIrq,
+            0u);
+
+  const Addr out_at = MemoryMap::kImageOutBase + kBytes;
+  ASSERT_EQ(drv.run_accelerator(MemoryMap::kImageInBase + kBytes, kBytes,
+                                out_at, kBytes, DmaMode::kBlocking),
+            Status::kOk);
+  EXPECT_TRUE(soc.rvcap().dma().s2mm_idle());
+  const obs::CounterRegistry& reg = soc.sim().obs().counters();
+  EXPECT_EQ(reg.counter_value(reg.counter_index("rvcap.dma.s2mm_bytes")),
+            2u * kBytes);
+  std::vector<u8> out(kBytes);
+  soc.ddr().peek(out_at, out);
+  EXPECT_EQ(out, accel::apply_golden(FilterKind::kSobel, second).pixels);
+}
+
 TEST_F(RvCapSocFixture, ClintTimerMeasuresSimTime) {
   driver::TimerDriver timer(soc.cpu());
   const u64 a = timer.read_mtime();
