@@ -2,7 +2,6 @@
 // optimization study — T_d / T_r with interrupt vs. blocking completion
 // for RV-CAP, and the loop-unroll sweep for the AXI_HWICAP driver.
 #include "bench_util.hpp"
-#include "obs/link_probe.hpp"
 
 using namespace rvcap;
 
@@ -12,15 +11,16 @@ int main() {
   // ---- RV-CAP, interrupt ("non-blocking") and polling modes ----
   soc::ArianeSoc rv_soc((soc::SocConfig()));
   driver::RvCapDriver rv_drv(rv_soc.cpu(), rv_soc.plic());
-  obs::LinkProbe<u32> icap_probe("icap_port",
-                                 rv_soc.icap().port());
-  rv_soc.sim().add(&icap_probe);
-
-  icap_probe.reset();
+  // The ICAP is its port's only consumer and pops at most one word per
+  // cycle, so the icap.words delta counts the cycles with a transfer.
+  const Cycles t0 = rv_soc.sim().now();
+  const u64 words0 = rv_soc.icap().words_consumed();
   const auto irq = bench::run_rvcap_reconfig(rv_soc, rv_drv,
                                              accel::kRmIdSobel,
                                              driver::DmaMode::kInterrupt);
-  const double icap_util = icap_probe.utilization();
+  const double icap_util =
+      static_cast<double>(rv_soc.icap().words_consumed() - words0) /
+      static_cast<double>(rv_soc.sim().now() - t0);
   const auto poll = bench::run_rvcap_reconfig(rv_soc, rv_drv,
                                               accel::kRmIdSobel,
                                               driver::DmaMode::kBlocking);

@@ -11,8 +11,8 @@ RmSlot::RmSlot(std::string name, fabric::ConfigMemory& cfg,
                usize partition_handle, axi::AxisFifo& in)
     : Component(std::move(name)), cfg_(cfg), handle_(partition_handle),
       in_(in) {
-  in_.watch(this);
-  out_.watch(this);
+  in_.watch_as_consumer(this);
+  out_.watch_as_producer(this);
   cfg_.add_observer(this);
 }
 

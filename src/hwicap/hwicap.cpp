@@ -9,8 +9,8 @@ HwIcap::HwIcap(std::string name, icap::Icap& icap, u32 write_fifo_depth,
                u32 read_fifo_depth)
     : AxiLiteSlave(std::move(name)), icap_(icap), fifo_(write_fifo_depth),
       rfifo_(read_fifo_depth) {
-  icap_.port().watch(this);       // vacancy reopens the drain
-  icap_.read_port().watch(this);  // readback words arriving
+  icap_.port().watch_as_producer(this);       // vacancy reopens the drain
+  icap_.read_port().watch_as_consumer(this);  // readback words arriving
 }
 
 void HwIcap::on_register(obs::Observability& o) {

@@ -14,8 +14,8 @@ using bitstream::PacketOp;
 Icap::Icap(std::string name, fabric::ConfigMemory& cfg)
     : Component(std::move(name)), cfg_(cfg) {
   frame_buf_.reserve(fabric::kFrameWords);
-  in_.watch(this);     // words arriving on the write port
-  rdata_.watch(this);  // reader draining the readback FIFO
+  in_.watch_as_consumer(this);    // words arriving on the write port
+  rdata_.watch_as_producer(this);  // reader draining the readback FIFO
 }
 
 void Icap::on_register(obs::Observability& o) {

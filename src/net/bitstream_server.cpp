@@ -13,8 +13,8 @@ namespace sites = sim::fault_sites;
 BitstreamServer::BitstreamServer(std::string name, NetLink& link, Config cfg)
     : Component(std::move(name)), cfg_(cfg), link_(link) {
   if (cfg_.chunk_bytes == 0) cfg_.chunk_bytes = 1024;
-  link_.b_rx().watch(this);
-  link_.b_tx().watch(this);
+  link_.b_rx().watch_as_consumer(this);
+  link_.b_tx().watch_as_producer(this);
 }
 
 void BitstreamServer::on_register(obs::Observability& o) {

@@ -20,10 +20,10 @@ NetLink::NetLink(std::string name, Config cfg)
   ab_.out = &b_rx_;
   ba_.in = &b_tx_;
   ba_.out = &a_rx_;
-  a_tx_.watch(this);
-  a_rx_.watch(this);
-  b_tx_.watch(this);
-  b_rx_.watch(this);
+  a_tx_.watch_as_consumer(this);
+  b_tx_.watch_as_consumer(this);
+  a_rx_.watch_as_producer(this);
+  b_rx_.watch_as_producer(this);
 }
 
 void NetLink::on_register(obs::Observability& o) {

@@ -5,9 +5,7 @@ namespace rvcap::rvcap_ctrl {
 Icap2Axis::Icap2Axis(std::string name, sim::Fifo<u32>& icap_read_port,
                      axi::AxisFifo& out)
     : Component(std::move(name)), in_(icap_read_port), out_(out) {
-  // The read port is shared with the AXI_HWICAP's read FIFO: its pops
-  // change what busy() reads, so they wake this converter too.
-  in_.watch(this);
+  in_.watch_as_consumer(this);
   out_.watch_as_producer(this);
 }
 

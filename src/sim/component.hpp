@@ -14,11 +14,14 @@
 //     a wake: the push that makes a FIFO it consumes non-empty
 //     (Fifo::watch_as_consumer), the pop that reopens the vacancy its
 //     blocked push needs (Fifo::watch_as_producer), a clear, a mutator
-//     that calls wake(), or a deadline set with wake_at(). Components
-//     that are not converted to directional wakes use Fifo::watch(),
-//     which wakes on every push, pop and clear.
-//   * busy() reads only the component's own queues and the channels it
-//     consumes, so a sleeper's busy() cannot change without waking it.
+//     that calls wake(), or a deadline set with wake_at(). Each FIFO
+//     endpoint watches as its consumer or its producer; there is no
+//     other kind of watch.
+//   * busy() reports, from current state, whether the component still
+//     holds work (its own queues, input it will take). all_idle() asks
+//     every component each time it is called, so busy() may read any
+//     channel, even one whose other consumer pops it while this
+//     component sleeps.
 #pragma once
 
 #include <cassert>
@@ -44,14 +47,13 @@ class Simulator;
 /// (a dropped watcher would sleep through its wake and diverge). Each
 /// entry carries a level: a Fifo wakes it only when an event leaves
 /// the FIFO's occupancy (push) or vacancy (pop) at exactly that level.
+/// A list woken only by notify() (a mutator's watchers) needs none.
 class WakeList {
  public:
   static constexpr usize kCapacity = 8;
-  /// Level of an entry woken by every event (Fifo::watch()).
-  static constexpr u32 kEveryEvent = 0;
 
   /// Add c; adding it again only replaces its level.
-  void add(Component* c, u32 level = kEveryEvent) {
+  void add(Component* c, u32 level = 0) {
     for (usize i = 0; i < count_; ++i) {
       if (watchers_[i] == c) {
         levels_[i] = level;
@@ -64,7 +66,7 @@ class WakeList {
   }
 
   inline void notify() const;  // defined after Component
-  /// Wake the entries whose level is kEveryEvent or exactly `level`.
+  /// Wake the entries whose level is exactly `level`.
   inline void notify_level(usize level) const;
   /// notify_level() as a deadline at cycle t (Component::wake_at).
   inline void notify_level_at(usize level, Cycles t) const;
@@ -212,7 +214,7 @@ inline void WakeList::notify() const {
 
 inline void WakeList::notify_level(usize level) const {
   for (usize i = 0; i < count_; ++i) {
-    if (levels_[i] == kEveryEvent || levels_[i] == level) {
+    if (levels_[i] == level) {
       watchers_[i]->wake();
     }
   }
@@ -220,7 +222,7 @@ inline void WakeList::notify_level(usize level) const {
 
 inline void WakeList::notify_level_at(usize level, Cycles t) const {
   for (usize i = 0; i < count_; ++i) {
-    if (levels_[i] == kEveryEvent || levels_[i] == level) {
+    if (levels_[i] == level) {
       watchers_[i]->wake_at(t);
     }
   }

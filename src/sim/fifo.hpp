@@ -16,9 +16,9 @@
 //     the vacancy to exactly the producer's declared need — the pop
 //     that unblocks its stalled push; earlier and later pops cannot;
 //   * clear wakes everyone.
-// watch() stays for components not converted to directional wakes: it
-// wakes them on every push, pop and clear. The kernel drops the wake
-// an endpoint raises on itself during its own tick.
+// Every endpoint that is a component watches as one of the two. The
+// kernel drops the wake an endpoint raises on itself during its own
+// tick.
 //
 // Storage is a fixed ring of `capacity` slots allocated once, so a
 // push or pop never allocates. front() and back() point into the ring:
@@ -93,15 +93,6 @@ class Fifo {
   usize capacity() const { return ring_.size(); }
   /// Free slots a push can use now.
   usize vacancy() const { return ring_.size() - size_ - pending_after(now()); }
-
-  /// Wake c on every push, pop and clear (components not converted to
-  /// directional wakes; also for a FIFO with more than one consumer,
-  /// where another consumer's pop changes what c's busy() reads).
-  void watch(Component* c) {
-    on_push_.add(c, WakeList::kEveryEvent);
-    on_pop_.add(c, WakeList::kEveryEvent);
-    if constexpr (kStamped) s_.max_need = std::max<u32>(s_.max_need, 1);
-  }
 
   /// c pops this FIFO and decides from can_pop() and front() only:
   /// wake it on the push that makes the FIFO non-empty, and on clear.
@@ -269,7 +260,7 @@ class Fifo {
     on_pop_.notify();
   }
 
-  /// Lifetime counters (used by tests and link probes).
+  /// Lifetime counters (used by tests and the stream components).
   u64 total_pushed() const { return pushed_; }
   u64 total_popped() const { return popped_; }
   /// Deepest occupancy ever reached (obs/ high-water counters).
@@ -366,9 +357,8 @@ class Fifo {
     if (s_.rel_size == 0) return;
     const usize vac = ring_.size() - size_ - s_.rel_size;
     on_pop_.for_each([&](Component* c, u32 need) {
-      const usize k = need == WakeList::kEveryEvent ? 1 : need;
-      if (k > vac && k - vac <= s_.rel_size) {
-        c->wake_at(s_.releases[wrap_rel(s_.rel_head + (k - vac - 1))]);
+      if (need > vac && need - vac <= s_.rel_size) {
+        c->wake_at(s_.releases[wrap_rel(s_.rel_head + (need - vac - 1))]);
       }
     });
   }
@@ -376,8 +366,8 @@ class Fifo {
   std::vector<T> ring_;
   usize head_ = 0;  // ring index of the oldest element
   usize size_ = 0;
-  WakeList on_push_;  // consumers and watch()ers
-  WakeList on_pop_;   // producers (with need) and watch()ers
+  WakeList on_push_;  // consumers (level 1)
+  WakeList on_pop_;   // producers (level = need)
   u64 pushed_ = 0;
   u64 popped_ = 0;
   usize hwm_ = 0;

@@ -161,10 +161,10 @@ class Simulator {
     step_scheduled();
   }
 
-  /// Quiescence check: every component's busy() is false. A sleeping
-  /// component's busy() inputs are frozen (any mutation would have
-  /// woken it), so asking it now gives the answer it had when it went
-  /// to sleep; the kernel does not sample it on every park.
+  /// Quiescence check: every component's busy() is false. Each
+  /// component is asked now, awake or asleep, so a busy() that changed
+  /// while its component slept is read as it stands; the kernel keeps
+  /// no census of busy() at park time.
   bool all_idle() const {
     for (const Component* c : components_) {
       if (c->busy()) return false;

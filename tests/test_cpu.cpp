@@ -4,7 +4,6 @@
 
 #include "cpu/cpu.hpp"
 #include "mem/sram.hpp"
-#include "obs/link_probe.hpp"
 #include "sim/simulator.hpp"
 #include "soc/ariane_soc.hpp"
 #include "testutil.hpp"
@@ -158,27 +157,6 @@ TEST(CpuWatchdog, WedgedSubordinateTimesOutInsteadOfHanging) {
   EXPECT_EQ(cpu.bus_timeouts(), 6u);
   EXPECT_EQ(s.now(), 6 * (drain + kWatchdog));
   EXPECT_EQ(s.stats().ticks_issued, 0u);
-}
-
-TEST(ProbeTest, MeasuresLinkUtilization) {
-  sim::Simulator s;
-  sim::Fifo<int> link(4);
-  obs::LinkProbe<int> probe("p", link);
-  s.add(&probe);
-  // 10 cycles: transfer on even cycles only.
-  for (int c = 0; c < 10; ++c) {
-    if (c % 2 == 0) {
-      link.push(c);
-      link.pop();
-    }
-    s.step();
-  }
-  EXPECT_EQ(probe.transfers(), 5u);
-  EXPECT_NEAR(probe.utilization(), 0.5, 0.01);
-  EXPECT_NEAR(probe.rate(), 0.5, 0.01);
-  probe.reset();
-  EXPECT_EQ(probe.window_cycles(), 0u);
-  EXPECT_EQ(probe.transfers(), 0u);
 }
 
 }  // namespace

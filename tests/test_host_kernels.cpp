@@ -457,7 +457,7 @@ TEST(HostKernelFifo, ClearWakesWatchers) {
   Sleeper c;
   s.add(&c);
   sim::Fifo<int> f(2);
-  f.watch(&c);
+  f.watch_as_consumer(&c);
   s.run_cycles(3);  // one tick, then asleep
   EXPECT_EQ(c.ticks, 1);
   f.clear();

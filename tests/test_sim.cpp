@@ -147,7 +147,7 @@ class PulseProducer : public Component {
 class SleepyConsumer : public Component {
  public:
   explicit SleepyConsumer(Fifo<int>& in) : Component("consumer"), in_(in) {
-    in_.watch(this);
+    in_.watch_as_consumer(this);
   }
   bool tick() override {
     if (in_.pop().has_value()) {
