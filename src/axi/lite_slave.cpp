@@ -47,12 +47,10 @@ void AxiLiteSlave::post_read(Addr addr, u8 halves) {
   read_wait_ = latency_;
 }
 
-void AxiLiteSlave::post_write(Addr addr, u64 data, u8 halves) {
+void AxiLiteSlave::post_write(Addr addr, u32 data) {
   assert(!port_.has_request());
-  for (u8 h = 0; h < halves; ++h) {
-    port_.aw.push(LiteAw{addr + 4 * h});
-    port_.w.push(LiteW{static_cast<u32>(data >> (32 * h)), 0xF});
-  }
+  port_.aw.push(LiteAw{addr});
+  port_.w.push(LiteW{data, 0xF});
   write_wait_ = latency_;
 }
 

@@ -26,9 +26,9 @@ class AxiLiteSlave : public sim::Component {
   /// reads of consecutive registers from `addr` into the idle port, the
   /// first as if it had reached the port latency() cycles ago, so the
   /// tick of the current cycle serves it. post_write() does the same
-  /// for writes of `data`, low word first.
+  /// for one 32-bit write of `data`.
   void post_read(Addr addr, u8 halves);
-  void post_write(Addr addr, u64 data, u8 halves);
+  void post_write(Addr addr, u32 data);
 
   bool tick() override;
   bool busy() const override;

@@ -57,8 +57,6 @@ class AxisWire : public sim::Component {
                              [this] { return beats_; });
   }
 
-  u64 beats_moved() const { return beats_; }
-
  private:
   AxisFifo& from_;
   AxisFifo& to_;

@@ -75,22 +75,16 @@ u64 CpuContext::timed_read(const RegisterWindow& w, Addr a, u8 halves) {
   return data;
 }
 
-void CpuContext::timed_write(const RegisterWindow& w, Addr a, u64 data,
-                             u8 halves) {
+void CpuContext::timed_write(const RegisterWindow& w, Addr a, u32 data) {
   const Cycles start = sim_.now();  // the crossbar takes the AW now
   ++bus_writes_;
   // It moves the W beat next cycle, in which the path would hand the
-  // halves to the device.
+  // write to the device.
   sim_.run_cycles(1 + w.device->latency());
-  w.device->post_write(a & (halves == 2 ? ~Addr{7} : ~Addr{3}), data,
-                       halves);
+  w.device->post_write(a & ~Addr{3}, data);
   axi::AxiLitePort& d = w.device->port();
-  bool error = false;
-  for (u8 h = 0; h < halves; ++h) {
-    if (!bus_wait([&] { return d.b.can_pop(); }, "write", a)) return;
-    error |= d.b.pop()->resp != axi::Resp::kOkay;
-  }
-  if (error) ++bus_errors_;
+  if (!bus_wait([&] { return d.b.can_pop(); }, "write", a)) return;
+  if (d.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
   timed_return(w, obs::EventKind::kAxiWrite, a, start);
 }
 
@@ -116,7 +110,7 @@ u32 CpuContext::load32_uncached(Addr a) {
 void CpuContext::store32_uncached(Addr a, u32 v) {
   sim_.run_cycles(tm_.uncached_access_core_cycles);
   if (const RegisterWindow* w = timed_window(a)) {
-    timed_write(*w, a, v, 1);
+    timed_write(*w, a, v);
     return;
   }
   const bool high = (a & 4) != 0;
@@ -128,15 +122,6 @@ u64 CpuContext::load64_uncached(Addr a) {
   sim_.run_cycles(tm_.uncached_access_core_cycles);
   if (const RegisterWindow* w = timed_window(a)) return timed_read(*w, a, 2);
   return blocking_read(a, 3).data;
-}
-
-void CpuContext::store64_uncached(Addr a, u64 v) {
-  sim_.run_cycles(tm_.uncached_access_core_cycles);
-  if (const RegisterWindow* w = timed_window(a)) {
-    timed_write(*w, a, v, 2);
-    return;
-  }
-  blocking_write(a, v, 0xFF, 3);
 }
 
 u64 CpuContext::load64(Addr a) {

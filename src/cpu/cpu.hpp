@@ -67,7 +67,6 @@ class CpuContext {
   u32 load32_uncached(Addr a);
   void store32_uncached(Addr a, u32 v);
   u64 load64_uncached(Addr a);
-  void store64_uncached(Addr a, u64 v);
 
   // ---- cached accesses (driver data buffers in DDR) ----
   u64 load64(Addr a);
@@ -129,11 +128,10 @@ class CpuContext {
   /// The window of a timed call to `a`; nullptr when the access takes
   /// the port path (no window, or the path is still busy).
   const RegisterWindow* timed_window(Addr a) const;
-  /// Timed calls of `halves` 32-bit halves at `a`, split as the path
-  /// splits them (low word first); a 32-bit write carries `data` in its
-  /// low bits.
+  /// Timed calls at `a`: a read of `halves` 32-bit halves, split as
+  /// the path splits them (low word first), or a 32-bit write.
   u64 timed_read(const RegisterWindow& w, Addr a, u8 halves);
-  void timed_write(const RegisterWindow& w, Addr a, u64 data, u8 halves);
+  void timed_write(const RegisterWindow& w, Addr a, u32 data);
   /// Return from a timed call whose last response the path would have
   /// collected now, emitting the crossbar's event on the way.
   void timed_return(const RegisterWindow& w, obs::EventKind kind, Addr a,

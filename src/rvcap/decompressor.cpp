@@ -31,7 +31,6 @@ bool Decompressor::next_input_word(u32* w) {
   if (have_pending_in_) {
     *w = pending_in_;
     have_pending_in_ = false;
-    ++words_in_;
     return true;
   }
   if (const axi::AxisBeat* b = in_.front()) {
@@ -42,14 +41,12 @@ bool Decompressor::next_input_word(u32* w) {
     }
     if (b->last) saw_last_in_ = true;
     in_.pop();
-    ++words_in_;
     return true;
   }
   return false;
 }
 
 void Decompressor::emit_word(u32 w) {
-  ++words_out_;
   if (!have_pending_out_) {
     pending_out_ = w;
     have_pending_out_ = true;

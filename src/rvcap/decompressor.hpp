@@ -26,8 +26,6 @@ class Decompressor : public sim::Component {
   bool tick() override;
   bool busy() const override;
 
-  u64 words_in() const { return words_in_; }
-  u64 words_out() const { return words_out_; }
   bool format_error() const { return format_error_; }
 
   /// Abort support: drop buffered half-beats and return the decoder to
@@ -78,9 +76,6 @@ class Decompressor : public sim::Component {
   State state_ = State::kMagic;
   u32 run_left_ = 0;
   bool format_error_ = false;
-
-  u64 words_in_ = 0;
-  u64 words_out_ = 0;
 };
 
 }  // namespace rvcap::rvcap_ctrl

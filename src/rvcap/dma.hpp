@@ -73,7 +73,6 @@ class AxiDma : public axi::AxiLiteSlave {
 
   bool mm2s_idle() const { return !mm2s_job_.has_value(); }
   bool s2mm_idle() const { return !s2mm_job_.has_value(); }
-  u64 mm2s_transfers() const { return mm2s_done_count_; }
 
   void on_register(obs::Observability& o) override;
 

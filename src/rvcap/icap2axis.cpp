@@ -19,7 +19,6 @@ bool Icap2Axis::tick() {
   }
   const u32 high = bswap(*in_.pop());
   out_.push(axi::AxisBeat{(u64{high} << 32) | low_word_, 0xFF, false});
-  ++beats_;
   have_low_ = false;
   return ready();
 }

@@ -29,8 +29,6 @@ class Icap2Axis : public sim::Component {
   bool tick() override;
   bool busy() const override;
 
-  u64 beats_emitted() const { return beats_; }
-
  private:
   bool ready() const;
 
@@ -44,7 +42,6 @@ class Icap2Axis : public sim::Component {
   const axi::AxisSwitch* gate_ = nullptr;
   bool have_low_ = false;
   u32 low_word_ = 0;
-  u64 beats_ = 0;
 };
 
 }  // namespace rvcap::rvcap_ctrl
