@@ -14,7 +14,7 @@ using bitstream::PacketOp;
 Icap::Icap(std::string name, fabric::ConfigMemory& cfg)
     : Component(std::move(name)), cfg_(cfg) {
   frame_buf_.reserve(fabric::kFrameWords);
-  in_.watch_as_consumer(this);    // words arriving on the write port
+  in_.watch_as_consumer(this);     // words arriving on the write port
   rdata_.watch_as_producer(this);  // reader draining the readback FIFO
 }
 

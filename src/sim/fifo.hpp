@@ -260,7 +260,7 @@ class Fifo {
     on_pop_.notify();
   }
 
-  /// Lifetime counters (used by tests and the stream components).
+  /// Lifetime counters (RmSlot and tests read them).
   u64 total_pushed() const { return pushed_; }
   u64 total_popped() const { return popped_; }
   /// Deepest occupancy ever reached (obs/ high-water counters).
