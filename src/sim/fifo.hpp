@@ -260,9 +260,8 @@ class Fifo {
     on_pop_.notify();
   }
 
-  /// Lifetime counters (RmSlot and tests read them).
+  /// Lifetime push count (RmSlot reads it).
   u64 total_pushed() const { return pushed_; }
-  u64 total_popped() const { return popped_; }
   /// Deepest occupancy ever reached (obs/ high-water counters).
   usize high_water() const { return hwm_; }
 
@@ -283,7 +282,6 @@ class Fifo {
   void drop_head() {
     head_ = wrap(head_ + 1);
     --size_;
-    ++popped_;
   }
 
   /// The clock (0 until the endpoints are registered).
@@ -369,7 +367,6 @@ class Fifo {
   WakeList on_push_;  // consumers (level 1)
   WakeList on_pop_;   // producers (level = need)
   u64 pushed_ = 0;
-  u64 popped_ = 0;
   usize hwm_ = 0;
   // Stamped channels only (empty otherwise, so a plain FIFO keeps its
   // size): the endpoints, their clock and skew (cached by bind()), the
