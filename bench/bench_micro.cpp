@@ -243,8 +243,9 @@ KernelRun run_dma_reconfig(sim::Simulator::Mode mode,
 
 /// CPU-paced workload: one Fig. 3 window (2 columns) programmed
 /// through the AXI_HWICAP keyhole at unroll 16. Every configuration
-/// word is an uncached store over the CPU-side register path, so this
-/// cell measures the CPU's bus waits rather than the stream datapath.
+/// word is an uncached store, a timed register call over the HWICAP
+/// window's converter chain, so this cell measures the CPU's bus waits
+/// rather than the stream datapath.
 KernelRun run_hwicap_program(sim::Simulator::Mode mode) {
   soc::SocConfig cfg;
   cfg.sim_mode = mode;

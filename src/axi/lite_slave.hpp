@@ -3,11 +3,10 @@
 // CLINT, PLIC, SPI controller, the RV-CAP DMA register file, the RP
 // control interface, and the AXI_HWICAP all derive from this: they only
 // implement read_reg()/write_reg() on word offsets, and the base class
-// handles the channel handshakes with a configurable response latency
-// (register blocks in the real SoC answer in 1-2 cycles).
+// serves each request at the head of its port in the tick of the cycle
+// it is there. The CPU's timed register calls (cpu::CpuContext) post
+// the requests and wait out the converter chain's hops themselves.
 #pragma once
-
-#include <deque>
 
 #include "axi/types.hpp"
 #include "sim/component.hpp"
@@ -16,18 +15,14 @@ namespace rvcap::axi {
 
 class AxiLiteSlave : public sim::Component {
  public:
-  AxiLiteSlave(std::string name, u32 response_latency = 1);
+  explicit AxiLiteSlave(std::string name);
 
   AxiLitePort& port() { return port_; }
-  /// Cycles from a request reaching the port to the tick serving it.
-  u32 latency() const { return latency_; }
 
-  /// Timed register calls (cpu::CpuContext): queue `halves` 32-bit
-  /// reads of consecutive registers from `addr` into the idle port, the
-  /// first as if it had reached the port latency() cycles ago, so the
-  /// tick of the current cycle serves it. post_write() does the same
-  /// for one 32-bit write of `data`.
-  void post_read(Addr addr, u8 halves);
+  /// Timed register calls: queue a 32-bit read of `addr`, or a 32-bit
+  /// write of `data`, into the idle port, for the tick of the current
+  /// cycle to serve.
+  void post_read(Addr addr);
   void post_write(Addr addr, u32 data);
 
   bool tick() override;
@@ -55,9 +50,6 @@ class AxiLiteSlave : public sim::Component {
   bool port_ready() const;
 
   AxiLitePort port_;
-  u32 latency_;
-  u32 read_wait_ = 0;   // cycles remaining before the head AR is served
-  u32 write_wait_ = 0;
 };
 
 }  // namespace rvcap::axi

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "common/log.hpp"
@@ -45,32 +46,54 @@ void CpuContext::blocking_write(Addr a, u64 data, u8 strb, u8 size) {
   if (port_.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
 }
 
-const CpuContext::RegisterWindow* CpuContext::timed_window(Addr a) const {
+void CpuContext::add_register_window(const axi::AddrRange& range,
+                                     axi::AxiLiteSlave* device, u32 hops,
+                                     axi::AxiCrossbar& bus) {
   for (const RegisterWindow& w : windows_) {
-    if (w.range.contains(a)) return w.path->busy() ? nullptr : &w;
+    if (device != nullptr && w.device != nullptr && w.range.overlaps(range)) {
+      throw std::invalid_argument("CpuContext: overlapping register window");
+    }
   }
-  return nullptr;
+  windows_.push_back({range, device, hops, &bus});
+}
+
+const CpuContext::RegisterWindow* CpuContext::timed_window(Addr a) const {
+  const RegisterWindow* hole = nullptr;
+  for (const RegisterWindow& w : windows_) {
+    if (!w.range.contains(a)) continue;
+    if (w.device != nullptr) return &w;
+    hole = &w;
+  }
+  return hole;
 }
 
 u64 CpuContext::timed_read(const RegisterWindow& w, Addr a, u8 halves) {
   const Cycles start = sim_.now();  // the crossbar takes the AR now
   ++bus_reads_;
-  // The path would hand the halves to the device in this cycle, the
-  // low word first, and the device serves the first latency() cycles
-  // later: post them then.
-  sim_.run_cycles(w.device->latency());
-  w.device->post_read(a & (halves == 2 ? ~Addr{7} : ~Addr{3}), halves);
-  axi::AxiLitePort& d = w.device->port();
   u64 data = 0;
-  bool error = false;
-  for (u8 h = 0; h < halves; ++h) {
-    // The path collects a response at the boundary it becomes visible.
-    if (!bus_wait([&] { return d.r.can_pop(); }, "read", a)) return 0;
-    const axi::LiteR r = *d.r.pop();
-    data |= u64{r.data} << (32 * h);
-    error |= r.resp != axi::Resp::kOkay;
+  if (w.device == nullptr) {
+    // The decoder answers a half in the cycle it decodes it, the second
+    // one cycle after the first: no device serves it.
+    sim_.run_cycles(halves - 1);
+    ++bus_errors_;
+  } else {
+    const Addr base = a & (halves == 2 ? ~Addr{7} : ~Addr{3});
+    axi::AxiLitePort& d = w.device->port();
+    bool error = false;
+    for (u8 h = 0; h < halves; ++h) {
+      // The chain hands the device a half in this cycle, the second one
+      // the cycle after it collected the first; the device serves it
+      // kServeCycles later.
+      sim_.run_cycles(kServeCycles);
+      w.device->post_read(base + 4 * h);
+      // The chain collects a response at the boundary it is visible.
+      if (!bus_wait([&] { return d.r.can_pop(); }, "read", a)) return 0;
+      const axi::LiteR r = *d.r.pop();
+      data |= u64{r.data} << (32 * h);
+      error |= r.resp != axi::Resp::kOkay;
+    }
+    if (error) ++bus_errors_;
   }
-  if (error) ++bus_errors_;
   timed_return(w, obs::EventKind::kAxiRead, a, start);
   return data;
 }
@@ -78,22 +101,27 @@ u64 CpuContext::timed_read(const RegisterWindow& w, Addr a, u8 halves) {
 void CpuContext::timed_write(const RegisterWindow& w, Addr a, u32 data) {
   const Cycles start = sim_.now();  // the crossbar takes the AW now
   ++bus_writes_;
-  // It moves the W beat next cycle, in which the path would hand the
-  // write to the device.
-  sim_.run_cycles(1 + w.device->latency());
-  w.device->post_write(a & ~Addr{3}, data);
-  axi::AxiLitePort& d = w.device->port();
-  if (!bus_wait([&] { return d.b.can_pop(); }, "write", a)) return;
-  if (d.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
+  // It moves the W beat next cycle, in which the chain hands the write
+  // to the device, or the decoder answers a hole.
+  if (w.device == nullptr) {
+    sim_.run_cycles(1);
+    ++bus_errors_;
+  } else {
+    sim_.run_cycles(1 + kServeCycles);
+    w.device->post_write(a & ~Addr{3}, data);
+    axi::AxiLitePort& d = w.device->port();
+    if (!bus_wait([&] { return d.b.can_pop(); }, "write", a)) return;
+    if (d.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
+  }
   timed_return(w, obs::EventKind::kAxiWrite, a, start);
 }
 
 void CpuContext::timed_return(const RegisterWindow& w, obs::EventKind kind,
                               Addr a, Cycles start) {
-  // The response leaves the path hops - 1 cycles after it collected
+  // The response leaves the chain hops - 1 cycles after it collected
   // the last half, the crossbar moves it the cycle after, and the CPU
   // sees it the next.
-  sim_.run_cycles(w.path->hops());
+  sim_.run_cycles(w.hops);
   w.bus->trace_timed_call(kind, a, start);
   sim_.run_cycles(1);
 }

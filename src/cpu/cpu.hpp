@@ -2,9 +2,10 @@
 //
 // Co-simulation style: driver code (src/driver) is native C++ on the
 // host call stack, but every memory access goes through this context,
-// which (1) performs a real AXI transaction on the simulated bus as
-// the crossbar's manager-0 and (2) advances simulated time by the bus
-// round trip plus the CpuTimingModel's core-side cost. Blocking APIs
+// which (1) performs a real transaction on the simulated bus, as the
+// main crossbar's manager 0 or as a timed register call, and (2)
+// advances simulated time by the bus round trip plus the
+// CpuTimingModel's core-side cost. Blocking APIs
 // run the simulator forward until the response arrives, so hardware
 // (DMA, ICAP, SPI...) naturally progresses "while the CPU executes".
 // Every wait is on a channel or the PLIC line, so it goes through
@@ -17,14 +18,17 @@
 // once, each stamped with the cycle the per-beat loop would have pushed
 // it.
 //
-// Timed register calls (DESIGN.md §5). The CPU is the only manager of
-// the crossbar in front of the register windows and blocks on every
-// access, so an uncached single-beat access to an idle register path
-// has a fixed timeline. Such an access goes straight to its device's
-// AXI4-Lite port: the device serves it in its own tick, and the CPU
-// takes the response off the port and returns at the cycle the port
-// path would have delivered it. The crossbar and the path do not tick
-// for it; the crossbar's bus event is emitted at its own cycle.
+// Register windows (DESIGN.md §5). The CPU reaches every AXI4-Lite
+// register block with a timed register call: an uncached 32- or 64-bit
+// access to a register window goes straight to its device's AXI4-Lite
+// port, one 32-bit half at a time, and returns at the cycle the
+// paper's converter chain (64->32 width converter, AXI4->AXI4-Lite
+// protocol converter, and the peripheral window's address decoder)
+// would have delivered the response. The chain is a fixed hop count
+// per window, not a component; the crossbar does not tick for such an
+// access, and its bus event is emitted at its own cycle. Every other
+// access (cached, burst, or outside the register windows) goes out on
+// port() to the main crossbar, which has no register routes.
 #pragma once
 
 #include <span>
@@ -32,7 +36,6 @@
 #include <vector>
 
 #include "axi/crossbar.hpp"
-#include "axi/lite_path.hpp"
 #include "axi/lite_slave.hpp"
 #include "axi/types.hpp"
 #include "common/status.hpp"
@@ -50,15 +53,24 @@ class CpuContext {
   /// The CPU's manager link; connect to the main crossbar.
   axi::AxiPort& port() { return port_; }
 
-  /// Make uncached single-beat accesses to `range` timed register
-  /// calls to `device`, which `path` connects to `bus`, the crossbar
-  /// port() is the only manager of. `range` lies inside one of `bus`'s
-  /// windows and one of `path`'s device windows.
+  /// Response hops of a direct register chain: AXI4-Lite link,
+  /// protocol converter, AXI link, width converter.
+  static constexpr u32 kDirectHops = 4;
+  /// Response hops of a decoded chain: the address decoder adds one.
+  static constexpr u32 kDecodedHops = kDirectHops + 1;
+  /// Cycles from a request reaching a register block to the tick that
+  /// serves it.
+  static constexpr Cycles kServeCycles = 1;
+
+  /// Make uncached accesses to `range` timed register calls to
+  /// `device` over a converter chain of `hops` response hops behind
+  /// `bus`, the crossbar port() is the only manager of. A window with
+  /// no device is a decoded window's hole: its decoder answers DECERR.
+  /// Throws std::invalid_argument when two device windows overlap.
   void add_register_window(const axi::AddrRange& range,
-                           axi::AxiLiteSlave& device,
-                           const axi::LitePath& path, axi::AxiCrossbar& bus) {
-    windows_.push_back({range, &device, &path, &bus});
-  }
+                           axi::AxiLiteSlave* device, u32 hops,
+                           axi::AxiCrossbar& bus);
+
   sim::Simulator& simulator() { return sim_; }
   const CpuTimingModel& timing() const { return tm_; }
   Cycles now() const { return sim_.now(); }
@@ -118,22 +130,22 @@ class CpuContext {
   /// A register window that takes timed calls (add_register_window).
   struct RegisterWindow {
     axi::AddrRange range;
-    axi::AxiLiteSlave* device;
-    const axi::LitePath* path;
+    axi::AxiLiteSlave* device;  // nullptr: a hole, answered DECERR
+    u32 hops;
     axi::AxiCrossbar* bus;
   };
 
   axi::AxiR blocking_read(Addr a, u8 size);
   void blocking_write(Addr a, u64 data, u8 strb, u8 size);
-  /// The window of a timed call to `a`; nullptr when the access takes
-  /// the port path (no window, or the path is still busy).
+  /// The register window of `a`: its device window, else the hole
+  /// containing it; nullptr when the access goes out on port().
   const RegisterWindow* timed_window(Addr a) const;
-  /// Timed calls at `a`: a read of `halves` 32-bit halves, split as
-  /// the path splits them (low word first), or a 32-bit write.
+  /// Timed calls at `a`: a read of `halves` 32-bit halves, low word
+  /// first, or a 32-bit write.
   u64 timed_read(const RegisterWindow& w, Addr a, u8 halves);
   void timed_write(const RegisterWindow& w, Addr a, u32 data);
-  /// Return from a timed call whose last response the path would have
-  /// collected now, emitting the crossbar's event on the way.
+  /// Return from a timed call whose last response the chain collected
+  /// now, emitting the crossbar's event on the way.
   void timed_return(const RegisterWindow& w, obs::EventKind kind, Addr a,
                     Cycles start);
   /// Wait for room in a request channel and push `beat`.

@@ -20,11 +20,12 @@
 //    gain at U=16 and the "<5% beyond U=16" saturation.
 //
 // The bus round trip of an MMIO store to the AXI_HWICAP is 8 cycles
-// (DESIGN.md §5): the crossbar takes the address in cycle T and the
-// data in T+1, the register path (axi::LitePath) hands both to the
-// device in T+1, the device answers in T+2, the response crosses the
-// chain's 4 hops back (T+6) and the crossbar (T+7), and the CPU sees it
-// at T+8. A read is 7 cycles; the peripheral window adds a decoder hop.
+// (DESIGN.md §5), timed by CpuContext's register call: the crossbar
+// takes the address in cycle T and the data in T+1, the converter
+// chain hands both to the device in T+1, the device answers in T+2,
+// the response crosses the chain's 4 hops back (T+6) and the crossbar
+// (T+7), and the CPU sees it at T+8. A read is 7 cycles; the
+// peripheral window adds a decoder hop.
 //   per-word cost(U) = 8 + uncached + loop/U
 //   U=1:  ~88 cycles/word -> ~4.4 MB/s;  U=16: ~47 -> ~8.2 MB/s
 // (measured with the vacancy polls and FIFO flushes included).

@@ -41,8 +41,7 @@ bool SdBitstreamSource::has_image(std::string_view image) const {
 BitstreamCache::BitstreamCache(cpu::CpuContext& cpu, const Config& cfg)
     : cpu_(cpu), cfg_(cfg), entries_(cfg.slots) {
   obs::Observability& o = cpu_.simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("bitstream_cache");
+  trace_ = TraceSource(cpu_, "bitstream_cache");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("net.cache.hits", [this] { return hits_; });
   c.register_fn("net.cache.misses", [this] { return misses_; });
@@ -74,8 +73,7 @@ bool BitstreamCache::lookup(std::string_view image, Addr dest, u32 capacity,
   Entry* e = find(image);
   if (e == nullptr) {
     ++misses_;
-    RVCAP_TRACE(sink_, obs::EventKind::kNetCacheMiss, src_, cpu_.now(),
-                0, 0, 0);
+    trace_.emit(obs::EventKind::kNetCacheMiss, 0);
     return false;
   }
   const usize slot = static_cast<usize>(e - entries_.data());
@@ -84,8 +82,7 @@ bool BitstreamCache::lookup(std::string_view image, Addr dest, u32 capacity,
   if (ddr_crc(cpu_, slot_addr(slot), e->bytes) != e->crc) {
     e->valid = false;
     ++poisoned_;
-    RVCAP_TRACE(sink_, obs::EventKind::kNetCachePoison, src_, cpu_.now(),
-                0, 0, 0);
+    trace_.emit(obs::EventKind::kNetCachePoison, 0);
     ++misses_;
     return false;
   }
@@ -96,8 +93,7 @@ bool BitstreamCache::lookup(std::string_view image, Addr dest, u32 capacity,
   ddr_copy(slot_addr(slot), dest, e->bytes);
   e->last_use = ++use_clock_;
   ++hits_;
-  RVCAP_TRACE(sink_, obs::EventKind::kNetCacheHit, src_, cpu_.now(),
-              e->bytes, 0, 0);
+  trace_.emit(obs::EventKind::kNetCacheHit, e->bytes);
   if (bytes_out != nullptr) *bytes_out = e->bytes;
   return true;
 }
@@ -152,8 +148,7 @@ std::string_view to_string(DeliveryPath p) {
 
 BitstreamDelivery::BitstreamDelivery(cpu::CpuContext& cpu) : cpu_(cpu) {
   obs::Observability& o = cpu_.simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("bitstream_delivery");
+  trace_ = TraceSource(cpu_, "bitstream_delivery");
   obs::CounterRegistry& c = o.counters();
   c.register_fn("net.delivery.ok", [this] { return ok_; });
   c.register_fn("net.delivery.cache_hits", [this] { return cache_hits_; });
@@ -208,7 +203,7 @@ Status BitstreamDelivery::fetch(std::string_view image, Addr dest,
   // Graceful degradation: the primary could not deliver — try the
   // local copy before giving up.
   if (fallback_ != nullptr && fallback_->has_image(image)) {
-    RVCAP_TRACE(sink_, obs::EventKind::kNetFallback, src_, cpu_.now(), id,
+    trace_.emit(obs::EventKind::kNetFallback, id,
                 static_cast<u64>(DeliveryPath::kSdFallback),
                 static_cast<u64>(primary_st));
     const Status st = fallback_->fetch(image, dest, capacity, bytes_out);
@@ -228,7 +223,7 @@ Status BitstreamDelivery::fetch(std::string_view image, Addr dest,
   }
 
   ++failures_;
-  RVCAP_TRACE(sink_, obs::EventKind::kNetFallback, src_, cpu_.now(), id,
+  trace_.emit(obs::EventKind::kNetFallback, id,
               static_cast<u64>(DeliveryPath::kFailed),
               static_cast<u64>(primary_st));
   record(image, DeliveryPath::kFailed, primary_st, cpu_.now() - t0);

@@ -133,8 +133,7 @@ class BitstreamCache {
   Config cfg_;
   std::vector<Entry> entries_;
   u64 use_clock_ = 0;
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  TraceSource trace_;
   u64 hits_ = 0;
   u64 misses_ = 0;
   u64 poisoned_ = 0;
@@ -193,8 +192,7 @@ class BitstreamDelivery : public BitstreamSource {
   BoundedLog<Record, kJournalCapacity> journal_;
   std::map<std::string, u16, std::less<>> image_ids_;
 
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  TraceSource trace_;
   obs::Histogram* delivery_hist_ = nullptr;
 
   u64 ok_ = 0;

@@ -15,8 +15,7 @@ PlacementEngine::PlacementEngine(RvCapDriver& drv,
                                  const Config& cfg)
     : drv_(drv), alloc_(alloc), cfg_(cfg) {
   obs::Observability& o = drv_.cpu_context().simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("placement_engine");
+  trace_ = TraceSource(drv_.cpu_context(), "placement_engine");
   obs::CounterRegistry& c = o.counters();
   c.register_fields("place.", stats_,
                     {{"requests", &Stats::requests},
@@ -38,10 +37,6 @@ PlacementEngine::PlacementEngine(RvCapDriver& drv,
                : static_cast<u64>(
                      alloc_.fragmentation(alloc_.class_of(0)) * 100.0);
   });
-}
-
-void PlacementEngine::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, drv_.cpu_context().now(), a0, a1, a2);
 }
 
 PlacementEngine::ModuleSpec* PlacementEngine::find(std::string_view name) {
@@ -145,11 +140,11 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (m == nullptr) return Status::kNotFound;
   if (region >= alloc_.num_regions()) return Status::kInvalidArgument;
   ++stats_.requests;
-  trace(obs::EventKind::kPlaceRequest, m->rm_id, region);
+  trace_.emit(obs::EventKind::kPlaceRequest, m->rm_id, region);
 
   Status st = ensure_source(*m);
   if (!ok(st)) {
-    trace(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
+    trace_.emit(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
     return st;
   }
 
@@ -159,8 +154,8 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
     return Status::kOk;
   }
   if (!alloc_.compatible(m->home_region, region)) {
-    trace(obs::EventKind::kPlaceReject, m->rm_id,
-          static_cast<u64>(Status::kInvalidArgument));
+    trace_.emit(obs::EventKind::kPlaceReject, m->rm_id,
+                static_cast<u64>(Status::kInvalidArgument));
     return Status::kInvalidArgument;
   }
 
@@ -170,7 +165,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (Variant* v = find_variant(name, region)) {
     if (ddr_crc(drv_.cpu_context(), v->addr, v->bytes) == v->crc) {
       ++stats_.reloc_cache_hits;
-      trace(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
+      trace_.emit(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
       *out = {v->addr, v->bytes, m->rm_id};
       return Status::kOk;
     }
@@ -180,7 +175,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   Addr addr = 0;
   st = claim_arena_slot(&addr);
   if (!ok(st)) {
-    trace(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
+    trace_.emit(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
     return st;
   }
 
@@ -195,7 +190,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
                 ddr_crc(drv_.cpu_context(), addr, bytes)};
       materialized_.push_back(std::move(v));
       ++stats_.reloc_cache_hits;
-      trace(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
+      trace_.emit(obs::EventKind::kPlaceRelocHit, m->rm_id, region);
       *out = {addr, bytes, m->rm_id};
       return Status::kOk;
     }
@@ -211,8 +206,8 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
           bitstream::kCompressMagic) {
     ++stats_.reloc_failures;
     --next_arena_slot_;
-    trace(obs::EventKind::kPlaceReject, m->rm_id,
-          static_cast<u64>(Status::kProtocolError));
+    trace_.emit(obs::EventKind::kPlaceReject, m->rm_id,
+                static_cast<u64>(Status::kProtocolError));
     return Status::kProtocolError;
   }
   std::vector<u8> moved;
@@ -222,7 +217,7 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (!ok(st)) {
     ++stats_.reloc_failures;
     --next_arena_slot_;
-    trace(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
+    trace_.emit(obs::EventKind::kPlaceReject, m->rm_id, static_cast<u64>(st));
     return st;
   }
   const bitstream::PreflightReport report = bitstream::preflight_check(
@@ -230,8 +225,8 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
   if (!ok(report.status)) {
     ++stats_.reloc_failures;
     --next_arena_slot_;
-    trace(obs::EventKind::kPlaceReject, m->rm_id,
-          static_cast<u64>(report.status));
+    trace_.emit(obs::EventKind::kPlaceReject, m->rm_id,
+                static_cast<u64>(report.status));
     return report.status;
   }
   if (moved.size() > cfg_.reloc_slot_bytes) {
@@ -249,36 +244,36 @@ Status PlacementEngine::materialize(std::string_view name, u32 region,
     variants_->insert(key, addr, static_cast<u32>(moved.size()));
   }
   ++stats_.relocations;
-  trace(obs::EventKind::kPlaceRelocate, m->rm_id, m->home_region, region);
+  trace_.emit(obs::EventKind::kPlaceRelocate, m->rm_id, m->home_region, region);
   return Status::kOk;
 }
 
 void PlacementEngine::note_migration(u64 task, u32 from_slot, u32 to_slot) {
   ++stats_.migrations;
-  trace(obs::EventKind::kPlaceMigrate, task, from_slot, to_slot);
+  trace_.emit(obs::EventKind::kPlaceMigrate, task, from_slot, to_slot);
 }
 
 void PlacementEngine::note_compaction(u32 class_id, usize migrations,
                                       u32 len) {
   ++stats_.compactions;
-  trace(obs::EventKind::kPlaceCompact, class_id, migrations, len);
+  trace_.emit(obs::EventKind::kPlaceCompact, class_id, migrations, len);
 }
 
 void PlacementEngine::note_span_grant(u32 class_id, u32 base_region,
                                       u32 len) {
   ++stats_.span_grants;
-  trace(obs::EventKind::kPlaceSpan, class_id, base_region, len);
+  trace_.emit(obs::EventKind::kPlaceSpan, class_id, base_region, len);
 }
 
 void PlacementEngine::note_span_release(u32 class_id, u32 base_region,
                                         u32 len) {
-  trace(obs::EventKind::kPlaceSpanFree, class_id, base_region, len);
+  trace_.emit(obs::EventKind::kPlaceSpanFree, class_id, base_region, len);
 }
 
 void PlacementEngine::note_span_reject(u32 class_id) {
   ++stats_.span_rejects;
-  trace(obs::EventKind::kPlaceReject, class_id,
-        static_cast<u64>(Status::kNoSpace));
+  trace_.emit(obs::EventKind::kPlaceReject, class_id,
+              static_cast<u64>(Status::kNoSpace));
 }
 
 }  // namespace rvcap::driver

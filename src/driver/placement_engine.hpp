@@ -116,7 +116,6 @@ class PlacementEngine {
   Status ensure_source(ModuleSpec& m);
   Status claim_arena_slot(Addr* addr);
   std::string variant_key(const ModuleSpec& m, u32 region) const;
-  void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
 
   RvCapDriver& drv_;
   fabric::FabricAllocator& alloc_;
@@ -127,8 +126,7 @@ class PlacementEngine {
   std::vector<Variant> materialized_;
   u32 next_arena_slot_ = 0;
   Stats stats_;
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  TraceSource trace_;
 };
 
 }  // namespace rvcap::driver

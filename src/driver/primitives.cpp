@@ -23,6 +23,10 @@ u32 ddr_crc(cpu::CpuContext& cpu, Addr addr, u32 bytes) {
   return crc;
 }
 
+TraceSource::TraceSource(cpu::CpuContext& cpu, std::string_view name)
+    : TraceSource(cpu.simulator().obs().sink(), name,
+                  cpu.simulator().now_ptr()) {}
+
 void StallWatchdog::start(u64 expected_beats) {
   expected_beats_ = expected_beats;
   last_beats_ = 0;

@@ -1,6 +1,7 @@
 // Primitives shared by the driver stacks: the timed DDR checksum, the
-// stall watchdog that fences RV-CAP DMA waits, and the bounded event
-// log behind every driver journal.
+// stall watchdog that fences RV-CAP DMA waits, the bounded event log
+// behind every driver journal, and the trace source every driver emits
+// its events through.
 #pragma once
 
 #include <functional>
@@ -10,6 +11,7 @@
 
 #include "common/types.hpp"
 #include "common/units.hpp"
+#include "obs/trace.hpp"
 
 namespace rvcap::cpu {
 class CpuContext;
@@ -63,6 +65,27 @@ class StallWatchdog {
   u64 expected_beats_ = 0;
   u32 last_beats_ = 0;
   u32 stalled_polls_ = 0;
+};
+
+/// One driver's trace source: the sink, the driver's name interned in
+/// it, and the clock events are stamped with. A default-constructed
+/// source emits nothing.
+class TraceSource {
+ public:
+  TraceSource() = default;
+  TraceSource(obs::TraceSink& sink, std::string_view name, const Cycles* now)
+      : sink_(&sink), src_(sink.intern(name)), now_(now) {}
+  /// The sink and clock of the CPU's simulator.
+  TraceSource(cpu::CpuContext& cpu, std::string_view name);
+
+  void emit(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0) const {
+    RVCAP_TRACE(sink_, kind, src_, *now_, a0, a1, a2);
+  }
+
+ private:
+  obs::TraceSink* sink_ = nullptr;
+  u16 src_ = 0;
+  const Cycles* now_ = nullptr;
 };
 
 /// Fixed-capacity event log: retains the newest Capacity entries and

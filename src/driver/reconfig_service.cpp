@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "bitstream/packets.hpp"
 #include "bitstream/preflight.hpp"
 #include "common/log.hpp"
 
@@ -16,8 +17,7 @@ ReconfigService::ReconfigService(DprManager& mgr, const Config& cfg)
                   on_hang(p, expected_beats, stalled_polls);
                 }) {
   obs::Observability& o = mgr_.driver().cpu_context().simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("reconfig_service");
+  trace_ = TraceSource(mgr_.driver().cpu_context(), "reconfig_service");
   obs::CounterRegistry& c = o.counters();
   const std::string p = "service.slot" + std::to_string(cfg_.slot_id) + ".";
   c.register_fields(p, stats_,
@@ -38,11 +38,6 @@ ReconfigService::ReconfigService(DprManager& mgr, const Config& cfg)
                 [this] { return static_cast<u64>(queue_depth()); });
   wait_ticks_ = c.histogram("service.wait_ticks");
   active_ticks_ = c.histogram("service.active_ticks");
-}
-
-void ReconfigService::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, mgr_.driver().cpu_context().now(), a0, a1,
-              a2);
 }
 
 const ReconfigService::RequestRecord* ReconfigService::record(
@@ -99,7 +94,7 @@ Status ReconfigService::preflight(const ActivationRequest& req) {
   std::vector<u8> bytes(info.bytes);
   mgr_.driver().cpu_context().read_buffer(info.addr, bytes);
   const auto report = bitstream::preflight_check(
-      bytes, mgr_.device(), mgr_.partition(), cfg_.expected_idcode);
+      bytes, mgr_.device(), mgr_.partition(), bitstream::kIdCode);
   if (!ok(report.status)) {
     log_warn("reconfig_service: preflight rejected ", req.module, ": ",
              report.reason);
@@ -136,9 +131,9 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
     ++stats_.quarantine_rejects;
     RequestRecord& r = make_record(RequestState::kRejected,
                                    Status::kQuarantined);
-    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-    trace(obs::EventKind::kSvcReject, r.id,
-          static_cast<u64>(Status::kQuarantined));
+    trace_.emit(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace_.emit(obs::EventKind::kSvcReject, r.id,
+                static_cast<u64>(Status::kQuarantined));
     return Status::kQuarantined;
   }
 
@@ -148,16 +143,16 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
     ++stats_.deadline_missed;
     RequestRecord& r =
         make_record(RequestState::kDeadlineMissed, Status::kDeadlineMissed);
-    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-    trace(obs::EventKind::kSvcDeadlineMiss, r.id);
+    trace_.emit(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace_.emit(obs::EventKind::kSvcDeadlineMiss, r.id);
     return Status::kDeadlineMissed;
   }
 
   // Pre-flight parse of the staged image (stages it on a miss).
   if (auto st = preflight(req); !ok(st)) {
     RequestRecord& r = make_record(RequestState::kRejected, st);
-    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-    trace(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
+    trace_.emit(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace_.emit(obs::EventKind::kSvcReject, r.id, static_cast<u64>(st));
     return st == Status::kRejected ? Status::kRejected : st;
   }
 
@@ -178,8 +173,8 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
     const RequestId parent = q.id;
     RequestRecord& r = make_record(RequestState::kCoalesced, Status::kOk);
     r.merged_into = parent;
-    trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-    trace(obs::EventKind::kSvcCoalesce, r.id, parent);
+    trace_.emit(obs::EventKind::kSvcSubmit, r.id, req.priority);
+    trace_.emit(obs::EventKind::kSvcCoalesce, r.id, parent);
     return Status::kOk;
   }
 
@@ -198,13 +193,13 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
       ++stats_.rejected_full;
       RequestRecord& r = make_record(RequestState::kRejected,
                                      Status::kRejected);
-      trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-      trace(obs::EventKind::kSvcReject, r.id,
-            static_cast<u64>(Status::kRejected));
+      trace_.emit(obs::EventKind::kSvcSubmit, r.id, req.priority);
+      trace_.emit(obs::EventKind::kSvcReject, r.id,
+                  static_cast<u64>(Status::kRejected));
       return Status::kRejected;
     }
     ++stats_.shed;
-    trace(obs::EventKind::kSvcShed, victim->id, victim->req.priority);
+    trace_.emit(obs::EventKind::kSvcShed, victim->id, victim->req.priority);
     finish(*victim, RequestState::kShed, Status::kRejected);
   }
 
@@ -213,8 +208,8 @@ Status ReconfigService::submit(const ActivationRequest& req, RequestId* id) {
   stats_.max_queue_depth = std::max<u64>(stats_.max_queue_depth,
                                          queue_depth());
   intent(IntentOp::kSvcPending, r);
-  trace(obs::EventKind::kSvcSubmit, r.id, req.priority);
-  trace(obs::EventKind::kSvcAdmit, r.id, queue_depth());
+  trace_.emit(obs::EventKind::kSvcSubmit, r.id, req.priority);
+  trace_.emit(obs::EventKind::kSvcAdmit, r.id, queue_depth());
   return Status::kOk;
 }
 
@@ -224,7 +219,7 @@ Status ReconfigService::cancel(RequestId id) {
   if (r->state == RequestState::kActive) return Status::kDeviceBusy;
   if (r->state != RequestState::kQueued) return Status::kInvalidArgument;
   ++stats_.cancelled;
-  trace(obs::EventKind::kSvcCancel, r->id);
+  trace_.emit(obs::EventKind::kSvcCancel, r->id);
   finish(*r, RequestState::kCancelled, Status::kCancelled);
   return Status::kOk;
 }
@@ -261,7 +256,7 @@ bool ReconfigService::step() {
   if (r->req.deadline_mtime != 0 && now > r->req.deadline_mtime) {
     // Expired while queued: skip without touching the hardware.
     ++stats_.deadline_missed;
-    trace(obs::EventKind::kSvcDeadlineMiss, r->id);
+    trace_.emit(obs::EventKind::kSvcDeadlineMiss, r->id);
     finish(*r, RequestState::kDeadlineMissed, Status::kDeadlineMissed);
     return true;
   }
@@ -271,7 +266,7 @@ bool ReconfigService::step() {
   active_ = r->id;
   const u64 wait = now - r->submit_mtime;
   if (wait_ticks_ != nullptr) wait_ticks_->record(wait);
-  trace(obs::EventKind::kSvcDispatch, r->id, wait);
+  trace_.emit(obs::EventKind::kSvcDispatch, r->id, wait);
 
   // The service's watchdog fences the dispatch's DMA transfers.
   RvCapDriver& drv = mgr_.driver();
@@ -292,9 +287,9 @@ bool ReconfigService::step() {
   const u64 active = r->done_mtime - r->start_mtime;
   if (active_ticks_ != nullptr) active_ticks_->record(active);
   if (ok(s)) {
-    trace(obs::EventKind::kSvcComplete, r->id, active);
+    trace_.emit(obs::EventKind::kSvcComplete, r->id, active);
   } else {
-    trace(obs::EventKind::kSvcFail, r->id, static_cast<u64>(s), active);
+    trace_.emit(obs::EventKind::kSvcFail, r->id, static_cast<u64>(s), active);
   }
   return true;
 }
@@ -319,8 +314,8 @@ void ReconfigService::on_hang(const TransferProgress& p, u64 expected_beats,
   d.outstanding_beats = expected_beats > p.beats ? expected_beats - p.beats : 0;
   d.polls_without_progress = stalled_polls;
   hangs_.push(d);
-  trace(obs::EventKind::kSvcHang, active_, d.outstanding_beats,
-        d.polls_without_progress);
+  trace_.emit(obs::EventKind::kSvcHang, active_, d.outstanding_beats,
+              d.polls_without_progress);
 }
 
 }  // namespace rvcap::driver

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "bitstream/packets.hpp"
 #include "driver/dpr_manager.hpp"
 #include "driver/primitives.hpp"
 #include "obs/observability.hpp"
@@ -52,7 +51,6 @@ class ReconfigService {
 
   struct Config {
     usize queue_capacity = 8;
-    u32 expected_idcode = bitstream::kIdCode;  // admission preflight
     u32 slot_id = 0;  // RP slot served; tags journal records + counters
   };
 
@@ -163,7 +161,6 @@ class ReconfigService {
   RequestRecord* best_queued();
   void finish(RequestRecord& r, RequestState state, Status status);
   Status preflight(const ActivationRequest& req);
-  void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, const RequestRecord& r);
   void on_hang(const TransferProgress& p, u64 expected_beats,
                u32 stalled_polls);
@@ -180,8 +177,7 @@ class ReconfigService {
   StallWatchdog watchdog_;
 
   // Observability (bound to the CPU's simulator at construction).
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  TraceSource trace_;
   obs::Histogram* wait_ticks_ = nullptr;    // submit -> dispatch, mtime
   obs::Histogram* active_ticks_ = nullptr;  // dispatch -> terminal, mtime
 };

@@ -34,7 +34,7 @@
 
 #include "common/status.hpp"
 #include "common/types.hpp"
-#include "obs/trace.hpp"
+#include "driver/primitives.hpp"
 #include "storage/block_io.hpp"
 
 namespace rvcap::sim {
@@ -137,16 +137,13 @@ class RecoveryJournal {
   void set_fault_injector(sim::FaultInjector* fi) { fault_ = fi; }
   /// Optional trace emission (Recovery track) for appends and replay.
   void bind_trace(obs::TraceSink* sink, Cycles const* now) {
-    sink_ = sink;
-    now_ptr_ = now;
-    if (sink_ != nullptr) src_ = sink_->intern("recovery_journal");
+    if (sink != nullptr) trace_ = TraceSource(*sink, "recovery_journal", now);
   }
 
   u64 appends() const { return appends_; }
   u64 append_failures() const { return append_failures_; }
 
  private:
-  Cycles now() const { return now_ptr_ != nullptr ? *now_ptr_ : 0; }
   void encode(const IntentRecord& rec, std::span<u8> cell) const;
   static std::optional<IntentRecord> decode(std::span<const u8> cell);
 
@@ -159,9 +156,7 @@ class RecoveryJournal {
   u64 appends_ = 0;
   u64 append_failures_ = 0;
   sim::FaultInjector* fault_ = nullptr;
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
-  Cycles const* now_ptr_ = nullptr;
+  TraceSource trace_;
 };
 
 }  // namespace rvcap::driver

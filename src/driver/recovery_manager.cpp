@@ -49,8 +49,7 @@ RecoveryManager::RecoveryManager(cpu::CpuContext& cpu,
                                  RecoveryJournal& journal)
     : cpu_(cpu), journal_(journal) {
   obs::Observability& o = cpu_.simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("recovery_manager");
+  trace_ = TraceSource(cpu_, "recovery_manager");
   // Registry-owned: the report outlives this manager, which a harness
   // may destroy before the SoC.
   for (std::string_view name : kReportNames) {
@@ -68,10 +67,6 @@ const RecoveryManager::SlotBinding* RecoveryManager::binding(u32 slot) const {
     if (b.slot == slot) return &b;
   }
   return nullptr;
-}
-
-void RecoveryManager::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, cpu_.now(), a0, a1, a2);
 }
 
 RecoveryManager::PrecrashFailure RecoveryManager::decode_failure(
@@ -205,7 +200,7 @@ void RecoveryManager::replay_pending(u64 crash_mtime, Report* rep) {
       if (b == nullptr || module.empty() || expired ||
           crash_looping(p.rm_id)) {
         ++rep->shed_requests;
-        trace(obs::EventKind::kRecovShed, p.rm_id);
+        trace_.emit(obs::EventKind::kRecovShed, p.rm_id);
         continue;
       }
       ReconfigService::ActivationRequest req;
@@ -217,10 +212,10 @@ void RecoveryManager::replay_pending(u64 crash_mtime, Report* rep) {
       if (ok(b->svc->submit(req))) {
         b->svc->drain();
         ++rep->replayed_requests;
-        trace(obs::EventKind::kRecovReplay, p.rm_id, remaining);
+        trace_.emit(obs::EventKind::kRecovReplay, p.rm_id, remaining);
       } else {
         ++rep->shed_requests;
-        trace(obs::EventKind::kRecovShed, p.rm_id);
+        trace_.emit(obs::EventKind::kRecovShed, p.rm_id);
       }
     }
   }
@@ -258,8 +253,8 @@ Status RecoveryManager::recover(Report* out) {
   for (const SlotReport& s : rep.slots) {
     if (s.verdict == SlotVerdict::kInterrupted) ++open_intents;
   }
-  trace(obs::EventKind::kRecovBootScan, rep.journal.valid_records,
-        open_intents);
+  trace_.emit(obs::EventKind::kRecovBootScan, rep.journal.valid_records,
+              open_intents);
 
   IntentRecord boot;
   boot.op = IntentOp::kBootMark;
@@ -271,8 +266,8 @@ Status RecoveryManager::recover(Report* out) {
   // self-healing activate() path, quarantining crash-looping images.
   u32 verified_slots = 0;
   for (SlotReport& s : rep.slots) {
-    trace(obs::EventKind::kRecovSlotVerdict, s.slot,
-          static_cast<u64>(s.verdict));
+    trace_.emit(obs::EventKind::kRecovSlotVerdict, s.slot,
+                static_cast<u64>(s.verdict));
     const SlotBinding* b = binding(s.slot);
     if (s.rm_id == 0 || b == nullptr) {
       // Nothing was (or should be) configured there: a blank slot is a
@@ -291,7 +286,8 @@ Status RecoveryManager::recover(Report* out) {
       q.mtime = b->mgr->driver().mtime();
       q.arg0 = kCrashLoopThreshold;
       (void)journal_.append(q);
-      trace(obs::EventKind::kRecovQuarantine, s.rm_id, kCrashLoopThreshold);
+      trace_.emit(obs::EventKind::kRecovQuarantine, s.rm_id,
+                  kCrashLoopThreshold);
       // Deliberately-not-loaded is a safe, known state: the slot stays
       // blank instead of crash-looping the boot path.
       s.verified = true;
@@ -312,7 +308,7 @@ Status RecoveryManager::recover(Report* out) {
     if (s.verified) {
       ++rep.golden_reloads;
       ++verified_slots;
-      trace(obs::EventKind::kRecovGoldenReload, s.slot, s.rm_id);
+      trace_.emit(obs::EventKind::kRecovGoldenReload, s.slot, s.rm_id);
     }
   }
   rep.all_verified = verified_slots == rep.slots.size();
@@ -328,8 +324,8 @@ Status RecoveryManager::recover(Report* out) {
   (void)journal_.append(done);
 
   rep.ready_cycles = cpu_.now() - start;
-  trace(obs::EventKind::kRecovReady, verified_slots, rep.quarantined,
-        rep.ready_cycles);
+  trace_.emit(obs::EventKind::kRecovReady, verified_slots, rep.quarantined,
+              rep.ready_cycles);
   u64 verdicts[3] = {};  // indexed by SlotVerdict
   for (const SlotReport& s : rep.slots) {
     ++verdicts[static_cast<usize>(s.verdict)];

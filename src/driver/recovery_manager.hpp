@@ -117,7 +117,6 @@ class RecoveryManager {
   void classify_slots(std::vector<SlotReport>* out) const;
   bool crash_looping(u32 rm_id) const;
   void replay_pending(u64 crash_mtime, Report* rep);
-  void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
 
   cpu::CpuContext& cpu_;
   RecoveryJournal& journal_;
@@ -130,8 +129,7 @@ class RecoveryManager {
   // consecutive-crash count).
   usize scan_len_ = 0;
 
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  TraceSource trace_;
   std::vector<obs::Counter*> report_counters_;  // one per report fact
 };
 

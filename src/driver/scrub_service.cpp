@@ -16,8 +16,7 @@ ScrubService::ScrubService(RvCapDriver& drv, fabric::ConfigMemory& mem,
     : drv_(drv), mem_(mem), svc_(svc), cfg_(cfg) {
   if (cfg_.frames_per_slice == 0) cfg_.frames_per_slice = 1;
   obs::Observability& o = drv_.cpu_context().simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("scrub_service");
+  trace_ = TraceSource(drv_.cpu_context(), "scrub_service");
   obs::CounterRegistry& c = o.counters();
   c.register_fields("scrub.", stats_,
                     {{"passes", &Stats::passes},
@@ -52,10 +51,6 @@ ScrubService::ScrubService(RvCapDriver& drv, fabric::ConfigMemory& mem,
   mttr_cycles_ = c.histogram("scrub.mttr_cycles");
 }
 
-void ScrubService::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, drv_.cpu_context().now(), a0, a1, a2);
-}
-
 void ScrubService::watch_partition(usize handle, std::string module) {
   watches_.push_back({handle, std::move(module)});
   addrs_.push_back(mem_.partition(handle).frame_addrs(mem_.device()));
@@ -79,8 +74,8 @@ void ScrubService::install_upset_feed() {
     // now() is a pure read of the simulated clock — safe from inside a
     // ConfigMemory notification (no bus access, no time advance).
     pending_.push_back({ev.fa.encode(), now(), 0, ev.essential});
-    trace(obs::EventKind::kScrubUpset, ev.fa.encode(),
-          (u64{ev.word} << 8) | ev.bit);
+    trace_.emit(obs::EventKind::kScrubUpset, ev.fa.encode(),
+                (u64{ev.word} << 8) | ev.bit);
   });
 }
 
@@ -259,7 +254,8 @@ Status ScrubService::scrub_frame(const Watch& w) {
   }
 
   ++stats_.detections;
-  trace(obs::EventKind::kScrubDetect, fa.encode(), static_cast<u64>(d.cls));
+  trace_.emit(obs::EventKind::kScrubDetect, fa.encode(),
+              static_cast<u64>(d.cls));
   mark_detected(fa.encode(), now());
   const auto ps = mem_.partition_state(w.handle);
 
@@ -287,7 +283,7 @@ Status ScrubService::scrub_frame(const Watch& w) {
       }
       if (ok(st)) {
         ++stats_.frame_rewrites;
-        trace(obs::EventKind::kScrubRewrite, fa.encode());
+        trace_.emit(obs::EventKind::kScrubRewrite, fa.encode());
         record(now(), fa, d.cls, Action::kRewrite, d.word, d.bit, essential);
         resolve_repaired(fa.encode(), now());
         return Status::kOk;
@@ -300,7 +296,7 @@ Status ScrubService::scrub_frame(const Watch& w) {
     ++stats_.uncorrectable;
   }
 
-  trace(obs::EventKind::kScrubReload, fa.encode());
+  trace_.emit(obs::EventKind::kScrubReload, fa.encode());
   record(now(), fa, d.cls, Action::kReload, d.word, d.bit, false);
   return escalate_reload(w);
 }
@@ -311,7 +307,7 @@ void ScrubService::finish_pass() {
   const u64 frames = addrs_[cur_watch_].size();
   stats_.last_pass_frames_per_sec =
       elapsed == 0 ? 0 : frames * kCoreClockHz / elapsed;
-  trace(obs::EventKind::kScrubPass, stats_.passes, frames, elapsed);
+  trace_.emit(obs::EventKind::kScrubPass, stats_.passes, frames, elapsed);
   cur_frame_ = 0;
   cur_watch_ = (cur_watch_ + 1) % watches_.size();
   raise_done();

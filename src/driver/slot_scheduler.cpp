@@ -14,8 +14,7 @@ SlotScheduler::SlotScheduler(RvCapDriver& drv, const Config& cfg)
     : drv_(drv), cfg_(cfg) {
   area_used_.assign(cfg_.capture_areas, false);
   obs::Observability& o = drv_.cpu_context().simulator().obs();
-  sink_ = &o.sink();
-  src_ = sink_->intern("slot_scheduler");
+  trace_ = TraceSource(drv_.cpu_context(), "slot_scheduler");
   obs::CounterRegistry& c = o.counters();
   c.register_fields("slots.", stats_,
                     {{"submitted", &Stats::submitted},
@@ -35,10 +34,6 @@ SlotScheduler::SlotScheduler(RvCapDriver& drv, const Config& cfg)
                      {"swap_hangs", &Stats::swap_hangs}});
   c.register_fn("slots.queue_depth",
                 [this] { return static_cast<u64>(queue_depth()); });
-}
-
-void SlotScheduler::trace(obs::EventKind kind, u64 a0, u64 a1, u64 a2) {
-  RVCAP_TRACE(sink_, kind, src_, drv_.cpu_context().now(), a0, a1, a2);
 }
 
 u32 SlotScheduler::add_slot(const SlotBinding& b) {
@@ -150,7 +145,7 @@ Status SlotScheduler::submit(const HwTask& task, TaskId* id) {
     }
     if (victim != nullptr && u64{task.priority} > eff_priority(*victim, now)) {
       ++stats_.sheds;
-      trace(obs::EventKind::kSlotShed, victim->id, victim->task.priority);
+      trace_.emit(obs::EventKind::kSlotShed, victim->id, victim->task.priority);
       journal_event(SwapEvent::Kind::kShed, 0, *victim, Status::kRejected);
       finish(*victim, TaskState::kShed, Status::kRejected);
     } else {
@@ -160,7 +155,7 @@ Status SlotScheduler::submit(const HwTask& task, TaskId* id) {
       r.task = task;
       r.submit_mtime = now;
       r.last_progress_mtime = now;
-      trace(obs::EventKind::kSlotShed, r.id, task.priority);
+      trace_.emit(obs::EventKind::kSlotShed, r.id, task.priority);
       journal_event(SwapEvent::Kind::kShed, 0, r, Status::kRejected);
       r.state = TaskState::kShed;
       r.status = Status::kRejected;
@@ -298,9 +293,9 @@ Status SlotScheduler::capture(TaskRecord& victim) {
   resident_[s] = 0;
   ++stats_.preemptions;
   ++stats_.captures;
-  trace(obs::EventKind::kSlotPreempt, victim.id, s);
-  trace(obs::EventKind::kSlotCapture, victim.id, words,
-        drv_.last_timing().reconfig_ticks);
+  trace_.emit(obs::EventKind::kSlotPreempt, victim.id, s);
+  trace_.emit(obs::EventKind::kSlotCapture, victim.id, words,
+              drv_.last_timing().reconfig_ticks);
   journal_event(SwapEvent::Kind::kCapture, s, victim, Status::kOk);
   intent(IntentOp::kSlotCaptureDone, s, victim.task.rm_id, victim.id);
   return Status::kOk;
@@ -338,7 +333,7 @@ Status SlotScheduler::swap_in(TaskRecord& t, u32 slot) {
   }
   if (b.service->stats().hangs > hangs_before) {
     ++stats_.swap_hangs;
-    trace(obs::EventKind::kSlotSwapHang, t.id, slot);
+    trace_.emit(obs::EventKind::kSlotSwapHang, t.id, slot);
     journal_event(SwapEvent::Kind::kSwapHang, slot, t, Status::kHang);
   }
   if (!ok(st)) return st;
@@ -347,7 +342,7 @@ Status SlotScheduler::swap_in(TaskRecord& t, u32 slot) {
   t.slot = slot;
   resident_[slot] = t.id;
   if (t.start_mtime == 0) t.start_mtime = drv_.mtime();
-  trace(obs::EventKind::kSlotPlace, t.id, slot);
+  trace_.emit(obs::EventKind::kSlotPlace, t.id, slot);
   return Status::kOk;
 }
 
@@ -364,7 +359,7 @@ void SlotScheduler::rollback(TaskRecord& t, SwapEvent::Kind reason,
   ++stats_.rollbacks;
   ++t.rollbacks;
   const u32 s = t.slot;
-  trace(obs::EventKind::kSlotRollback, t.id, static_cast<u64>(reason));
+  trace_.emit(obs::EventKind::kSlotRollback, t.id, static_cast<u64>(reason));
   journal_event(reason, s, t, cause);
   release_area(t);
 
@@ -447,7 +442,7 @@ void SlotScheduler::restore(TaskRecord& t) {
     drv_.cleanup_after_failure();
     if (st == Status::kHang) {
       ++stats_.swap_hangs;
-      trace(obs::EventKind::kSlotSwapHang, t.id, s);
+      trace_.emit(obs::EventKind::kSlotSwapHang, t.id, s);
       journal_event(SwapEvent::Kind::kSwapHang, s, t, st);
     }
     rollback(t, SwapEvent::Kind::kRollbackTransfer, st);
@@ -472,9 +467,9 @@ void SlotScheduler::restore(TaskRecord& t) {
   t.state = TaskState::kRunning;
   resident_[s] = t.id;
   ++stats_.restores;
-  trace(obs::EventKind::kSlotRestore, t.id, s,
-        drv_.last_timing().reconfig_ticks);
-  trace(obs::EventKind::kSlotResume, t.id, s);
+  trace_.emit(obs::EventKind::kSlotRestore, t.id, s,
+              drv_.last_timing().reconfig_ticks);
+  trace_.emit(obs::EventKind::kSlotResume, t.id, s);
   journal_event(SwapEvent::Kind::kRestore, s, t, Status::kOk);
   intent(IntentOp::kSlotRestoreDone, s, t.task.rm_id, t.id);
 }
@@ -626,8 +621,8 @@ void SlotScheduler::run_chunk(TaskRecord& t) {
     if (t.task.deadline_mtime != 0 && drv_.mtime() > t.task.deadline_mtime) {
       ++stats_.late_completions;
     }
-    trace(obs::EventKind::kSlotComplete, t.id, s,
-          drv_.mtime() - t.start_mtime);
+    trace_.emit(obs::EventKind::kSlotComplete, t.id, s,
+                drv_.mtime() - t.start_mtime);
     journal_event(SwapEvent::Kind::kComplete, s, t, Status::kOk);
     finish(t, TaskState::kCompleted, Status::kOk);
   }

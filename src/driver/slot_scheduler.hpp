@@ -292,7 +292,6 @@ class SlotScheduler {
   void journal_event(SwapEvent::Kind kind, u32 slot, const TaskRecord& t,
                      Status status);
   void settle();
-  void trace(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0);
   void intent(IntentOp op, u32 slot, u32 rm_id, u32 arg0 = 0);
 
   RvCapDriver& drv_;
@@ -309,8 +308,7 @@ class SlotScheduler {
   StallWatchdog watchdog_{"slot_scheduler"};  // swap-transfer fence
 
   // Observability.
-  obs::TraceSink* sink_ = nullptr;
-  u16 src_ = 0;
+  TraceSource trace_;
 };
 
 }  // namespace rvcap::driver

@@ -17,8 +17,6 @@ RvCapController::RvCapController(icap::Icap& icap, axi::AxiPort& ddr_port,
       icap2axis_("rvcap.icap2axis", icap.read_port(), switch_.from_icap()),
       rp_ctrl_("rvcap.rp_ctrl", switch_),
       ddr_xbar_("rvcap.ddr_xbar"),
-      dma_ctrl_path_("rvcap.dma_ctrl.path", dma_.port()),
-      rp_ctrl_path_("rvcap.rp_ctrl.path", rp_ctrl_.port()),
       w_dma_to_switch_("rvcap.w4", dma_.mm2s_stream(), switch_.from_dma()),
       w_switch_to_dma_("rvcap.w7", switch_.to_dma(), dma_.s2mm_stream()) {
   // Additional crossbar: manager 0 = CPU path, manager 1 = DMA.
@@ -61,10 +59,8 @@ void RvCapController::abort_datapath() {
 void RvCapController::register_components(sim::Simulator& sim) {
   assert(!registered_);
   registered_ = true;
-  // Dataflow order: control paths first, then engines, then the
+  // Dataflow order: control registers first, then engines, then the
   // stream fabric toward the ICAP/RM.
-  sim.add(&dma_ctrl_path_);
-  sim.add(&rp_ctrl_path_);
   sim.add(&rp_ctrl_);
   sim.add(&ddr_xbar_);
   sim.add(&dma_);

@@ -1,11 +1,12 @@
 // The RV-CAP controller: composite of Fig. 2.
 //
-// Owns the DMA engine (1), the control-path width/protocol converters
-// (2), the RP control interface (3), the AXI-Stream switch (4), the
-// AXIS2ICAP converter (5), the PR isolator, and the additional crossbar
-// to the DDR controller. The SoC assembly binds:
-//   * dma_ctrl_port() and rp_ctrl_port() as subordinates of the main
-//     64-bit crossbar (the controller's two CPU-facing interfaces);
+// Owns the DMA engine (1), the RP control interface (3), the
+// AXI-Stream switch (4), the AXIS2ICAP converter (5), the PR isolator,
+// and the additional crossbar to the DDR controller. The SoC assembly
+// binds:
+//   * dma() and rp_control() as the CPU's register windows; the
+//     control path's width and protocol converters (2) are the hop
+//     count of those windows' timed register calls (cpu::CpuContext);
 //   * main_bus_ddr_port() as the main crossbar's DDR window, routed
 //     through the additional crossbar so CPU and DMA share the DDR;
 //   * the reconfigurable module's streams behind the isolator.
@@ -16,7 +17,6 @@
 
 #include "axi/crossbar.hpp"
 #include "axi/isolator.hpp"
-#include "axi/lite_path.hpp"
 #include "axi/stream_switch.hpp"
 #include "axi/wires.hpp"
 #include "icap/icap.hpp"
@@ -45,11 +45,8 @@ class RvCapController {
   /// order. Must be called exactly once.
   void register_components(sim::Simulator& sim);
 
-  // ---- main-crossbar-facing subordinate ports ----
-  axi::AxiPort& dma_ctrl_port() { return dma_ctrl_path_.upstream(); }
-  axi::AxiPort& rp_ctrl_port() { return rp_ctrl_path_.upstream(); }
-  const axi::LitePath& dma_ctrl_path() const { return dma_ctrl_path_; }
-  const axi::LitePath& rp_ctrl_path() const { return rp_ctrl_path_; }
+  /// The main crossbar's DDR window, routed through the additional
+  /// crossbar the DMA shares.
   axi::AxiPort& main_bus_ddr_port() { return main_bus_ddr_port_; }
 
   // ---- RM-side stream attachment points (behind the isolators) ----
@@ -90,11 +87,6 @@ class RvCapController {
   // DDR side: additional crossbar shared by the CPU path and the DMA.
   axi::AxiPort main_bus_ddr_port_;
   axi::AxiCrossbar ddr_xbar_;
-
-  // Control path: per-interface 64->32 width conversion + AXI4-Lite
-  // protocol conversion (Fig. 2 component 2).
-  axi::LitePath dma_ctrl_path_;
-  axi::LitePath rp_ctrl_path_;
 
   // Stream wires.
   axi::AxisWire w_dma_to_switch_;

@@ -28,23 +28,21 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
       sd_(cfg.external_sd != nullptr ? *cfg.external_sd : *owned_sd_),
       spi_("spi", sd_),
       cpu_(sim_, cfg.timing),
-      main_xbar_("main_xbar"),
-      periph_path_("periph.path") {
+      main_xbar_("main_xbar") {
   // ---- interconnect: managers ----
   main_xbar_.add_manager(&cpu_.port());
 
-  // ---- peripheral windows ----
-  // Every AXI4-Lite device window also takes the CPU's timed register
-  // calls (DESIGN.md §5).
+  // ---- register windows ----
+  // The CPU reaches every AXI4-Lite register block with timed register
+  // calls (DESIGN.md §5). The peripheral window's address decoder adds
+  // one hop and answers its holes DECERR.
   const auto timed = [this](const axi::AddrRange& range,
-                            axi::AxiLiteSlave& device,
-                            const axi::LitePath& path) {
-    cpu_.add_register_window(range, device, path, main_xbar_);
+                            axi::AxiLiteSlave* device, u32 hops) {
+    cpu_.add_register_window(range, device, hops, main_xbar_);
   };
   const auto peripheral = [&](const axi::AddrRange& range,
                               axi::AxiLiteSlave& device) {
-    periph_path_.add_device(range, &device.port());
-    timed(range, device, periph_path_);
+    timed(range, &device, cpu::CpuContext::kDecodedHops);
   };
   peripheral(MemoryMap::kClint, clint_);
   peripheral(MemoryMap::kPlic, plic_);
@@ -52,8 +50,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   peripheral(MemoryMap::kSpi, spi_);
   perf_regs_.bind(&sim_.obs().counters());
   peripheral(MemoryMap::kPerfRegs, perf_regs_);
-  main_xbar_.add_subordinate(MemoryMap::kPeripherals,
-                             &periph_path_.upstream());
+  timed(MemoryMap::kPeripherals, nullptr, cpu::CpuContext::kDecodedHops);
   main_xbar_.add_subordinate(MemoryMap::kBootMem, &boot_.port());
 
   // ---- reconfigurable-partition slots ----
@@ -99,11 +96,9 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   if (cfg_.with_rvcap) {
     rvcap_ = std::make_unique<rvcap_ctrl::RvCapController>(
         icap_, ddr_.port(), MemoryMap::kDdr, cfg_.dma, num_slots);
-    main_xbar_.add_subordinate(MemoryMap::kDmaCtrl,
-                               &rvcap_->dma_ctrl_port());
-    main_xbar_.add_subordinate(MemoryMap::kRpCtrl, &rvcap_->rp_ctrl_port());
-    timed(MemoryMap::kDmaCtrl, rvcap_->dma(), rvcap_->dma_ctrl_path());
-    timed(MemoryMap::kRpCtrl, rvcap_->rp_control(), rvcap_->rp_ctrl_path());
+    timed(MemoryMap::kDmaCtrl, &rvcap_->dma(), cpu::CpuContext::kDirectHops);
+    timed(MemoryMap::kRpCtrl, &rvcap_->rp_control(),
+          cpu::CpuContext::kDirectHops);
     // CPU reaches DDR through the controller's additional crossbar.
     main_xbar_.add_subordinate(MemoryMap::kDdr,
                                &rvcap_->main_bus_ddr_port());
@@ -121,11 +116,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
     hwicap_ =
         std::make_unique<hwicap::HwIcap>("hwicap", icap_,
                                          cfg_.hwicap_fifo_depth);
-    hwicap_path_ =
-        std::make_unique<axi::LitePath>("hwicap.path", hwicap_->port());
-    main_xbar_.add_subordinate(MemoryMap::kHwicap,
-                               &hwicap_path_->upstream());
-    timed(MemoryMap::kHwicap, *hwicap_, *hwicap_path_);
+    timed(MemoryMap::kHwicap, hwicap_.get(), cpu::CpuContext::kDirectHops);
   }
 
   // ---- networked bitstream delivery plant ----
@@ -153,7 +144,6 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
 
   // ---- simulator registration (dataflow order) ----
   sim_.add(&main_xbar_);
-  sim_.add(&periph_path_);
   sim_.add(&clint_);
   sim_.add(&plic_);
   sim_.add(&uart_);
@@ -161,10 +151,7 @@ ArianeSoc::ArianeSoc(const SocConfig& cfg)
   sim_.add(&spi_);
   sim_.add(&boot_);
   if (rvcap_) rvcap_->register_components(sim_);
-  if (hwicap_) {
-    sim_.add(hwicap_path_.get());
-    sim_.add(hwicap_.get());
-  }
+  if (hwicap_) sim_.add(hwicap_.get());
   if (ddr_direct_wire_) sim_.add(ddr_direct_wire_.get());
   sim_.add(&ddr_);
   for (usize s = 0; s < rm_slots_.size(); ++s) {

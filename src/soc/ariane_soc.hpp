@@ -17,7 +17,6 @@
 #include "accel/fir_filter.hpp"
 #include "accel/stream_cipher.hpp"
 #include "axi/crossbar.hpp"
-#include "axi/lite_path.hpp"
 #include "axi/wires.hpp"
 #include "cpu/cpu.hpp"
 #include "fabric/config_memory.hpp"
@@ -158,13 +157,9 @@ class ArianeSoc {
   cpu::CpuContext cpu_;
   axi::AxiCrossbar main_xbar_;
 
-  // Peripheral register path: 64-bit bus -> decoded 32-bit lite devices.
-  axi::LitePath periph_path_;
-
   // DPR controllers (deployment options).
   std::unique_ptr<rvcap_ctrl::RvCapController> rvcap_;
   std::unique_ptr<hwicap::HwIcap> hwicap_;
-  std::unique_ptr<axi::LitePath> hwicap_path_;
 
   std::unique_ptr<fabric::FabricAllocator> allocator_;
   // Per slot: planned partition (reserved once, so references stay

@@ -521,45 +521,54 @@ TEST(KernelEquivalence, ModeSwitchMidRunMatchesFlat) {
 }
 
 // ---------------------------------------------------------------------
-// MMIO register paths: exact round trips on all four CPU-side windows
+// MMIO register windows: exact round trips on all four CPU-side windows
 // ---------------------------------------------------------------------
 
-/// One access as the CPU's manager port sees it: cycles from the
-/// request push to the cycle its response can be popped.
+u64 counter_or_none(ArianeSoc& soc, std::string_view name) {
+  const obs::CounterRegistry& c = soc.sim().obs().counters();
+  const usize i = c.counter_index(name);
+  return i < c.counter_count() ? c.counter_value(i) : ~u64{0};
+}
+
+/// One CPU register access: cycles from the cycle it leaves the core
+/// (after uncached_access_core_cycles) to its return, and the value a
+/// load returned.
 struct Access {
   Cycles cycles = 0;
-  axi::Resp resp = axi::Resp::kOkay;
   u64 data = 0;
 
   bool operator==(const Access&) const = default;
 };
 
 std::ostream& operator<<(std::ostream& os, const Access& a) {
-  return os << "{" << a.cycles << ", resp " << static_cast<int>(a.resp)
-            << ", 0x" << std::hex << a.data << std::dec << "}";
+  return os << "{" << a.cycles << ", 0x" << std::hex << a.data << std::dec
+            << "}";
 }
 
-Access mmio_read(ArianeSoc& soc, Addr a, u8 size, u8 len = 0) {
-  axi::AxiPort& p = soc.cpu().port();
-  const Cycles t0 = soc.sim().now();
-  EXPECT_TRUE(p.ar.push(axi::AxiAr{a, len, size}));
-  EXPECT_TRUE(soc.sim().run_until([&] { return p.r.can_pop(); }, 1000));
-  const axi::AxiR r = *p.r.pop();
-  EXPECT_TRUE(r.last);
-  return {soc.sim().now() - t0, r.resp, r.data};
+template <typename Op>
+Access mmio_access(ArianeSoc& soc, Op&& op) {
+  const Cycles t0 =
+      soc.sim().now() + soc.cpu().timing().uncached_access_core_cycles;
+  const u64 data = op(soc.cpu());
+  return {soc.sim().now() - t0, data};
 }
 
-/// A write of len+1 beats of `data`; strb 0 is a strobe-less write.
-Access mmio_write(ArianeSoc& soc, Addr a, u64 data, u8 strb, u8 size,
-                  u8 len = 0) {
-  axi::AxiPort& p = soc.cpu().port();
-  const Cycles t0 = soc.sim().now();
-  EXPECT_TRUE(p.aw.push(axi::AxiAw{a, len, size}));
-  for (u32 beat = 0; beat <= len; ++beat) {
-    EXPECT_TRUE(p.w.push(axi::AxiW{data, strb, beat == len}));
-  }
-  EXPECT_TRUE(soc.sim().run_until([&] { return p.b.can_pop(); }, 1000));
-  return {soc.sim().now() - t0, p.b.pop()->resp, 0};
+Access mmio_load32(ArianeSoc& soc, Addr a) {
+  return mmio_access(soc, [a](cpu::CpuContext& c) {
+    return u64{c.load32_uncached(a)};
+  });
+}
+
+Access mmio_load64(ArianeSoc& soc, Addr a) {
+  return mmio_access(soc,
+                     [a](cpu::CpuContext& c) { return c.load64_uncached(a); });
+}
+
+Access mmio_store32(ArianeSoc& soc, Addr a, u32 v) {
+  return mmio_access(soc, [a, v](cpu::CpuContext& c) {
+    c.store32_uncached(a, v);
+    return u64{0};
+  });
 }
 
 /// One register window: a 32-bit register with address bit 2 set (the
@@ -581,29 +590,24 @@ std::unique_ptr<ArianeSoc> mmio_soc(Simulator::Mode mode) {
   return std::make_unique<ArianeSoc>(cfg);
 }
 
-/// Every single-access kind on one window, in a fixed order, each
-/// issued as soon as the previous response was popped.
+/// Every access kind the CPU issues to a register window, in a fixed
+/// order, each issued as soon as the previous one returned.
 std::vector<Access> mmio_script(Simulator::Mode mode, const MmioWindow& w) {
   auto soc = mmio_soc(mode);
   std::vector<Access> out;
-  out.push_back(mmio_write(*soc, w.reg32, u64{0x5} << 32, 0xF0, 2));
-  out.push_back(mmio_read(*soc, w.reg32, 2));
-  out.push_back(mmio_write(*soc, w.reg64, 0x0000'0006'0000'0001ULL, 0xFF, 3));
-  out.push_back(mmio_read(*soc, w.reg64, 3));
-  out.push_back(mmio_read(*soc, w.reg64, 3, /*len=*/3));  // burst
-  out.push_back(mmio_write(*soc, w.reg32, u64{0x7} << 32, 0x00, 2));
-  out.push_back(mmio_read(*soc, w.reg32, 2));  // strobe-less wrote nothing
-  // Back to back through the CPU's own accessors: core cost included.
+  out.push_back(mmio_store32(*soc, w.reg32, 0x5));
+  out.push_back(mmio_load32(*soc, w.reg32));
+  out.push_back(mmio_store32(*soc, w.reg64, 0x1));
+  out.push_back(mmio_store32(*soc, w.reg64 + 4, 0x6));
+  out.push_back(mmio_load64(*soc, w.reg64));
+  // Back to back, core cost included.
   const Cycles t0 = soc->sim().now();
   soc->cpu().store32_uncached(w.reg32, 0x3);
   soc->cpu().store32_uncached(w.reg32, 0x2);
   const u32 v = soc->cpu().load32_uncached(w.reg32);
   const u64 v64 = soc->cpu().load64_uncached(w.reg64);
-  out.push_back(
-      {soc->sim().now() - t0, axi::Resp::kOkay, (u64{v} << 32) ^ v64});
+  out.push_back({soc->sim().now() - t0, (u64{v} << 32) ^ v64});
   EXPECT_EQ(soc->cpu().bus_errors(), 0u);
-  // A burst write is answered without reaching the device.
-  out.push_back(mmio_write(*soc, w.reg64, 0x1, 0xFF, 3, /*len=*/1));
   return out;
 }
 
@@ -621,103 +625,104 @@ void expect_mmio_script(const MmioWindow& w,
   }
 }
 
-// Cycles pinned from the converter-chain model the register paths
-// reproduce: a response crosses 5 registered hops back from a
-// peripheral (LiteBus, lite wire, protocol converter, AXI wire, width
-// converter) and 4 from the other windows, which have no window decode.
-// Register blocks answer one cycle after a request arrives, so a 64-bit
-// split access costs 2 more cycles than a 32-bit one. Bursts and
-// strobe-less writes are answered by the path itself.
-constexpr axi::Resp kOk = axi::Resp::kOkay;
-constexpr axi::Resp kSlv = axi::Resp::kSlvErr;
-constexpr axi::Resp kDec = axi::Resp::kDecErr;
-
+// Cycles pinned from the converter chain the timed register call
+// reproduces: a response crosses 5 registered hops back from a
+// peripheral (address decoder, AXI4-Lite link, protocol converter, AXI
+// link, width converter) and 4 from the other windows, which have no
+// window decode. A register block answers one cycle after a request
+// reaches it, and a 64-bit read's halves are served two cycles apart.
 TEST(MmioLatency, PeripheralWindow) {
-  expect_mmio_script(kPeriphWindow,
-                     {{9, kOk, 0},
-                      {8, kOk, 0x5'0000'0000},
-                      {11, kOk, 0},
-                      {10, kOk, 0x6'0000'0001},
-                      {2, kSlv, 0},
-                      {3, kOk, 0},
-                      {8, kOk, 0x5'0000'0000},
-                      {180, kOk, 0x4'0000'0001},
-                      {2, kSlv, 0}});
+  expect_mmio_script(kPeriphWindow, {{9, 0},
+                                     {8, 5},
+                                     {9, 0},
+                                     {9, 0},
+                                     {10, 0x6'0000'0001},
+                                     {180, 0x4'0000'0001}});
 }
 
 TEST(MmioLatency, HwicapWindow) {
-  expect_mmio_script(kHwicapWindow,
-                     {{8, kOk, 0},
-                      {7, kOk, 0},
-                      {10, kOk, 0},
-                      {9, kOk, 0x1},
-                      {2, kSlv, 0},
-                      {3, kOk, 0},
-                      {7, kOk, 0},
-                      {176, kOk, 0x1},
-                      {2, kSlv, 0}});
+  expect_mmio_script(kHwicapWindow, {{8, 0},
+                                     {7, 0},
+                                     {8, 0},
+                                     {8, 0},
+                                     {9, 0x1},
+                                     {176, 0x1}});
 }
 
 TEST(MmioLatency, DmaControlWindow) {
-  expect_mmio_script(kDmaWindow,
-                     {{8, kOk, 0},
-                      {7, kOk, 0x5'0000'0000},
-                      {10, kOk, 0},
-                      {9, kOk, 0x6'0000'0001},
-                      {2, kSlv, 0},
-                      {3, kOk, 0},
-                      {7, kOk, 0x5'0000'0000},
-                      {176, kOk, 0x4'0000'0001},
-                      {2, kSlv, 0}});
+  expect_mmio_script(kDmaWindow, {{8, 0},
+                                  {7, 5},
+                                  {8, 0},
+                                  {8, 0},
+                                  {9, 0x6'0000'0001},
+                                  {176, 0x4'0000'0001}});
 }
 
 TEST(MmioLatency, RpControlWindow) {
-  expect_mmio_script(kRpWindow,
-                     {{8, kOk, 0},
-                      {7, kOk, 0x4'0000'0000},
-                      {10, kOk, 0},
-                      {9, kOk, 0x5'0000'0001},
-                      {2, kSlv, 0},
-                      {3, kOk, 0},
-                      {7, kOk, 0x5'0000'0000},
-                      {176, kOk, 0x1},
-                      {2, kSlv, 0}});
-}
-
-TEST(MmioLatency, RejectedBurstWriteTakesItsDataBeatsWithIt) {
-  // The next write must carry its own data, not a beat the rejected
-  // burst left behind, and the path must go idle.
-  for (const MmioWindow& w :
-       {kPeriphWindow, kHwicapWindow, kDmaWindow, kRpWindow}) {
-    auto ref = mmio_soc(Simulator::Mode::kScheduled);
-    mmio_write(*ref, w.reg64, 0x0000'0002'0000'0003ULL, 0xFF, 3);
-    const Access expected = mmio_read(*ref, w.reg64, 3);
-    for (const auto mode :
-         {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
-      auto soc = mmio_soc(mode);
-      EXPECT_EQ(mmio_write(*soc, w.reg64, ~u64{0}, 0xFF, 3, /*len=*/1).resp,
-                kSlv);
-      EXPECT_EQ(mmio_write(*soc, w.reg64, 0x0000'0002'0000'0003ULL, 0xFF, 3)
-                    .resp,
-                kOk);
-      EXPECT_EQ(mmio_read(*soc, w.reg64, 3), expected);
-      EXPECT_TRUE(soc->sim().run_until_idle(1000));
-    }
-  }
+  expect_mmio_script(kRpWindow, {{8, 0},
+                                 {7, 4},
+                                 {8, 0},
+                                 {8, 0},
+                                 {9, 0x5'0000'0001},
+                                 {176, 0x1}});
 }
 
 TEST(MmioLatency, UnmappedPeripheralAddressGetsDecErr) {
   // The window decoder answers in the request cycle, one hop closer to
-  // the CPU than a device; the second half of a split access decodes
-  // one cycle after the first.
+  // the CPU than a device; the second half of a 64-bit read decodes one
+  // cycle after the first. The bus event is main_xbar's, as for any
+  // register access; its decode-error counter is for its own windows.
   constexpr Addr kHole = 0x0300'0000;  // inside kPeripherals, no device
   for (const auto mode :
        {Simulator::Mode::kFlat, Simulator::Mode::kScheduled}) {
     auto soc = mmio_soc(mode);
-    EXPECT_EQ(mmio_read(*soc, kHole + 4, 2), (Access{6, kDec, 0}));
-    EXPECT_EQ(mmio_read(*soc, kHole, 3), (Access{7, kDec, 0}));
-    EXPECT_EQ(mmio_write(*soc, kHole + 4, 1, 0xF0, 2), (Access{7, kDec, 0}));
-    EXPECT_EQ(mmio_write(*soc, kHole, 1, 0xFF, 3), (Access{8, kDec, 0}));
+    obs::TraceSink& sink = soc->sim().obs().sink();
+    sink.set_enabled(true);
+    EXPECT_EQ(mmio_load32(*soc, kHole + 4), (Access{6, 0}));
+    EXPECT_EQ(mmio_load64(*soc, kHole), (Access{7, 0}));
+    EXPECT_EQ(mmio_store32(*soc, kHole + 4, 1), (Access{7, 0}));
+    EXPECT_EQ(soc->cpu().bus_errors(), 3u);
+    EXPECT_EQ(counter_or_none(*soc, "main_xbar.decode_errors"), 0u);
+    if (!obs::trace_compiled_in()) continue;
+    std::vector<u64> events;
+    for (const obs::TraceEvent& e : sink.events()) {
+      EXPECT_EQ(sink.source_name(e.src), "main_xbar");
+      events.insert(events.end(),
+                    {e.ts, static_cast<u64>(e.kind), e.a0, e.a1, e.a2});
+    }
+    constexpr u64 kRead = static_cast<u64>(obs::EventKind::kAxiRead);
+    constexpr u64 kWrite = static_cast<u64>(obs::EventKind::kAxiWrite);
+    EXPECT_EQ(events, (std::vector<u64>{41, kRead, kHole + 4, 1, 6,  //
+                                        84, kRead, kHole, 1, 7,      //
+                                        127, kWrite, kHole + 4, 1, 7}));
+  }
+}
+
+TEST(MmioLatency, BurstsAndCachedAccessesToARegisterWindowGetDecErr) {
+  // Only the uncached 32- and 64-bit accessors reach a register block.
+  // A burst or a cached access aimed at one finds no main_xbar window
+  // and leaves every register as it was.
+  for (const MmioWindow& w :
+       {kPeriphWindow, kHwicapWindow, kDmaWindow, kRpWindow}) {
+    auto soc = mmio_soc(Simulator::Mode::kScheduled);
+    cpu::CpuContext& cpu = soc->cpu();
+    cpu.store32_uncached(w.reg32, 0x5);
+    cpu.store32_uncached(w.reg64, 0x1);
+    cpu.store32_uncached(w.reg64 + 4, 0x6);
+    const u32 before32 = cpu.load32_uncached(w.reg32);
+    const u64 before64 = cpu.load64_uncached(w.reg64);
+    EXPECT_EQ(cpu.load64(w.reg64), 0u);
+    cpu.store64(w.reg64, 0);
+    std::vector<u8> buf(16, 0xEE);
+    cpu.read_buffer(w.reg64, buf);
+    EXPECT_EQ(buf, std::vector<u8>(16, 0));
+    cpu.write_buffer(w.reg64, std::vector<u8>(16, 0));
+    EXPECT_EQ(counter_or_none(*soc, "main_xbar.decode_errors"), 4u);
+    // One error per response beat: the read burst answers two.
+    EXPECT_EQ(cpu.bus_errors(), 5u);
+    EXPECT_EQ(cpu.bus_timeouts(), 0u);
+    EXPECT_EQ(cpu.load32_uncached(w.reg32), before32);
+    EXPECT_EQ(cpu.load64_uncached(w.reg64), before64);
   }
 }
 
@@ -1037,12 +1042,6 @@ constexpr const char* kStreamCounters[] = {
     "hwicap.write_fifo_hwm",
     "hwicap.read_fifo_hwm",
 };
-
-u64 counter_or_none(ArianeSoc& soc, std::string_view name) {
-  const obs::CounterRegistry& c = soc.sim().obs().counters();
-  const usize i = c.counter_index(name);
-  return i < c.counter_count() ? c.counter_value(i) : ~u64{0};
-}
 
 void finish(ArianeSoc& soc, const FrameCommitProbe& probe, StreamOutcome& o) {
   o.values.push_back(soc.sim().now());
@@ -1667,10 +1666,14 @@ void expect_timeline(TimelineOutcome (*run)(Simulator::Mode),
   }
 }
 
-// Recorded with every CPU register access carried by main_xbar and the
-// register paths (axi::LitePath). Counters: the CPU's reads, writes,
-// errors and timeouts, the SD card's blocks read, written and CRC
-// errors, then kTimelineCounters (~0: the SoC has no such counter).
+// Recorded with every CPU register access carried by main_xbar and a
+// tick-driven model of the converter chain; the values, counters and
+// event streams are unchanged under the timed register calls. The
+// digest also folds each event's interned source index, which moves
+// when a component before the source is added or removed. Counters:
+// the CPU's reads, writes, errors and timeouts, the SD card's blocks
+// read, written and CRC errors, then kTimelineCounters (~0: the SoC has
+// no such counter).
 TEST(MmioTimeline, SpiSdCardBlocks) {
   expect_timeline(timeline_spi_sd, {{0, 9985, 0, 3511381275, 0, 2003491387, 0,
       767597049, 0, 3516676709, 0, 569825680, 0, 2433617403, 0, 828578047, 0,
@@ -1680,7 +1683,7 @@ TEST(MmioTimeline, SpiSdCardBlocks) {
 TEST(MmioTimeline, HwicapKeyholeProgramAndReadback) {
   expect_timeline(timeline_hwicap, {{0, 66095, 1322046, 1, 0, 35868, 2039532, 1,
       0, 1541529250, 2093462}, {2466, 29378, 0, 0, 0, 0, 0, 0, 0, 29330, 144,
-      404, 3, 1, 29330, 0, 1024, 128, 0, 0}, 62643, 0x52f1fc34bb3af28e});
+      404, 3, 1, 29330, 0, 1024, 128, 0, 0}, 62643, 0x703226b9906ade0e});
 }
 TEST(MmioTimeline, ClintMtimeAndPlicClaimAtTheIrqEdge) {
   expect_timeline(timeline_irq, {{1, 4, 8, 11, 14, 17, 20, 23, 26, 29, 32, 35,
@@ -1692,7 +1695,7 @@ TEST(MmioTimeline, ClintMtimeAndPlicClaimAtTheIrqEdge) {
       0, 0, 0, 0, 0, 1024, 0, 0, 0, 1, kNone, kNone, kNone, kNone, 4096, 1, 4,
       7, 0, 0, 0, 0, 0, 0, 0, 1024, 0, 0, 0, 1, kNone, kNone, kNone, kNone,
       4096, 1, 4, 8, 0, 0, 0, 0, 0, 0, 0, 1024, 0, 0, 0, 1, kNone, kNone, kNone,
-      kNone, 4096, 1}, 7892, 0x2d9466d77a00ac8d});
+      kNone, 4096, 1}, 7892, 0x0e77c1ff1b3da9db});
 }
 
 }  // namespace

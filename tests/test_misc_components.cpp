@@ -1,12 +1,14 @@
 // Coverage for the smaller components: floorplan rendering, the
-// peripheral window decode of the register path, channel wires, and
-// the UART model.
+// peripheral window decode of the CPU's register windows, channel
+// wires, and the UART model.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
-#include "axi/lite_path.hpp"
+#include "axi/crossbar.hpp"
 #include "axi/wires.hpp"
+#include "cpu/cpu.hpp"
 #include "fabric/floorplan.hpp"
 #include "sim/simulator.hpp"
 #include "soc/uart.hpp"
@@ -48,64 +50,52 @@ TEST(Floorplan, NoRegionsStillRendersDevice) {
   EXPECT_EQ(clbs, 72u * 7u);
 }
 
-// The peripheral window: a decoded register path in front of two
-// register files, driven as the 64-bit bus drives it.
+// The peripheral window: a decoded register window of the CPU in front
+// of two register files, with a hole around them.
 struct LiteBusFixture : ::testing::Test {
-  LiteBusFixture() : bus("litebus"), dev_a("a", 1), dev_b("b", 1) {
-    bus.add_device(axi::AddrRange{0x1000, 0x100}, &dev_a.port());
-    bus.add_device(axi::AddrRange{0x2000, 0x100}, &dev_b.port());
-    s.add(&bus);
+  LiteBusFixture() : cpu(s), xbar("xbar"), dev_a("a"), dev_b("b") {
+    xbar.add_manager(&cpu.port());
+    window(axi::AddrRange{0x1000, 0x100}, &dev_a);
+    window(axi::AddrRange{0x2000, 0x100}, &dev_b);
+    window(axi::AddrRange{0, 0x10000}, nullptr);
+    s.add(&xbar);
     s.add(&dev_a);
     s.add(&dev_b);
   }
+  void window(const axi::AddrRange& range, axi::AxiLiteSlave* device) {
+    cpu.add_register_window(range, device, cpu::CpuContext::kDecodedHops,
+                            xbar);
+  }
   sim::Simulator s;
-  axi::LitePath bus;
+  cpu::CpuContext cpu;
+  axi::AxiCrossbar xbar;
   test::ScratchRegs dev_a, dev_b;
 };
 
 TEST_F(LiteBusFixture, RoutesByWindow) {
-  EXPECT_EQ(test::bfm_write64(s, bus.upstream(), 0x1010, 42, 0x0F),
-            axi::Resp::kOkay);
+  cpu.store32_uncached(0x1010, 42);
   EXPECT_EQ(dev_a.regs[0x1010], 42u);
   EXPECT_TRUE(dev_b.write_log.empty());
+  EXPECT_EQ(cpu.bus_errors(), 0u);
 }
 
 TEST_F(LiteBusFixture, ReadReturnsDeviceData) {
   dev_b.regs[0x2004] = 0xBEEF;
-  bus.upstream().ar.push(axi::AxiAr{0x2004, 0, 2});
-  ASSERT_TRUE(s.run_until([&] { return bus.upstream().r.can_pop(); }, 1000));
-  EXPECT_EQ(bus.upstream().r.pop()->data >> 32, 0xBEEFu);  // high lane
+  EXPECT_EQ(cpu.load32_uncached(0x2004), 0xBEEFu);
 }
 
 TEST_F(LiteBusFixture, UnmappedAccessGetsDecErr) {
-  bus.upstream().ar.push(axi::AxiAr{0x9999, 0, 2});
-  ASSERT_TRUE(s.run_until([&] { return bus.upstream().r.can_pop(); }, 1000));
-  EXPECT_EQ(bus.upstream().r.pop()->resp, axi::Resp::kDecErr);
-  EXPECT_EQ(test::bfm_write64(s, bus.upstream(), 0x9998, 1, 0x0F),
-            axi::Resp::kDecErr);
-  EXPECT_EQ(bus.decode_errors(), 2u);
-}
-
-TEST_F(LiteBusFixture, ResponsesStayInRequestOrder) {
-  dev_a.regs[0x1000] = 1;
-  dev_b.regs[0x2000] = 2;
-  bus.upstream().ar.push(axi::AxiAr{0x1000, 0, 2});
-  bus.upstream().ar.push(axi::AxiAr{0x2000, 0, 2});
-  std::vector<u32> got;
-  ASSERT_TRUE(s.run_until(
-      [&] {
-        while (bus.upstream().r.can_pop()) {
-          got.push_back(static_cast<u32>(bus.upstream().r.pop()->data));
-        }
-        return got.size() == 2;
-      },
-      1000));
-  EXPECT_EQ(got, (std::vector<u32>{1, 2}));
+  EXPECT_EQ(cpu.load32_uncached(0x9998), 0u);
+  cpu.store32_uncached(0x9998, 1);
+  EXPECT_EQ(cpu.bus_errors(), 2u);
+  EXPECT_TRUE(dev_a.write_log.empty());
+  EXPECT_TRUE(dev_b.write_log.empty());
+  EXPECT_EQ(xbar.decode_errors(), 0u);  // the window's decoder answered
 }
 
 TEST_F(LiteBusFixture, OverlappingWindowRejected) {
-  axi::AxiLitePort extra;
-  EXPECT_THROW(bus.add_device(axi::AddrRange{0x1080, 0x100}, &extra),
+  test::ScratchRegs extra("extra");
+  EXPECT_THROW(window(axi::AddrRange{0x1080, 0x100}, &extra),
                std::invalid_argument);
 }
 
@@ -118,24 +108,6 @@ TEST(Wires, AxisWireMovesOneBeatPerCycle) {
   s.run_cycles(5);
   EXPECT_EQ(b.size(), 5u);
   for (u64 i = 0; i < 5; ++i) EXPECT_EQ(b.pop()->data, i);
-}
-
-TEST(Wires, LitePathCarriesBothDirections) {
-  // The request reaches the device port in its own cycle; the response
-  // is back upstream after the direct chain's response hops.
-  sim::Simulator s;
-  axi::AxiLitePort b;
-  axi::LitePath path("w", b);
-  s.add(&path);
-  path.upstream().ar.push(axi::AxiAr{0x4, 0, 2});
-  s.run_cycles(1);
-  ASSERT_TRUE(b.ar.can_pop());
-  b.r.push(axi::LiteR{7, axi::Resp::kOkay});
-  s.run_cycles(axi::LitePath::kDirectHops - 1);
-  EXPECT_FALSE(path.upstream().r.can_pop());
-  s.run_cycles(1);
-  ASSERT_TRUE(path.upstream().r.can_pop());
-  EXPECT_EQ(path.upstream().r.pop()->data >> 32, 7u);  // high lane
 }
 
 TEST(UartModel, LsrAlwaysReady) {

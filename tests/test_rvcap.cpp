@@ -6,6 +6,7 @@
 #include "common/bytes.hpp"
 #include "common/log.hpp"
 #include "common/units.hpp"
+#include "cpu/cpu.hpp"
 #include "hwicap/hwicap.hpp"
 #include "mem/ddr.hpp"
 #include "rvcap/controller.hpp"
@@ -20,7 +21,6 @@ using fabric::DeviceGeometry;
 using rvcap_ctrl::AxiDma;
 using rvcap_ctrl::Axis2Icap;
 using rvcap_ctrl::RvCapController;
-using test::bfm_write64;
 
 // ---------------------------------------------------------------------------
 // DMA engine standalone (directly driving its lite port)
@@ -254,21 +254,18 @@ struct ControllerFixture : ::testing::Test {
     s.add(&icap);
     ctrl.register_components(s);
     main_xbar.emplace("main_xbar");
-    main_xbar->add_manager(&cpu_port);
-    main_xbar->add_subordinate(axi::AddrRange{0x4100'0000, 0x1000},
-                               &ctrl.dma_ctrl_port());
-    main_xbar->add_subordinate(axi::AddrRange{0x4200'0000, 0x1000},
-                               &ctrl.rp_ctrl_port());
+    main_xbar->add_manager(&cpu.port());
     main_xbar->add_subordinate(axi::AddrRange{kDdrBase, 1u << 30},
                                &ctrl.main_bus_ddr_port());
+    cpu.add_register_window(axi::AddrRange{0x4100'0000, 0x1000}, &ctrl.dma(),
+                            cpu::CpuContext::kDirectHops, *main_xbar);
+    cpu.add_register_window(axi::AddrRange{0x4200'0000, 0x1000},
+                            &ctrl.rp_control(), cpu::CpuContext::kDirectHops,
+                            *main_xbar);
     s.add(&*main_xbar);
   }
 
-  void mmio32(Addr a, u32 v) {
-    const bool high = (a & 4) != 0;
-    bfm_write64(s, cpu_port, a, high ? (u64{v} << 32) : u64{v},
-                high ? 0xF0 : 0x0F);
-  }
+  void mmio32(Addr a, u32 v) { cpu.store32_uncached(a, v); }
 
   DeviceGeometry dev;
   fabric::Partition rp;
@@ -277,7 +274,7 @@ struct ControllerFixture : ::testing::Test {
   mem::DdrController ddr;
   RvCapController ctrl;
   sim::Simulator s;
-  axi::AxiPort cpu_port;
+  cpu::CpuContext cpu{s};
   std::optional<axi::AxiCrossbar> main_xbar;
   usize handle = 0;
 };

@@ -20,6 +20,9 @@
 #include <vector>
 
 #include "bitstream/generator.hpp"
+#include "bitstream/packets.hpp"
+#include "bitstream/preflight.hpp"
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "driver/dpr_manager.hpp"
 #include "driver/hwicap_driver.hpp"
@@ -262,13 +265,28 @@ TEST_F(ServiceFixture, WrongRpFarRejectedBeforeAnyIcapWord) {
 }
 
 TEST_F(ServiceFixture, WrongIdcodeRejected) {
-  ReconfigService::Config cfg;
-  cfg.expected_idcode = bitstream::kIdCode ^ 1;  // "different device"
-  ReconfigService svc(mgr, cfg);
+  // Sobel's image built for a different device: its IDCODE word differs.
+  auto image = bitstream::generate_partial_bitstream(
+      soc.device(), soc.rp0(), {accel::kRmIdSobel, "sobel"});
+  usize idcodes = 0;
+  for (usize i = 0; i + 4 <= image.size(); i += 4) {
+    const auto word = std::span(image).subspan(i, 4);
+    if (load_be32(word) != bitstream::kIdCode) continue;
+    store_be32(word, bitstream::kIdCode ^ 1);
+    ++idcodes;
+  }
+  ASSERT_EQ(idcodes, 1u);
+  const auto report = bitstream::preflight_check(image, soc.device(),
+                                                 soc.rp0(), bitstream::kIdCode);
+  EXPECT_EQ(report.status, Status::kInvalidArgument);
+  EXPECT_EQ(report.reason, "IDCODE does not match the device");
+  stage_raw("foreign", accel::kRmIdSobel, 0x8800'0000, image);
+
+  ReconfigService svc(mgr);
   const u64 words_before = soc.icap().words_consumed();
-  EXPECT_EQ(svc.submit(Req{"sobel", 1}), Status::kRejected);
+  EXPECT_EQ(svc.submit(Req{"foreign", 1}), Status::kRejected);
   EXPECT_EQ(soc.icap().words_consumed(), words_before);
-  EXPECT_TRUE(svc.quarantined("sobel"));
+  EXPECT_TRUE(svc.quarantined("foreign"));
 }
 
 TEST_F(ServiceFixture, GarbageImageRejected) {

@@ -84,8 +84,8 @@ inline axi::Resp bfm_write_burst(sim::Simulator& s, axi::AxiPort& p, Addr addr,
 /// AXI4-Lite device under test.
 class ScratchRegs : public axi::AxiLiteSlave {
  public:
-  explicit ScratchRegs(std::string name, u32 latency = 1)
-      : AxiLiteSlave(std::move(name), latency) {}
+  explicit ScratchRegs(std::string name)
+      : AxiLiteSlave(std::move(name)) {}
 
   std::map<Addr, u32> regs;
   std::vector<std::pair<Addr, u32>> write_log;
