@@ -9,26 +9,41 @@ AxiLiteSlave::AxiLiteSlave(std::string name) : Component(std::move(name)) {
 }
 
 bool AxiLiteSlave::tick() {
-  bool changed = device_tick();
+  const bool changed = device_tick();
   if (!port_.has_request()) return changed && device_ready();
 
+  bool served = false;
+  bool ready = false;
   const LiteAr* ar = port_.ar.front();
   if (ar != nullptr && port_.r.can_push()) {
-    port_.r.push(LiteR{read_reg(ar->addr), Resp::kOkay});
+    u32 data = 0;
+    ready = serve_read(ar->addr, data);
+    port_.r.push(LiteR{data, Resp::kOkay});
     port_.ar.pop();
-    changed = true;
+    served = true;
   }
 
   const LiteAw* aw = port_.aw.front();
   const LiteW* w = port_.w.front();
   if (aw != nullptr && w != nullptr && port_.b.can_push()) {
-    write_reg(aw->addr, w->data);
+    ready = serve_write(aw->addr, w->data);
     port_.aw.pop();
     port_.w.pop();
     port_.b.push(LiteB{Resp::kOkay});
-    changed = true;
+    served = true;
   }
-  return port_ready() || (changed && device_ready());
+  if (!served) ready = changed && device_ready();
+  return port_ready() || ready;
+}
+
+bool AxiLiteSlave::serve_read(Addr addr, u32& data) {
+  data = read_reg(addr);
+  return device_ready();
+}
+
+bool AxiLiteSlave::serve_write(Addr addr, u32 data) {
+  write_reg(addr, data);
+  return device_ready();
 }
 
 void AxiLiteSlave::post_read(Addr addr) {

@@ -5,7 +5,8 @@
 // implement read_reg()/write_reg() on word offsets, and the base class
 // serves each request at the head of its port in the tick of the cycle
 // it is there. The CPU's timed register calls (cpu::CpuContext) post
-// the requests and wait out the converter chain's hops themselves.
+// the requests, or in a quiet cycle have the device serve them in
+// place, and wait out the converter chain's hops themselves.
 #pragma once
 
 #include "axi/types.hpp"
@@ -24,6 +25,14 @@ class AxiLiteSlave : public sim::Component {
   /// cycle to serve.
   void post_read(Addr addr);
   void post_write(Addr addr, u32 data);
+
+  /// Serve a 32-bit read of `addr` into `data`, or a write of `data`,
+  /// now, and return whether the device can progress next cycle. tick()
+  /// serves the request at the head of the port with these; a timed
+  /// register call in a quiet cycle calls them in place of that tick
+  /// (Simulator::serve_in_place).
+  bool serve_read(Addr addr, u32& data);
+  bool serve_write(Addr addr, u32 data);
 
   bool tick() override;
   bool busy() const override;

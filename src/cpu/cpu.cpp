@@ -67,51 +67,69 @@ const CpuContext::RegisterWindow* CpuContext::timed_window(Addr a) const {
   return hole;
 }
 
+bool CpuContext::serve(axi::AxiLiteSlave& d, Addr a, bool write, u32& data) {
+  if (sim_.quiet()) {
+    // Nothing else happens in this cycle: the device's tick would only
+    // serve the request, so it serves it without the port.
+    sim_.serve_in_place(d, [&] {
+      return write ? d.serve_write(a, data) : d.serve_read(a, data);
+    });
+    return true;
+  }
+  axi::AxiLitePort& p = d.port();
+  if (write) {
+    d.post_write(a, data);
+    if (!bus_wait([&] { return p.b.can_pop(); }, "write", a)) return false;
+    p.b.pop();
+    return true;
+  }
+  d.post_read(a);
+  // The chain collects a response at the boundary it is visible.
+  if (!bus_wait([&] { return p.r.can_pop(); }, "read", a)) return false;
+  data = p.r.pop()->data;
+  return true;
+}
+
 u64 CpuContext::timed_read(const RegisterWindow& w, Addr a, u8 halves) {
-  const Cycles start = sim_.now();  // the crossbar takes the AR now
+  // The crossbar takes the AR once the core cycles are spent.
+  const Cycles start = sim_.now() + tm_.uncached_access_core_cycles;
   ++bus_reads_;
   u64 data = 0;
   if (w.device == nullptr) {
     // The decoder answers a half in the cycle it decodes it, the second
     // one cycle after the first: no device serves it.
-    sim_.run_cycles(halves - 1);
+    sim_.run_cycles(start + halves - 1 - sim_.now());
     ++bus_errors_;
   } else {
     const Addr base = a & (halves == 2 ? ~Addr{7} : ~Addr{3});
-    axi::AxiLitePort& d = w.device->port();
-    bool error = false;
+    // The chain hands the device a half when the crossbar takes the AR,
+    // the second one the cycle after it collected the first; the device
+    // serves it kServeCycles later.
+    Cycles serve_at = start + kServeCycles;
     for (u8 h = 0; h < halves; ++h) {
-      // The chain hands the device a half in this cycle, the second one
-      // the cycle after it collected the first; the device serves it
-      // kServeCycles later.
-      sim_.run_cycles(kServeCycles);
-      w.device->post_read(base + 4 * h);
-      // The chain collects a response at the boundary it is visible.
-      if (!bus_wait([&] { return d.r.can_pop(); }, "read", a)) return 0;
-      const axi::LiteR r = *d.r.pop();
-      data |= u64{r.data} << (32 * h);
-      error |= r.resp != axi::Resp::kOkay;
+      sim_.run_cycles(serve_at - sim_.now());
+      u32 half = 0;
+      if (!serve(*w.device, base + 4 * h, false, half)) return 0;
+      data |= u64{half} << (32 * h);
+      serve_at = sim_.now() + kServeCycles;
     }
-    if (error) ++bus_errors_;
   }
   timed_return(w, obs::EventKind::kAxiRead, a, start);
   return data;
 }
 
 void CpuContext::timed_write(const RegisterWindow& w, Addr a, u32 data) {
-  const Cycles start = sim_.now();  // the crossbar takes the AW now
+  // The crossbar takes the AW once the core cycles are spent and moves
+  // the W beat next cycle, in which the chain hands the write to the
+  // device, or the decoder answers a hole.
+  const Cycles start = sim_.now() + tm_.uncached_access_core_cycles;
   ++bus_writes_;
-  // It moves the W beat next cycle, in which the chain hands the write
-  // to the device, or the decoder answers a hole.
   if (w.device == nullptr) {
-    sim_.run_cycles(1);
+    sim_.run_cycles(start + 1 - sim_.now());
     ++bus_errors_;
   } else {
-    sim_.run_cycles(1 + kServeCycles);
-    w.device->post_write(a & ~Addr{3}, data);
-    axi::AxiLitePort& d = w.device->port();
-    if (!bus_wait([&] { return d.b.can_pop(); }, "write", a)) return;
-    if (d.b.pop()->resp != axi::Resp::kOkay) ++bus_errors_;
+    sim_.run_cycles(start + 1 + kServeCycles - sim_.now());
+    if (!serve(*w.device, a & ~Addr{3}, true, data)) return;
   }
   timed_return(w, obs::EventKind::kAxiWrite, a, start);
 }
@@ -120,35 +138,40 @@ void CpuContext::timed_return(const RegisterWindow& w, obs::EventKind kind,
                               Addr a, Cycles start) {
   // The response leaves the chain hops - 1 cycles after it collected
   // the last half, the crossbar moves it the cycle after, and the CPU
-  // sees it the next.
+  // sees it the next. The crossbar's event is emitted in its own cycle,
+  // after the events of the cycles before it.
+  if (!sim_.obs().sink().enabled()) {
+    sim_.run_cycles(w.hops + 1);
+    return;
+  }
   sim_.run_cycles(w.hops);
   w.bus->trace_timed_call(kind, a, start);
   sim_.run_cycles(1);
 }
 
 u32 CpuContext::load32_uncached(Addr a) {
-  sim_.run_cycles(tm_.uncached_access_core_cycles);
   if (const RegisterWindow* w = timed_window(a)) {
     return static_cast<u32>(timed_read(*w, a, 1));
   }
+  sim_.run_cycles(tm_.uncached_access_core_cycles);
   const axi::AxiR r = blocking_read(a, 2);
   return static_cast<u32>((a & 4) ? (r.data >> 32) : r.data);
 }
 
 void CpuContext::store32_uncached(Addr a, u32 v) {
-  sim_.run_cycles(tm_.uncached_access_core_cycles);
   if (const RegisterWindow* w = timed_window(a)) {
     timed_write(*w, a, v);
     return;
   }
+  sim_.run_cycles(tm_.uncached_access_core_cycles);
   const bool high = (a & 4) != 0;
   blocking_write(a, high ? (u64{v} << 32) : u64{v},
                  high ? 0xF0 : 0x0F, 2);
 }
 
 u64 CpuContext::load64_uncached(Addr a) {
-  sim_.run_cycles(tm_.uncached_access_core_cycles);
   if (const RegisterWindow* w = timed_window(a)) return timed_read(*w, a, 2);
+  sim_.run_cycles(tm_.uncached_access_core_cycles);
   return blocking_read(a, 3).data;
 }
 

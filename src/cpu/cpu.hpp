@@ -26,9 +26,14 @@
 // protocol converter, and the peripheral window's address decoder)
 // would have delivered the response. The chain is a fixed hop count
 // per window, not a component; the crossbar does not tick for such an
-// access, and its bus event is emitted at its own cycle. Every other
-// access (cached, burst, or outside the register windows) goes out on
-// port() to the main crossbar, which has no register routes.
+// access, and its bus event is emitted at its own cycle. When the
+// kernel is quiet in the cycle a half is served (Simulator::quiet), the
+// device serves it in place (Simulator::serve_in_place) instead of
+// through its port, so an untraced 32-bit call is one device tick and
+// two kernel jumps: the core cycles with the serve lead, then the hops
+// with the return. Every other access (cached, burst, or outside the
+// register windows) goes out on port() to the main crossbar, which has
+// no register routes.
 #pragma once
 
 #include <span>
@@ -140,10 +145,16 @@ class CpuContext {
   /// The register window of `a`: its device window, else the hole
   /// containing it; nullptr when the access goes out on port().
   const RegisterWindow* timed_window(Addr a) const;
-  /// Timed calls at `a`: a read of `halves` 32-bit halves, low word
-  /// first, or a 32-bit write.
+  /// Timed calls at `a`, issued now with the core cycles still to
+  /// spend: a read of `halves` 32-bit halves, low word first, or a
+  /// 32-bit write.
   u64 timed_read(const RegisterWindow& w, Addr a, u8 halves);
   void timed_write(const RegisterWindow& w, Addr a, u32 data);
+  /// Have `d` serve a 32-bit read into `data`, or a write of `data`, in
+  /// the current cycle, and return at the boundary after it: in place
+  /// when the cycle is quiet (Simulator::quiet), else through its port.
+  /// False (logged, counted) when the port never answers.
+  bool serve(axi::AxiLiteSlave& d, Addr a, bool write, u32& data);
   /// Return from a timed call whose last response the chain collected
   /// now, emitting the crossbar's event on the way.
   void timed_return(const RegisterWindow& w, obs::EventKind kind, Addr a,

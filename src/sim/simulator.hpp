@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -161,6 +162,29 @@ class Simulator {
     step_scheduled();
   }
 
+  /// Whether nothing happens in the current cycle unless it is done
+  /// from outside the kernel: the scheduled kernel with no component
+  /// active and no deadline due at or before now.
+  bool quiet() const {
+    return mode_ == Mode::kScheduled && hooks_.active.none() &&
+           next_wake_at() > now_;
+  }
+
+  /// In a quiet cycle, tick `c` with `serve` in place of its tick() and
+  /// end the cycle: `serve` does what c's tick would do this cycle and
+  /// returns whether c can progress next cycle. The tick is counted and
+  /// c's wakes on itself are dropped, as in any tick; a component after
+  /// c that it wakes ticks in this same cycle, one before it next
+  /// cycle, as in step_scheduled(). A timed register call uses this to
+  /// have a device serve it without a round trip through its port.
+  template <typename Serve>
+  void serve_in_place(Component& c, Serve&& serve) {
+    assert(quiet());
+    hooks_.ticking = &c;
+    if (serve()) hooks_.active.set(c.slot_);
+    step_scheduled(c.slot_ + 1, 1);
+  }
+
   /// Quiescence check: every component's busy() is false. Each
   /// component is asked now, awake or asleep, so a busy() that changed
   /// while its component slept is read as it stands; the kernel keeps
@@ -253,11 +277,14 @@ class Simulator {
     ++now_;
   }
 
-  void step_scheduled() {
+  /// One cycle of the active components from slot `from` on, after
+  /// `executed` ticks already issued in it (serve_in_place()).
+  void step_scheduled(u32 from = 0, u64 executed = 0) {
     auto& words = hooks_.active.words();
-    u64 executed = 0;
-    for (usize w = 0; w < words.size(); ++w) {
-      u64 pend = words[w];
+    u64 first = ~u64{0} << (from & 63);  // slots of the first word
+    for (usize w = from >> 6; w < words.size(); ++w) {
+      u64 pend = words[w] & first;
+      first = ~u64{0};
       while (pend != 0) {
         const u32 bit = static_cast<u32>(std::countr_zero(pend));
         const u64 mask = u64{1} << bit;

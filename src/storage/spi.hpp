@@ -12,8 +12,13 @@
 //
 // One byte takes 8 * clock_divider core cycles on the wire; divider 4
 // models the 25 MHz high-speed SD SPI clock from the 100 MHz core clock.
-// The shift is a deadline (wake_at), so the controller ticks twice per
-// byte instead of once per cycle.
+// A byte starts shifting the cycle after the register access that made
+// it startable (a DTR write, a DRR read, a CR enable): the access's
+// serve starts it, with its completion due 1 + 8 * clock_divider cycles
+// after the serve. A byte left startable by the completion of the one
+// before it starts in a tick of its own the cycle after. The completion
+// is a deadline (wake_at), so the controller ticks once per byte, not
+// once per cycle, and exchanges the byte with the card at that cycle.
 #pragma once
 
 #include "axi/lite_slave.hpp"
@@ -49,6 +54,10 @@ class SpiController : public axi::AxiLiteSlave {
   bool device_busy() const override;
 
  private:
+  /// Start shifting the head of TX in cycle `from` if the controller is
+  /// enabled, idle and RX has room; whether it started.
+  bool start_shift(Cycles from);
+
   SdCard& card_;
   u32 divider_;
   sim::Fifo<u8> tx_{16};

@@ -1698,5 +1698,358 @@ TEST(MmioTimeline, ClintMtimeAndPlicClaimAtTheIrqEdge) {
       kNone, 4096, 1}, 7892, 0x0e77c1ff1b3da9db});
 }
 
+// ---------------------------------------------------------------------
+// SPI shifts around the register calls that start them
+// ---------------------------------------------------------------------
+
+/// Every CPU access to the SPI controller is a register call: a DTR
+/// store, a CR store or a DRR load can make a byte startable. These
+/// scenarios pin the cycle each call returns, every SR and DRR value,
+/// and the SD card's counters, on an untraced SoC whose uncached
+/// accesses spend `core_cycles` in the core (36 by default).
+using storage::SpiController;
+
+class SpiScript {
+ public:
+  SpiScript(Simulator::Mode mode, u32 core_cycles = 36) {
+    SocConfig cfg;
+    cfg.sim_mode = mode;
+    cfg.timing.uncached_access_core_cycles = core_cycles;
+    soc_ = std::make_unique<ArianeSoc>(cfg);
+  }
+
+  void write(Addr reg, u32 v) {
+    soc_->cpu().store32_uncached(kBase + reg, v);
+    o_.values.push_back(soc_->sim().now());
+  }
+  /// Load `reg`, recording its value and the cycle the load returned.
+  u32 read(Addr reg) {
+    const u32 v = soc_->cpu().load32_uncached(kBase + reg);
+    o_.values.push_back(v);
+    o_.values.push_back(soc_->sim().now());
+    return v;
+  }
+  /// Poll SR until nothing shifts and TX is empty (bounded).
+  void poll_until_idle() {
+    for (int i = 0; i < 64; ++i) {
+      const u32 sr = read(SpiController::kSr);
+      if ((sr & SpiController::kSrBusy) == 0 &&
+          (sr & SpiController::kSrTxEmpty) != 0) {
+        return;
+      }
+    }
+  }
+  void drain_rx(int n) {
+    for (int i = 0; i < n; ++i) read(SpiController::kDrr);
+  }
+  TimelineOutcome done() {
+    finish(*soc_, o_);
+    return o_;
+  }
+
+ private:
+  static constexpr Addr kBase = soc::MemoryMap::kSpi.base;
+
+  std::unique_ptr<ArianeSoc> soc_;
+  TimelineOutcome o_;
+};
+
+/// A CMD0 frame written back to back at 2 core cycles per call: each
+/// DTR store returns in 11 cycles, well inside a byte's 33, so every
+/// byte after the first waits in the TX FIFO and chains off the one
+/// before it.
+TimelineOutcome spi_chained(Simulator::Mode mode) {
+  SpiScript s(mode, 2);
+  s.write(SpiController::kCr, 1);
+  s.write(SpiController::kSsr, 0);
+  for (const u8 b : {0x40, 0x00, 0x00, 0x00, 0x00, 0x95, 0xFF, 0xFF}) {
+    s.write(SpiController::kDtr, b);
+  }
+  s.poll_until_idle();
+  s.drain_rx(8);
+  s.read(SpiController::kSr);
+  return s.done();
+}
+
+/// Sixteen bytes fill RX; the next DTR store cannot start, and the DRR
+/// load that pops the first byte starts it.
+TimelineOutcome spi_rx_full(Simulator::Mode mode) {
+  SpiScript s(mode);
+  s.write(SpiController::kCr, 1);
+  s.write(SpiController::kSsr, 0);
+  for (int i = 0; i < 16; ++i) {
+    s.write(SpiController::kDtr, 0xFF);
+    s.poll_until_idle();
+  }
+  s.write(SpiController::kDtr, 0x40);
+  s.read(SpiController::kSr);
+  s.read(SpiController::kDrr);
+  s.poll_until_idle();
+  s.drain_rx(17);
+  s.read(SpiController::kSr);
+  return s.done();
+}
+
+/// Three bytes queued while the controller is disabled; the CR store
+/// that enables it starts the first.
+TimelineOutcome spi_enable_with_tx_queued(Simulator::Mode mode) {
+  SpiScript s(mode);
+  s.write(SpiController::kSsr, 0);
+  for (const u8 b : {0x40, 0x00, 0x00}) s.write(SpiController::kDtr, b);
+  s.read(SpiController::kSr);
+  s.write(SpiController::kCr, 1);
+  s.poll_until_idle();
+  s.drain_rx(4);
+  s.read(SpiController::kSr);
+  return s.done();
+}
+
+/// A TX-FIFO reset while the second of three bytes shifts, chained off
+/// the first: it completes and the third is dropped, so RX reads empty
+/// after two DRR loads.
+TimelineOutcome spi_tx_reset_mid_shift(Simulator::Mode mode) {
+  SpiScript s(mode, 2);
+  s.write(SpiController::kCr, 1);
+  s.write(SpiController::kSsr, 0);
+  for (const u8 b : {0x40, 0x00, 0x00}) s.write(SpiController::kDtr, b);
+  s.read(SpiController::kSr);
+  s.write(SpiController::kCr, 1 | (1u << 5));
+  s.read(SpiController::kSr);
+  s.poll_until_idle();
+  for (int i = 0; i < 2; ++i) {
+    s.read(SpiController::kDrr);
+    s.read(SpiController::kSr);
+  }
+  return s.done();
+}
+
+/// One byte, then SR polls whose first serve cycle sweeps across the
+/// shift's deadline: with the peripheral window's hops, a DTR store
+/// served at S returns at S + 7 and the SR load that follows is served
+/// at S + 8 + core cycles, against a deadline of S + 33 — before it at
+/// 23 and 24 core cycles, on it at 25, after it at 26 and 27.
+TimelineOutcome spi_poll_sweep(Simulator::Mode mode) {
+  TimelineOutcome o;
+  for (u32 core = 23; core <= 27; ++core) {
+    SpiScript s(mode, core);
+    s.write(SpiController::kCr, 1);
+    s.write(SpiController::kSsr, 0);
+    s.write(SpiController::kDtr, 0xFF);
+    s.read(SpiController::kSr);
+    s.read(SpiController::kSr);
+    s.drain_rx(2);
+    const TimelineOutcome one = s.done();
+    o.values.insert(o.values.end(), one.values.begin(), one.values.end());
+    o.counters.insert(o.counters.end(), one.counters.begin(),
+                      one.counters.end());
+    o.digest = o.digest * 0x100000001B3ULL + one.digest;
+  }
+  return o;
+}
+
+// Recorded with the shift started one cycle after the register call
+// that made it startable, in a tick of its own.
+TEST(MmioTimeline, SpiChainedShiftThroughTxFifo) {
+  expect_timeline(spi_chained, {{11, 22, 33, 44, 55, 66, 77, 88, 99, 110, 16,
+      120, 16, 130, 16, 140, 16, 150, 16, 160, 16, 170, 16, 180, 16, 190, 16,
+      200, 16, 210, 16, 220, 16, 230, 16, 240, 16, 250, 16, 260, 16, 270, 16,
+      280, 16, 290, 4, 300, 255, 310, 255, 320, 255, 330, 255, 340, 255, 350,
+      255, 360, 255, 370, 1, 380, 5, 390, 390}, {28, 10, 0, 0, 0, 0, 0, 0, 0, 0,
+      0, 0, 0, 0, kNone, kNone, kNone, kNone, 0, 0}, 0, 0xcbf29ce484222325});
+}
+TEST(MmioTimeline, SpiDtrWhileRxFullStartsOnDrrPop) {
+  expect_timeline(spi_rx_full, {{45, 90, 135, 4, 179, 224, 4, 268, 313, 4, 357,
+      402, 4, 446, 491, 4, 535, 580, 4, 624, 669, 4, 713, 758, 4, 802, 847, 4,
+      891, 936, 4, 980, 1025, 4, 1069, 1114, 4, 1158, 1203, 4, 1247, 1292, 4,
+      1336, 1381, 4, 1425, 1470, 6, 1514, 1559, 2, 1603, 255, 1647, 6, 1691,
+      255, 1735, 255, 1779, 255, 1823, 255, 1867, 255, 1911, 255, 1955, 255,
+      1999, 255, 2043, 255, 2087, 255, 2131, 255, 2175, 255, 2219, 255, 2263,
+      255, 2307, 255, 2351, 255, 2395, 255, 2439, 5, 2483, 2483}, {37, 19, 0, 0,
+      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, kNone, kNone, kNone, kNone, 0, 0}, 0,
+      0xcbf29ce484222325});
+}
+TEST(MmioTimeline, SpiEnableWithTxQueued) {
+  expect_timeline(spi_enable_with_tx_queued, {{45, 90, 135, 180, 1, 224, 269,
+      16, 313, 16, 357, 4, 401, 255, 445, 255, 489, 255, 533, 255, 577, 5, 621,
+      621}, {9, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, kNone, kNone, kNone,
+      kNone, 0, 0}, 0, 0xcbf29ce484222325});
+}
+TEST(MmioTimeline, SpiTxResetMidShift) {
+  expect_timeline(spi_tx_reset_mid_shift, {{11, 22, 33, 44, 55, 17, 65, 76, 16,
+      86, 16, 96, 4, 106, 255, 116, 4, 126, 255, 136, 5, 146, 146}, {8, 6, 0, 0,
+      0, 0, 0, 0, 0, 0, 0, 0, 0, 0, kNone, kNone, kNone, kNone, 0, 0}, 0,
+      0xcbf29ce484222325});
+}
+TEST(MmioTimeline, SpiStatusPollAcrossTheShiftDeadline) {
+  expect_timeline(spi_poll_sweep, {{32, 64, 96, 17, 127, 4, 158, 255, 189, 255,
+      220, 220, 33, 66, 99, 17, 131, 4, 163, 255, 195, 255, 227, 227, 34, 68,
+      102, 4, 135, 4, 168, 255, 201, 255, 234, 234, 35, 70, 105, 4, 139, 4, 173,
+      255, 207, 255, 241, 241, 36, 72, 108, 4, 143, 4, 178, 255, 213, 255, 248,
+      248}, {4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, kNone, kNone, kNone,
+      kNone, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, kNone, kNone,
+      kNone, kNone, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, kNone,
+      kNone, kNone, kNone, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      kNone, kNone, kNone, kNone, 0, 0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+      0, kNone, kNone, kNone, kNone, 0, 0}, 0, 0xa9fb6ad0c8ec8e9d});
+}
+
+// ---------------------------------------------------------------------
+// RP-control writes that release beats parked at the stream switch
+// ---------------------------------------------------------------------
+
+/// Records the cycle of every beat the stream switch hands on, for a
+/// window after a select input changes: it is registered after the
+/// switch and woken with its select watchers, so it sees each move in
+/// the cycle the switch made it, the cycle of the write included.
+class SwitchMoveProbe : public sim::Component {
+ public:
+  explicit SwitchMoveProbe(ArianeSoc& soc)
+      : Component("test.switch_probe"), sw_(soc.rvcap().axis_switch()) {
+    sw_.watch_select(this);
+    soc.sim().add(this);
+  }
+
+  /// Record moves for the next `window` cycles.
+  void arm(Cycles window) {
+    until_ = sim_now() + window;
+    seen_ = totals();
+  }
+
+  bool tick() override {
+    if (sim_now() >= until_) return false;
+    const std::vector<u64> t = totals();
+    for (usize i = 0; i < t.size(); ++i) {
+      for (u64 n = seen_[i]; n < t[i]; ++n) {
+        moves.push_back(sim_now());
+        moves.push_back(i);
+      }
+    }
+    seen_ = t;
+    return sim_now() + 1 < until_;
+  }
+
+  /// Beats handed to each switch output: to_icap, to_dma, then every
+  /// RM port.
+  std::vector<u64> totals() const {
+    std::vector<u64> t{sw_.to_icap().total_pushed(),
+                       sw_.to_dma().total_pushed()};
+    for (u32 p = 0; p < sw_.num_rm_ports(); ++p) {
+      t.push_back(sw_.to_rm(p).total_pushed());
+    }
+    return t;
+  }
+
+  std::vector<u64> moves;  // (cycle, output) per beat
+
+ private:
+  axi::AxisSwitch& sw_;
+  Cycles until_ = 0;
+  std::vector<u64> seen_;
+};
+
+enum class RpWrite { kDecouple, kSelectIcap, kRmSelect };
+
+/// Sobel in slot 0 of a two-slot SoC takes a 16 KB frame with S2MM
+/// never started: its output backs up, its input with it, and the MM2S
+/// beats park at the stream switch until the kernel is idle. Then one
+/// RP-control write re-routes them: decouple slot 0 (its isolator drops
+/// them), select_ICAP (they stream into the unsynced ICAP), or
+/// rm_select = 1 (they reach the empty slot 1, whose fabric drops
+/// them). The write is served in a cycle with nothing else to do, and
+/// the switch it wakes must move a beat in that same cycle.
+StreamOutcome stream_parked(Simulator::Mode mode, RpWrite write) {
+  SocConfig cfg = stream_config(mode);
+  cfg.num_slots = 2;
+  ArianeSoc soc(cfg);
+  FrameCommitProbe probe(soc);
+  SwitchMoveProbe moves(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  cpu::CpuContext& cpu = soc.cpu();
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  StreamOutcome o;
+  EXPECT_EQ(drv.init_reconfig_process(m, DmaMode::kInterrupt), Status::kOk);
+  drv.rm_reg_write(1, 32);  // height: 32 rows of 512 pixels
+  soc.ddr().poke(soc::MemoryMap::kImageInBase, pattern(16 * 1024, 9));
+  const Addr dma = soc::MemoryMap::kDmaCtrl.base;
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sCr,
+                       rvcap_ctrl::AxiDma::kCrRunStop);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSa,
+                       static_cast<u32>(soc::MemoryMap::kImageInBase));
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSaMsb, 0);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sLength, 16 * 1024);
+  soc.sim().run_cycles(20'000);
+  o.values.push_back(soc.sim().now());
+  // The store leaves the core 36 cycles after it is issued and reaches
+  // the RP-control block 2 cycles later: record 24 cycles from there.
+  const Addr rp = soc::MemoryMap::kRpCtrl.base;
+  using rvcap_ctrl::RpControl;
+  const u32 ctl = cpu.load32_uncached(rp + RpControl::kControl);
+  moves.arm(38 + 24);
+  switch (write) {
+    case RpWrite::kDecouple:
+      cpu.store32_uncached(rp + RpControl::kControl,
+                           ctl | RpControl::kCtlDecouple);
+      break;
+    case RpWrite::kSelectIcap:
+      cpu.store32_uncached(rp + RpControl::kControl,
+                           ctl | RpControl::kCtlSelectIcap);
+      break;
+    case RpWrite::kRmSelect:
+      cpu.store32_uncached(rp + RpControl::kRmSelect, 1);
+      break;
+  }
+  o.values.push_back(soc.sim().now());
+  const rvcap_ctrl::AxiDma& engine = soc.rvcap().dma();
+  EXPECT_TRUE(cpu.wait_for([&] { return engine.mm2s_idle(); }, 1'000'000));
+  o.values.push_back(soc.sim().now());
+  o.values.insert(o.values.end(), moves.moves.begin(), moves.moves.end());
+  for (const u64 t : moves.totals()) o.values.push_back(t);
+  for (u32 s = 0; s < 2; ++s) {
+    o.values.push_back(soc.rvcap().isolator(s).dropped_beats());
+  }
+  finish(soc, probe, o);
+  return o;
+}
+
+StreamOutcome stream_parked_decouple(Simulator::Mode m) {
+  return stream_parked(m, RpWrite::kDecouple);
+}
+StreamOutcome stream_parked_select_icap(Simulator::Mode m) {
+  return stream_parked(m, RpWrite::kSelectIcap);
+}
+StreamOutcome stream_parked_rm_select(Simulator::Mode m) {
+  return stream_parked(m, RpWrite::kRmSelect);
+}
+
+// Recorded with the write served from the RP-control block's port in a
+// tick of its own.
+TEST(StreamPath, DecoupleWriteMovesParkedBeats) {
+  expect_stream(stream_parked_decouple, {{185459, 185546, 187301, 185542, 2,
+      185543, 2, 185544, 2, 185545, 2, 185546, 2, 185547, 2, 185548, 2, 185549,
+      2, 185550, 2, 185551, 2, 185552, 2, 185553, 2, 185554, 2, 185555, 2,
+      185556, 2, 185557, 2, 185558, 2, 185559, 2, 185560, 2, 185561, 2, 185562,
+      2, 185563, 2, 81362, 12, 2048, 0, 1960, 0, 187301}, 805,
+      0x3b66fb7e1d3c655c, {162724, 805, 0, 1, 1, 83410, 2048, 16, 8, 256,
+      667276, 0, 2, 8, 8, 0, 0, 0, kNone, kNone, kNone}});
+}
+TEST(StreamPath, SelectIcapWriteMovesParkedBeats) {
+  expect_stream(stream_parked_select_icap, {{185459, 185546, 188935, 185540, 0,
+      185541, 0, 185542, 0, 185543, 0, 185544, 0, 185545, 0, 185546, 0, 185547,
+      0, 185548, 0, 185549, 0, 185550, 0, 185551, 0, 185552, 0, 185553, 0,
+      185554, 0, 185556, 0, 185558, 0, 185560, 0, 185562, 0, 83067, 12, 332, 0,
+      0, 0, 188935}, 805, 0x3b66fb7e1d3c655c, {166119, 805, 0, 1, 1, 83402, 328,
+      16, 8, 24, 667276, 0, 2, 8, 8, 0, 0, 0, kNone, kNone, kNone}});
+}
+TEST(StreamPath, RmSelectWriteMovesParkedBeats) {
+  expect_stream(stream_parked_rm_select, {{185459, 185546, 187299, 185540, 3,
+      185541, 3, 185542, 3, 185543, 3, 185544, 3, 185545, 3, 185546, 3, 185547,
+      3, 185548, 3, 185549, 3, 185550, 3, 185551, 3, 185552, 3, 185553, 3,
+      185554, 3, 185555, 3, 185556, 3, 185557, 3, 185558, 3, 185559, 3, 185560,
+      3, 185561, 3, 185562, 3, 185563, 3, 81362, 12, 332, 1716, 0, 0, 187299},
+      805, 0x3b66fb7e1d3c655c, {162724, 805, 0, 1, 1, 83410, 328, 16, 8, 24,
+      667276, 0, 2, 8, 8, 0, 0, 0, kNone, kNone, kNone}});
+}
+
 }  // namespace
 }  // namespace rvcap

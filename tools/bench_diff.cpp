@@ -6,10 +6,12 @@
 // Both files are walked in parallel. Every field is a simulated result
 // that must match exactly (numbers compared as written, so 165239 and
 // 399.12 must reappear digit for digit), except the host-time fields
-// `seconds` and `speedup`: those vary with the machine, so a value more
-// than 15% slower than the committed one (seconds up, speedup down) is
-// reported on stdout but does not fail. A key present in one file and
-// not the other is a mismatch.
+// `seconds` and `speedup`: those vary with the machine and are not
+// compared exactly. A `seconds` value more than 15% above the committed
+// one is reported on stdout but does not fail. A `speedup` is flat
+// seconds over scheduled seconds, both already compared, so it is not
+// reported: it also falls when the flat kernel gets cheaper. A key
+// present in one file and not the other is a mismatch.
 //
 // Exit status: 0 when every simulated field matches, 1 on a mismatch,
 // 2 on a usage, read or parse error. Self-contained on purpose (its own
@@ -175,9 +177,7 @@ void compare(const std::string& path, const std::string& key, const Value& a,
       if (is_host_field(key)) {
         const double was = std::strtod(a.text.c_str(), nullptr);
         const double now = std::strtod(b.text.c_str(), nullptr);
-        const bool worse = key == "seconds" ? now > was * 1.15
-                                            : now * 1.15 < was;
-        if (worse) {
+        if (key == "seconds" && now > was * 1.15) {
           std::printf("slower   %s: %s -> %s (host time, not gated)\n",
                       path.c_str(), a.text.c_str(), b.text.c_str());
           ++d.slower;
