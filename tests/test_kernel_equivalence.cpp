@@ -1343,6 +1343,51 @@ StreamOutcome stream_both_readers(Simulator::Mode mode) {
   return o;
 }
 
+/// An MM2S load with four 16-beat bursts in flight into the ICAP, which
+/// takes a 64-bit beat every other cycle: the DMA's 32-beat R FIFO
+/// fills, so its bursts cross rvcap.ddr_xbar in pieces, and the CPU's
+/// bursts issued mid-load queue behind them at the DDR. Values: MM2S
+/// start, CPU write end, CPU read end, CRC of the bytes read, MM2S end,
+/// DDR beats.
+StreamOutcome mm2s_bursts_in_pieces(Simulator::Mode mode) {
+  SocConfig cfg = stream_config(mode);
+  cfg.dma.max_outstanding = 4;
+  ArianeSoc soc(cfg);
+  FrameCommitProbe probe(soc);
+  driver::RvCapDriver drv(soc.cpu(), soc.plic());
+  cpu::CpuContext& cpu = soc.cpu();
+  const auto m = stage_module(soc, accel::kRmIdSobel, "sobel",
+                              soc::MemoryMap::kPbitStagingBase);
+  StreamOutcome o;
+  drv.decouple_accel(true);
+  drv.select_ICAP(true);
+  const Addr dma = soc::MemoryMap::kDmaCtrl.base;
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sCr,
+                       rvcap_ctrl::AxiDma::kCrRunStop);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSa,
+                       static_cast<u32>(m.start_address));
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sSaMsb, 0);
+  cpu.store32_uncached(dma + rvcap_ctrl::AxiDma::kMm2sLength, m.pbit_size);
+  o.values.push_back(soc.sim().now());
+  soc.sim().run_cycles(700);
+  const Addr buf = soc::MemoryMap::kImageInBase + 3;
+  const std::vector<u8> in = pattern(4 * 1024 + 5, 13);
+  cpu.write_buffer(buf, in);
+  o.values.push_back(soc.sim().now());
+  std::vector<u8> out(in.size());
+  cpu.read_buffer(buf, out);
+  o.values.push_back(soc.sim().now());
+  EXPECT_EQ(out, in);
+  o.values.push_back(crc32(out));
+  EXPECT_FALSE(soc.rvcap().dma().mm2s_idle()) << "CPU outran the MM2S job";
+  EXPECT_TRUE(cpu.wait_for([&] { return soc.rvcap().dma().mm2s_idle(); }));
+  EXPECT_TRUE(soc.sim().run_until_idle(100'000));
+  o.values.push_back(soc.sim().now());
+  o.values.push_back(soc.ddr().beats_transferred());
+  finish(soc, probe, o);
+  return o;
+}
+
 void expect_stream(StreamOutcome (*run)(Simulator::Mode),
                    const StreamOutcome& pinned) {
   for (const auto mode :
@@ -1464,6 +1509,14 @@ TEST(StreamPath, BothReadersShareTheReadPort) {
       162610, 1740778753, 436714, 4101703567, 436714}, 805,
       0x3b66fb7e1d3c655c, {162774, 805, 163418, 4, 4, 81371, 0, 0, 81305, 0,
       650964, 650440, 2, 8, 1, 0, 0, 0, 32, 12, 128}});
+}
+
+// Recorded from the per-beat R and W FIFOs, before bursts were queued as
+// spans.
+TEST(MemoryPath, BurstsCrossTheDdrCrossbarInPieces) {
+  expect_stream(mm2s_bursts_in_pieces, {{395, 2037, 4150, 2722748877, 163131,
+      82388, 163131}, 805, 0xb4c5b6b24dd4db40, {162724, 805, 0, 1, 1, 81362,
+      0, 0, 0, 0, 650892, 0, 1, 8, 0, 0, 0, 0, kNone, kNone, kNone}});
 }
 
 // ---------------------------------------------------------------------
