@@ -220,24 +220,11 @@ bool AxiCrossbar::arbitrate_aw() {
 template <typename T>
 usize AxiCrossbar::move_burst(sim::Fifo<T>& in, sim::Fifo<T>& out, Cycles& c,
                               u32 beats, bool& progress) {
-  if (in.empty()) return 0;
-  // A lone beat moving now (a register access) takes the plain path.
-  if (in.size() == 1 && c <= sim_now() && in.can_pop()) {
-    if (!out.can_push()) return 0;
-    out.push(*in.front());
-    in.pop();
-    c = sim_now() + 1;
-    progress = true;
-    return 1;
-  }
-  const Cycles first = std::max(c, in.peek()->at);
+  const bool head_now = c == sim_now() && in.can_pop();
   const usize moved = out.move_from(in, c, beats);
-  progress |= moved > 0 && first == sim_now();
-  // A beat of the burst that may not find room retries at its own cycle.
-  if (moved < beats && !in.empty() && (moved == 0 || !out.back()->last)) {
-    const Cycles next = std::max(c, in.peek()->at);
-    if (next > sim_now()) wake_at(next);
-  }
+  progress |= moved > 0 && head_now;
+  // A beat of the burst that found no room retries at its own cycle, c.
+  if (moved < beats && !in.empty() && c > sim_now()) wake_at(c);
   return moved;
 }
 
@@ -265,10 +252,9 @@ bool AxiCrossbar::forward_w() {
       return;
     }
     Cycles c = std::max(now, active->next);
-    while (active->beats_left > 0) {
-      const usize moved = move_burst(in, subs_[active->sub]->w, c,
-                                     active->beats_left, progress);
-      if (moved == 0) break;
+    const usize moved = move_burst(in, subs_[active->sub]->w, c,
+                                   active->beats_left, progress);
+    if (moved > 0) {
       active->beats_left -= static_cast<u32>(moved);
       active->next = c;
     }
@@ -294,7 +280,7 @@ bool AxiCrossbar::return_r() {
       if (moved == 0) break;
       r_next_[s] = c;
       route.beats_left -= static_cast<u32>(moved);
-      if (route.beats_left > 0 && !out.back()->last) break;
+      if (route.beats_left > 0) break;
       RVCAP_TRACE(trace_sink(), obs::EventKind::kAxiRead, trace_src(), c - 1,
                   route.addr, route.beats_total, c - route.start);
       read_routes_[s].pop_front();

@@ -14,12 +14,13 @@
 // costs nothing.
 //
 // R and W are stamped channels (sim/fifo.hpp): once a burst's first
-// beat is visible, one tick forwards every queued beat of it, each at
-// the cycle the per-beat crossbar would have moved it (one beat per
-// subordinate R channel and per manager W channel per cycle, no
-// earlier than its stamp, and only where the far FIFO is sure to have
-// room then). A beat that may not fit waits for that cycle and goes the
-// per-beat way. Address channels, B and DECERR beats stay per-beat.
+// beat is visible, one tick forwards every queued span of it in one
+// step, each beat at the cycle the per-beat crossbar would have moved
+// it (one beat per subordinate R channel and per manager W channel per
+// cycle, no earlier than its stamp, and only where the far FIFO is sure
+// to have room then). A span splits where that room runs out; the rest
+// waits for the cycle of its first beat. Address channels, B and DECERR
+// beats stay per-beat.
 #pragma once
 
 #include <deque>
@@ -95,8 +96,8 @@ class AxiCrossbar : public sim::Component {
   bool arbitrate_ar();
   bool arbitrate_aw();
   /// Move up to `beats` queued beats of one burst from `in` to `out`
-  /// (Fifo::move_from); a beat that may not find room retries at its
-  /// own cycle. `progress` notes a beat moved at this cycle.
+  /// (Fifo::move_from); a beat that found no room retries at its own
+  /// cycle. `progress` notes a beat moved at this cycle.
   template <typename T>
   usize move_burst(sim::Fifo<T>& in, sim::Fifo<T>& out, Cycles& c,
                    u32 beats, bool& progress);

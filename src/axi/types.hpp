@@ -36,20 +36,25 @@ struct AxiAw {
 
 /// Write-data channel beat. `at` is the channel's stamp: the first
 /// cycle the consumer may take the beat (set by the FIFO on push, see
-/// sim/fifo.hpp).
+/// sim/fifo.hpp). strb is a side field: beats with equal strobes share
+/// a span.
 struct AxiW {
   u64 data = 0;
   u8 strb = 0xFF;
   bool last = true;
   Cycles at = 0;
+
+  bool operator==(const AxiW&) const = default;
 };
 
-/// Read-data channel beat, stamped like AxiW.
+/// Read-data channel beat, stamped like AxiW; resp is its side field.
 struct AxiR {
   u64 data = 0;
   Resp resp = Resp::kOkay;
   bool last = true;
   Cycles at = 0;
+
+  bool operator==(const AxiR&) const = default;
 };
 
 /// Write-response channel beat.

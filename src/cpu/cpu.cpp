@@ -1,6 +1,7 @@
 #include "cpu/cpu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -201,10 +202,10 @@ void CpuContext::read_buffer(Addr a, std::span<u8> out) {
   usize done = 0;
   while (done < out.size()) {
     const Addr base = (a + done) & ~Addr{7};
-    const usize lead = (a + done) & 7;  // pre-alignment bytes of beat 0
+    usize skip = (a + done) & 7;  // pre-alignment bytes of beat 0
     // Burst read up to 16 beats.
     const u32 beats = static_cast<u32>(
-        std::min<usize>(16, (out.size() - done + lead + 7) / 8));
+        std::min<usize>(16, (out.size() - done + skip + 7) / 8));
     if (!push_request(port_.ar,
                       axi::AxiAr{base, static_cast<u8>(beats - 1), 3}, base)) {
       return;
@@ -212,23 +213,23 @@ void CpuContext::read_buffer(Addr a, std::span<u8> out) {
     ++bus_reads_;
     // Take every beat that has arrived, beat b at the cycle the per-beat
     // loop would have popped it: its stamp, or one core cycle after the
-    // previous beat.
+    // previous beat. A span's payload is copied out in one go.
     Cycles t = sim_.now();
     for (u32 b = 0; b < beats;) {
       if (!bus_wait([&] { return !port_.r.empty(); }, "read", base)) return;
       t = std::max(t, sim_.now());
-      for (; b < beats && !port_.r.empty(); ++b) {
-        const axi::AxiR& r = *port_.r.peek();
-        t = std::max(t, r.at);
-        if (r.resp != axi::Resp::kOkay) ++bus_errors_;
-        const usize from = b == 0 ? lead : 0;
-        const usize n = std::min<usize>(8 - from, out.size() - done);
-        const u64 v = r.data >> (8 * from);
-        std::memcpy(out.data() + done, &v, n);  // host is little-endian
-        done += n;
-        port_.r.pop_at(t);
-        t += tm_.cached_access_core_cycles;
-      }
+      b += static_cast<u32>(port_.r.take(
+          t, tm_.cached_access_core_cycles, beats - b,
+          [&](std::span<const u64> words, const axi::AxiR& r) {
+            if (r.resp != axi::Resp::kOkay) bus_errors_ += words.size();
+            const usize n =
+                std::min(8 * words.size() - skip, out.size() - done);
+            // The host is little-endian.
+            std::memcpy(out.data() + done,
+                        reinterpret_cast<const u8*>(words.data()) + skip, n);
+            done += n;
+            skip = 0;
+          }));
       sim_.run_cycles(t - sim_.now());
     }
   }
@@ -246,26 +247,35 @@ void CpuContext::write_buffer(Addr a, std::span<const u8> data) {
       return;
     }
     ++bus_writes_;
-    // Beat b leaves at t, one core cycle after the previous one; a beat
-    // that may not find room then is pushed the per-beat way.
-    Cycles t = sim_.now();
+    std::array<axi::AxiW, 16> burst;
     for (u32 b = 0; b < beats; ++b) {
       const usize from = b == 0 ? lead : 0;
       const usize n = std::min<usize>(8 - from, data.size() - done);
       u64 word = 0;
       std::memcpy(&word, data.data() + done, n);
-      const axi::AxiW beat{word << (8 * from),
+      burst[b] = axi::AxiW{word << (8 * from),
                            static_cast<u8>(((1u << n) - 1) << from),
                            b + 1 == beats};
       done += n;
-      if (t > sim_.now() && port_.w.can_push_at(t)) {
-        port_.w.push_at(beat, t);
-      } else {
-        sim_.run_cycles(t - sim_.now());
-        if (!push_request(port_.w, beat, base)) return;
-        t = sim_.now();
+    }
+    // Beat b leaves at t, one core cycle after the previous one; the
+    // beats with room sure then go as one span, and a beat that may not
+    // find room is pushed the per-beat way.
+    const Cycles core = tm_.cached_access_core_cycles;
+    Cycles t = sim_.now();
+    for (u32 b = 0; b < beats;) {
+      usize k = 0;
+      if (t > sim_.now()) {
+        k = port_.w.push_beats(t, core, {burst.data() + b, beats - b});
       }
-      t += tm_.cached_access_core_cycles;
+      if (k == 0) {
+        sim_.run_cycles(t - sim_.now());
+        if (!push_request(port_.w, burst[b], base)) return;
+        t = sim_.now();
+        k = 1;
+      }
+      b += static_cast<u32>(k);
+      t += k * core;
     }
     sim_.run_cycles(t - sim_.now());
     if (!bus_wait([&] { return port_.b.can_pop(); }, "write", base)) return;

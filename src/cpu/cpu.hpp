@@ -13,10 +13,11 @@
 // cycles of a round trip; each wait is bounded by the kernel's
 // watchdog, and a timeout is logged and counted (bus_timeouts()).
 // R and W are stamped channels (sim/fifo.hpp): read_buffer takes every
-// beat that has arrived in one wait, each at the cycle the per-beat
-// loop would have popped it, and write_buffer pushes a burst's beats at
-// once, each stamped with the cycle the per-beat loop would have pushed
-// it.
+// span that has arrived in one wait, each beat at the cycle the
+// per-beat loop would have popped it, and copies a span's payload out
+// in one memcpy; write_buffer pushes a burst as one span (a partial
+// first or last beat is a span of its own), each beat stamped with the
+// cycle the per-beat loop would have pushed it.
 //
 // Register windows (DESIGN.md §5). The CPU reaches every AXI4-Lite
 // register block with a timed register call: an uncached 32- or 64-bit

@@ -92,7 +92,7 @@ bool Icap::emit_read_word() {
 void Icap::consume(u32 word) {
   if (fault_ != nullptr && state_ != State::kUnsynced) {
     namespace fs = sim::fault_sites;
-    if (fault_->should_fire(fs::kIcapSyncLoss)) {
+    if (fault_->should_fire(sync_loss_)) {
       // Injected sync loss: the FSM falls out of sync and swallows
       // this and every following word until the next sync sequence.
       state_ = State::kUnsynced;
@@ -105,7 +105,7 @@ void Icap::consume(u32 word) {
       return;
     }
     if ((state_ == State::kType1Data || state_ == State::kType2Data) &&
-        fault_->should_fire(fs::kIcapCrcCorrupt)) {
+        fault_->should_fire(crc_corrupt_)) {
       // Injected single-bit upset on the 32-bit write port; the
       // bitstream's trailing CRC check catches the divergence.
       word ^= 1u << fault_->value(fs::kIcapCrcCorrupt, 32);

@@ -101,6 +101,9 @@ class Icap : public sim::Component {
   u64 frames_committed_ = 0;
   u64 desyncs_ = 0;
   sim::FaultInjector* fault_ = nullptr;
+  // Resolved once: consume() queries both sites per word.
+  sim::FaultInjector::SiteRef sync_loss_{sim::fault_sites::kIcapSyncLoss};
+  sim::FaultInjector::SiteRef crc_corrupt_{sim::fault_sites::kIcapCrcCorrupt};
 };
 
 }  // namespace rvcap::icap

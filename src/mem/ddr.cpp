@@ -1,6 +1,7 @@
 #include "mem/ddr.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/bytes.hpp"
@@ -103,22 +104,32 @@ void DdrController::take_writes() {
   const bool batch = !overlaps(reads_, j);
   Cycles c = std::max(now, j.next);
   while (j.beats_left > 0 && !port_.w.empty()) {
-    const axi::AxiW& w = *port_.w.peek();
-    c = std::max(c, w.at);
-    if (c > now && !batch) {
-      wake_at(c);  // beat by beat: take it at its own cycle
+    const Cycles first = std::max(c, port_.w.peek()->at);
+    if (first > now && !batch) {
+      wake_at(first);  // beat by beat: take it at its own cycle
       break;
     }
-    write_beat(j.addr, w.data, w.strb);
-    port_.w.pop_at(c);
-    j.addr += 8;
-    j.next = c + 1;
-    ++beats_;
-    if (--j.beats_left == 0) {
+    const usize n = port_.w.take(
+        c, 1, batch ? j.beats_left : 1,
+        [&](std::span<const u64> words, const axi::AxiW& w) {
+          if (w.strb == 0xFF) {
+            poke(j.addr & ~Addr{7},
+                 {reinterpret_cast<const u8*>(words.data()), 8 * words.size()});
+            j.addr += 8 * words.size();
+            return;
+          }
+          for (const u64 d : words) {
+            write_beat(j.addr, d, w.strb);
+            j.addr += 8;
+          }
+        });
+    j.next = c;
+    beats_ += n;
+    j.beats_left -= static_cast<u32>(n);
+    if (j.beats_left == 0) {
       j.data_done = true;
-      j.ready_at = c + kWriteLatency;
+      j.ready_at = c - 1 + kWriteLatency;
     }
-    ++c;
   }
 }
 
@@ -126,20 +137,23 @@ void DdrController::produce_reads() {
   const Cycles now = sim_now();
   while (!reads_.empty() && read_start() <= now) {
     ReadJob& j = reads_.front();
-    const bool batch = !overlaps(writes_, j);
-    for (Cycles c = now; j.beats_left > 0; ++c) {
-      if (c > now && !batch) return;  // beat by beat
-      if (!port_.r.can_push_at(c)) {
-        if (c > now) wake_at(c);  // the rest goes at its own cycle
-        return;
-      }
-      port_.r.push_at(
-          axi::AxiR{read_beat(j.addr), axi::Resp::kOkay, j.beats_left == 1},
-          c);
-      j.addr += 8;
-      r_next_ = c + 1;
-      ++beats_;
-      --j.beats_left;
+    // Batched: every beat from now, one per cycle, as one span (16 at a
+    // time); beat by beat: the beat of this cycle.
+    std::array<u64, 16> words;
+    std::array<axi::AxiR, 16> beats;
+    const u32 want = std::min<u32>(overlaps(writes_, j) ? 1 : j.beats_left, 16);
+    peek(j.addr & ~Addr{7}, {reinterpret_cast<u8*>(words.data()), 8 * want});
+    for (u32 k = 0; k < want; ++k) {
+      beats[k] = axi::AxiR{words[k], axi::Resp::kOkay, k + 1 == j.beats_left};
+    }
+    const usize n = port_.r.push_beats(now, 1, {beats.data(), want});
+    j.addr += 8 * n;
+    r_next_ = now + n;
+    beats_ += n;
+    j.beats_left -= static_cast<u32>(n);
+    if (j.beats_left > 0) {
+      if (n > 0 && n < want) wake_at(now + n);  // the rest at its own cycle
+      return;
     }
     reads_.pop_front();
   }

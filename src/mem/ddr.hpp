@@ -12,12 +12,13 @@
 //    cycle. The MIG behind the port runs at a 4:1 clock ratio and keeps
 //    up with both;
 //  * burst-granular (DESIGN.md §9): the tick that starts a read burst
-//    produces all its beats, stamped one cycle apart, and the tick that
-//    sees a write burst's first beat takes every queued beat of it at
-//    the cycles the per-beat controller would have. The bytes move in
-//    that tick, so a read is batched only while no write to an
-//    overlapping range is queued here, and a write only while no
-//    overlapping read is; otherwise that burst goes beat by beat.
+//    pushes all its beats as one span, stamped one cycle apart, its
+//    payload copied from the pages in one go, and the tick that sees a
+//    write burst's first beat takes every queued span of it at the
+//    cycles the per-beat controller would have. The bytes move in that
+//    tick, so a read is batched only while no write to an overlapping
+//    range is queued here, and a write only while no overlapping read
+//    is; otherwise that burst goes beat by beat.
 //
 // Backing store is 4 KiB-paged and lazily allocated, so a 1 GiB address
 // window costs only what is touched. Byte access helpers provide the

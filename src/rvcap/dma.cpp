@@ -247,7 +247,7 @@ bool AxiDma::tick_s2mm() {
   if (j.bytes_left > 0 && s2mm_buf_.size() < cfg_.max_burst_beats &&
       s2mm_in_.can_pop()) {
     const axi::AxisBeat b = *s2mm_in_.pop();
-    s2mm_buf_.push_back(b);
+    s2mm_buf_.push_back(axi::AxiW{b.data, b.keep, false});
     j.bytes_left -= std::min<u64>(j.bytes_left, std::popcount(b.keep));
     progress = true;
   }
@@ -260,10 +260,8 @@ bool AxiDma::tick_s2mm() {
       mem_.w.vacancy() >= s2mm_buf_.size()) {
     mem_.aw.push(axi::AxiAw{
         j.addr, static_cast<u8>(s2mm_buf_.size() - 1), 3});
-    for (usize i = 0; i < s2mm_buf_.size(); ++i) {
-      mem_.w.push(axi::AxiW{s2mm_buf_[i].data, s2mm_buf_[i].keep,
-                            i + 1 == s2mm_buf_.size()});
-    }
+    s2mm_buf_.back().last = true;
+    mem_.w.push_beats(sim_now(), 0, s2mm_buf_);  // one span
     j.addr += s2mm_buf_.size() * 8;
     s2mm_buf_.clear();
     ++j.bursts_in_flight;

@@ -127,7 +127,7 @@ class AxiDma : public axi::AxiLiteSlave {
   u32 s2mm_sr_ = kSrHalted;
   u64 s2mm_da_ = 0;
   std::optional<S2mmJob> s2mm_job_;
-  std::vector<axi::AxisBeat> s2mm_buf_;
+  std::vector<axi::AxiW> s2mm_buf_;  // the burst being collected
   u64 s2mm_job_bytes_ = 0;
   Cycles s2mm_start_cycle_ = 0;
   u64 s2mm_bytes_total_ = 0;

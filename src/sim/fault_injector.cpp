@@ -38,6 +38,7 @@ FaultInjector::Site& FaultInjector::site(std::string_view name) {
     s.decide = SplitMix64(seed_ ^ h);
     s.aux = SplitMix64(seed_ ^ (h * 0x9E3779B97F4A7C15ULL + 1));
     it = sites_.emplace(std::string(name), s).first;
+    ++epoch_;
   }
   return it->second;
 }
@@ -64,7 +65,20 @@ void FaultInjector::disarm_all() {
 bool FaultInjector::should_fire(std::string_view name) {
   auto it = sites_.find(name);
   if (it == sites_.end()) return false;  // never queried while armed
-  Site& s = it->second;
+  return fire(it->second);
+}
+
+bool FaultInjector::should_fire(SiteRef& ref) {
+  if (ref.owner != this || ref.epoch != epoch_) {
+    const auto it = sites_.find(ref.name);
+    ref.site = it == sites_.end() ? nullptr : &it->second;
+    ref.owner = this;
+    ref.epoch = epoch_;
+  }
+  return ref.site != nullptr && fire(*ref.site);
+}
+
+bool FaultInjector::fire(Site& s) {
   s.queries++;
   if (!s.armed) return false;
   if (s.plan.count != 0 && s.fired >= s.plan.count) return false;

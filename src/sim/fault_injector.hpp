@@ -99,7 +99,21 @@ bool is_canonical(std::string_view name);
 }  // namespace fault_sites
 
 class FaultInjector {
+  struct Site;
+
  public:
+  /// A site name resolved once, for a component that queries it per
+  /// word: should_fire(SiteRef&) looks the name up again only after a
+  /// site was added or the injector reseeded, so its decisions and
+  /// counts are those of should_fire(name).
+  struct SiteRef {
+    explicit SiteRef(std::string_view n) : name(n) {}
+    std::string_view name;
+    const FaultInjector* owner = nullptr;
+    u64 epoch = 0;
+    Site* site = nullptr;  // nullptr: never armed or queried
+  };
+
   /// How an armed site decides to fire.
   struct Plan {
     u32 count = 1;            // max fires; 0 = unlimited
@@ -113,6 +127,7 @@ class FaultInjector {
   void reseed(u64 seed) {
     seed_ = seed;
     sites_.clear();
+    ++epoch_;
   }
   u64 seed() const { return seed_; }
 
@@ -142,6 +157,7 @@ class FaultInjector {
   /// decision stream per eligible query; unarmed sites never fire and
   /// cost one map lookup.
   bool should_fire(std::string_view name);
+  bool should_fire(SiteRef& ref);
 
   /// Deterministic auxiliary value in [0, bound) from the site's
   /// parameter stream (which bit to flip, which beat to abort on...).
@@ -177,8 +193,11 @@ class FaultInjector {
   }
 
   Site& site(std::string_view name);
+  /// should_fire() once the site is found.
+  static bool fire(Site& s);
 
   u64 seed_;
+  u64 epoch_ = 0;  // bumped when sites_ gains or loses a site
   std::map<std::string, Site, std::less<>> sites_;
   std::set<std::string, std::less<>> declared_;
 };

@@ -165,6 +165,49 @@ TEST(FaultInjector, SiteStreamsAreInterleavingIndependent) {
   EXPECT_EQ(xs, ys);
 }
 
+TEST(FaultInjector, SiteRefDecidesAsTheSiteName) {
+  // A resolved site handle keeps every decision and count of the name
+  // form through arm, disarm, a site added after it was resolved, a
+  // value() draw and reseed.
+  FaultInjector by_name(3), by_ref(3);
+  FaultInjector::SiteRef sync(sites::kIcapSyncLoss);
+  FaultInjector::SiteRef crc(sites::kIcapCrcCorrupt);
+  std::vector<bool> want, got;
+  const auto query = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      want.push_back(by_name.should_fire(sites::kIcapSyncLoss));
+      want.push_back(by_name.should_fire(sites::kIcapCrcCorrupt));
+      got.push_back(by_ref.should_fire(sync));
+      got.push_back(by_ref.should_fire(crc));
+    }
+  };
+  const auto both = [&](auto&& step) {
+    step(by_name);
+    step(by_ref);
+  };
+  query(4);  // neither site exists yet
+  both([](FaultInjector& f) { f.arm(sites::kIcapCrcCorrupt, 0, 0.3); });
+  query(40);
+  both([](FaultInjector& f) { f.arm(sites::kIcapSyncLoss, 2, 0.5, 3); });
+  query(40);
+  both([](FaultInjector& f) { f.value(sites::kIcapCrcCorrupt, 32); });
+  both([](FaultInjector& f) { f.disarm(sites::kIcapCrcCorrupt); });
+  query(10);
+  both([](FaultInjector& f) { f.reseed(11); });
+  query(4);
+  both([](FaultInjector& f) { f.arm(sites::kIcapSyncLoss, 0, 0.25); });
+  query(40);
+  EXPECT_EQ(got, want);
+  for (const auto name : {sites::kIcapSyncLoss, sites::kIcapCrcCorrupt}) {
+    EXPECT_EQ(by_ref.queries(name), by_name.queries(name)) << name;
+    EXPECT_EQ(by_ref.fires(name), by_name.fires(name)) << name;
+  }
+  EXPECT_EQ(by_ref.fire_report(), by_name.fire_report());
+  // After the reseed only the re-armed site exists again.
+  ASSERT_EQ(by_ref.fire_report().size(), 1u);
+  EXPECT_EQ(by_ref.fire_report()[0].first, sites::kIcapSyncLoss);
+}
+
 TEST(FaultInjector, ValueIsDeterministicAndBounded) {
   FaultInjector a(5), b(5);
   for (int i = 0; i < 64; ++i) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 
@@ -356,9 +363,12 @@ TEST(DirectionalWakes, ProducerWokenOnlyByThePopReachingItsNeed) {
 // ---------------------------------------------------------------------
 
 struct Beat {
-  int v = 0;
+  u64 data = 0;
+  u8 tag = 0;  // a side field: beats with different tags share no span
   bool last = false;
   Cycles at = 0;
+
+  bool operator==(const Beat&) const = default;
 };
 
 TEST(StampedChannel, BeatIsVisibleAndWakesItsConsumerAtItsStamp) {
@@ -379,8 +389,8 @@ TEST(StampedChannel, BeatIsVisibleAndWakesItsConsumerAtItsStamp) {
   s.run_cycles(1);  // woken for cycle 10, not before
   EXPECT_EQ(consumer.ticks, 2u);
   f.push(Beat{8});  // a plain push is visible in its own cycle
-  EXPECT_EQ(f.pop()->v, 7);
-  EXPECT_EQ(f.pop()->v, 8);
+  EXPECT_EQ(f.pop()->data, 7u);
+  EXPECT_EQ(f.pop()->data, 8u);
 }
 
 TEST(StampedChannel, SlotTakenEarlyStaysOccupiedUntilItsRelease) {
@@ -421,7 +431,7 @@ TEST(StampedChannel, MoveFromTakesOneBeatPerCycleAndStopsAfterLast) {
   s.add(&c);
   s.run_cycles(3);
   in.push(Beat{1});
-  in.push(Beat{2, true});
+  in.push(Beat{2, 0, true});
   in.push(Beat{3});
   Cycles cyc = 3;
   EXPECT_EQ(out.move_from(in, cyc, 4), 2u);  // one burst
@@ -429,10 +439,273 @@ TEST(StampedChannel, MoveFromTakesOneBeatPerCycleAndStopsAfterLast) {
   EXPECT_EQ(out.peek()->at, 3u);
   EXPECT_EQ(in.size(), 1u);
   EXPECT_EQ(in.vacancy(), 2u);  // beat 2's slot frees at 5
-  EXPECT_EQ(out.pop()->v, 1);
+  EXPECT_EQ(out.pop()->data, 1u);
   EXPECT_FALSE(out.can_pop());  // beat 2 moves at cycle 4
   s.run_cycles(1);
-  EXPECT_EQ(out.pop()->v, 2);
+  EXPECT_EQ(out.pop()->data, 2u);
+}
+
+// ---------------------------------------------------------------------
+// Stamped-channel fuzz: the FIFO against a per-beat reference model
+// ---------------------------------------------------------------------
+
+/// The per-beat stamped channel the span FIFO must reproduce: one stamp
+/// per queued beat and one release cycle per beat taken ahead of the
+/// clock, with no wakes. `skew` is the endpoint skew the FIFO binds.
+class RefChannel {
+ public:
+  RefChannel(usize cap, Cycles skew, const Simulator& s)
+      : cap_(cap), skew_(skew), sim_(s) {}
+
+  Cycles now() const { return sim_.now(); }
+  usize size() const { return q_.size(); }
+  bool can_pop() const { return !q_.empty() && q_.front().at <= now(); }
+  const Beat& head() const { return q_.front(); }
+  usize pending_after(Cycles c) const {
+    return static_cast<usize>(
+        std::count_if(rel_.begin(), rel_.end(), [c](Cycles r) { return r > c; }));
+  }
+  usize vacancy() const { return cap_ - q_.size() - pending_after(now()); }
+  /// Beats in the FIFO at cycle c: queued ones pushed by then, and
+  /// those taken ahead of the clock that were pushed by c and whose
+  /// slot has not freed.
+  usize occupancy(Cycles c) const {
+    usize n = 0;
+    for (const Beat& b : q_) n += b.at - skew_ <= c;
+    for (const auto& [pushed, freed] : taken_) n += pushed <= c && c < freed;
+    return n;
+  }
+  bool can_push_at(Cycles c) const {
+    return q_.size() + pending_after(c) < cap_;
+  }
+  /// The beat moved at cycle max(p, now), if there is room then.
+  bool push_at(Beat v, Cycles p) {
+    p = std::max(p, now());
+    if (!can_push_at(p)) return false;
+    v.at = p + skew_;
+    q_.push_back(v);
+    return true;
+  }
+  /// The head, taken at cycle q: its slot frees when the producer
+  /// could see it free.
+  Beat pop_at(Cycles q) {
+    Beat v = q_.front();
+    q_.pop_front();
+    if (q > now()) {
+      rel_.push_back(q + 1 - skew_);
+      taken_.emplace_back(v.at - skew_, q + 1 - skew_);
+    }
+    return v;
+  }
+  /// Beat by beat, each at max(c, its stamp) while room is sure, up to
+  /// n beats, stopping after a last beat; c ends at the next beat's
+  /// cycle. `left` collects the cycle each beat leaves `in`.
+  usize move_from(RefChannel& in, Cycles& c, usize n,
+                  std::vector<Cycles>& left) {
+    usize moved = 0;
+    while (moved < n && !in.q_.empty()) {
+      c = std::max(c, in.q_.front().at);
+      if (!can_push_at(c)) break;
+      const Beat v = in.pop_at(c);
+      left.push_back(c);
+      ++moved;
+      push_at(v, c);
+      ++c;
+      if (v.last) break;
+    }
+    return moved;
+  }
+
+ private:
+  usize cap_;
+  Cycles skew_;
+  const Simulator& sim_;
+  std::deque<Beat> q_;
+  std::vector<Cycles> rel_;
+  std::vector<std::pair<Cycles, Cycles>> taken_;  // push and free cycles
+};
+
+
+/// Take up to n beats of one burst, beat k at max(its stamp, previous
+/// + gap), the first no earlier than c.
+std::vector<Beat> take_beats(Fifo<Beat>& f, Cycles& c, Cycles gap, usize n) {
+  std::vector<Beat> out;
+  f.take(c, gap, n, [&](std::span<const u64> words, const Beat& side) {
+    for (const u64 d : words) out.push_back(Beat{d, side.tag});
+  });
+  return out;
+}
+
+struct FuzzChannel {
+  Fifo<Beat>& fifo;
+  RefChannel ref;
+  Cycles next_leave = 0;  // a beat leaves at most once per cycle
+  Cycles last_stamp = 0;
+};
+
+void expect_same(const FuzzChannel& ch, usize cap) {
+  const Cycles t = ch.ref.now();
+  ASSERT_EQ(ch.fifo.size(), ch.ref.size()) << "at cycle " << t;
+  ASSERT_EQ(ch.fifo.vacancy(), ch.ref.vacancy()) << "at cycle " << t;
+  ASSERT_EQ(ch.fifo.can_pop(), ch.ref.can_pop()) << "at cycle " << t;
+  for (Cycles d = 0; d < 6; ++d) {
+    ASSERT_LE(ch.ref.occupancy(t + d), cap) << "at cycle " << t + d;
+    ASSERT_EQ(ch.fifo.can_push_at(t + d), ch.ref.can_push_at(t + d))
+        << "push at cycle " << t + d << ", now " << t;
+  }
+  if (ch.ref.size() != 0) {
+    ASSERT_EQ(*ch.fifo.peek(), ch.ref.head()) << "at cycle " << t;
+  }
+}
+
+/// A beat leaving `ch` at cycle c: one per cycle, stamps in order, the
+/// same beat as the reference's.
+void expect_leaves(FuzzChannel& ch, const Beat& got, const Beat& want,
+                   Cycles c) {
+  EXPECT_EQ(got, want);
+  EXPECT_GE(c, ch.next_leave) << "two beats left in one cycle";
+  EXPECT_GE(got.at, ch.last_stamp) << "stamps went backwards";
+  ch.next_leave = c + 1;
+  ch.last_stamp = got.at;
+}
+
+void fuzz_stamped_channels(u64 seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  SplitMix64 rng(seed);
+  const usize cap1 = 1 + rng.next_below(8);
+  const usize cap2 = 1 + rng.next_below(8);
+  Simulator s;
+  Fifo<Beat> f1(cap1), f2(cap2);
+  TickCounter a, b, c;  // a -> f1 -> b -> f2 -> c (or the test)
+  f1.watch_as_producer(&a);
+  f1.watch_as_consumer(&b);
+  f2.watch_as_producer(&b);
+  const bool c_ticks = rng.next_below(2) == 0;
+  if (c_ticks) f2.watch_as_consumer(&c);
+  std::vector<Component*> order{&a, &b, &c};
+  for (usize i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  for (Component* x : order) s.add(x);
+  const Cycles skew1 = b.slot() > a.slot() ? 0 : 1;
+  const Cycles skew2 = !c_ticks ? 1 : c.slot() > b.slot() ? 0 : 1;
+  FuzzChannel ch1{f1, RefChannel(cap1, skew1, s)};
+  FuzzChannel ch2{f2, RefChannel(cap2, skew2, s)};
+  u64 data = 0;
+  usize burst_left = 0;  // beats left in a's current burst
+  Cycles next_push = 0;  // a pushes in cycle order
+  const auto next_beat = [&](u8 tag) {
+    if (burst_left == 0) burst_left = 1 + rng.next_below(6);
+    return Beat{++data, tag, --burst_left == 0};
+  };
+  for (int step = 0; step < 600; ++step) {
+    s.run_cycles(rng.next_below(3));
+    const Cycles t = s.now();
+    switch (rng.next_below(8)) {
+      case 0: {  // a per-beat push
+        const Beat v = next_beat(static_cast<u8>(rng.next_below(2)));
+        const Cycles p = std::max(t, next_push) + rng.next_below(3);
+        const bool pushed = ch1.ref.push_at(v, p);
+        ASSERT_EQ(f1.push_at(v, p), pushed);
+        if (pushed) {
+          next_push = p;
+        } else {  // the beat is offered again
+          --data;
+          ++burst_left;
+        }
+        break;
+      }
+      case 1: {  // a burst push: n beats, one every `stride` cycles
+        const Cycles p = std::max(t, next_push) + rng.next_below(3);
+        const Cycles stride = rng.next_below(3);
+        const u8 tag = static_cast<u8>(rng.next_below(2));
+        std::vector<Beat> beats;
+        for (usize n = 1 + rng.next_below(6); n > 0; --n) {
+          beats.push_back(next_beat(tag));
+          if (beats.back().last) break;
+        }
+        usize want = 0;
+        while (want < beats.size() &&
+               ch1.ref.push_at(beats[want], p + want * stride)) {
+          ++want;
+        }
+        ASSERT_EQ(f1.push_beats(p, stride, beats), want);
+        if (want > 0) next_push = p + (want - 1) * stride;
+        data -= beats.size() - want;  // unpushed beats are offered again
+        if (want < beats.size()) burst_left += beats.size() - want;
+        break;
+      }
+      case 2:
+      case 3: {  // a per-beat pop at now, or a pop_at ahead of the clock
+        FuzzChannel& ch = rng.next_below(2) == 0 ? ch1 : ch2;
+        if (ch.ref.size() == 0) break;
+        if (rng.next_below(2) == 0) {
+          if (!ch.ref.can_pop() || t < ch.next_leave) break;
+          const Beat want = ch.ref.pop_at(t);
+          const auto got = ch.fifo.pop();
+          ASSERT_TRUE(got.has_value());
+          expect_leaves(ch, *got, want, t);
+        } else {
+          const Cycles q = std::max({t, ch.ref.head().at, ch.next_leave}) +
+                           rng.next_below(3);
+          const Beat want = ch.ref.head();
+          const Beat got = *ch.fifo.peek();
+          ch.fifo.pop_at(q);
+          expect_leaves(ch, got, ch.ref.pop_at(q), q);
+          EXPECT_EQ(got, want);
+        }
+        break;
+      }
+      case 4:
+      case 5: {  // b moves up to n beats of a burst from f1 to f2
+        Cycles c_fifo = std::max(t, ch1.next_leave) + rng.next_below(2);
+        Cycles c_ref = c_fifo;
+        const usize n = 1 + rng.next_below(8);
+        std::vector<Cycles> left;
+        const usize want = ch2.ref.move_from(ch1.ref, c_ref, n, left);
+        ASSERT_EQ(f2.move_from(f1, c_fifo, n), want);
+        ASSERT_EQ(c_fifo, c_ref);
+        for (const Cycles l : left) {
+          EXPECT_GE(l, ch1.next_leave) << "two beats left f1 in one cycle";
+          ch1.next_leave = l + 1;
+        }
+        break;
+      }
+      default: {  // the consumer of f2 takes a run of beats, gap apart
+        if (ch2.ref.size() == 0) break;
+        const Cycles gap = 1 + rng.next_below(2);
+        const usize n = 1 + rng.next_below(8);
+        Cycles c_ref = std::max(t, ch2.next_leave);
+        Cycles c_fifo = c_ref;
+        std::vector<Beat> want;
+        for (usize k = 0; k < n && ch2.ref.size() != 0; ++k) {
+          c_ref = std::max(c_ref, ch2.ref.head().at);
+          want.push_back(ch2.ref.pop_at(c_ref));
+          c_ref += gap;
+          if (want.back().last) break;
+        }
+        const std::vector<Beat> got = take_beats(f2, c_fifo, gap, n);
+        ASSERT_EQ(got.size(), want.size());
+        for (usize k = 0; k < got.size(); ++k) {
+          EXPECT_EQ(got[k].data, want[k].data);
+          EXPECT_EQ(got[k].tag, want[k].tag);
+        }
+        ASSERT_EQ(c_fifo, c_ref);
+        ch2.next_leave = c_ref - gap + 1;
+        break;
+      }
+    }
+    expect_same(ch1, cap1);
+    expect_same(ch2, cap2);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(StampedChannelFuzz, MatchesThePerBeatReference) {
+  for (u64 seed = 1; seed <= 300; ++seed) {
+    fuzz_stamped_channels(seed);
+    if (testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(DirectionalWakes, PushWakesConsumerNotProducer) {
