@@ -312,7 +312,9 @@ class Fifo<T> {
       const usize m = room(p.c0, p.st, p.k);
       T side = in.spans_[0].side;
       side.last = side.last && m == in.spans_[0].n;
-      if (m != 0) append(p.c0, p.st, m, side, [&](usize i) { return in.data_[i]; });
+      if (m != 0) {
+        append(p.c0, p.st, m, side, [&](usize i) { return in.data_[i]; });
+      }
       return m;
     });
     if (moved != 0) arm_if_tight();
@@ -423,7 +425,9 @@ class Fifo<T> {
     }
     if (taken == 0) return 0;
     // One wake level per slot freed at once: the vacancy each raised.
-    for (usize v = vacancy(), i = 0; i < freed; ++i) on_pop_.notify_level(v - i);
+    for (usize v = vacancy(), i = 0; i < freed; ++i) {
+      on_pop_.notify_level(v - i);
+    }
     arm_if_tight();
     return taken;
   }

@@ -462,8 +462,8 @@ class RefChannel {
   bool can_pop() const { return !q_.empty() && q_.front().at <= now(); }
   const Beat& head() const { return q_.front(); }
   usize pending_after(Cycles c) const {
-    return static_cast<usize>(
-        std::count_if(rel_.begin(), rel_.end(), [c](Cycles r) { return r > c; }));
+    return static_cast<usize>(std::count_if(
+        rel_.begin(), rel_.end(), [c](Cycles r) { return r > c; }));
   }
   usize vacancy() const { return cap_ - q_.size() - pending_after(now()); }
   /// Beats in the FIFO at cycle c: queued ones pushed by then, and
@@ -648,11 +648,9 @@ void fuzz_stamped_channels(u64 seed) {
         } else {
           const Cycles q = std::max({t, ch.ref.head().at, ch.next_leave}) +
                            rng.next_below(3);
-          const Beat want = ch.ref.head();
           const Beat got = *ch.fifo.peek();
           ch.fifo.pop_at(q);
           expect_leaves(ch, got, ch.ref.pop_at(q), q);
-          EXPECT_EQ(got, want);
         }
         break;
       }
