@@ -167,9 +167,11 @@ u16 BitstreamDelivery::image_id(std::string_view image) {
   return id;
 }
 
-void BitstreamDelivery::record(std::string_view image, DeliveryPath path,
-                               Status status, Cycles cycles) {
-  journal_.push({std::string(image), path, status, cycles});
+void BitstreamDelivery::record(u16 id, DeliveryPath path, Status status,
+                               Cycles cycles) {
+  trace_.emit(obs::EventKind::kNetDeliver, id,
+              (static_cast<u64>(status) << 8) | static_cast<u64>(path),
+              cycles);
   delivery_hist_->record(cycles);
 }
 
@@ -182,7 +184,7 @@ Status BitstreamDelivery::fetch(std::string_view image, Addr dest,
       cache_->lookup(image, dest, capacity, bytes_out)) {
     ++ok_;
     ++cache_hits_;
-    record(image, DeliveryPath::kCache, Status::kOk, cpu_.now() - t0);
+    record(id, DeliveryPath::kCache, Status::kOk, cpu_.now() - t0);
     return Status::kOk;
   }
 
@@ -195,7 +197,7 @@ Status BitstreamDelivery::fetch(std::string_view image, Addr dest,
       if (cache_ != nullptr && bytes_out != nullptr) {
         cache_->insert(image, dest, *bytes_out);
       }
-      record(image, DeliveryPath::kNet, Status::kOk, cpu_.now() - t0);
+      record(id, DeliveryPath::kNet, Status::kOk, cpu_.now() - t0);
       return Status::kOk;
     }
   }
@@ -213,12 +215,12 @@ Status BitstreamDelivery::fetch(std::string_view image, Addr dest,
       if (cache_ != nullptr && bytes_out != nullptr) {
         cache_->insert(image, dest, *bytes_out);
       }
-      record(image, DeliveryPath::kSdFallback, Status::kOk,
+      record(id, DeliveryPath::kSdFallback, Status::kOk,
              cpu_.now() - t0);
       return Status::kOk;
     }
     ++failures_;
-    record(image, DeliveryPath::kFailed, st, cpu_.now() - t0);
+    record(id, DeliveryPath::kFailed, st, cpu_.now() - t0);
     return st;
   }
 
@@ -226,7 +228,7 @@ Status BitstreamDelivery::fetch(std::string_view image, Addr dest,
   trace_.emit(obs::EventKind::kNetFallback, id,
               static_cast<u64>(DeliveryPath::kFailed),
               static_cast<u64>(primary_st));
-  record(image, DeliveryPath::kFailed, primary_st, cpu_.now() - t0);
+  record(id, DeliveryPath::kFailed, primary_st, cpu_.now() - t0);
   return primary_st;
 }
 

@@ -16,7 +16,7 @@
 // traced) and falls through to a real source — a cache can go bad
 // under the same DDR upsets the rest of the system models, and a
 // poisoned hit must never masquerade as a fetch. Every delivery's path
-// lands in a bounded journal and in the net.delivery.* counters.
+// is a kNetDeliver trace event and lands in the net.delivery.* counters.
 #pragma once
 
 #include <map>
@@ -147,19 +147,11 @@ std::string_view to_string(DeliveryPath p);
 
 /// The degradation chain: cache, then primary (network), then fallback
 /// (SD). Successful real fetches are inserted into the cache so the
-/// next request for the same image is a local copy.
+/// next request for the same image is a local copy. Every delivery's
+/// outcome (path, status, latency) is a kNetDeliver trace event of
+/// source "bitstream_delivery".
 class BitstreamDelivery : public BitstreamSource {
  public:
-  /// One delivery's outcome; the journal is a bounded ring of the most
-  /// recent kJournalCapacity entries.
-  struct Record {
-    std::string image;
-    DeliveryPath path = DeliveryPath::kFailed;
-    Status status = Status::kOk;
-    Cycles cycles = 0;   // delivery latency
-  };
-  static constexpr usize kJournalCapacity = 32;
-
   explicit BitstreamDelivery(cpu::CpuContext& cpu);
 
   void set_primary(BitstreamSource* s) { primary_ = s; }
@@ -171,17 +163,13 @@ class BitstreamDelivery : public BitstreamSource {
   bool has_image(std::string_view image) const override;
   std::string_view source_name() const override { return "delivery"; }
 
-  std::vector<Record> journal() const { return journal_.journal(); }
-  u64 journal_events() const { return journal_.journal_events(); }
-
   u64 cache_hits() const { return cache_hits_; }
   u64 net_deliveries() const { return net_ok_; }
   u64 sd_fallbacks() const { return sd_fallbacks_; }
   u64 failures() const { return failures_; }
 
  private:
-  void record(std::string_view image, DeliveryPath path, Status status,
-              Cycles cycles);
+  void record(u16 id, DeliveryPath path, Status status, Cycles cycles);
   u16 image_id(std::string_view image);
 
   cpu::CpuContext& cpu_;
@@ -189,7 +177,6 @@ class BitstreamDelivery : public BitstreamSource {
   BitstreamSource* fallback_ = nullptr;
   BitstreamCache* cache_ = nullptr;
 
-  BoundedLog<Record, kJournalCapacity> journal_;
   std::map<std::string, u16, std::less<>> image_ids_;
 
   TraceSource trace_;

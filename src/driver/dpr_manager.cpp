@@ -28,7 +28,8 @@ DprManager::DprManager(RvCapDriver& drv, fabric::ConfigMemory& cfg,
                        const Config& config)
     : drv_(drv), cfg_(cfg), rp_handle_(rp_handle), volume_(volume),
       config_(config), slot_owner_(config.num_slots),
-      slot_last_use_(config.num_slots, 0) {
+      slot_last_use_(config.num_slots, 0),
+      trace_(drv.cpu_context(), "dpr.slot" + std::to_string(config.slot_id)) {
   drv_.cpu_context().simulator().obs().counters().register_fields(
       "dpr.slot" + std::to_string(config_.slot_id) + ".", stats_,
       {{"activation_requests", &Stats::activation_requests},
@@ -226,11 +227,15 @@ void DprManager::intent(IntentOp op, u32 rm_id, u8 flags, u32 arg0) {
 
 void DprManager::record(FailStage stage, Status status, u32 rm_id,
                         u32 attempt) {
-  journal_.push({drv_.mtime(), stage, status, rm_id, attempt,
-                 config_.slot_id});
-  // Mirror the volatile ring's tail into the persistent journal so a
-  // post-reboot diagnosis sees the pre-crash failure history. The
-  // packed arg0 round-trips through RecoveryManager::decode_failure.
+  // The firmware stamps each record with a CLINT read.
+  const u64 mtime = drv_.mtime();
+  trace_.emit(obs::EventKind::kDprStage, rm_id,
+              (u64{attempt} << 16) | (static_cast<u64>(status) << 8) |
+                  static_cast<u64>(stage),
+              mtime);
+  // Mirror the record into the persistent journal so a post-reboot
+  // diagnosis sees the pre-crash failure history. The packed arg0
+  // round-trips through RecoveryManager::decode_failure.
   intent(IntentOp::kFailureNote, rm_id,
          static_cast<u8>(stage),
          (static_cast<u32>(stage) << 24) |

@@ -13,7 +13,8 @@
 // machine — DMA reset, datapath abort, partition blank — and retries up
 // to a bounded budget, optionally degrading to the AXI_HWICAP fallback
 // path; exhausted retries leave the RP decoupled over a blanked
-// partition. Every event lands in a fixed-size failure journal.
+// partition. Every stage reached is a kDprStage trace event of source
+// "dpr.slot<N>".
 #pragma once
 
 #include <optional>
@@ -31,7 +32,7 @@ namespace rvcap::driver {
 
 class BitstreamSource;
 
-/// Recovery pipeline stage a journal entry refers to.
+/// Recovery pipeline stage a kDprStage event refers to.
 enum class FailStage : u8 {
   kStaging,    // SD -> DDR load failed
   kStagedCrc,  // staged image failed its CRC-32 check
@@ -54,7 +55,8 @@ class DprManager {
     u32 num_slots = 4;
     /// RP slot this manager serves (0 = the case-study RP). Every
     /// driver access is bound to this slot's RP-control window, and
-    /// journal entries carry it so multi-slot failures attribute.
+    /// the manager's trace source is "dpr.slot<slot_id>", so
+    /// multi-slot failures attribute.
     u32 slot_id = 0;
   };
 
@@ -66,18 +68,6 @@ class DprManager {
     bool scrub_after_recovery = false; // frame-ECC verify before recouple
   };
   static constexpr u32 kMaxAttempts = 3;  // total tries per activate()
-
-  /// One failure-journal record; the journal is a fixed ring of the
-  /// most recent kJournalCapacity events.
-  struct JournalEntry {
-    u64 mtime = 0;  // CLINT timestamp of the event
-    FailStage stage{};
-    Status status{};
-    u32 rm_id = 0;
-    u32 attempt = 0;
-    u32 slot = 0;  // RP slot the failing activation targeted
-  };
-  static constexpr usize kJournalCapacity = 32;
 
   struct Stats {
     u64 activation_requests = 0;
@@ -179,20 +169,16 @@ class DprManager {
   /// Persistent write-ahead intent journal (DESIGN.md §15). When
   /// attached, activate() appends kReconfigStart before the first ICAP
   /// word and kReconfigCommit / kReconfigAbort at the matching outcome,
-  /// and every volatile failure-journal entry is mirrored as a
-  /// kFailureNote — so a cold reboot can tell a cleanly committed slot
-  /// from one torn mid-reconfiguration, with the pre-crash failure
-  /// history alongside. nullptr detaches.
+  /// and every kDprStage event is mirrored as a kFailureNote — so a
+  /// cold reboot can tell a cleanly committed slot from one torn
+  /// mid-reconfiguration, with the pre-crash failure history alongside.
+  /// nullptr detaches.
   void attach_intent_journal(RecoveryJournal* j) { intent_ = j; }
 
   /// rm_id of a registered module (0 when unknown) and the reverse
   /// lookup — the recovery manager resolves journal records by rm_id.
   u32 rm_id_of(std::string_view name) const;
   std::string module_for_rm(u32 rm_id) const;
-
-  /// Journal entries, oldest first (at most kJournalCapacity retained).
-  std::vector<JournalEntry> journal() const { return journal_.journal(); }
-  u64 journal_events() const { return journal_.journal_events(); }
 
   const Stats& stats() const { return stats_; }
   double total_reconfig_us() const {
@@ -245,8 +231,8 @@ class DprManager {
   std::vector<u64> slot_last_use_;
   u64 use_clock_ = 0;
   u32 consecutive_dma_failures_ = 0;
-  BoundedLog<JournalEntry, kJournalCapacity> journal_;
   Stats stats_;
+  TraceSource trace_;
 };
 
 }  // namespace rvcap::driver

@@ -1,13 +1,11 @@
 // Primitives shared by the driver stacks: the timed DDR checksum, the
-// stall watchdog that fences RV-CAP DMA waits, the bounded event log
-// behind every driver journal, and the trace source every driver emits
-// its events through.
+// stall watchdog that fences RV-CAP DMA waits, and the trace source
+// every driver records its events through.
 #pragma once
 
 #include <functional>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/types.hpp"
 #include "common/units.hpp"
@@ -68,8 +66,10 @@ class StallWatchdog {
 };
 
 /// One driver's trace source: the sink, the driver's name interned in
-/// it, and the clock events are stamped with. A default-constructed
-/// source emits nothing.
+/// it, and the clock events are stamped with. The sink is the drivers'
+/// only event record, so emit() appends whether or not the sink is
+/// enabled, also under RVCAP_NO_TRACE. A default-constructed source
+/// emits nothing.
 class TraceSource {
  public:
   TraceSource() = default;
@@ -79,46 +79,13 @@ class TraceSource {
   TraceSource(cpu::CpuContext& cpu, std::string_view name);
 
   void emit(obs::EventKind kind, u64 a0, u64 a1 = 0, u64 a2 = 0) const {
-    RVCAP_TRACE(sink_, kind, src_, *now_, a0, a1, a2);
+    if (sink_ != nullptr) sink_->append(kind, src_, *now_, a0, a1, a2);
   }
 
  private:
   obs::TraceSink* sink_ = nullptr;
   u16 src_ = 0;
   const Cycles* now_ = nullptr;
-};
-
-/// Fixed-capacity event log: retains the newest Capacity entries and
-/// counts every push, so journal_events() == journal().size() tells a
-/// complete history from a wrapped one.
-template <typename T, usize Capacity>
-class BoundedLog {
- public:
-  static constexpr usize kCapacity = Capacity;
-
-  void push(T e) {
-    if (ring_.size() < Capacity) {
-      ring_.push_back(std::move(e));
-    } else {
-      ring_[events_ % Capacity] = std::move(e);
-    }
-    ++events_;
-  }
-
-  /// Retained entries, oldest first.
-  std::vector<T> journal() const {
-    std::vector<T> out;
-    out.reserve(ring_.size());
-    for (u64 i = events_ - ring_.size(); i < events_; ++i) {
-      out.push_back(ring_[i % Capacity]);
-    }
-    return out;
-  }
-  u64 journal_events() const { return events_; }
-
- private:
-  std::vector<T> ring_;
-  u64 events_ = 0;
 };
 
 }  // namespace rvcap::driver

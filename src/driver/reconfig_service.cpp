@@ -306,16 +306,10 @@ void ReconfigService::on_hang(const TransferProgress& p, u64 expected_beats,
   // driver returns kHang and the DprManager's recovery state machine
   // takes it from there (cleanup, blank, retry/fallback).
   ++stats_.hangs;
-  HangDiagnosis d;
-  d.mtime = p.mtime;
-  d.request = active_;
-  d.snapshot = p;
-  d.expected_beats = expected_beats;
-  d.outstanding_beats = expected_beats > p.beats ? expected_beats - p.beats : 0;
-  d.polls_without_progress = stalled_polls;
-  hangs_.push(d);
-  trace_.emit(obs::EventKind::kSvcHang, active_, d.outstanding_beats,
-              d.polls_without_progress);
+  const u64 outstanding =
+      expected_beats > p.beats ? expected_beats - p.beats : 0;
+  trace_.emit(obs::EventKind::kSvcHang, active_, outstanding,
+              (expected_beats << 32) | stalled_polls);
 }
 
 }  // namespace rvcap::driver

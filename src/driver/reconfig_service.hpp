@@ -19,10 +19,11 @@
 //    engine's progress counter on a CLINT-paced interval, and a counter
 //    frozen across kStallPolls consecutive probes is declared a hang
 //    (distinct from a bounded-iteration timeout, which a slow-but-moving
-//    transfer also hits). The last register snapshot is recorded as a
-//    HangDiagnosis and the wait aborts with Status::kHang, which flows
-//    into the DprManager's recovery state machine (cleanup, blank,
-//    retry). The HWICAP fallback is bounded by its iteration timeout.
+//    transfer also hits). A kSvcHang event carries the diagnosis
+//    (outstanding and expected beats, frozen polls) and the wait aborts
+//    with Status::kHang, which flows into the DprManager's recovery
+//    state machine (cleanup, blank, retry). The HWICAP fallback is
+//    bounded by its iteration timeout.
 //
 //  * Graceful degradation — at saturation the lowest-priority queued
 //    request is shed with Status::kRejected rather than blocking the
@@ -88,17 +89,6 @@ class ReconfigService {
     u64 done_mtime = 0;             // terminal timestamp
   };
 
-  /// Post-mortem of a watchdog-declared hang.
-  struct HangDiagnosis {
-    u64 mtime = 0;              // when the hang was declared
-    RequestId request = 0;
-    TransferProgress snapshot;  // last register snapshot observed
-    u64 expected_beats = 0;
-    u64 outstanding_beats = 0;  // expected - last observed progress
-    u32 polls_without_progress = 0;
-  };
-  static constexpr usize kHangLogCapacity = 32;
-
   struct Stats {
     u64 submitted = 0;
     u64 accepted = 0;
@@ -143,9 +133,6 @@ class ReconfigService {
 
   const RequestRecord* record(RequestId id) const;
   const std::vector<RequestRecord>& history() const { return records_; }
-  /// Hang diagnoses, oldest first (at most kHangLogCapacity retained;
-  /// stats().hangs counts them all).
-  std::vector<HangDiagnosis> hang_log() const { return hangs_.journal(); }
   const Stats& stats() const { return stats_; }
 
   /// Persistent intent journal: admitted requests append kSvcPending
@@ -170,7 +157,6 @@ class ReconfigService {
   RecoveryJournal* intent_ = nullptr;
   std::vector<RequestRecord> records_;   // append-only; queue lives here
   std::vector<std::string> quarantine_;
-  BoundedLog<HangDiagnosis, kHangLogCapacity> hangs_;
   Stats stats_;
   RequestId next_id_ = 1;
   RequestId active_ = 0;  // request currently dispatched (0 = none)

@@ -157,11 +157,10 @@ void ScrubService::resolve_clean(u32 far, u64 /*t*/) {
   }
 }
 
-void ScrubService::record(u64 at, const FrameAddr& fa, EccClass cls,
-                          Action action, u32 word, u32 bit, bool essential) {
-  journal_.push({at, fa.encode(), static_cast<u8>(cls),
-                 static_cast<u8>(action), static_cast<u16>(word),
-                 static_cast<u8>(bit), essential});
+void ScrubService::verdict(obs::EventKind kind, const FrameAddr& fa,
+                           EccClass cls, u32 word, u32 bit, bool essential) {
+  trace_.emit(kind, fa.encode(), (u64{word} << 8) | bit,
+              (u64{essential} << 8) | static_cast<u64>(cls));
 }
 
 void ScrubService::raise_done() {
@@ -239,7 +238,8 @@ Status ScrubService::scrub_frame(const Watch& w) {
   std::vector<u32> words;
   if (auto st = read_frame(fa, &words); !ok(st)) {
     ++stats_.transport_errors;
-    record(now(), fa, EccClass::kClean, Action::kTransportError, 0, 0, false);
+    verdict(obs::EventKind::kScrubReadFail, fa, EccClass::kClean, 0, 0,
+            false);
     return st;
   }
   ++stats_.frames_scrubbed;
@@ -283,21 +283,20 @@ Status ScrubService::scrub_frame(const Watch& w) {
       }
       if (ok(st)) {
         ++stats_.frame_rewrites;
-        trace_.emit(obs::EventKind::kScrubRewrite, fa.encode());
-        record(now(), fa, d.cls, Action::kRewrite, d.word, d.bit, essential);
+        verdict(obs::EventKind::kScrubRewrite, fa, d.cls, d.word, d.bit,
+                essential);
         resolve_repaired(fa.encode(), now());
         return Status::kOk;
       }
       ++stats_.rewrite_verify_failures;
-      record(now(), fa, d.cls, Action::kRewriteFailed, d.word, d.bit,
-             essential);
+      verdict(obs::EventKind::kScrubRewriteFail, fa, d.cls, d.word, d.bit,
+              essential);
     }
   } else {
     ++stats_.uncorrectable;
   }
 
-  trace_.emit(obs::EventKind::kScrubReload, fa.encode());
-  record(now(), fa, d.cls, Action::kReload, d.word, d.bit, false);
+  verdict(obs::EventKind::kScrubReload, fa, d.cls, d.word, d.bit, false);
   return escalate_reload(w);
 }
 

@@ -67,29 +67,6 @@ class ScrubService {
     std::string module;
   };
 
-  enum class Action : u8 {
-    kRewrite,         // single-frame rewrite, verified clean
-    kRewriteFailed,   // rewrite or its verify failed; reload follows
-    kReload,          // full-partition reload escalation
-    kTransportError,  // readback path failed
-  };
-
-  /// Repair journal — one entry per non-clean frame verdict, in scrub
-  /// order; a ring of the most recent kJournalCapacity verdicts. Plain
-  /// data so dual-kernel equivalence can compare runs.
-  struct JournalEntry {
-    u64 at = 0;   // core cycles
-    u32 far = 0;  // FrameAddr::encode()
-    u8 cls = 0;   // fabric::EccClass
-    u8 action = 0;  // Action
-    u16 word = 0;
-    u8 bit = 0;
-    bool essential = false;
-
-    bool operator==(const JournalEntry&) const = default;
-  };
-  static constexpr usize kJournalCapacity = 256;
-
   struct Stats {
     u64 passes = 0;            // completed partition traversals
     u64 frames_scrubbed = 0;
@@ -139,9 +116,6 @@ class ScrubService {
   Status scrub_pass();
 
   const Stats& stats() const { return stats_; }
-  /// Journal entries, oldest first (at most kJournalCapacity retained).
-  std::vector<JournalEntry> journal() const { return journal_.journal(); }
-  u64 journal_events() const { return journal_.journal_events(); }
 
   /// Persistent intent journal: reload escalations append kScrubReload
   /// before touching the ReconfigService and kScrubReloadDone once the
@@ -184,8 +158,10 @@ class ScrubService {
   void finish_pass();
   void raise_done();
   void raise_error();
-  void record(u64 at, const fabric::FrameAddr& fa, fabric::EccClass cls,
-              Action action, u32 word, u32 bit, bool essential);
+  /// One event per non-clean frame verdict (kScrubRewrite,
+  /// kScrubRewriteFail, kScrubReload or kScrubReadFail), in scrub order.
+  void verdict(obs::EventKind kind, const fabric::FrameAddr& fa,
+               fabric::EccClass cls, u32 word, u32 bit, bool essential);
   void intent(IntentOp op, const Watch& w);
   void note_detected(PendingUpset& p, u64 t);
   void mark_detected(u32 far, u64 t);
@@ -204,7 +180,6 @@ class ScrubService {
   std::vector<Watch> watches_;
   std::vector<std::vector<fabric::FrameAddr>> addrs_;  // per watch
   std::vector<PendingUpset> pending_;
-  BoundedLog<JournalEntry, kJournalCapacity> journal_;
   Stats stats_;
   irq::IrqLine irq_done_;
   irq::IrqLine irq_error_;

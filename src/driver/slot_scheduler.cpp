@@ -53,11 +53,6 @@ const SlotScheduler::TaskRecord* SlotScheduler::task(TaskId id) const {
   return &tasks_[id - 1];
 }
 
-void SlotScheduler::journal_event(SwapEvent::Kind kind, u32 slot,
-                                  const TaskRecord& t, Status status) {
-  journal_.push({drv_.mtime(), slot, kind, t.id, t.task.rm_id, status});
-}
-
 void SlotScheduler::intent(IntentOp op, u32 slot, u32 rm_id, u32 arg0) {
   if (intent_ == nullptr) return;
   IntentRecord r;
@@ -146,7 +141,7 @@ Status SlotScheduler::submit(const HwTask& task, TaskId* id) {
     if (victim != nullptr && u64{task.priority} > eff_priority(*victim, now)) {
       ++stats_.sheds;
       trace_.emit(obs::EventKind::kSlotShed, victim->id, victim->task.priority);
-      journal_event(SwapEvent::Kind::kShed, 0, *victim, Status::kRejected);
+      stamp_event();
       finish(*victim, TaskState::kShed, Status::kRejected);
     } else {
       ++stats_.sheds;
@@ -156,7 +151,7 @@ Status SlotScheduler::submit(const HwTask& task, TaskId* id) {
       r.submit_mtime = now;
       r.last_progress_mtime = now;
       trace_.emit(obs::EventKind::kSlotShed, r.id, task.priority);
-      journal_event(SwapEvent::Kind::kShed, 0, r, Status::kRejected);
+      stamp_event();
       r.state = TaskState::kShed;
       r.status = Status::kRejected;
       r.done_mtime = now;
@@ -181,8 +176,8 @@ void SlotScheduler::expire_queued(u64 now) {
     if (t.state != TaskState::kQueued) continue;
     if (t.task.deadline_mtime != 0 && now > t.task.deadline_mtime) {
       ++stats_.deadline_misses;
-      journal_event(SwapEvent::Kind::kDeadlineMiss, 0, t,
-                    Status::kDeadlineMissed);
+      trace_.emit(obs::EventKind::kSlotDeadlineMiss, t.id);
+      stamp_event();
       finish(t, TaskState::kDeadlineMissed, Status::kDeadlineMissed);
     }
   }
@@ -296,7 +291,7 @@ Status SlotScheduler::capture(TaskRecord& victim) {
   trace_.emit(obs::EventKind::kSlotPreempt, victim.id, s);
   trace_.emit(obs::EventKind::kSlotCapture, victim.id, words,
               drv_.last_timing().reconfig_ticks);
-  journal_event(SwapEvent::Kind::kCapture, s, victim, Status::kOk);
+  stamp_event();
   intent(IntentOp::kSlotCaptureDone, s, victim.task.rm_id, victim.id);
   return Status::kOk;
 }
@@ -334,7 +329,7 @@ Status SlotScheduler::swap_in(TaskRecord& t, u32 slot) {
   if (b.service->stats().hangs > hangs_before) {
     ++stats_.swap_hangs;
     trace_.emit(obs::EventKind::kSlotSwapHang, t.id, slot);
-    journal_event(SwapEvent::Kind::kSwapHang, slot, t, Status::kHang);
+    stamp_event();
   }
   if (!ok(st)) return st;
 
@@ -359,8 +354,9 @@ void SlotScheduler::rollback(TaskRecord& t, SwapEvent::Kind reason,
   ++stats_.rollbacks;
   ++t.rollbacks;
   const u32 s = t.slot;
-  trace_.emit(obs::EventKind::kSlotRollback, t.id, static_cast<u64>(reason));
-  journal_event(reason, s, t, cause);
+  trace_.emit(obs::EventKind::kSlotRollback, t.id, static_cast<u64>(reason),
+              static_cast<u64>(cause));
+  stamp_event();
   release_area(t);
 
   if (t.rollbacks > cfg_.max_rollbacks) {
@@ -443,7 +439,7 @@ void SlotScheduler::restore(TaskRecord& t) {
     if (st == Status::kHang) {
       ++stats_.swap_hangs;
       trace_.emit(obs::EventKind::kSlotSwapHang, t.id, s);
-      journal_event(SwapEvent::Kind::kSwapHang, s, t, st);
+      stamp_event();
     }
     rollback(t, SwapEvent::Kind::kRollbackTransfer, st);
     return;
@@ -470,7 +466,7 @@ void SlotScheduler::restore(TaskRecord& t) {
   trace_.emit(obs::EventKind::kSlotRestore, t.id, s,
               drv_.last_timing().reconfig_ticks);
   trace_.emit(obs::EventKind::kSlotResume, t.id, s);
-  journal_event(SwapEvent::Kind::kRestore, s, t, Status::kOk);
+  stamp_event();
   intent(IntentOp::kSlotRestoreDone, s, t.task.rm_id, t.id);
 }
 
@@ -623,7 +619,7 @@ void SlotScheduler::run_chunk(TaskRecord& t) {
     }
     trace_.emit(obs::EventKind::kSlotComplete, t.id, s,
                 drv_.mtime() - t.start_mtime);
-    journal_event(SwapEvent::Kind::kComplete, s, t, Status::kOk);
+    stamp_event();
     finish(t, TaskState::kCompleted, Status::kOk);
   }
 }

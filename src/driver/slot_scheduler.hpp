@@ -139,9 +139,10 @@ class SlotScheduler {
     std::vector<u8> behavior_blob;  // serialized architectural state
   };
 
-  /// Swap-machine journal record; a fixed ring of the most recent
-  /// kJournalCapacity events (every capture, restore, rollback, shed,
-  /// hang lands here — the recovery audit trail).
+  /// Swap-machine event kinds. Every capture, restore, rollback, shed,
+  /// deadline miss and hang is a kSlot* trace event of source
+  /// "slot_scheduler" (the recovery audit trail); kSlotRollback carries
+  /// the rollback reason in a1.
   struct SwapEvent {
     enum class Kind : u8 {
       kCapture,
@@ -156,14 +157,7 @@ class SlotScheduler {
       kDeadlineMiss,
       kComplete,
     };
-    u64 mtime = 0;
-    u32 slot = 0;
-    Kind kind{};
-    TaskId task = 0;
-    u32 rm_id = 0;
-    Status status = Status::kOk;
   };
-  static constexpr usize kJournalCapacity = 64;
 
   struct Stats {
     u64 submitted = 0;
@@ -241,9 +235,6 @@ class SlotScheduler {
   const TaskRecord* task(TaskId id) const;
   const std::vector<TaskRecord>& tasks() const { return tasks_; }
 
-  /// Journal entries, oldest first (at most kJournalCapacity retained).
-  std::vector<SwapEvent> journal() const { return journal_.journal(); }
-  u64 journal_events() const { return journal_.journal_events(); }
   const Stats& stats() const { return stats_; }
   /// Tasks admitted and waiting for their first placement.
   usize queue_depth() const {
@@ -289,8 +280,9 @@ class SlotScheduler {
   void release_area(TaskRecord& t);
   u32 claim_area();
   u32 image_crc(Addr addr, u32 words, std::span<const u8> blob);
-  void journal_event(SwapEvent::Kind kind, u32 slot, const TaskRecord& t,
-                     Status status);
+  /// The firmware stamps every swap event with a CLINT mtime read; its
+  /// bus time is charged right after the event is recorded.
+  void stamp_event() { (void)drv_.mtime(); }
   void settle();
   void intent(IntentOp op, u32 slot, u32 rm_id, u32 arg0 = 0);
 
@@ -303,7 +295,6 @@ class SlotScheduler {
   std::vector<TaskId> resident_;      // 0 = vacant
   std::vector<bool> area_used_;
   std::vector<TaskRecord> tasks_;     // append-only; id = index + 1
-  BoundedLog<SwapEvent, kJournalCapacity> journal_;
   Stats stats_;
   StallWatchdog watchdog_{"slot_scheduler"};  // swap-transfer fence
 

@@ -27,11 +27,14 @@ std::string_view event_name(EventKind k) {
     case EventKind::kSvcComplete: return "svc_complete";
     case EventKind::kSvcFail: return "svc_fail";
     case EventKind::kSvcHang: return "svc_hang";
+    case EventKind::kDprStage: return "dpr_stage";
     case EventKind::kScrubUpset: return "scrub_upset";
     case EventKind::kScrubPass: return "scrub_pass";
     case EventKind::kScrubDetect: return "scrub_detect";
     case EventKind::kScrubRewrite: return "scrub_rewrite";
+    case EventKind::kScrubRewriteFail: return "scrub_rewrite_fail";
     case EventKind::kScrubReload: return "scrub_reload";
+    case EventKind::kScrubReadFail: return "scrub_read_fail";
     case EventKind::kIrqRaise: return "irq_raise";
     case EventKind::kIrqLower: return "irq_lower";
     case EventKind::kIrqClaim: return "irq_claim";
@@ -52,6 +55,7 @@ std::string_view event_name(EventKind k) {
     case EventKind::kNetCacheMiss: return "net_cache_miss";
     case EventKind::kNetCachePoison: return "net_cache_poison";
     case EventKind::kNetFallback: return "net_fallback";
+    case EventKind::kNetDeliver: return "net_deliver";
     case EventKind::kSlotPlace: return "slot_place";
     case EventKind::kSlotPreempt: return "slot_preempt";
     case EventKind::kSlotCapture: return "slot_capture";
@@ -61,6 +65,7 @@ std::string_view event_name(EventKind k) {
     case EventKind::kSlotShed: return "slot_shed";
     case EventKind::kSlotSwapHang: return "slot_swap_hang";
     case EventKind::kSlotComplete: return "slot_complete";
+    case EventKind::kSlotDeadlineMiss: return "slot_deadline_miss";
     case EventKind::kPlaceRequest: return "place_request";
     case EventKind::kPlaceRelocate: return "place_relocate";
     case EventKind::kPlaceRelocHit: return "place_reloc_hit";
@@ -113,12 +118,15 @@ Track event_track(EventKind k) {
     case EventKind::kSvcComplete:
     case EventKind::kSvcFail:
     case EventKind::kSvcHang:
+    case EventKind::kDprStage:
       return Track::kService;
     case EventKind::kScrubUpset:
     case EventKind::kScrubPass:
     case EventKind::kScrubDetect:
     case EventKind::kScrubRewrite:
+    case EventKind::kScrubRewriteFail:
     case EventKind::kScrubReload:
+    case EventKind::kScrubReadFail:
       return Track::kScrub;
     case EventKind::kIrqRaise:
     case EventKind::kIrqLower:
@@ -141,6 +149,7 @@ Track event_track(EventKind k) {
     case EventKind::kNetCacheMiss:
     case EventKind::kNetCachePoison:
     case EventKind::kNetFallback:
+    case EventKind::kNetDeliver:
       return Track::kNet;
     case EventKind::kSlotPlace:
     case EventKind::kSlotPreempt:
@@ -151,6 +160,7 @@ Track event_track(EventKind k) {
     case EventKind::kSlotShed:
     case EventKind::kSlotSwapHang:
     case EventKind::kSlotComplete:
+    case EventKind::kSlotDeadlineMiss:
       return Track::kSlot;
     case EventKind::kPlaceRequest:
     case EventKind::kPlaceRelocate:
@@ -202,6 +212,7 @@ bool duration_in_a2(EventKind k) {
     case EventKind::kDmaS2mmDone:
     case EventKind::kScrubPass:
     case EventKind::kNetFetchDone:
+    case EventKind::kNetDeliver:
     case EventKind::kSlotCapture:
     case EventKind::kSlotRestore:
     case EventKind::kSlotComplete:
@@ -226,10 +237,13 @@ bool duration_in_a2(EventKind k) {
     case EventKind::kSvcComplete:
     case EventKind::kSvcFail:
     case EventKind::kSvcHang:
+    case EventKind::kDprStage:
     case EventKind::kScrubUpset:
     case EventKind::kScrubDetect:
     case EventKind::kScrubRewrite:
+    case EventKind::kScrubRewriteFail:
     case EventKind::kScrubReload:
+    case EventKind::kScrubReadFail:
     case EventKind::kIrqRaise:
     case EventKind::kIrqLower:
     case EventKind::kIrqClaim:
@@ -255,6 +269,7 @@ bool duration_in_a2(EventKind k) {
     case EventKind::kSlotRollback:
     case EventKind::kSlotShed:
     case EventKind::kSlotSwapHang:
+    case EventKind::kSlotDeadlineMiss:
     case EventKind::kPlaceRequest:
     case EventKind::kPlaceRelocate:
     case EventKind::kPlaceRelocHit:

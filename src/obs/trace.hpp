@@ -3,10 +3,17 @@
 // Every interesting hardware or driver action — an AXI burst retiring,
 // an ICAP word consumed, a DMA descriptor completing, a service queue
 // decision, a scrub repair, an IRQ claim — is one fixed-size
-// TraceEvent pushed into a bounded TraceSink ring. Emission goes
-// through the RVCAP_TRACE macro, which compiles to nothing under
-// RVCAP_NO_TRACE and to a null-check + enabled-check otherwise, so the
-// instrumented hot paths cost nothing when tracing is off.
+// TraceEvent pushed into a bounded TraceSink ring.
+//
+// Two kinds of emitter share the ring (the split rule):
+//  - Components (crossbar, wires, ICAP, DMA, PLIC, net, power loss)
+//    emit through the RVCAP_TRACE macro: a null-check + enabled-check,
+//    compiled to nothing under RVCAP_NO_TRACE, so the instrumented hot
+//    paths cost nothing when tracing is off.
+//  - Drivers emit through driver::TraceSource, which appends always:
+//    with the sink disabled and in RVCAP_NO_TRACE builds. The sink is
+//    the drivers' only event record (a handful of events per request),
+//    so tests read it in every build.
 //
 // Mode invariance: events are only emitted from progressing ticks
 // (tick() returning true) or from externally driven calls (MMIO
@@ -16,7 +23,7 @@
 // across kernels. tests/test_trace.cpp holds the system to that.
 //
 // The ring drops the oldest events when full, but a running FNV-1a
-// digest and a total count are updated on every emit, so golden-trace
+// digest and a total count are updated on every append, so golden-trace
 // comparisons survive ring wraparound.
 #pragma once
 
@@ -61,13 +68,17 @@ enum class EventKind : u8 {
   kSvcDispatch,      // a0=id, a1=wait mtime ticks
   kSvcComplete,      // a0=id, a1=active mtime ticks
   kSvcFail,          // a0=id, a1=Status
-  kSvcHang,          // a0=id, a1=outstanding beats, a2=frozen polls
+  kSvcHang,          // a0=id, a1=outstanding beats,
+                     // a2=expected beats<<32 | frozen polls
   // ---- Scrub engine (track kScrub) ----
   kScrubUpset,     // injected SEU: a0=frame, a1=word<<8|bit
   kScrubPass,      // full walk done: a0=pass#, a1=frames, a2=cycles
   kScrubDetect,    // syndrome hit: a0=frame, a1=class
-  kScrubRewrite,   // frame repaired in place: a0=frame
-  kScrubReload,    // escalated to full RM reload: a0=frame
+  // Verdicts of a non-clean frame (kScrubRewriteFail and
+  // kScrubReadFail too): a0=frame, a1=word<<8|bit,
+  // a2=essential<<8 | class.
+  kScrubRewrite,      // frame repaired in place, verify read clean
+  kScrubReload,       // escalated to full RM reload
   // ---- PLIC (track kIrq) ----
   kIrqRaise,     // source level 0->1: a0=source
   kIrqLower,     // source level 1->0: a0=source
@@ -96,7 +107,8 @@ enum class EventKind : u8 {
   kSlotCapture,   // GCAPTURE readback done: a0=task id, a1=words, a2=cycles
   kSlotRestore,   // GRESTORE writeback done: a0=task id, a1=slot, a2=cycles
   kSlotResume,    // preempted task resumed: a0=task id, a1=slot
-  kSlotRollback,  // restore rejected, full golden reload: a0=task, a1=reason
+  kSlotRollback,  // restore rejected, full golden reload: a0=task,
+                  // a1=reason (SwapEvent::Kind), a2=cause Status
   kSlotShed,      // oversubscription shed: a0=task id, a1=priority
   kSlotSwapHang,  // wedged swap diagnosed: a0=task id, a1=slot
   kSlotComplete,  // task retired: a0=task id, a1=slot, a2=active cycles
@@ -121,6 +133,15 @@ enum class EventKind : u8 {
   kRecovReplay,         // pending request resubmitted: a0=rm, a1=slack
   kRecovShed,           // pending request shed (deadline dead): a0=rm
   kRecovReady,          // recovery done: a0=slots verified, a2=cycles
+  // ---- Later additions (golden digests fold a kind's code, so new
+  // kinds go last; each sits on its group's track) ----
+  kDprStage,          // DprManager recovery stage (kService): a0=rm id,
+                      // a1=attempt<<16 | Status<<8 | FailStage, a2=mtime
+  kScrubRewriteFail,  // scrub verdict: rewrite or its verify failed
+  kScrubReadFail,     // scrub verdict: readback transport failed
+  kNetDeliver,        // delivery done: a0=image id,
+                      // a1=Status<<8 | DeliveryPath, a2=cycles
+  kSlotDeadlineMiss,  // queued task expired: a0=task id
 };
 
 /// Perfetto track (exported as one "process" per track).
@@ -145,8 +166,9 @@ struct TraceEvent {
 };
 
 /// Bounded ring of TraceEvents plus a wrap-proof running digest.
-/// Disabled by default: enabling is an explicit per-run opt-in so the
-/// default build and benches pay only a predicted-false branch.
+/// Disabled by default: enabling is an explicit per-run opt-in for
+/// component events, so the default build and benches pay only a
+/// predicted-false branch on the hot paths.
 class TraceSink {
  public:
   static constexpr usize kDefaultCapacity = usize{1} << 15;
@@ -170,9 +192,15 @@ class TraceSink {
     return static_cast<u16>(sources_.size() - 1);
   }
 
+  /// Component emission: recorded only while the sink is enabled.
   void emit(EventKind kind, u16 src, Cycles ts, u64 a0 = 0, u64 a1 = 0,
             u64 a2 = 0) {
-    if (!enabled_) return;
+    if (enabled_) append(kind, src, ts, a0, a1, a2);
+  }
+
+  /// Unconditional record (driver events): ring, digest and totals.
+  void append(EventKind kind, u16 src, Cycles ts, u64 a0 = 0, u64 a1 = 0,
+              u64 a2 = 0) {
     TraceEvent e;
     e.ts = ts;
     e.kind = kind;
@@ -243,8 +271,8 @@ class TraceSink {
   bool enabled_ = false;
 };
 
-/// Compile-time switch the tests use to GTEST_SKIP() trace assertions
-/// in an RVCAP_NO_TRACE build.
+/// Compile-time switch the tests use to GTEST_SKIP() assertions on
+/// component events in an RVCAP_NO_TRACE build.
 constexpr bool trace_compiled_in() {
 #ifndef RVCAP_NO_TRACE
   return true;
@@ -255,8 +283,8 @@ constexpr bool trace_compiled_in() {
 
 }  // namespace rvcap::obs
 
-// Emission macro: evaluates its arguments only when the sink exists
-// and is enabled; vanishes entirely under RVCAP_NO_TRACE.
+// Component emission macro: evaluates its arguments only when the sink
+// exists and is enabled; vanishes entirely under RVCAP_NO_TRACE.
 #ifndef RVCAP_NO_TRACE
 #define RVCAP_TRACE(sinkptr, ...)                                     \
   do {                                                                \

@@ -207,8 +207,13 @@ class Fifo<T> {
   /// Queued beats, visible or not.
   usize size() const { return data_.size(); }
   usize capacity() const { return data_.capacity(); }
-  /// Free slots a push can use now.
-  usize vacancy() const { return capacity() - size() - pending_after(now()); }
+  /// Free slots a push can use now. A beat pushed ahead of the clock
+  /// can hold a slot that frees later, so queued plus still-held beats
+  /// may exceed the capacity: no room then, not a wrapped count.
+  usize vacancy() const {
+    const usize held = size() + pending_after(now());
+    return held < capacity() ? capacity() - held : 0;
+  }
   /// Whether a push at cycle c >= now finds room even if nothing queued
   /// now has left by then.
   bool can_push_at(Cycles c) const { return room(c, 0, 1) == 1; }
@@ -424,8 +429,9 @@ class Fifo<T> {
       if (last || m < p.k) break;
     }
     if (taken == 0) return 0;
-    // One wake level per slot freed at once: the vacancy each raised.
-    for (usize v = vacancy(), i = 0; i < freed; ++i) {
+    // One wake level per slot freed at once: the vacancy each raised
+    // (levels below 1 offer no room, so none is notified).
+    for (usize v = vacancy(), i = 0; i < freed && i < v; ++i) {
       on_pop_.notify_level(v - i);
     }
     arm_if_tight();

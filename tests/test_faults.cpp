@@ -243,7 +243,7 @@ TEST_F(FaultRecoveryFixture, NoFaultsCleanActivation) {
   ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
   EXPECT_FALSE(decoupled());
   EXPECT_EQ(mgr.stats().recoveries, 0u);
-  EXPECT_EQ(mgr.journal_events(), 0u);
+  EXPECT_TRUE(stages().empty());
 }
 
 TEST_F(FaultRecoveryFixture, RecoversFromDmaSlvErr) {
@@ -255,7 +255,7 @@ TEST_F(FaultRecoveryFixture, RecoversFromDmaSlvErr) {
   EXPECT_EQ(mgr.stats().recoveries, 1u);
   EXPECT_GE(mgr.stats().blank_passes, 1u);
   EXPECT_EQ(mgr.stats().scrub_verifies, 1u);
-  const auto j = mgr.journal();
+  const auto j = stages();
   ASSERT_GE(j.size(), 2u);
   EXPECT_EQ(j.front().stage, FailStage::kDma);
   EXPECT_EQ(j.front().status, Status::kIoError);
@@ -339,7 +339,7 @@ TEST_F(FaultRecoveryFixture, CorruptedRepairReloadLeavesPartitionInvalid) {
 
 // The post-recovery verify is the last gate before recouple: a readback
 // that fails (here an MM2S SLVERR on its command stream, so the S2MM
-// capture never completes and times out) is journalled as kScrub,
+// capture never completes and times out) is recorded as kScrub,
 // blanks the partition and spends an attempt like any other failure.
 TEST_F(FaultRecoveryFixture, FailedRecoveryVerifyRetriesUntilClean) {
   // Shrink the WFI bound so the starved capture times out quickly.
@@ -354,7 +354,7 @@ TEST_F(FaultRecoveryFixture, FailedRecoveryVerifyRetriesUntilClean) {
   ASSERT_EQ(mgr.activate("sobel"), Status::kOk);
   EXPECT_EQ(fi.fires(sites::kDmaMm2sSlvErr), 1u);
 
-  const auto j = mgr.journal();
+  const auto j = stages();
   ASSERT_EQ(j.size(), 3u);
   EXPECT_EQ(j[0].stage, FailStage::kActivate);
   EXPECT_EQ(j[0].attempt, 1u);
@@ -456,7 +456,7 @@ TEST_F(FaultRecoveryFixture, ExhaustedRetriesLeaveRpDecoupled) {
   EXPECT_TRUE(decoupled());
   EXPECT_FALSE(soc.config_memory().partition_state(soc.rp0_handle()).loaded);
   EXPECT_EQ(mgr.stats().retries_exhausted, 1u);
-  const auto j = mgr.journal();
+  const auto j = stages();
   ASSERT_FALSE(j.empty());
   EXPECT_EQ(j.back().stage, FailStage::kExhausted);
 }
@@ -477,9 +477,12 @@ TEST_F(FaultRecoveryFixture, CorruptPinnedImageNeverCouples) {
 }
 
 TEST_F(FaultRecoveryFixture, JournalKeepsNewestEventsPastCapacity) {
-  // Each exhausted activation of a corrupt pinned image journals one
+  // Each exhausted activation of a corrupt pinned image records one
   // kStagedCrc per attempt plus kExhausted: 4 events a call, so nine
-  // calls push 36 events through the 32-entry ring.
+  // calls push 36 events through a 32-event trace ring. The manager is
+  // the only source emitting here.
+  constexpr usize kRing = 32;
+  soc.sim().obs().sink().set_capacity(kRing);
   u8 byte = 0;
   soc.ddr().peek(0x8A00'0100, std::span(&byte, 1));
   byte ^= 0xFF;
@@ -491,11 +494,11 @@ TEST_F(FaultRecoveryFixture, JournalKeepsNewestEventsPastCapacity) {
     call_start.push_back(drv.mtime());
     EXPECT_EQ(mgr.activate("sobel"), Status::kCrcError);
   }
-  static_assert(kPerCall * kCalls > DprManager::kJournalCapacity);
+  static_assert(kPerCall * kCalls > kRing);
 
-  EXPECT_EQ(mgr.journal_events(), u64{kPerCall} * kCalls);
-  const auto j = mgr.journal();
-  ASSERT_EQ(j.size(), DprManager::kJournalCapacity);
+  EXPECT_EQ(soc.sim().obs().sink().total_events(), u64{kPerCall} * kCalls);
+  const auto j = stages();
+  ASSERT_EQ(j.size(), kRing);
   // The newest 32 events, oldest first: the first call's four events
   // are the ones overwritten, so the ring starts at the second call.
   EXPECT_GE(j.front().mtime, call_start[1]);
@@ -527,7 +530,7 @@ TEST_F(FaultRecoveryFixture, ActivationFailureKeepsPreviousModuleOut) {
 TEST_F(FaultRecoveryFixture, SameSeedSameJournal) {
   // Probabilistic, unlimited faults: whatever sequence of failures,
   // recoveries, or exhaustion plays out, an identically-seeded world
-  // must reproduce it exactly — statuses, journal, and fire counts.
+  // must reproduce it exactly — statuses, recovery stages and fire counts.
   const auto scenario = [](test::DprWorld& w) {
     w.mgr.attach_fallback(nullptr);  // keep the run on one path
     w.mgr.set_policy({});  // no verify: free of long readback waits
@@ -539,13 +542,13 @@ TEST_F(FaultRecoveryFixture, SameSeedSameJournal) {
     return out;
   };
   const auto s1 = scenario(*this);
-  const auto j1 = mgr.journal();
+  const auto j1 = stages();
   const auto report1 = fi.fire_report();
 
-  // Fresh, identically-seeded world must reproduce the exact journal.
+  // Fresh, identically-seeded world must reproduce the exact stages.
   test::DprWorld other;
   const auto s2 = scenario(other);
-  const auto j2 = other.mgr.journal();
+  const auto j2 = other.stages();
 
   EXPECT_EQ(s1, s2);
   EXPECT_FALSE(j1.empty());  // p=0.5 over many transfers: events occur
@@ -622,8 +625,10 @@ TEST_F(SdFaultFixture, SdTokenDropRecoveredByDriverRetry) {
   fi.arm(sim::fault_sites::kSdReadToken, /*count=*/1);
   ASSERT_EQ(mgr->activate("m60"), Status::kOk);
   EXPECT_GE(sd->reads_recovered(), 1u);
-  // Transparent to the manager: no journal event, no manager retry.
-  EXPECT_EQ(mgr->journal_events(), 0u);
+  // Transparent to the manager: no recovery stage, no manager retry.
+  EXPECT_EQ(test::count_events(soc.sim().obs().sink(),
+                               obs::EventKind::kDprStage),
+            0u);
 }
 
 TEST_F(SdFaultFixture, SdCrcCorruptionRecoveredByDriverRetry) {
@@ -639,7 +644,7 @@ TEST_F(SdFaultFixture, StagedBitFlipCaughtByCrcAndReloaded) {
   EXPECT_EQ(mgr->stats().staged_crc_failures, 1u);
   EXPECT_EQ(mgr->stats().staging_loads, 2u);  // corrupt load + reload
   EXPECT_EQ(mgr->stats().recoveries, 1u);
-  const auto j = mgr->journal();
+  const auto j = test::dpr_stages(soc.sim().obs().sink());
   ASSERT_GE(j.size(), 2u);
   EXPECT_EQ(j.front().stage, FailStage::kStagedCrc);
   EXPECT_EQ(j.back().stage, FailStage::kRecovered);

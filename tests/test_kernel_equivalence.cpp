@@ -7,8 +7,8 @@
 // FAT32, and fault-injected self-healing activations — once under
 // Simulator::Mode::kFlat and once under Mode::kScheduled, and assert
 // the outcomes are identical: same now() at every milestone, same
-// driver timing, same throughput, and bit-for-bit identical DprManager
-// failure journals under the same fault seed. Any divergence here means
+// driver timing, same throughput, and bit-for-bit identical driver
+// event streams under the same fault seed. Any divergence here means
 // a component broke the activity contract (returned false from a tick
 // that could progress next cycle, or mutated state without raising a
 // wake).
@@ -236,19 +236,16 @@ TEST(KernelEquivalence, IdleStretchKeepsClintPhase) {
 }
 
 // ---------------------------------------------------------------------
-// Fault-injected self-healing: bit-identical journals per seed
+// Fault-injected self-healing: bit-identical driver events per seed
 // ---------------------------------------------------------------------
 
-void expect_same_journal(const std::vector<DprManager::JournalEntry>& a,
-                         const std::vector<DprManager::JournalEntry>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (usize i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].mtime, b[i].mtime) << "entry " << i;
-    EXPECT_EQ(a[i].stage, b[i].stage) << "entry " << i;
-    EXPECT_EQ(a[i].status, b[i].status) << "entry " << i;
-    EXPECT_EQ(a[i].rm_id, b[i].rm_id) << "entry " << i;
-    EXPECT_EQ(a[i].attempt, b[i].attempt) << "entry " << i;
-  }
+/// Both kernels recorded the same driver events, source by source (the
+/// sink is disabled, so the ring holds driver events only).
+void expect_same_driver_events(test::DprWorld& flat, test::DprWorld& sched) {
+  const auto a = test::events_by_source(flat.soc.sim().obs().sink());
+  EXPECT_FALSE(a.empty());
+  test::expect_same_streams(a,
+                            test::events_by_source(sched.soc.sim().obs().sink()));
 }
 
 TEST(KernelEquivalence, DmaFaultRecoveryJournalIdentical) {
@@ -261,7 +258,7 @@ TEST(KernelEquivalence, DmaFaultRecoveryJournalIdentical) {
   EXPECT_EQ(flat.soc.sim().now(), sched.soc.sim().now());
   EXPECT_EQ(flat.mgr.stats().recoveries, 1u);
   EXPECT_EQ(sched.mgr.stats().recoveries, 1u);
-  expect_same_journal(flat.mgr.journal(), sched.mgr.journal());
+  expect_same_driver_events(flat, sched);
 }
 
 TEST(KernelEquivalence, IcapCorruptionRecoveryJournalIdentical) {
@@ -272,7 +269,7 @@ TEST(KernelEquivalence, IcapCorruptionRecoveryJournalIdentical) {
   ASSERT_EQ(flat.mgr.activate("sobel"), Status::kOk);
   ASSERT_EQ(sched.mgr.activate("sobel"), Status::kOk);
   EXPECT_EQ(flat.soc.sim().now(), sched.soc.sim().now());
-  expect_same_journal(flat.mgr.journal(), sched.mgr.journal());
+  expect_same_driver_events(flat, sched);
   // The injected-fault streams must also have advanced identically:
   // the scheduled kernel issues the same should_fire() queries in the
   // same order, or the seeds would desynchronize.
@@ -305,8 +302,8 @@ TEST(KernelEquivalence, BackToBackActivationsIdentical) {
 struct SeuOutcome {
   Cycles final_cycle = 0;
   std::vector<fabric::SeuProcess::Event> events;
-  std::vector<driver::ScrubService::JournalEntry> journal;
-  u64 journal_events = 0;
+  test::EventStreams driver_events;
+  u64 dropped_events = 0;
   u64 landed = 0;
   u64 detections = 0;
   u64 rewrites = 0;
@@ -371,8 +368,8 @@ SeuOutcome run_seu(Simulator::Mode mode) {
   SeuOutcome o;
   o.final_cycle = soc.sim().now();
   o.events = seu.log();
-  o.journal = scrub.journal();
-  o.journal_events = scrub.journal_events();
+  o.driver_events = test::events_by_source(soc.sim().obs().sink());
+  o.dropped_events = soc.sim().obs().sink().dropped_events();
   o.landed = seu.landed();
   o.detections = scrub.stats().detections;
   o.rewrites = scrub.stats().frame_rewrites;
@@ -392,7 +389,7 @@ TEST(KernelEquivalence, SeuScrubRepairHistoryIdentical) {
 
   // The run is non-vacuous: upsets landed and repairs happened.
   EXPECT_GT(flat.landed, 0u);
-  EXPECT_FALSE(flat.journal.empty());
+  EXPECT_EQ(flat.driver_events.count("scrub_service"), 1u);
 
   // Same seed, different kernel: the upset schedule must be identical
   // to the cycle — the SeuProcess rides the time wheel, so a wake
@@ -408,14 +405,11 @@ TEST(KernelEquivalence, SeuScrubRepairHistoryIdentical) {
   }
 
   // Detection and repair history, including the cycle stamps feeding
-  // MTTD/MTTR, must match entry for entry — and be complete: a wrapped
-  // journal would compare only its newest entries.
-  EXPECT_EQ(flat.journal_events, flat.journal.size());
-  EXPECT_EQ(sched.journal_events, sched.journal.size());
-  ASSERT_EQ(flat.journal.size(), sched.journal.size());
-  for (usize i = 0; i < flat.journal.size(); ++i) {
-    EXPECT_TRUE(flat.journal[i] == sched.journal[i]) << "entry " << i;
-  }
+  // MTTD/MTTR, must match event for event in every driver source — and
+  // be complete: a wrapped ring would compare only its newest events.
+  EXPECT_EQ(flat.dropped_events, 0u);
+  EXPECT_EQ(sched.dropped_events, 0u);
+  test::expect_same_streams(flat.driver_events, sched.driver_events);
   EXPECT_EQ(flat.landed, sched.landed);
   EXPECT_EQ(flat.detections, sched.detections);
   EXPECT_EQ(flat.rewrites, sched.rewrites);
@@ -1158,7 +1152,7 @@ StreamOutcome stream_compressed(Simulator::Mode mode) {
   return o;
 }
 
-/// DprManager activations with an MM2S fault mid-burst: the journal's
+/// DprManager activations with an MM2S fault mid-burst: the recovery
 /// stages and the recovery counts, then the stream counters.
 StreamOutcome stream_dma_fault(Simulator::Mode mode, std::string_view site) {
   test::DprWorld w(mode);
@@ -1167,7 +1161,7 @@ StreamOutcome stream_dma_fault(Simulator::Mode mode, std::string_view site) {
   StreamOutcome o;
   EXPECT_EQ(w.mgr.activate("sobel"), Status::kOk);
   o.values.push_back(w.soc.sim().now());
-  for (const auto& e : w.mgr.journal()) {
+  for (const auto& e : w.stages()) {
     o.values.push_back(e.mtime);
     o.values.push_back(static_cast<u64>(e.stage));
     o.values.push_back(static_cast<u64>(e.status));

@@ -143,6 +143,18 @@ struct NetWorld {
 
 constexpr Addr kDest = 0x8A00'0000;
 
+/// The delivery chain's outcomes (kNetDeliver events), oldest first.
+std::vector<obs::TraceEvent> deliveries(ArianeSoc& soc) {
+  return test::events_of(soc.sim().obs().sink(), obs::EventKind::kNetDeliver,
+                         "bitstream_delivery");
+}
+DeliveryPath path_of(const obs::TraceEvent& e) {
+  return static_cast<DeliveryPath>(e.a1 & 0xFF);
+}
+Status status_of(const obs::TraceEvent& e) {
+  return static_cast<Status>(e.a1 >> 8);
+}
+
 // ---------------------------------------------------------------------
 // NetFetcher over a clean and a lossy link
 // ---------------------------------------------------------------------
@@ -430,10 +442,10 @@ TEST(BitstreamDelivery, NetFetchesArePromotedToCacheHits) {
   EXPECT_EQ(w.fetcher.fetches_ok(), 1u);  // second hit never hit the wire
   EXPECT_EQ(w.read_ddr(kDest, img.size()), img);
 
-  const auto journal = delivery.journal();
+  const auto journal = deliveries(w.soc);
   ASSERT_EQ(journal.size(), 2u);
-  EXPECT_EQ(journal[0].path, DeliveryPath::kNet);
-  EXPECT_EQ(journal[1].path, DeliveryPath::kCache);
+  EXPECT_EQ(path_of(journal[0]), DeliveryPath::kNet);
+  EXPECT_EQ(path_of(journal[1]), DeliveryPath::kCache);
 }
 
 /// SD volume (host-formatted, CPU-mounted) holding one image file.
@@ -478,10 +490,10 @@ TEST(BitstreamDelivery, LinkOutageFallsBackToSdAndJournalsIt) {
   EXPECT_EQ(delivery.sd_fallbacks(), 1u);
   EXPECT_EQ(delivery.failures(), 0u);
 
-  const auto journal = delivery.journal();
+  const auto journal = deliveries(w.soc);
   ASSERT_EQ(journal.size(), 1u);
-  EXPECT_EQ(journal[0].path, DeliveryPath::kSdFallback);
-  EXPECT_EQ(journal[0].status, Status::kOk);
+  EXPECT_EQ(path_of(journal[0]), DeliveryPath::kSdFallback);
+  EXPECT_EQ(status_of(journal[0]), Status::kOk);
 
   // The degradation is visible to software through the PerfRegs
   // window.
@@ -503,10 +515,10 @@ TEST(BitstreamDelivery, TotalOutageWithoutFallbackFailsCleanly) {
   EXPECT_EQ(delivery.fetch("sobel.pbit", kDest, 1 << 20, &bytes),
             Status::kTimeout);
   EXPECT_EQ(delivery.failures(), 1u);
-  const auto journal = delivery.journal();
+  const auto journal = deliveries(w.soc);
   ASSERT_EQ(journal.size(), 1u);
-  EXPECT_EQ(journal[0].path, DeliveryPath::kFailed);
-  EXPECT_EQ(journal[0].status, Status::kTimeout);
+  EXPECT_EQ(path_of(journal[0]), DeliveryPath::kFailed);
+  EXPECT_EQ(status_of(journal[0]), Status::kTimeout);
   driver::RvCapDriver drv(w.soc.cpu(), w.soc.plic());
   EXPECT_EQ(test::perf_counter(drv, "net.delivery.failures"), 1u);
 }

@@ -66,7 +66,6 @@ using soc::SocConfig;
 
 using Task = SlotScheduler::HwTask;
 using TaskState = SlotScheduler::TaskState;
-using Swap = SlotScheduler::SwapEvent::Kind;
 
 constexpr Addr kGoldenBase = 0xA000'0000;     // home (source) pbits
 constexpr Addr kRelocArena = 0x9400'0000;     // materialized variants

@@ -366,48 +366,44 @@ TEST_F(ScrubFixture, SingleBitUpsetRepairedByOneFrameRewrite) {
   EXPECT_EQ(mem().frame_repairs(), 1u);
   EXPECT_EQ(mem().outstanding_flips(rp_addrs()[7]), 0u);
 
-  // Journal records the rewrite with the exact localized coordinates.
-  ASSERT_EQ(scrub.journal().size(), 1u);
-  const auto j = scrub.journal().front();
-  EXPECT_EQ(j.far, rp_addrs()[7].encode());
-  EXPECT_EQ(j.cls, static_cast<u8>(EccClass::kCorrectable));
-  EXPECT_EQ(j.action, static_cast<u8>(ScrubService::Action::kRewrite));
-  EXPECT_EQ(j.word, 3u);
-  EXPECT_EQ(j.bit, 3u);
-
   // The trace stream tells the whole detect -> repair causality chain
-  // with the localized coordinates in the payloads.
-  if (obs::trace_compiled_in()) {
-    const obs::TraceSink& sink = soc.sim().obs().sink();
-    const u32 far = rp_addrs()[7].encode();
-    const obs::TraceEvent* upset = test::expect_event(
-        sink, obs::EventKind::kScrubUpset, "scrub_service");
-    ASSERT_NE(upset, nullptr);
-    EXPECT_EQ(upset->a0, far);
-    EXPECT_EQ(upset->a1, (u64{3} << 8) | 3);
-    const obs::TraceEvent* detect = test::expect_event(
-        sink, obs::EventKind::kScrubDetect, "scrub_service");
-    ASSERT_NE(detect, nullptr);
-    EXPECT_EQ(detect->a0, far);
-    EXPECT_EQ(detect->a1, static_cast<u64>(EccClass::kCorrectable));
-    const obs::TraceEvent* rewrite = test::expect_event(
-        sink, obs::EventKind::kScrubRewrite, "scrub_service");
-    ASSERT_NE(rewrite, nullptr);
-    EXPECT_EQ(rewrite->a0, far);
-    test::expect_ordered(sink, obs::EventKind::kScrubUpset,
-                         obs::EventKind::kScrubDetect);
-    test::expect_ordered(sink, obs::EventKind::kScrubDetect,
-                         obs::EventKind::kScrubRewrite);
-    EXPECT_EQ(test::count_events(sink, obs::EventKind::kScrubReload), 0u);
-    // MTTD/MTTR histograms recorded the ground-truth latencies.
-    const obs::CounterRegistry& reg = soc.sim().obs().counters();
-    for (usize i = 0; i < reg.histogram_count(); ++i) {
-      if (reg.histogram_name(i) == "scrub.mttd_cycles" ||
-          reg.histogram_name(i) == "scrub.mttr_cycles") {
-        EXPECT_EQ(reg.histogram_at(i).count(), 1u)
-            << reg.histogram_name(i);
-        EXPECT_GT(reg.histogram_at(i).max(), 0u) << reg.histogram_name(i);
-      }
+  // with the localized coordinates in the payloads: one verdict, the
+  // verified rewrite of frame 7's word 3, bit 3.
+  const obs::TraceSink& sink = soc.sim().obs().sink();
+  const u32 far = rp_addrs()[7].encode();
+  const obs::TraceEvent* upset = test::expect_event(
+      sink, obs::EventKind::kScrubUpset, "scrub_service");
+  ASSERT_NE(upset, nullptr);
+  EXPECT_EQ(upset->a0, far);
+  EXPECT_EQ(upset->a1, (u64{3} << 8) | 3);
+  const obs::TraceEvent* detect = test::expect_event(
+      sink, obs::EventKind::kScrubDetect, "scrub_service");
+  ASSERT_NE(detect, nullptr);
+  EXPECT_EQ(detect->a0, far);
+  EXPECT_EQ(detect->a1, static_cast<u64>(EccClass::kCorrectable));
+  const auto rewrites = test::events_of(sink, obs::EventKind::kScrubRewrite,
+                                        "scrub_service");
+  ASSERT_EQ(rewrites.size(), 1u);
+  EXPECT_EQ(rewrites[0].a0, far);
+  EXPECT_EQ(rewrites[0].a1, (u64{3} << 8) | 3);
+  EXPECT_EQ(rewrites[0].a2 & 0xFF,
+            static_cast<u64>(EccClass::kCorrectable));
+  test::expect_ordered(sink, obs::EventKind::kScrubUpset,
+                       obs::EventKind::kScrubDetect);
+  test::expect_ordered(sink, obs::EventKind::kScrubDetect,
+                       obs::EventKind::kScrubRewrite);
+  for (const auto kind :
+       {obs::EventKind::kScrubRewriteFail, obs::EventKind::kScrubReload,
+        obs::EventKind::kScrubReadFail}) {
+    EXPECT_EQ(test::count_events(sink, kind), 0u) << obs::event_name(kind);
+  }
+  // MTTD/MTTR histograms recorded the ground-truth latencies.
+  const obs::CounterRegistry& reg = soc.sim().obs().counters();
+  for (usize i = 0; i < reg.histogram_count(); ++i) {
+    if (reg.histogram_name(i) == "scrub.mttd_cycles" ||
+        reg.histogram_name(i) == "scrub.mttr_cycles") {
+      EXPECT_EQ(reg.histogram_at(i).count(), 1u) << reg.histogram_name(i);
+      EXPECT_GT(reg.histogram_at(i).max(), 0u) << reg.histogram_name(i);
     }
   }
 }
@@ -447,10 +443,15 @@ TEST_F(ScrubFixture, BaseFrameDamageEscalatesEvenWhenCorrectable) {
 TEST_F(ScrubFixture, JournalKeepsNewestVerdictsPastCapacity) {
   // One single-bit upset in each of frames 1..N (the base frame would
   // escalate to a reload): N verified rewrites, four more than the
-  // journal retains.
+  // trace ring retains. Each upset is three scrub_service events: the
+  // upset, then a detect and a rewrite per verdict.
   activate("sobel");
+  constexpr usize kRetained = 256;
   constexpr usize kExtra = 4;
-  constexpr usize kUpsets = ScrubService::kJournalCapacity + kExtra;
+  constexpr usize kUpsets = kRetained + kExtra;
+  obs::TraceSink& sink = soc.sim().obs().sink();
+  sink.clear();
+  sink.set_capacity(2 * kRetained);
   const auto addrs = rp_addrs();
   ASSERT_GT(addrs.size(), kUpsets);
   for (usize f = 1; f <= kUpsets; ++f) {
@@ -461,14 +462,13 @@ TEST_F(ScrubFixture, JournalKeepsNewestVerdictsPastCapacity) {
   }
   ASSERT_EQ(scrub.stats().frame_rewrites, kUpsets);
 
-  EXPECT_EQ(scrub.journal_events(), kUpsets);
-  const auto j = scrub.journal();
-  ASSERT_EQ(j.size(), ScrubService::kJournalCapacity);
-  // Oldest first, starting right after the kExtra overwritten verdicts.
+  EXPECT_EQ(sink.total_events(), 3 * kUpsets);
+  const auto j =
+      test::events_of(sink, obs::EventKind::kScrubRewrite, "scrub_service");
+  ASSERT_EQ(j.size(), kRetained);
+  // Oldest first, starting right after the kExtra evicted verdicts.
   for (usize i = 0; i < j.size(); ++i) {
-    EXPECT_EQ(j[i].far, addrs[1 + kExtra + i].encode()) << i;
-    EXPECT_EQ(j[i].action, static_cast<u8>(ScrubService::Action::kRewrite))
-        << i;
+    EXPECT_EQ(j[i].a0, addrs[1 + kExtra + i].encode()) << i;
   }
 }
 
@@ -554,8 +554,6 @@ struct DemoOutcome {
   u64 reloads = 0;
   Cycles final_cycle = 0;
   std::vector<SeuProcess::Event> events;
-  std::vector<ScrubService::JournalEntry> journal;
-  u64 journal_events = 0;
   bool final_image_exact = false;
 };
 
@@ -613,8 +611,6 @@ DemoOutcome run_demo(ScrubWorld& w, u32 upset_budget) {
   out.reloads = w.scrub.stats().partition_reloads;
   out.final_cycle = w.soc.sim().now();
   out.events = seu.log();
-  out.journal = w.scrub.journal();
-  out.journal_events = w.scrub.journal_events();
   return out;
 }
 
@@ -652,13 +648,14 @@ TEST(ScrubDemo, SameSeedReplaysIdenticalUpsetAndRepairHistory) {
     EXPECT_EQ(a.events[i].bit, b.events[i].bit) << i;
     EXPECT_EQ(a.events[i].landed, b.events[i].landed) << i;
   }
-  // Complete histories: a wrapped journal would compare only its tail.
-  EXPECT_EQ(a.journal_events, a.journal.size());
-  EXPECT_EQ(b.journal_events, b.journal.size());
-  ASSERT_EQ(a.journal.size(), b.journal.size());
-  for (usize i = 0; i < a.journal.size(); ++i) {
-    EXPECT_TRUE(a.journal[i] == b.journal[i]) << i;
-  }
+  // Complete histories: a wrapped ring would compare only its tail.
+  const obs::TraceSink& sa = w1.soc.sim().obs().sink();
+  const obs::TraceSink& sb = w2.soc.sim().obs().sink();
+  EXPECT_EQ(sa.dropped_events(), 0u);
+  EXPECT_EQ(sb.dropped_events(), 0u);
+  EXPECT_GT(test::events_from(sa, "scrub_service").size(), 0u);
+  test::expect_same_streams(test::events_by_source(sa),
+                            test::events_by_source(sb));
 }
 
 TEST(ScrubDemo, DifferentSeedsDiverge) {

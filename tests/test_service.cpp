@@ -324,19 +324,25 @@ TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
   EXPECT_EQ(mgr.stats().dma_hangs, 1u);
   EXPECT_EQ(mgr.stats().dma_timeouts, 0u);
 
-  // Diagnosis carries the last register snapshot of the wedged engine.
-  ASSERT_EQ(svc.hang_log().size(), 1u);
-  const auto d = svc.hang_log().front();
-  EXPECT_EQ(d.request, hung);
-  EXPECT_EQ(d.polls_without_progress, StallWatchdog::kStallPolls);
-  EXPECT_GT(d.expected_beats, 0u);
-  EXPECT_LT(d.snapshot.beats, d.expected_beats);
-  EXPECT_EQ(d.outstanding_beats, d.expected_beats - d.snapshot.beats);
-  EXPECT_GT(d.mtime, 0u);
+  // The kSvcHang event carries the diagnosis: the beats the wedged
+  // engine's last register snapshot still owed the transfer (a1), out
+  // of the transfer's expected beats.
+  const obs::TraceSink& sink = soc.sim().obs().sink();
+  const auto hangs =
+      test::events_of(sink, obs::EventKind::kSvcHang, "reconfig_service");
+  ASSERT_EQ(hangs.size(), 1u);
+  const obs::TraceEvent& hang = hangs.front();
+  const u64 expected_beats = hang.a2 >> 32;
+  EXPECT_EQ(hang.a0, hung);
+  EXPECT_EQ(hang.a2 & 0xFFFF'FFFF, StallWatchdog::kStallPolls);
+  EXPECT_GT(expected_beats, 0u);
+  EXPECT_GT(hang.a1, 0u);
+  EXPECT_LE(hang.a1, expected_beats);
+  EXPECT_GT(hang.ts, 0u);
 
-  // The hang entered the self-healing pipeline: journaled at the DMA
+  // The hang entered the self-healing pipeline: recorded at the DMA
   // stage with kHang, then recovered, and both requests completed.
-  const auto j = mgr.journal();
+  const auto j = stages();
   ASSERT_GE(j.size(), 2u);
   EXPECT_EQ(j.front().stage, FailStage::kDma);
   EXPECT_EQ(j.front().status, Status::kHang);
@@ -346,23 +352,14 @@ TEST_F(ServiceFixture, WatchdogDetectsWedgedDmaAndQueueSurvives) {
   EXPECT_EQ(svc.record(next)->state, State::kCompleted);
   EXPECT_EQ(mgr.active_module(), "median");
 
-  // The same story told by the trace stream: the hang event carries
-  // the diagnosis payload, and no request completes before dispatch.
-  if (obs::trace_compiled_in()) {
-    const obs::TraceSink& sink = soc.sim().obs().sink();
-    const obs::TraceEvent* hang = test::expect_event(
-        sink, obs::EventKind::kSvcHang, "reconfig_service");
-    ASSERT_NE(hang, nullptr);
-    EXPECT_EQ(hang->a0, hung);
-    EXPECT_EQ(hang->a1, d.outstanding_beats);
-    EXPECT_EQ(hang->a2, StallWatchdog::kStallPolls);
-    EXPECT_EQ(test::count_events(sink, obs::EventKind::kSvcAdmit), 2u);
-    EXPECT_EQ(test::count_events(sink, obs::EventKind::kSvcComplete), 2u);
-    test::expect_ordered(sink, obs::EventKind::kSvcAdmit,
-                         obs::EventKind::kSvcHang);
-    test::expect_ordered(sink, obs::EventKind::kSvcHang,
-                         obs::EventKind::kSvcComplete);
-  }
+  // The rest of the story told by the trace stream: no request
+  // completes before dispatch.
+  EXPECT_EQ(test::count_events(sink, obs::EventKind::kSvcAdmit), 2u);
+  EXPECT_EQ(test::count_events(sink, obs::EventKind::kSvcComplete), 2u);
+  test::expect_ordered(sink, obs::EventKind::kSvcAdmit,
+                       obs::EventKind::kSvcHang);
+  test::expect_ordered(sink, obs::EventKind::kSvcHang,
+                       obs::EventKind::kSvcComplete);
 }
 
 TEST_F(ServiceFixture, WatchdogFiresWellBeforeIterationTimeout) {
@@ -373,10 +370,12 @@ TEST_F(ServiceFixture, WatchdogFiresWellBeforeIterationTimeout) {
 
   fi.arm(sites::kDmaMm2sStall, /*count=*/1);
   ASSERT_EQ(svc.submit(Req{"sobel", 1}), Status::kOk);
-  const u64 t0 = drv.mtime();
+  const Cycles t0 = soc.sim().now();
   EXPECT_EQ(svc.drain(), 1u);
-  ASSERT_EQ(svc.hang_log().size(), 1u);
-  const u64 detect_ticks = svc.hang_log().front().mtime - t0;
+  const auto hangs = test::events_of(soc.sim().obs().sink(),
+                                     obs::EventKind::kSvcHang);
+  ASSERT_EQ(hangs.size(), 1u);
+  const u64 detect_ticks = (hangs.front().ts - t0) / kCyclesPerClintTick;
   // Generous bound: a couple of orders of magnitude under the default
   // 4M-cycle (200k-tick) interrupt-wait budget.
   EXPECT_LT(detect_ticks, 20'000u);
@@ -430,8 +429,8 @@ TEST(StallWatchdogUnit, ProgressAndNewTransferResetTheStallCount) {
 
 TEST_F(ServiceFixture, OneHangDiagnosisPerWatchdogTrip) {
   // Two wedged transfers: the first activation attempt and the blanking
-  // pass of its recovery. Each trip is one diagnosis, one kHang in the
-  // manager's journal and one kSvcHang trace event.
+  // pass of its recovery. Each trip is one kSvcHang event carrying the
+  // diagnosis and one kHang stage of the manager.
   ReconfigService svc(mgr);
   soc.sim().obs().sink().set_capacity(usize{1} << 21);
   soc.sim().obs().sink().set_enabled(true);
@@ -439,21 +438,17 @@ TEST_F(ServiceFixture, OneHangDiagnosisPerWatchdogTrip) {
   ASSERT_EQ(svc.submit(Req{"sobel", 1}), Status::kOk);
   EXPECT_EQ(svc.drain(), 1u);
 
-  const auto hangs = svc.hang_log();
+  const auto hangs = test::events_of(soc.sim().obs().sink(),
+                                     obs::EventKind::kSvcHang);
   EXPECT_EQ(hangs.size(), 2u);
   EXPECT_EQ(svc.stats().hangs, hangs.size());
-  usize journaled = 0;
-  for (const auto& e : mgr.journal()) {
-    if (e.status == Status::kHang) ++journaled;
+  usize recorded = 0;
+  for (const auto& e : stages()) {
+    if (e.status == Status::kHang) ++recorded;
   }
-  EXPECT_EQ(journaled, hangs.size());
+  EXPECT_EQ(recorded, hangs.size());
   for (const auto& d : hangs) {
-    EXPECT_EQ(d.polls_without_progress, StallWatchdog::kStallPolls);
-  }
-  if (obs::trace_compiled_in()) {
-    EXPECT_EQ(test::count_events(soc.sim().obs().sink(),
-                                 obs::EventKind::kSvcHang),
-              hangs.size());
+    EXPECT_EQ(d.a2 & 0xFFFF'FFFF, StallWatchdog::kStallPolls);
   }
 }
 
@@ -463,7 +458,7 @@ TEST_F(ServiceFixture, OneHangDiagnosisPerWatchdogTrip) {
 
 struct StressOutcome {
   std::vector<std::pair<State, Status>> terminal;  // per record, in order
-  std::vector<DprManager::JournalEntry> journal;
+  std::vector<test::DprStage> stages;
   std::vector<std::pair<std::string, u64>> fire_report;
 };
 
@@ -565,8 +560,7 @@ StressOutcome run_stress(ServiceWorld& w, u64 seed) {
   EXPECT_EQ(svc.stats().accepted,
             completed + failed + shed + cancelled + missed_at_dispatch);
 
-  const auto j = w.mgr.journal();
-  out.journal.assign(j.begin(), j.end());
+  out.stages = w.stages();
   out.fire_report = w.fi.fire_report();
   return out;
 }
@@ -583,13 +577,13 @@ TEST(ServiceStress, SameSeedSameOutcomeAndJournal) {
     EXPECT_EQ(a.terminal[i].first, b.terminal[i].first) << i;
     EXPECT_EQ(a.terminal[i].second, b.terminal[i].second) << i;
   }
-  ASSERT_EQ(a.journal.size(), b.journal.size());
-  for (usize i = 0; i < a.journal.size(); ++i) {
-    EXPECT_EQ(a.journal[i].mtime, b.journal[i].mtime) << i;
-    EXPECT_EQ(a.journal[i].stage, b.journal[i].stage) << i;
-    EXPECT_EQ(a.journal[i].status, b.journal[i].status) << i;
-    EXPECT_EQ(a.journal[i].rm_id, b.journal[i].rm_id) << i;
-    EXPECT_EQ(a.journal[i].attempt, b.journal[i].attempt) << i;
+  ASSERT_EQ(a.stages.size(), b.stages.size());
+  for (usize i = 0; i < a.stages.size(); ++i) {
+    EXPECT_EQ(a.stages[i].mtime, b.stages[i].mtime) << i;
+    EXPECT_EQ(a.stages[i].stage, b.stages[i].stage) << i;
+    EXPECT_EQ(a.stages[i].status, b.stages[i].status) << i;
+    EXPECT_EQ(a.stages[i].rm_id, b.stages[i].rm_id) << i;
+    EXPECT_EQ(a.stages[i].attempt, b.stages[i].attempt) << i;
   }
   EXPECT_EQ(a.fire_report, b.fire_report);
 }

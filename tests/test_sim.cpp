@@ -465,7 +465,10 @@ class RefChannel {
     return static_cast<usize>(std::count_if(
         rel_.begin(), rel_.end(), [c](Cycles r) { return r > c; }));
   }
-  usize vacancy() const { return cap_ - q_.size() - pending_after(now()); }
+  usize vacancy() const {
+    const usize held = q_.size() + pending_after(now());
+    return held < cap_ ? cap_ - held : 0;
+  }
   /// Beats in the FIFO at cycle c: queued ones pushed by then, and
   /// those taken ahead of the clock that were pushed by c and whose
   /// slot has not freed.
@@ -547,6 +550,7 @@ void expect_same(const FuzzChannel& ch, usize cap) {
   const Cycles t = ch.ref.now();
   ASSERT_EQ(ch.fifo.size(), ch.ref.size()) << "at cycle " << t;
   ASSERT_EQ(ch.fifo.vacancy(), ch.ref.vacancy()) << "at cycle " << t;
+  ASSERT_LE(ch.fifo.vacancy(), ch.fifo.capacity()) << "at cycle " << t;
   ASSERT_EQ(ch.fifo.can_pop(), ch.ref.can_pop()) << "at cycle " << t;
   for (Cycles d = 0; d < 6; ++d) {
     ASSERT_LE(ch.ref.occupancy(t + d), cap) << "at cycle " << t + d;
@@ -697,6 +701,14 @@ void fuzz_stamped_channels(u64 seed) {
     expect_same(ch2, cap2);
     if (testing::Test::HasFatalFailure()) return;
   }
+}
+
+// Seed 1 pushes a beat ahead of the clock into a slot that frees later,
+// first at cycle 65: queued plus held beats exceed the capacity, and
+// vacancy() read 2^64-1 there (and at ten later cycles) before it
+// saturated at 0.
+TEST(StampedChannelFuzz, VacancySaturatesWhenHeldSlotsExceedCapacity) {
+  fuzz_stamped_channels(1);
 }
 
 TEST(StampedChannelFuzz, MatchesThePerBeatReference) {

@@ -265,9 +265,14 @@ struct SlotWorld {
     return out;
   }
 
-  bool journal_has(Swap kind) {
-    for (const auto& e : sched->journal()) {
-      if (e.kind == kind) return true;
+  /// The scheduler's retained kSlot* events of one kind.
+  std::vector<obs::TraceEvent> slot_events(obs::EventKind kind) {
+    return test::events_of(soc.sim().obs().sink(), kind, "slot_scheduler");
+  }
+  bool has_event(obs::EventKind kind) { return !slot_events(kind).empty(); }
+  bool has_rollback(Swap reason) {
+    for (const auto& e : slot_events(obs::EventKind::kSlotRollback)) {
+      if (e.a1 == static_cast<u64>(reason)) return true;
     }
     return false;
   }
@@ -334,7 +339,7 @@ TEST(SlotServing, QueuedDeadlineExpiresInsteadOfDispatching) {
   EXPECT_EQ(w.sched->task(id)->state, TaskState::kDeadlineMissed);
   EXPECT_EQ(w.sched->task(id)->status, Status::kDeadlineMissed);
   EXPECT_EQ(w.sched->stats().deadline_misses, 1u);
-  EXPECT_TRUE(w.journal_has(Swap::kDeadlineMiss));
+  EXPECT_TRUE(w.has_event(obs::EventKind::kSlotDeadlineMiss));
 }
 
 // ---------------------------------------------------------------------
@@ -415,23 +420,25 @@ TEST(SlotPreempt, CaptureSwapRestoreRoundTrip) {
   sc.expect_all_golden(w);
 
   // One of the residents was preempted, captured, and later restored
-  // in its original slot; the journal records the full swap.
+  // in its original slot; the trace records the full swap.
   EXPECT_EQ(w.sched->stats().preemptions, 1u);
   EXPECT_EQ(w.sched->stats().captures, 1u);
   EXPECT_EQ(w.sched->stats().restores, 1u);
   EXPECT_EQ(w.sched->stats().rollbacks, 0u);
-  EXPECT_TRUE(w.journal_has(Swap::kCapture));
-  EXPECT_TRUE(w.journal_has(Swap::kRestore));
+  EXPECT_TRUE(w.has_event(obs::EventKind::kSlotCapture));
+  EXPECT_TRUE(w.has_event(obs::EventKind::kSlotRestore));
+  // kSlotPreempt (a1 = slot) directly precedes its kSlotCapture.
   SlotScheduler::TaskId victim = 0;
   u32 capture_slot = ~u32{0};
   bool same_slot_restore = false;
-  for (const auto& e : w.sched->journal()) {
-    if (e.kind == Swap::kCapture) {
-      victim = e.task;
-      capture_slot = e.slot;
+  for (const auto& e : test::events_from(w.soc.sim().obs().sink(),
+                                         "slot_scheduler")) {
+    if (e.kind == obs::EventKind::kSlotPreempt) {
+      victim = e.a0;
+      capture_slot = static_cast<u32>(e.a1);
     }
-    if (e.kind == Swap::kRestore && e.task == victim &&
-        e.slot == capture_slot) {
+    if (e.kind == obs::EventKind::kSlotRestore && e.a0 == victim &&
+        e.a1 == capture_slot) {
       same_slot_restore = true;
     }
   }
@@ -478,7 +485,7 @@ TEST(SlotRecovery, TornCaptureRollsBackToGoldenReload) {
   EXPECT_EQ(w.sched->stats().torn_detected, 1u);
   EXPECT_GE(w.sched->stats().rollbacks, 1u);
   EXPECT_EQ(w.sched->stats().restores, 0u);
-  EXPECT_TRUE(w.journal_has(Swap::kRollbackDigest));
+  EXPECT_TRUE(w.has_rollback(Swap::kRollbackDigest));
 }
 
 TEST(SlotRecovery, StaleFramesRollBackToGoldenReload) {
@@ -491,7 +498,7 @@ TEST(SlotRecovery, StaleFramesRollBackToGoldenReload) {
   EXPECT_EQ(w.sched->stats().stale_detected, 1u);
   EXPECT_GE(w.sched->stats().rollbacks, 1u);
   EXPECT_EQ(w.sched->stats().restores, 0u);
-  EXPECT_TRUE(w.journal_has(Swap::kRollbackStale));
+  EXPECT_TRUE(w.has_rollback(Swap::kRollbackStale));
 }
 
 TEST(SlotRecovery, PoisonedCaptureIsNeverRestored) {
@@ -532,7 +539,7 @@ TEST(SlotRecovery, PoisonedCaptureIsNeverRestored) {
   EXPECT_EQ(w.sched->stats().poisoned_detected, 1u);
   EXPECT_GE(w.sched->stats().rollbacks, 1u);
   EXPECT_EQ(w.sched->stats().restores, 0u);
-  EXPECT_TRUE(w.journal_has(Swap::kRollbackPoisoned));
+  EXPECT_TRUE(w.has_rollback(Swap::kRollbackPoisoned));
   // The rollback reloaded golden frames (clearing the upset) and
   // restarted from byte 0: the output carries no trace of it.
   EXPECT_EQ(w.soc.config_memory().partition_state(handle).essential_upsets,
@@ -558,7 +565,7 @@ TEST(SlotRecovery, WedgedSwapBecomesDiagnosedHang) {
   EXPECT_EQ(w.sched->task(a)->state, TaskState::kCompleted);
   EXPECT_GE(w.sched->stats().swap_hangs, 1u);
   EXPECT_GE(w.svcs[w.sched->task(a)->slot]->stats().hangs, 1u);
-  EXPECT_TRUE(w.journal_has(Swap::kSwapHang));
+  EXPECT_TRUE(w.has_event(obs::EventKind::kSlotSwapHang));
   EXPECT_EQ(w.read_dst(kDataBase + 0x10000, 4 * 512),
             w.cipher_golden(key, kDataBase, 4 * 512, 512));
 }
@@ -642,7 +649,7 @@ TEST(SlotOversubscription, ShedsArePrioritySafeBothWays) {
   }
   EXPECT_EQ(shed_low, 2u);
   EXPECT_EQ(w.sched->stats().sheds, 2u);
-  EXPECT_TRUE(w.journal_has(Swap::kShed));
+  EXPECT_TRUE(w.has_event(obs::EventKind::kSlotShed));
 
   // A low-priority submit against a full high-priority queue is
   // refused (the arrival itself sheds) — priority-safe both ways.
@@ -707,7 +714,7 @@ TEST(SlotOversubscription, AgingLetsAStarvedTaskPreempt) {
 TEST(SlotJournal, ManagerJournalCarriesTheSlotId) {
   SlotWorld w;
   // Corrupt slot 1's staged cipher image: activation fails its golden
-  // CRC and every journal entry must attribute to slot 1.
+  // CRC and every recovery stage must attribute to slot 1.
   DprManager::StagedInfo info;
   ASSERT_EQ(w.mgrs[1]->staged_image("cipher", &info), Status::kOk);
   u8 byte = 0;
@@ -715,24 +722,25 @@ TEST(SlotJournal, ManagerJournalCarriesTheSlotId) {
   byte ^= 0x40;
   w.soc.ddr().poke(info.addr + 100, std::span(&byte, 1));
   EXPECT_NE(w.mgrs[1]->activate("cipher"), Status::kOk);
-  const auto journal = w.mgrs[1]->journal();
-  ASSERT_FALSE(journal.empty());
-  for (const auto& e : journal) {
-    EXPECT_EQ(e.slot, 1u);
-  }
+  const obs::TraceSink& sink = w.soc.sim().obs().sink();
+  const usize slot1_stages = test::dpr_stages(sink, 1).size();
+  EXPECT_GT(slot1_stages, 0u);
+  // Every kDprStage so far came from slot 1's manager.
+  EXPECT_EQ(test::count_events(sink, obs::EventKind::kDprStage),
+            slot1_stages);
   // Slot 0's manager is unaffected: its activation still succeeds, and
-  // a failure of its own journals under slot 0, not slot 1.
+  // a failure of its own is recorded under slot 0, not slot 1.
   EXPECT_EQ(w.mgrs[0]->activate("cipher"), Status::kOk);
-  EXPECT_TRUE(w.mgrs[0]->journal().empty());
+  EXPECT_TRUE(test::dpr_stages(sink, 0).empty());
   ASSERT_EQ(w.mgrs[0]->staged_image("fir", &info), Status::kOk);
   w.soc.ddr().peek(info.addr + 100, std::span(&byte, 1));
   byte ^= 0x40;
   w.soc.ddr().poke(info.addr + 100, std::span(&byte, 1));
   EXPECT_NE(w.mgrs[0]->activate("fir"), Status::kOk);
-  ASSERT_FALSE(w.mgrs[0]->journal().empty());
-  for (const auto& e : w.mgrs[0]->journal()) {
-    EXPECT_EQ(e.slot, 0u);
-  }
+  EXPECT_FALSE(test::dpr_stages(sink, 0).empty());
+  EXPECT_EQ(test::dpr_stages(sink, 1).size(), slot1_stages);
+  EXPECT_EQ(test::count_events(sink, obs::EventKind::kDprStage),
+            slot1_stages + test::dpr_stages(sink, 0).size());
 }
 
 TEST(SlotJournal, MailboxPublishesSlotIdAndSwapCounters) {

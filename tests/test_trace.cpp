@@ -10,6 +10,7 @@
 
 #include "accel/rm_slot.hpp"
 #include "bitstream/generator.hpp"
+#include "driver/primitives.hpp"
 #include "driver/rvcap_driver.hpp"
 #include "obs/counters.hpp"
 #include "obs/export.hpp"
@@ -84,6 +85,45 @@ TEST(TraceSink, DigestCoversEveryFieldAndSurvivesEviction) {
     skewed.emit(EventKind::kAxisBeat, ssrc, i, i == 3 ? i ^ 1 : i, 0, 0);
   }
   EXPECT_NE(skewed.digest(), sink.digest());
+}
+
+// The split rule (DESIGN.md §11), in every build: a driver's
+// TraceSource appends always, RVCAP_TRACE only while the sink is enabled.
+TEST(TraceSink, DriverEventsRecordedAlwaysComponentEventsWhenEnabled) {
+  TraceSink sink;
+  Cycles now = 10;
+  const driver::TraceSource drv(sink, "driver", &now);
+  const u16 comp = sink.intern("component");
+  TraceSink* const sp = &sink;
+
+  // Disabled: the driver event is retained and folded into the digest
+  // and the total; the component event is not.
+  RVCAP_TRACE(sp, EventKind::kIcapWord, comp, now, 1);
+  drv.emit(EventKind::kSvcSubmit, 7, 1);
+  ASSERT_EQ(sink.events().size(), 1u);
+  EXPECT_EQ(sink.events()[0].kind, EventKind::kSvcSubmit);
+  EXPECT_EQ(sink.source_name(sink.events()[0].src), "driver");
+  EXPECT_EQ(sink.total_events(), 1u);
+  TraceSink ref;
+  const u16 ref_src = ref.intern("driver");
+  ref.append(EventKind::kSvcSubmit, ref_src, 10, 7, 1);
+  EXPECT_EQ(sink.digest(), ref.digest());
+
+  // Enabled: both are retained, in emission order.
+  sink.set_enabled(true);
+  now = 11;
+  RVCAP_TRACE(sp, EventKind::kIcapWord, comp, now, 2);
+  now = 12;
+  drv.emit(EventKind::kSvcAdmit, 7, 1);
+  std::vector<EventKind> want = {EventKind::kSvcSubmit, EventKind::kIcapWord,
+                                 EventKind::kSvcAdmit};
+  // Component emission is compiled out under RVCAP_NO_TRACE.
+  if (!obs::trace_compiled_in()) want.erase(want.begin() + 1);
+  ASSERT_EQ(sink.events().size(), want.size());
+  for (usize i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(sink.events()[i].kind, want[i]) << i;
+  }
+  EXPECT_EQ(sink.total_events(), want.size());
 }
 
 TEST(TraceSink, ClearResetsStreamState) {

@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -105,8 +106,10 @@ class ScratchRegs : public axi::AxiLiteSlave {
 //
 // These read the retained ring only, so tests using them should size
 // the sink (or keep runs short) such that the events they assert on
-// are not evicted. All helpers are RVCAP_NO_TRACE-safe: with tracing
-// compiled out no events are ever emitted, so guard tests with
+// are not evicted. Driver events (driver::TraceSource) are recorded in
+// every build, with the sink enabled or not, so assertions on them run
+// unguarded. Component events (RVCAP_TRACE) need the sink enabled and
+// are compiled out under RVCAP_NO_TRACE; guard those with
 //   if (!obs::trace_compiled_in()) GTEST_SKIP();
 
 /// All retained events of one kind, optionally restricted to a source.
@@ -128,6 +131,71 @@ inline std::vector<obs::TraceEvent> events_between(const obs::TraceSink& sink,
   std::vector<obs::TraceEvent> out;
   for (const obs::TraceEvent& e : sink.events()) {
     if (e.ts >= from && e.ts <= to) out.push_back(e);
+  }
+  return out;
+}
+
+/// All retained events of one source, every kind, oldest first.
+inline std::vector<obs::TraceEvent> events_from(const obs::TraceSink& sink,
+                                                std::string_view src) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : sink.events()) {
+    if (sink.source_name(e.src) == src) out.push_back(e);
+  }
+  return out;
+}
+
+/// Retained events grouped by source name, each group oldest first.
+using EventStreams = std::map<std::string, std::vector<obs::TraceEvent>>;
+inline EventStreams events_by_source(const obs::TraceSink& sink) {
+  EventStreams out;
+  for (const obs::TraceEvent& e : sink.events()) {
+    out[std::string(sink.source_name(e.src))].push_back(e);
+  }
+  return out;
+}
+
+/// EXPECT two runs' event streams identical, source by source and
+/// event by event (the interned source ids may differ).
+inline void expect_same_streams(const EventStreams& a, const EventStreams& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [src, ea] : a) {
+    const auto it = b.find(src);
+    ASSERT_NE(it, b.end()) << "no events from " << src;
+    const auto& eb = it->second;
+    ASSERT_EQ(ea.size(), eb.size()) << src;
+    for (usize i = 0; i < ea.size(); ++i) {
+      EXPECT_EQ(ea[i].ts, eb[i].ts) << src << " event " << i;
+      EXPECT_EQ(ea[i].kind, eb[i].kind) << src << " event " << i;
+      EXPECT_EQ(ea[i].a0, eb[i].a0) << src << " event " << i;
+      EXPECT_EQ(ea[i].a1, eb[i].a1) << src << " event " << i;
+      EXPECT_EQ(ea[i].a2, eb[i].a2) << src << " event " << i;
+    }
+  }
+}
+
+/// One DprManager recovery stage, decoded from its kDprStage event.
+struct DprStage {
+  Cycles ts = 0;
+  u32 rm_id = 0;
+  driver::FailStage stage{};
+  Status status{};
+  u32 attempt = 0;
+  u64 mtime = 0;  // CLINT timestamp the firmware stamped the record with
+};
+
+/// The retained recovery stages of slot `slot`'s DprManager, oldest
+/// first.
+inline std::vector<DprStage> dpr_stages(const obs::TraceSink& sink,
+                                        u32 slot = 0) {
+  std::vector<DprStage> out;
+  for (const obs::TraceEvent& e :
+       events_of(sink, obs::EventKind::kDprStage,
+                 "dpr.slot" + std::to_string(slot))) {
+    out.push_back({e.ts, static_cast<u32>(e.a0),
+                   static_cast<driver::FailStage>(e.a1 & 0xFF),
+                   static_cast<Status>((e.a1 >> 8) & 0xFF),
+                   static_cast<u32>(e.a1 >> 16), e.a2});
   }
   return out;
 }
@@ -231,6 +299,10 @@ struct DprWorld {
   }
 
   bool decoupled() { return soc.rvcap().rp_control().decoupled(); }
+  /// The rp0 manager's recovery stages, oldest first.
+  std::vector<DprStage> stages() {
+    return dpr_stages(soc.sim().obs().sink());
+  }
 
   soc::ArianeSoc soc;
   driver::RvCapDriver drv;
