@@ -349,7 +349,7 @@ void SlotScheduler::apply_setup_regs(TaskRecord& t) {
   }
 }
 
-void SlotScheduler::rollback(TaskRecord& t, SwapEvent::Kind reason,
+void SlotScheduler::rollback(TaskRecord& t, RollbackReason reason,
                              Status cause) {
   ++stats_.rollbacks;
   ++t.rollbacks;
@@ -391,14 +391,14 @@ void SlotScheduler::restore(TaskRecord& t) {
   if (fault_ != nullptr &&
       fault_->should_fire(sim::fault_sites::kSlotRestoreStale)) {
     ++stats_.stale_detected;
-    rollback(t, SwapEvent::Kind::kRollbackStale, Status::kCrcError);
+    rollback(t, RollbackReason::kStale, Status::kCrcError);
     return;
   }
   // Fail-safe gate 2: a capture taken while the partition carried an
   // essential upset serialized corrupted logic — never restore it.
   if (t.capture_poisoned) {
     ++stats_.poisoned_detected;
-    rollback(t, SwapEvent::Kind::kRollbackPoisoned, Status::kCrcError);
+    rollback(t, RollbackReason::kPoisoned, Status::kCrcError);
     return;
   }
   // Fail-safe gate 3: re-verify the digest over the DDR image plus the
@@ -406,7 +406,7 @@ void SlotScheduler::restore(TaskRecord& t) {
   if (image_crc(t.capture_addr, t.capture_words, t.behavior_blob) !=
       t.capture_digest) {
     ++stats_.torn_detected;
-    rollback(t, SwapEvent::Kind::kRollbackDigest, Status::kCrcError);
+    rollback(t, RollbackReason::kDigest, Status::kCrcError);
     return;
   }
 
@@ -441,12 +441,12 @@ void SlotScheduler::restore(TaskRecord& t) {
       trace_.emit(obs::EventKind::kSlotSwapHang, t.id, s);
       stamp_event();
     }
-    rollback(t, SwapEvent::Kind::kRollbackTransfer, st);
+    rollback(t, RollbackReason::kTransfer, st);
     return;
   }
   const auto ps = b.cfg->partition_state(b.cfg_handle);
   if (!(ps.loaded && ps.rm_id == t.task.rm_id)) {
-    rollback(t, SwapEvent::Kind::kRollbackTransfer, Status::kIoError);
+    rollback(t, RollbackReason::kTransfer, Status::kIoError);
     return;
   }
   drv_.decouple_accel(false);
@@ -455,7 +455,7 @@ void SlotScheduler::restore(TaskRecord& t) {
   // Reinstate the serialized architectural state into the freshly
   // re-activated behavior: the task resumes bit-identically.
   if (!b.rm->restore_behavior_state(t.behavior_blob)) {
-    rollback(t, SwapEvent::Kind::kRollbackBehavior, Status::kInternal);
+    rollback(t, RollbackReason::kBehavior, Status::kInternal);
     return;
   }
 
@@ -605,7 +605,7 @@ void SlotScheduler::run_chunk(TaskRecord& t) {
     // A failed stream leaves the module state unknown: roll back to a
     // golden reload and restart rather than resume over garbage.
     drv_.cleanup_after_failure();
-    rollback(t, SwapEvent::Kind::kRollbackTransfer, st);
+    rollback(t, RollbackReason::kTransfer, st);
     return;
   }
   t.bytes_done += chunk;

@@ -139,24 +139,15 @@ class SlotScheduler {
     std::vector<u8> behavior_blob;  // serialized architectural state
   };
 
-  /// Swap-machine event kinds. Every capture, restore, rollback, shed,
-  /// deadline miss and hang is a kSlot* trace event of source
-  /// "slot_scheduler" (the recovery audit trail); kSlotRollback carries
-  /// the rollback reason in a1.
-  struct SwapEvent {
-    enum class Kind : u8 {
-      kCapture,
-      kRestore,
-      kRollbackDigest,       // capture image failed its re-CRC (torn)
-      kRollbackStale,        // frames rewritten since capture (scrub)
-      kRollbackPoisoned,     // captured under an essential upset
-      kRollbackTransfer,     // restore/stream transfer failed or hung
-      kRollbackBehavior,     // architectural-state blob rejected
-      kSwapHang,             // watchdog-diagnosed wedged swap transfer
-      kShed,
-      kDeadlineMiss,
-      kComplete,
-    };
+  /// Why a restore was rolled back: a1 of the kSlotRollback trace event
+  /// (source "slot_scheduler"). The codes are fixed, as the digest folds
+  /// them.
+  enum class RollbackReason : u8 {
+    kDigest = 2,     // capture image failed its re-CRC (torn)
+    kStale = 3,      // frames rewritten since capture (scrub)
+    kPoisoned = 4,   // captured under an essential upset
+    kTransfer = 5,   // restore/stream transfer failed or hung
+    kBehavior = 6,   // architectural-state blob rejected
   };
 
   struct Stats {
@@ -270,7 +261,7 @@ class SlotScheduler {
   /// Verified restore; falls back to rollback() on any failure. After
   /// a successful return the task is kRunning (or terminal kFailed).
   void restore(TaskRecord& t);
-  void rollback(TaskRecord& t, SwapEvent::Kind reason, Status cause);
+  void rollback(TaskRecord& t, RollbackReason reason, Status cause);
   /// Golden-bitstream activation of `t` into `slot` via the slot's
   /// service (force-rewrite, so the RM always starts from reset).
   Status swap_in(TaskRecord& t, u32 slot);

@@ -108,7 +108,7 @@ enum class EventKind : u8 {
   kSlotRestore,   // GRESTORE writeback done: a0=task id, a1=slot, a2=cycles
   kSlotResume,    // preempted task resumed: a0=task id, a1=slot
   kSlotRollback,  // restore rejected, full golden reload: a0=task,
-                  // a1=reason (SwapEvent::Kind), a2=cause Status
+                  // a1=reason (RollbackReason), a2=cause Status
   kSlotShed,      // oversubscription shed: a0=task id, a1=priority
   kSlotSwapHang,  // wedged swap diagnosed: a0=task id, a1=slot
   kSlotComplete,  // task retired: a0=task id, a1=slot, a2=active cycles

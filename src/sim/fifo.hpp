@@ -521,13 +521,17 @@ class Fifo<T> {
   }
 
   /// Wake each room-waiting producer at the release that raises the
-  /// vacancy to its need.
+  /// vacancy to its need. Queued plus held beats may exceed the
+  /// capacity, so the releases to wait for are counted from the held
+  /// total.
   void arm_room_wakes() {
     forget_releases(now());
-    const usize vac = capacity() - size() - rel_count_;
+    const usize held = size() + rel_count_;
     on_pop_.for_each([&](Component* c, u32 need) {
-      if (need <= vac || need - vac > rel_count_) return;
-      usize i = need - vac - 1;  // the i-th pending release, oldest first
+      if (held + need <= capacity()) return;
+      const usize releases = held + need - capacity();
+      if (releases > rel_count_) return;
+      usize i = releases - 1;  // the i-th pending release, oldest first
       usize j = 0;
       for (; i >= rels_[j].n; ++j) i -= rels_[j].n;
       c->wake_at(rels_[j].at + i * rels_[j].stride);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -465,10 +466,12 @@ class RefChannel {
     return static_cast<usize>(std::count_if(
         rel_.begin(), rel_.end(), [c](Cycles r) { return r > c; }));
   }
-  usize vacancy() const {
-    const usize held = q_.size() + pending_after(now());
+  /// Free slots at cycle c >= now if nothing is pushed or taken first.
+  usize vacancy_at(Cycles c) const {
+    const usize held = q_.size() + pending_after(c);
     return held < cap_ ? cap_ - held : 0;
   }
+  usize vacancy() const { return vacancy_at(now()); }
   /// Beats in the FIFO at cycle c: queued ones pushed by then, and
   /// those taken ahead of the clock that were pushed by c and whose
   /// slot has not freed.
@@ -539,12 +542,49 @@ std::vector<Beat> take_beats(Fifo<Beat>& f, Cycles& c, Cycles gap, usize n) {
   return out;
 }
 
+// Never progresses on its own; records the cycles its wakes tick it in.
+class WakeRecorder : public Component {
+ public:
+  WakeRecorder() : Component("wake_recorder") {}
+  bool tick() override {
+    ticks.insert(sim_now());
+    return false;
+  }
+  std::set<Cycles> ticks;
+};
+
 struct FuzzChannel {
   Fifo<Beat>& fifo;
   RefChannel ref;
+  const WakeRecorder& producer;  // watching with `need`
+  usize need = 1;
   Cycles next_leave = 0;  // a beat leaves at most once per cycle
   Cycles last_stamp = 0;
+  Cycles settled = 0;         // last cycle the reference state changed
+  std::vector<Cycles> due{};  // cycles the producer must tick in
 };
+
+/// The reference's vacancy reached the producer's need at cycle c
+/// (from below): the producer must tick then.
+void expect_room_wake(FuzzChannel& ch, usize before, usize after, Cycles c) {
+  if (before < ch.need && ch.need <= after) ch.due.push_back(c);
+}
+
+/// Log the room wakes the releases due in (settled, now] raise, and
+/// check every due wake whose cycle has run.
+void check_room_wakes(FuzzChannel& ch) {
+  const Cycles t = ch.ref.now();
+  for (Cycles c = ch.settled + 1; c <= t; ++c) {
+    expect_room_wake(ch, ch.ref.vacancy_at(c - 1), ch.ref.vacancy_at(c), c);
+  }
+  ch.settled = t;
+  std::erase_if(ch.due, [&](Cycles c) {
+    if (c >= t) return false;
+    EXPECT_TRUE(ch.producer.ticks.contains(c))
+        << "producer needing " << ch.need << " not woken at cycle " << c;
+    return true;
+  });
+}
 
 void expect_same(const FuzzChannel& ch, usize cap) {
   const Cycles t = ch.ref.now();
@@ -578,12 +618,18 @@ void fuzz_stamped_channels(u64 seed) {
   SplitMix64 rng(seed);
   const usize cap1 = 1 + rng.next_below(8);
   const usize cap2 = 1 + rng.next_below(8);
+  // The producers' needs come from their own stream, so the channel
+  // traffic each seed draws does not depend on them.
+  SplitMix64 need_rng(~seed);
+  const usize need1 = 1 + need_rng.next_below(cap1);
+  const usize need2 = 1 + need_rng.next_below(cap2);
   Simulator s;
   Fifo<Beat> f1(cap1), f2(cap2);
-  TickCounter a, b, c;  // a -> f1 -> b -> f2 -> c (or the test)
-  f1.watch_as_producer(&a);
+  WakeRecorder a, b;  // a -> f1 -> b -> f2 -> c (or the test)
+  TickCounter c;
+  f1.watch_as_producer(&a, static_cast<u32>(need1));
   f1.watch_as_consumer(&b);
-  f2.watch_as_producer(&b);
+  f2.watch_as_producer(&b, static_cast<u32>(need2));
   const bool c_ticks = rng.next_below(2) == 0;
   if (c_ticks) f2.watch_as_consumer(&c);
   std::vector<Component*> order{&a, &b, &c};
@@ -593,8 +639,8 @@ void fuzz_stamped_channels(u64 seed) {
   for (Component* x : order) s.add(x);
   const Cycles skew1 = b.slot() > a.slot() ? 0 : 1;
   const Cycles skew2 = !c_ticks ? 1 : c.slot() > b.slot() ? 0 : 1;
-  FuzzChannel ch1{f1, RefChannel(cap1, skew1, s)};
-  FuzzChannel ch2{f2, RefChannel(cap2, skew2, s)};
+  FuzzChannel ch1{f1, RefChannel(cap1, skew1, s), a, need1};
+  FuzzChannel ch2{f2, RefChannel(cap2, skew2, s), b, need2};
   u64 data = 0;
   usize burst_left = 0;  // beats left in a's current burst
   Cycles next_push = 0;  // a pushes in cycle order
@@ -605,6 +651,10 @@ void fuzz_stamped_channels(u64 seed) {
   for (int step = 0; step < 600; ++step) {
     s.run_cycles(rng.next_below(3));
     const Cycles t = s.now();
+    check_room_wakes(ch1);
+    check_room_wakes(ch2);
+    const usize vac1 = ch1.ref.vacancy();
+    const usize vac2 = ch2.ref.vacancy();
     switch (rng.next_below(8)) {
       case 0: {  // a per-beat push
         const Beat v = next_beat(static_cast<u8>(rng.next_below(2)));
@@ -697,10 +747,17 @@ void fuzz_stamped_channels(u64 seed) {
         break;
       }
     }
+    // A take at now that frees slots wakes the producer at once.
+    expect_room_wake(ch1, vac1, ch1.ref.vacancy(), t);
+    expect_room_wake(ch2, vac2, ch2.ref.vacancy(), t);
     expect_same(ch1, cap1);
     expect_same(ch2, cap2);
     if (testing::Test::HasFatalFailure()) return;
   }
+  // Let every release still pending happen, and check its wake.
+  s.run_cycles(32);
+  check_room_wakes(ch1);
+  check_room_wakes(ch2);
 }
 
 // Seed 1 pushes a beat ahead of the clock into a slot that frees later,

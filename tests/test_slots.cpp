@@ -50,7 +50,7 @@ namespace sites = sim::fault_sites;
 
 using Task = SlotScheduler::HwTask;
 using TaskState = SlotScheduler::TaskState;
-using Swap = SlotScheduler::SwapEvent::Kind;
+using Rollback = SlotScheduler::RollbackReason;
 
 // ---------------------------------------------------------------------
 // Floorplan validation (construction-time geometry checks)
@@ -270,7 +270,7 @@ struct SlotWorld {
     return test::events_of(soc.sim().obs().sink(), kind, "slot_scheduler");
   }
   bool has_event(obs::EventKind kind) { return !slot_events(kind).empty(); }
-  bool has_rollback(Swap reason) {
+  bool has_rollback(Rollback reason) {
     for (const auto& e : slot_events(obs::EventKind::kSlotRollback)) {
       if (e.a1 == static_cast<u64>(reason)) return true;
     }
@@ -485,7 +485,7 @@ TEST(SlotRecovery, TornCaptureRollsBackToGoldenReload) {
   EXPECT_EQ(w.sched->stats().torn_detected, 1u);
   EXPECT_GE(w.sched->stats().rollbacks, 1u);
   EXPECT_EQ(w.sched->stats().restores, 0u);
-  EXPECT_TRUE(w.has_rollback(Swap::kRollbackDigest));
+  EXPECT_TRUE(w.has_rollback(Rollback::kDigest));
 }
 
 TEST(SlotRecovery, StaleFramesRollBackToGoldenReload) {
@@ -498,7 +498,7 @@ TEST(SlotRecovery, StaleFramesRollBackToGoldenReload) {
   EXPECT_EQ(w.sched->stats().stale_detected, 1u);
   EXPECT_GE(w.sched->stats().rollbacks, 1u);
   EXPECT_EQ(w.sched->stats().restores, 0u);
-  EXPECT_TRUE(w.has_rollback(Swap::kRollbackStale));
+  EXPECT_TRUE(w.has_rollback(Rollback::kStale));
 }
 
 TEST(SlotRecovery, PoisonedCaptureIsNeverRestored) {
@@ -539,7 +539,7 @@ TEST(SlotRecovery, PoisonedCaptureIsNeverRestored) {
   EXPECT_EQ(w.sched->stats().poisoned_detected, 1u);
   EXPECT_GE(w.sched->stats().rollbacks, 1u);
   EXPECT_EQ(w.sched->stats().restores, 0u);
-  EXPECT_TRUE(w.has_rollback(Swap::kRollbackPoisoned));
+  EXPECT_TRUE(w.has_rollback(Rollback::kPoisoned));
   // The rollback reloaded golden frames (clearing the upset) and
   // restarted from byte 0: the output carries no trace of it.
   EXPECT_EQ(w.soc.config_memory().partition_state(handle).essential_upsets,
